@@ -35,7 +35,7 @@ class MetricCloud:
         d = np.asarray(self.dist, dtype=float)
         if d.shape != (len(self.labels), len(self.labels)):
             raise ValueError("distance matrix shape does not match labels")
-        if not np.allclose(d, d.T, atol=0):
+        if not np.array_equal(d, d.T):
             raise ValueError("distance matrix must be exactly symmetric")
         if np.any(np.diag(d) != 0):
             raise ValueError("distance matrix needs a zero diagonal")
@@ -65,14 +65,9 @@ def cloud_from_configs(space: Space, configs) -> MetricCloud:
     enc = _pad_encode(space, configs)
     m = len(configs)
     iu, ju = np.triu_indices(m, k=1)
-    if isinstance(enc, tuple):
-        enc_a = (enc[0][iu], enc[1][iu])
-        enc_b = (enc[0][ju], enc[1][ju])
-    else:
-        enc_a, enc_b = enc[iu], enc[ju]
     dist = np.zeros((m, m))
     if len(iu):
-        vals = batch_hausdorff(space, enc_a, enc_b)
+        vals = batch_hausdorff(space, enc[iu], enc[ju])
         dist[iu, ju] = vals
         dist[ju, iu] = vals
     return MetricCloud(configs, dist)

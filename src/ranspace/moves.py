@@ -32,6 +32,7 @@ may be evaluated concurrently without changing any value.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -109,19 +110,7 @@ class ContractionCertificate:
     stages: tuple  # of (name, first row, last row, stage max cardinality)
 
     def as_dict(self) -> dict:
-        return {
-            "max_cardinality": self.max_cardinality,
-            "declared_cap": self.declared_cap,
-            "max_gap": self.max_gap,
-            "ds": self.ds,
-            "dt": self.dt,
-            "lipschitz": self.lipschitz,
-            "endpoint_drift": self.endpoint_drift,
-            "target_constancy": self.target_constancy,
-            "source": self.source,
-            "target": self.target,
-            "stages": [list(s) for s in self.stages],
-        }
+        return dataclasses.asdict(self)
 
 
 # -- strand extraction --------------------------------------------------------
@@ -225,8 +214,37 @@ def _config_at(track: Track, t: float) -> Configuration:
     return track.configs[lo] if t - times[lo] <= times[hi] - t else track.configs[hi]
 
 
-def _dwell(t: float) -> float:
-    return min(max((t - 0.25) * 2.0, 0.0), 1.0)
+def _dwell(lam: float, t: float) -> float:
+    """Reparametrization sliding (lam from 0 to 1) onto a schedule that
+    dwells at the ends of [0, 1/4] and [3/4, 1] and runs the loop between."""
+    return (1.0 - lam) * t + lam * min(max((t - 0.25) * 2.0, 0.0), 1.0)
+
+
+def _conjugation(s: float, t: float, connector, loop):
+    """Value at (s, t) of the block conjugating a loop by a connector path.
+
+    On [0, 1/4] and [3/4, 1] the connector is evaluated at a parameter
+    warped by s (the whole connector at s = 0, its far end only at s = 1);
+    in between the loop runs at double speed.
+    """
+    if t <= 0.25:
+        return connector((1.0 - s) + (t / 0.25) * s)
+    if t >= 0.75:
+        return connector((1.0 - s) + ((1.0 - t) / 0.25) * s)
+    return loop((t - 0.25) * 2.0)
+
+
+def _block(space: Space, grid: tuple, rows: int, cap: int, cell) -> Homotopy:
+    """Homotopy block of rows + 1 rows whose cell at (i / rows, t) is
+    cell(i / rows, t), for t on the time grid."""
+    cells = tuple(tuple(cell(i / rows, t) for t in grid) for i in range(rows + 1))
+    return Homotopy(space, uniform_times(rows), grid, cells, cap)
+
+
+def _strand_cell(space: Space, n: int, value):
+    """Cell function of a block moving n strands: the configuration of
+    the strand values value(j, s, t), capped at n."""
+    return lambda s, t: dedup(space, [value(j, s, t) for j in range(n)], cap=n)
 
 
 def normalize(
@@ -275,39 +293,16 @@ def _resample_bundle(bundle: StrandBundle, grid: tuple) -> StrandBundle:
 def _normalize_bundle(bundle: StrandBundle, b: Point, rows: int, grid: tuple) -> tuple[StrandBundle, Homotopy]:
     """Conjugate each strand by the geodesic from b to its own basepoint."""
     space = bundle.space
-    interps = [bundle.interpolator(j) for j in range(bundle.n)]
+    n = bundle.n
+    interps = [bundle.interpolator(j) for j in range(n)]
     starts = [s[0] for s in bundle.strands]
 
     def strand_value(j, s, t):
-        if t <= 0.25:
-            u = (1.0 - s) + (t / 0.25) * s
-            return space.geodesic(b, starts[j], u)
-        if t >= 0.75:
-            u = (1.0 - s) + ((1.0 - t) / 0.25) * s
-            return space.geodesic(b, starts[j], u)
-        return interps[j]((t - 0.25) * 2.0)
+        return _conjugation(s, t, lambda u: space.geodesic(b, starts[j], u), interps[j])
 
-    def reparam_row(lam):
-        return tuple(
-            dedup(space, [itp((1.0 - lam) * t + lam * _dwell(t)) for itp in interps], cap=bundle.n)
-            for t in grid
-        )
-
-    def conj_row(s):
-        return tuple(
-            dedup(space, [strand_value(j, s, t) for j in range(bundle.n)], cap=bundle.n)
-            for t in grid
-        )
-
-    block1 = tuple(reparam_row(i / rows) for i in range(rows + 1))
-    block2 = tuple(conj_row(i / rows) for i in range(rows + 1))
-    h1 = Homotopy(space, uniform_times(rows), grid, block1, bundle.n)
-    h2 = Homotopy(space, uniform_times(rows), grid, block2, bundle.n)
-    out = StrandBundle(
-        space,
-        grid,
-        tuple(tuple(strand_value(j, 1.0, t) for t in grid) for j in range(bundle.n)),
-    )
+    h1 = _block(space, grid, rows, n, _strand_cell(space, n, lambda j, lam, t: interps[j](_dwell(lam, t))))
+    h2 = _block(space, grid, rows, n, _strand_cell(space, n, strand_value))
+    out = StrandBundle(space, grid, tuple(tuple(strand_value(j, 1.0, t) for t in grid) for j in range(n)))
     return out, stack_homotopies([h1, h2])
 
 
@@ -326,26 +321,15 @@ def _normalize_track(
             return [space.geodesic(b, pstar, 2.0 * u)]
         return [space.geodesic(pstar, q, 2.0 * u - 1.0) for q in sigma0.points]
 
-    def reparam_row(lam):
-        return tuple(
-            _config_at(track, (1.0 - lam) * t + lam * _dwell(t)) for t in grid
-        )
+    def conj_cell(s, t):
+        pts = _conjugation(s, t, gamma, lambda u: list(_config_at(track, u).points))
+        return dedup(space, pts, cap=n)
 
-    def conj_row(s):
-        cells = []
-        for t in grid:
-            if t <= 0.25:
-                pts = gamma((1.0 - s) + (t / 0.25) * s)
-            elif t >= 0.75:
-                pts = gamma((1.0 - s) + ((1.0 - t) / 0.25) * s)
-            else:
-                pts = list(_config_at(track, (t - 0.25) * 2.0).points)
-            cells.append(dedup(space, pts, cap=n))
-        return tuple(cells)
-
-    block1 = tuple(reparam_row(i / rows) for i in range(rows + 1))
-    block2 = tuple(conj_row(i / rows) for i in range(rows + 1))
-    conjugated = Track(space, grid, block2[-1], "loop", n)
+    # the reparametrization block reuses the input's cells without another
+    # dedup: documents are only strictly sorted, not eps-separated
+    h1 = _block(space, grid, rows, n, lambda lam, t: _config_at(track, _dwell(lam, t)))
+    h2 = _block(space, grid, rows, n, conj_cell)
+    conjugated = Track(space, grid, h2.cells[-1], "loop", n)
     bundle = extract_strands(conjugated, cap=n, matching_radius=matching_radius)
 
     # excursion rescheduling: stretch each strand's span away from b over
@@ -363,20 +347,8 @@ def _normalize_track(
         t0, t1 = spans[j]
         return interps[j]((1.0 - lam) * t + lam * (t0 + t * (t1 - t0)))
 
-    def sched_row(lam):
-        return tuple(
-            dedup(space, [sched_value(j, lam, t) for j in range(n)], cap=n) for t in grid
-        )
-
-    block3 = tuple(sched_row(i / rows) for i in range(rows + 1))
-    h1 = Homotopy(space, uniform_times(rows), grid, block1, n)
-    h2 = Homotopy(space, uniform_times(rows), grid, block2, n)
-    h3 = Homotopy(space, uniform_times(rows), grid, block3, n)
-    out = StrandBundle(
-        space,
-        grid,
-        tuple(tuple(sched_value(j, 1.0, t) for t in grid) for j in range(n)),
-    )
+    h3 = _block(space, grid, rows, n, _strand_cell(space, n, sched_value))
+    out = StrandBundle(space, grid, tuple(tuple(sched_value(j, 1.0, t) for t in grid) for j in range(n)))
     return out, stack_homotopies([h1, h2, h3])
 
 
@@ -633,47 +605,39 @@ def contract_pipeline(
         target = _rho(windows, j, t)
         return interps[j]((1.0 - lam) * t + lam * target)
 
-    stair_cells = tuple(
-        tuple(
-            dedup(space, [sched_value(j, i / block_rows, t) for j in range(n_strands)], cap=n_strands)
-            for t in grid
-        )
-        for i in range(block_rows + 1)
-    )
-    h_stair = Homotopy(space, uniform_times(block_rows), grid, stair_cells, n_strands)
+    h_stair = _block(space, grid, block_rows, n_strands, _strand_cell(space, n_strands, sched_value))
 
     declared = mode.declared_cap
     blocks = [h_norm, h_stair]
     done = set()
     unit = Circle(1.0)
+
+    def frozen_points(win, t):
+        """Every strand but the window's own, as the window sees it."""
+        pts = []
+        for j in range(n_strands):
+            if j == win.strand and win.t0 <= t <= win.t1:
+                continue
+            owner = next((w for w in windows if w.strand == j and w.t0 <= t <= w.t1), None)
+            if owner is not None and (owner.strand, owner.lap) in done:
+                pts.append(b)
+            elif owner is not None:
+                pts.append(interps[j](_scheduled_u(owner, t)))
+            else:
+                pts.append(interps[j](_rho(windows, j, t)))
+        return pts
+
+    def window_cell(win, frozen, s, t):
+        pts = list(frozen[t])
+        if win.t0 <= t <= win.t1:
+            vals = [unit.canon(v) for v in _generator_cell(s, (t - win.t0) / (win.t1 - win.t0))]
+            us = [win.u0 + v * (win.u1 - win.u0) for v in vals]
+            pts = pts + interps[win.strand].many(us)
+        return dedup(space, pts if pts else [b], cap=declared)
+
     for win in windows:
-        frozen = []
-        for t in grid:
-            pts = []
-            for j in range(n_strands):
-                if j == win.strand and win.t0 <= t <= win.t1:
-                    continue
-                owner = next((w for w in windows if w.strand == j and w.t0 <= t <= w.t1), None)
-                if owner is not None and (owner.strand, owner.lap) in done:
-                    pts.append(b)
-                elif owner is not None:
-                    pts.append(interps[j](_scheduled_u(owner, t)))
-                else:
-                    pts.append(interps[j](_rho(windows, j, t)))
-            frozen.append(pts)
-        rows = []
-        for i in range(block_rows + 1):
-            s = i / block_rows
-            row = []
-            for k, t in enumerate(grid):
-                pts = list(frozen[k])
-                if win.t0 <= t <= win.t1:
-                    vals = [unit.canon(v) for v in _generator_cell(s, (t - win.t0) / (win.t1 - win.t0))]
-                    us = [win.u0 + v * (win.u1 - win.u0) for v in vals]
-                    pts = pts + interps[win.strand].many(us)
-                row.append(dedup(space, pts if pts else [b], cap=declared))
-            rows.append(tuple(row))
-        blocks.append(Homotopy(space, uniform_times(block_rows), grid, tuple(rows), declared))
+        frozen = {t: frozen_points(win, t) for t in grid}
+        blocks.append(_block(space, grid, block_rows, declared, lambda s, t: window_cell(win, frozen, s, t)))
         done.add((win.strand, win.lap))
 
     homotopy = stack_homotopies(blocks)

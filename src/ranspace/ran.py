@@ -86,8 +86,3 @@ def union(space: Space, a: Configuration, b: Configuration, cap: int) -> Configu
     if len(merged) > cap:
         raise CapExceeded(f"union has {len(merged)} points, cap {cap}")
     return Configuration(merged.points, cap)
-
-
-def check_same_space(space_a: Space, space_b: Space) -> None:
-    if space_a != space_b:
-        raise SpaceMismatch(f"{space_a!r} vs {space_b!r}")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -75,13 +75,6 @@ class Circle:
     def random_point(self, rng: np.random.Generator) -> float:
         return self.canon(rng.uniform(0.0, self.circumference))
 
-    def encode(self, points: Sequence[float]) -> np.ndarray:
-        return np.asarray([self.canon(p) for p in points], dtype=float)
-
-    def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        raw = np.abs(a[:, None] - b[None, :])
-        return np.minimum(raw, self.circumference - raw)
-
 
 @dataclass(frozen=True)
 class Interval:
@@ -113,12 +106,6 @@ class Interval:
 
     def random_point(self, rng: np.random.Generator) -> float:
         return float(rng.uniform(0.0, self.length))
-
-    def encode(self, points: Sequence[float]) -> np.ndarray:
-        return np.asarray([self.canon(p) for p in points], dtype=float)
-
-    def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.abs(a[:, None] - b[None, :])
 
 
 @dataclass(frozen=True)
@@ -304,34 +291,6 @@ class MetricGraph:
         edge = int(rng.choice(len(self.edges), p=lengths / lengths.sum()))
         return self.canon(GraphPoint(edge, float(rng.uniform(0.0, 1.0))))
 
-    def encode(self, points: Sequence[Point]):
-        pts = [self.canon(p) for p in points]
-        return (
-            np.asarray([p.edge for p in pts], dtype=int),
-            np.asarray([p.t for p in pts], dtype=float),
-        )
-
-    def pairwise(self, a, b) -> np.ndarray:
-        ea, ta = a
-        eb, tb = b
-        lengths = np.array([l for _, _, l in self.edges])
-        us = np.array([u for u, _, _ in self.edges])
-        vs = np.array([v for _, v, _ in self.edges])
-        dmat = self.vertex_distance_matrix()
-        la, lb = lengths[ea], lengths[eb]
-        legs_a = (ta * la, (1.0 - ta) * la)
-        ends_a = (us[ea], vs[ea])
-        legs_b = (tb * lb, (1.0 - tb) * lb)
-        ends_b = (us[eb], vs[eb])
-        best = np.full((len(ta), len(tb)), np.inf)
-        for leg_a, end_a in zip(legs_a, ends_a):
-            for leg_b, end_b in zip(legs_b, ends_b):
-                cand = leg_a[:, None] + dmat[end_a[:, None], end_b[None, :]] + leg_b[None, :]
-                np.minimum(best, cand, out=best)
-        same = ea[:, None] == eb[None, :]
-        direct = np.abs(ta[:, None] - tb[None, :]) * la[:, None]
-        return np.where(same, np.minimum(best, direct), best)
-
 
 Space = Union[Circle, Interval, MetricGraph]
 
@@ -344,11 +303,3 @@ def distance(space: Space, p: Point, q: Point) -> float:
 def geodesic(space: Space, p: Point, q: Point, s: float) -> Point:
     """Constant-speed geodesic from p (s=0) to q (s=1)."""
     return space.geodesic(p, q, s)
-
-
-def canon(space: Space, p: Point) -> Point:
-    return space.canon(p)
-
-
-def points_equal(space: Space, p: Point, q: Point, tol: float = CANON_TOL) -> bool:
-    return space.distance(p, q) <= tol

@@ -102,58 +102,49 @@ def _point_xy(space: Space, p) -> tuple:
     return _graph_point_xy(space, _graph_layout(space), p)
 
 
-def render_frame(space: Space, config, basepoint=None) -> str:
-    parts = [_header()]
-    parts.extend(_space_backdrop(space))
+def _write_frames(space: Space, out_dir: str, basepoint, frames) -> list:
+    """Write frame_0000.svg, ... to out_dir, one per item of frames: the
+    space, the basepoint ring if any, then the item's dot elements."""
+    head = [_header()]
+    head.extend(_space_backdrop(space))
     if basepoint is not None:
         bx, by = _point_xy(space, basepoint)
-        parts.append(
+        head.append(
             f'<circle cx="{bx:.2f}" cy="{by:.2f}" r="11" fill="none" stroke="#c33" stroke-width="2"/>'
         )
-    for p in config.points:
-        x, y = _point_xy(space, p)
-        parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="6" fill="#136"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
+    for i, dots in enumerate(frames):
+        path = out / f"frame_{i:04d}.svg"
+        path.write_text("\n".join([*head, *dots, "</svg>"]) + "\n")
+        written.append(str(path))
+    return written
 
 
 def render_track(track: Track, out_dir: str, basepoint=None, stride: int = 1) -> list:
     """One frame per sampled time (honoring the stride)."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for i in range(0, len(track.times), stride):
-        path = out / f"frame_{len(written):04d}.svg"
-        path.write_text(render_frame(track.space, track.configs[i], basepoint))
-        written.append(str(path))
-    return written
+
+    def dots(config):
+        for p in config.points:
+            x, y = _point_xy(track.space, p)
+            yield f'<circle cx="{x:.2f}" cy="{y:.2f}" r="6" fill="#136"/>'
+
+    frames = (dots(track.configs[i]) for i in range(0, len(track.times), stride))
+    return _write_frames(track.space, out_dir, basepoint, frames)
 
 
 def render_homotopy(h: Homotopy, out_dir: str, basepoint=None) -> list:
     """One frame per deformation row, configurations overlaid per frame."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for i in range(h.rows):
-        parts = [_header()]
-        parts.extend(_space_backdrop(h.space))
-        if basepoint is not None:
-            bx, by = _point_xy(h.space, basepoint)
-            parts.append(
-                f'<circle cx="{bx:.2f}" cy="{by:.2f}" r="11" fill="none" stroke="#c33" stroke-width="2"/>'
-            )
-        row = h.cells[i]
-        shade = 0.25
+
+    def dots(row):
         for k, cell in enumerate(row):
             tone = int(40 + 160 * (k / max(len(row) - 1, 1)))
             for p in cell.points:
                 x, y = _point_xy(h.space, p)
-                parts.append(
+                yield (
                     f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" '
-                    f'fill="rgb({tone},{tone // 2 + 30},96)" fill-opacity="{shade}"/>'
+                    f'fill="rgb({tone},{tone // 2 + 30},96)" fill-opacity="0.25"/>'
                 )
-        parts.append("</svg>")
-        path = out / f"frame_{i:04d}.svg"
-        path.write_text("\n".join(parts) + "\n")
-        written.append(str(path))
-    return written
+
+    return _write_frames(h.space, out_dir, basepoint, (dots(row) for row in h.cells))

@@ -19,7 +19,7 @@ report.
 
 from __future__ import annotations
 
-import math
+import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -182,12 +182,6 @@ class StrandInterpolator:
             out.append(self.points[i - 1] if tl else self.points[i])
         return out
 
-    def lift_values(self, ts: Sequence[float]) -> np.ndarray:
-        if self.lifts is None:
-            raise ValueError("lifts only exist for circle and interval strands")
-        ts = np.clip(np.asarray(ts, dtype=float), 0.0, 1.0)
-        return np.interp(ts, self.times, self.lifts)
-
 
 # -- continuity certification -------------------------------------------------
 
@@ -203,111 +197,87 @@ class ContinuityReport:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "max_gap": self.max_gap,
-            "ds": self.ds,
-            "dt": self.dt,
-            "lipschitz": self.lipschitz,
-            "max_cardinality": self.max_cardinality,
-            "bound": self.bound,
-            "passed": self.passed,
-        }
+        return dataclasses.asdict(self)
 
 
-def _pad_encode(space: Space, configs: Sequence[Configuration]):
-    """Pad configurations to a rectangular encoding for batch kernels."""
-    width = max(len(c) for c in configs)
-    n = len(configs)
+def _pad_encode(space: Space, configs: Sequence[Configuration]) -> np.ndarray:
+    """The padded cell encoding shared by every batch kernel.
+
+    Row i holds the points of configs[i], padded to the widest
+    configuration: shape (cells, width) of coordinates on circles and
+    intervals, (cells, width, 2) of (edge, t) on graphs.  Padding slots
+    hold a NaN coordinate (edge 0 and a NaN t on graphs), so leading axes
+    slice and fancy-index the same way on every space.
+    """
+    counts = np.fromiter((len(c) for c in configs), dtype=np.intp, count=len(configs))
+    flat = np.asarray([p for c in configs for p in c.points], dtype=float)
+    enc = np.full((len(configs), counts.max()) + flat.shape[1:], np.nan)
     if isinstance(space, MetricGraph):
-        edges = np.zeros((n, width), dtype=int)
-        params = np.full((n, width), np.nan)
-        for i, c in enumerate(configs):
-            for j, p in enumerate(c.points):
-                edges[i, j] = p.edge
-                params[i, j] = p.t
-        return edges, params
-    coords = np.full((n, width), np.nan)
-    for i, c in enumerate(configs):
-        coords[i, : len(c)] = c.points
-    return coords
+        enc[..., 0] = 0.0
+    rows = np.repeat(np.arange(len(configs)), counts)
+    slots = np.arange(len(flat)) - np.repeat(np.cumsum(counts) - counts, counts)
+    enc[rows, slots] = flat
+    return enc
 
 
-def batch_hausdorff(space: Space, enc_a, enc_b) -> np.ndarray:
-    """Hausdorff distance between corresponding entries of two padded
-    configuration batches."""
+def batch_hausdorff(space: Space, enc_a: np.ndarray, enc_b: np.ndarray) -> np.ndarray:
+    """Hausdorff distance between corresponding cells of two padded
+    encodings (see _pad_encode) with equal leading shape."""
     if isinstance(space, MetricGraph):
-        ea, ta = enc_a
-        eb, tb = enc_b
+        ea, ta = enc_a[..., 0].astype(np.intp), enc_a[..., 1]
+        eb, tb = enc_b[..., 0].astype(np.intp), enc_b[..., 1]
         lengths = np.array([l for _, _, l in space.edges])
         us = np.array([u for u, _, _ in space.edges])
         vs = np.array([v for _, v, _ in space.edges])
         dmat = space.vertex_distance_matrix()
         la, lb = lengths[ea], lengths[eb]
-        d = np.full((ea.shape[0], ea.shape[1], eb.shape[1]), np.inf)
+        d = np.full(ea.shape + eb.shape[-1:], np.inf)
         for leg_a, end_a in ((ta * la, us[ea]), ((1.0 - ta) * la, vs[ea])):
             for leg_b, end_b in ((tb * lb, us[eb]), ((1.0 - tb) * lb, vs[eb])):
-                cand = leg_a[:, :, None] + dmat[end_a[:, :, None], end_b[:, None, :]] + leg_b[:, None, :]
+                cand = leg_a[..., :, None] + dmat[end_a[..., :, None], end_b[..., None, :]] + leg_b[..., None, :]
                 d = np.fmin(d, cand)
-        same = ea[:, :, None] == eb[:, None, :]
-        direct = np.abs(ta[:, :, None] - tb[:, None, :]) * la[:, :, None]
+        same = ea[..., :, None] == eb[..., None, :]
+        direct = np.abs(ta[..., :, None] - tb[..., None, :]) * la[..., :, None]
         d = np.where(same, np.fmin(d, direct), d)
-        valid_a, valid_b = ~np.isnan(ta), ~np.isnan(tb)
     else:
-        a, b = enc_a, enc_b
-        raw = np.abs(a[:, :, None] - b[:, None, :])
+        # ta, tb: the slot values that are NaN on padding, on every space
+        ta, tb = enc_a, enc_b
+        d = np.abs(ta[..., :, None] - tb[..., None, :])
         if isinstance(space, Circle):
-            d = np.minimum(raw, space.circumference - raw)
-        else:
-            d = raw
-        valid_a, valid_b = ~np.isnan(a), ~np.isnan(b)
-    d = np.where(valid_b[:, None, :], d, np.inf)
+            d = np.minimum(d, space.circumference - d)
+    valid_a, valid_b = ~np.isnan(ta), ~np.isnan(tb)
+    d = np.where(valid_b[..., None, :], d, np.inf)
     d = np.where(np.isnan(d), np.inf, d)
-    dir_ab = np.where(valid_a, d.min(axis=2), -np.inf).max(axis=1)
-    d2 = np.where(valid_a[:, :, None], d, np.inf)
-    dir_ba = np.where(valid_b, d2.min(axis=1), -np.inf).max(axis=1)
+    dir_ab = np.where(valid_a, d.min(axis=-1), -np.inf).max(axis=-1)
+    d2 = np.where(valid_a[..., :, None], d, np.inf)
+    dir_ba = np.where(valid_b, d2.min(axis=-2), -np.inf).max(axis=-1)
     return np.maximum(dir_ab, dir_ba)
-
-
-def _pairs_max_gap(space: Space, cells_a: list, cells_b: list, steps: np.ndarray):
-    enc_a = _pad_encode(space, cells_a)
-    enc_b = _pad_encode(space, cells_b)
-    gaps = batch_hausdorff(space, enc_a, enc_b)
-    max_gap = float(gaps.max()) if len(gaps) else 0.0
-    lips = float((gaps / steps).max()) if len(gaps) else 0.0
-    return max_gap, lips
 
 
 def check_continuity(obj, bound: float) -> ContinuityReport:
     """Certify that adjacent grid cells stay within bound * grid step.
 
-    Accepts a Track or a Homotopy.  The report passes iff the maximum
-    adjacent-cell gap is at most bound * max(ds, dt).
+    Accepts a Track (a grid of one row) or a Homotopy.  The grid is
+    encoded once; horizontal and vertical neighbours are slices of that
+    encoding.  The report passes iff the maximum adjacent-cell gap is at
+    most bound * max(ds, dt).
     """
     if isinstance(obj, Track):
-        cells_a = list(obj.configs[:-1])
-        cells_b = list(obj.configs[1:])
-        steps = np.diff(np.asarray(obj.times))
-        dt = float(steps.max())
-        max_gap, lips = _pairs_max_gap(obj.space, cells_a, cells_b, steps)
-        max_card = max(len(c) for c in obj.configs)
-        ds = 0.0
+        rows, s_grid, t_grid = (obj.configs,), (0.0,), obj.times
     else:
-        homotopy = obj
-        s_grid = np.asarray(homotopy.s_grid)
-        t_grid = np.asarray(homotopy.t_grid)
-        ds = float(np.diff(s_grid).max()) if len(s_grid) > 1 else 0.0
-        dt = float(np.diff(t_grid).max())
-        cells_a, cells_b, steps = [], [], []
-        for row in homotopy.cells:
-            cells_a.extend(row[:-1])
-            cells_b.extend(row[1:])
-            steps.extend(np.diff(t_grid))
-        for row_a, row_b, step in zip(homotopy.cells, homotopy.cells[1:], np.diff(s_grid)):
-            cells_a.extend(row_a)
-            cells_b.extend(row_b)
-            steps.extend([step] * len(row_a))
-        max_gap, lips = _pairs_max_gap(homotopy.space, cells_a, cells_b, np.asarray(steps))
-        max_card = max(len(c) for row in homotopy.cells for c in row)
+        rows, s_grid, t_grid = obj.cells, obj.s_grid, obj.t_grid
+    s_steps, t_steps = np.diff(np.asarray(s_grid)), np.diff(np.asarray(t_grid))
+    ds = float(s_steps.max()) if len(s_steps) else 0.0
+    dt = float(t_steps.max())
+    cells = [c for row in rows for c in row]
+    enc = _pad_encode(obj.space, cells)
+    enc = enc.reshape((len(rows), len(t_grid)) + enc.shape[1:])
+    across = batch_hausdorff(obj.space, enc[:, :-1], enc[:, 1:])
+    down = batch_hausdorff(obj.space, enc[:-1], enc[1:])
+    gaps = np.concatenate([across.ravel(), down.ravel()])
+    rates = np.concatenate([(across / t_steps).ravel(), (down / s_steps[:, None]).ravel()])
+    max_gap, lips = float(gaps.max()), float(rates.max())
+    max_card = max(len(c) for c in cells)
     passed = max_gap <= bound * max(ds, dt)
     return ContinuityReport(max_gap, ds, dt, lips, max_card, bound, passed)
 
@@ -318,8 +288,9 @@ def check_continuity(obj, bound: float) -> ContinuityReport:
 @dataclass(frozen=True)
 class Homotopy:
     """Grid of configurations: rows are tracks, row 0 the source, the last
-    row the target.  The certificate summarizes cardinality, adjacent-cell
-    gaps, and how far the endpoint columns drift from the source row."""
+    row the target.  check_continuity reports cardinality and adjacent-cell
+    gaps; endpoint_drift is how far the endpoint columns drift from the
+    source row."""
 
     space: Space
     s_grid: tuple
@@ -359,14 +330,6 @@ class Homotopy:
             drift = max(drift, hausdorff(self.space, row[0], self.cells[0][0]))
             drift = max(drift, hausdorff(self.space, row[-1], self.cells[0][-1]))
         return drift
-
-    def certificate(self, bound: float = math.inf) -> dict:
-        report = check_continuity(self, bound)
-        return {
-            "max_cardinality": report.max_cardinality,
-            "max_gap": report.max_gap,
-            "endpoint_drift": self.endpoint_drift,
-        }
 
 
 def stack_homotopies(blocks: Sequence[Homotopy]) -> Homotopy:

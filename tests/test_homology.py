@@ -43,6 +43,14 @@ def test_three_point_frame():
     assert sum(1 for p in h0 if math.isinf(p.death)) == 1
 
 
+def test_cloud_rejects_nearly_symmetric_matrix():
+    # off by 1e-7 relative: inside numpy's default allclose tolerance
+    dist = np.array([[0.0, 0.3], [0.3000001, 0.0]])
+    with pytest.raises(ValueError, match="symmetric"):
+        MetricCloud(tuple("ab"), dist)
+    MetricCloud(tuple("ab"), np.array([[0.0, 0.3], [0.3, 0.0]]))
+
+
 def test_single_point_cloud():
     cloud = singleton_cloud([0.0])
     pairs = rips_persistence_h1(cloud, max_scale=1.0)

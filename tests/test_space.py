@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from ranspace.errors import InvalidPoint
+from ranspace.ran import dedup, hausdorff
 from ranspace.space import Circle, GraphPoint, Interval, MetricGraph, distance, geodesic
+from ranspace.tracks import _pad_encode, batch_hausdorff
 
 
 def oracle_graph_distance(graph, p, q):
@@ -103,13 +105,24 @@ def test_geodesic_consistency(space):
 
 @pytest.mark.parametrize("space", SPACES, ids=["circle", "interval", "graph"])
 def test_pairwise_kernel_matches_scalar(space):
+    """The batch Hausdorff kernel on random configurations of 1-4 points
+    agrees with the scalar metric: exactly on circle and interval, to the
+    last bits on graphs (the two sum path legs in different orders)."""
     rng = np.random.default_rng(2)
-    pts_a = [space.random_point(rng) for _ in range(8)]
-    pts_b = [space.random_point(rng) for _ in range(5)]
-    mat = space.pairwise(space.encode(pts_a), space.encode(pts_b))
-    for i, p in enumerate(pts_a):
-        for j, q in enumerate(pts_b):
-            assert mat[i, j] == pytest.approx(distance(space, p, q), abs=1e-12)
+
+    def random_configs(count):
+        return [
+            dedup(space, [space.random_point(rng) for _ in range(int(rng.integers(1, 5)))])
+            for _ in range(count)
+        ]
+
+    configs_a, configs_b = random_configs(2000), random_configs(2000)
+    batch = batch_hausdorff(space, _pad_encode(space, configs_a), _pad_encode(space, configs_b))
+    for got, a, b in zip(batch, configs_a, configs_b):
+        if isinstance(space, MetricGraph):
+            assert got == pytest.approx(hausdorff(space, a, b), abs=1e-12)
+        else:
+            assert got == hausdorff(space, a, b)
 
 
 def test_invalid_points_rejected():

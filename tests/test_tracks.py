@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -244,7 +246,7 @@ def test_homotopy_certificate_fields():
     from ranspace.moves import contract_circle_generator
 
     h = contract_circle_generator(1, resolution=(8, 16))
-    cert = h.certificate()
-    assert cert["max_cardinality"] == 3
-    assert cert["endpoint_drift"] == 0.0
-    assert cert["max_gap"] > 0.0
+    report = check_continuity(h, math.inf)
+    assert report.max_cardinality == 3
+    assert h.endpoint_drift == 0.0
+    assert report.max_gap > 0.0
