@@ -1,8 +1,8 @@
 """Command line surface: contract loops, verify homotopy certificates,
 run the homology probe, and render JSON documents to SVG frames.
 
-Exit codes: 0 success, 1 verification failure, 2 schema or size error,
-3 ambiguous branching, 4 mode cap violation.
+Exit codes: 0 success, 1 verification failure, 2 schema, input or size
+error, 3 ambiguous branching, 4 mode cap violation.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import sys
 
 import click
 
-from .errors import AmbiguousBranching, ModeViolation, SchemaError, SizeLimit
+from .errors import AmbiguousBranching, EndpointMismatch, InvalidPoint, ModeViolation, SchemaError, SizeLimit
 from .homology import (
     DEFAULT_SIMPLEX_BUDGET,
     long_lived_h1_count,
@@ -31,20 +31,27 @@ from .io import (
 from .moves import Inclusion, SimplyConnected, contract_pipeline
 from .space import Circle, GraphPoint, MetricGraph
 from .svg import render_homotopy, render_track
-from .tracks import check_continuity
+from .tracks import check_continuity, within_bound
+
+
+def _fail(code: int, what: str, exc: Exception):
+    """Exit with code after a one-line message on stderr."""
+    click.echo(f"{what}: {exc}", err=True)
+    sys.exit(code)
 
 
 def _parse_basepoint(space, text: str):
+    """The point that text names on space; ValueError or InvalidPoint if none."""
     if isinstance(space, MetricGraph):
         try:
             edge, t = text.split(":")
             return space.canon(GraphPoint(int(edge), float(t)))
         except (ValueError, IndexError) as exc:
-            raise click.BadParameter("graph basepoint must look like EDGE:T") from exc
+            raise ValueError("graph basepoint must look like EDGE:T") from exc
     try:
         return space.canon(float(text))
     except ValueError as exc:
-        raise click.BadParameter("basepoint must be a coordinate") from exc
+        raise ValueError("basepoint must be a coordinate") from exc
 
 
 @click.group()
@@ -52,8 +59,9 @@ def main():
     """Loop contraction and homology tooling for configuration spaces.
 
     Exit codes: 0 success; 1 verification or continuity-bound failure;
-    2 schema or size-budget error; 3 ambiguous branching (no strand
-    decomposition at the matching radius); 4 cardinality cap violation.
+    2 schema, parameter or size-budget error; 3 ambiguous branching (no
+    strand decomposition at the matching radius); 4 cardinality cap
+    violation.
     """
 
 
@@ -74,20 +82,21 @@ def cmd_contract(input_path, mode, cap, basepoint, resolution, out, svg_dir, bou
         with open(input_path) as fp:
             track = track_from_json(load(fp))
     except SchemaError as exc:
-        click.echo(f"schema error: {exc}", err=True)
-        sys.exit(2)
-    pipeline_mode = Inclusion(cap) if mode == "inclusion" else SimplyConnected(cap)
-    b = _parse_basepoint(track.space, basepoint)
+        _fail(2, "schema error", exc)
     try:
+        pipeline_mode = Inclusion(cap) if mode == "inclusion" else SimplyConnected(cap)
+        b = _parse_basepoint(track.space, basepoint)
+        if min(resolution) < 1:
+            raise ValueError("resolution must be positive")
         homotopy, cert = contract_pipeline(
             track, pipeline_mode, b, resolution=tuple(resolution), matching_radius=matching_radius
         )
     except AmbiguousBranching as exc:
-        click.echo(f"ambiguous branching: {exc}", err=True)
-        sys.exit(3)
+        _fail(3, "ambiguous branching", exc)
     except ModeViolation as exc:
-        click.echo(f"mode violation: {exc}", err=True)
-        sys.exit(4)
+        _fail(4, "mode violation", exc)
+    except (EndpointMismatch, InvalidPoint, ValueError) as exc:
+        _fail(2, "input error", exc)
     with open(out, "w") as fp:
         dump(homotopy_to_json(homotopy, cert.as_dict()), fp)
     if svg_dir is not None:
@@ -99,9 +108,8 @@ def cmd_contract(input_path, mode, cap, basepoint, resolution, out, svg_dir, bou
     )
     if cert.max_cardinality > cert.declared_cap:
         sys.exit(4)
-    report = check_continuity(homotopy, bound)
-    if not report.passed:
-        click.echo(f"continuity bound {bound} failed: max gap {report.max_gap:.6g}", err=True)
+    if not within_bound(cert.max_gap, cert.ds, cert.dt, bound):
+        click.echo(f"continuity bound {bound} failed: max gap {cert.max_gap:.6g}", err=True)
         sys.exit(1)
     sys.exit(0)
 
@@ -116,9 +124,11 @@ def cmd_verify(homotopy_path, bound):
             doc = load(fp)
         homotopy, stored = homotopy_from_json(doc, lenient_cap=True)
         declared_cap = int(doc["cap"])
+        stored_gap = None if stored is None else stored.get("max_gap")
+        if not isinstance(stored_gap, (int, float, type(None))):
+            raise SchemaError("certificate max_gap must be a number")
     except (SchemaError, KeyError, TypeError, ValueError) as exc:
-        click.echo(f"schema error: {exc}", err=True)
-        sys.exit(2)
+        _fail(2, "schema error", exc)
     report = check_continuity(homotopy, bound)
     ok = True
     click.echo(
@@ -135,7 +145,6 @@ def cmd_verify(homotopy_path, bound):
         if stored.get("max_cardinality") != report.max_cardinality:
             click.echo("FAIL: stored certificate cardinality does not match cells", err=True)
             ok = False
-        stored_gap = stored.get("max_gap")
         if stored_gap is not None and abs(stored_gap - report.max_gap) > 1e-9:
             click.echo("FAIL: stored certificate gap does not match cells", err=True)
             ok = False
@@ -155,22 +164,23 @@ def cmd_verify(homotopy_path, bound):
 def cmd_homology(space_kind, circumference, n, m, seed, max_scale, gap_ratio, landmarks):
     """Sample configurations, run the persistence probe, and report the
     number of long-lived 1-cycles."""
-    budget = int(os.environ.get("RAN_SIMPLEX_BUDGET", DEFAULT_SIMPLEX_BUDGET))
-    space = Circle(circumference)
-    cloud = sample_ran(space, n=n, m=m, seed=seed)
-    if landmarks and landmarks < len(cloud):
-        cloud = maxmin_subsample(cloud, landmarks, seed=seed)
     try:
+        budget = int(os.environ.get("RAN_SIMPLEX_BUDGET", DEFAULT_SIMPLEX_BUDGET))
+        space = Circle(circumference)
+        cloud = sample_ran(space, n=n, m=m, seed=seed)
+        if landmarks and landmarks < len(cloud):
+            cloud = maxmin_subsample(cloud, landmarks, seed=seed)
         pairs = rips_persistence_h1(cloud, max_scale=max_scale, budget=budget)
+        count = long_lived_h1_count(pairs, gap_ratio)
     except SizeLimit as exc:
-        click.echo(f"size limit: {exc}", err=True)
-        sys.exit(2)
+        _fail(2, "size limit", exc)
+    except ValueError as exc:
+        _fail(2, "input error", exc)
     click.echo(f"{'dim':>3} {'birth':>12} {'death':>12} {'persistence':>12}")
     for p in pairs:
         death = f"{p.death:.6g}" if math.isfinite(p.death) else "inf"
         pers = f"{p.persistence:.6g}" if math.isfinite(p.persistence) else "inf"
         click.echo(f"{p.dim:>3} {p.birth:>12.6g} {death:>12} {pers:>12}")
-    count = long_lived_h1_count(pairs, gap_ratio)
     click.echo(f"long-lived H1 classes: {count}")
     sys.exit(0)
 
@@ -194,8 +204,9 @@ def cmd_convert(input_path, out_dir, stride, basepoint):
             b = _parse_basepoint(track.space, basepoint) if basepoint else None
             written = render_track(track, out_dir, basepoint=b, stride=stride)
     except SchemaError as exc:
-        click.echo(f"schema error: {exc}", err=True)
-        sys.exit(2)
+        _fail(2, "schema error", exc)
+    except (InvalidPoint, ValueError) as exc:
+        _fail(2, "input error", exc)
     click.echo(f"wrote {len(written)} frames to {out_dir}")
     sys.exit(0)
 

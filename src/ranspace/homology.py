@@ -90,6 +90,8 @@ def sample_ran(space: Space, n: int, m: int, seed: int) -> MetricCloud:
 def maxmin_subsample(cloud: MetricCloud, k: int, seed: int) -> MetricCloud:
     """Farthest-point landmark selection, deterministic in the seed."""
     m = len(cloud)
+    if k < 1:
+        raise ValueError("need at least one landmark")
     if k >= m:
         return cloud
     rng = np.random.default_rng(seed)

@@ -125,7 +125,10 @@ def homotopy_from_json(doc, lenient_cap: bool = False) -> tuple[Homotopy, dict |
             for row in doc["cells"]
         )
         h = Homotopy(space, s_grid, t_grid, cells, build_cap)
-        return h, doc.get("certificate")
+        certificate = doc.get("certificate")
+        if certificate is not None and not isinstance(certificate, dict):
+            raise SchemaError("certificate must be an object")
+        return h, certificate
     except SchemaError:
         raise
     except Exception as exc:

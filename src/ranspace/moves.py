@@ -53,11 +53,15 @@ from .tracks import (
     Track,
     check_continuity,
     circle_lift,
+    nearest_sample,
     project,
     stack_homotopies,
     uniform_times,
     winding_number,
 )
+
+# the circle the one-turn contraction is drawn on, in unit parameter
+_UNIT = Circle(1.0)
 
 # -- modes and certificates ---------------------------------------------------
 
@@ -203,15 +207,7 @@ def extract_strands(track: Track, cap: int | None = None, matching_radius: float
 
 
 def _config_at(track: Track, t: float) -> Configuration:
-    times = track.times
-    lo, hi = 0, len(times) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if times[mid] <= t:
-            lo = mid
-        else:
-            hi = mid
-    return track.configs[lo] if t - times[lo] <= times[hi] - t else track.configs[hi]
+    return track.configs[nearest_sample(track.times, t)]
 
 
 def _dwell(lam: float, t: float) -> float:
@@ -355,12 +351,12 @@ def _normalize_track(
 # -- staircase ----------------------------------------------------------------
 
 
-def _common_basepoint(bundle: StrandBundle, tol: float = LOOP_TOL) -> Point:
+def _common_basepoint(bundle: StrandBundle) -> Point:
     space = bundle.space
     base = bundle.strands[0][0]
     for s in bundle.strands:
         for p in (s[0], s[-1]):
-            if space.distance(p, base) > tol:
+            if space.distance(p, base) > LOOP_TOL:
                 raise EndpointMismatch("staircase needs all strand endpoints to coincide")
     return base
 
@@ -436,8 +432,14 @@ def _generator_cell(s: float, t: float) -> tuple:
     return (v * _tent(2.0 * t - 1.0), -v * _tent(2.0 * t - 1.0))
 
 
+def _pushed(interp: StrandInterpolator, s: float, t: float, u0: float = 0.0, u1: float = 1.0) -> list:
+    """The one-turn contraction cell at (s, t) mapped through a strand,
+    its unit parameter rescaled onto the strand's [u0, u1]."""
+    return interp.many([u0 + _UNIT.canon(v) * (u1 - u0) for v in _generator_cell(s, t)])
+
+
 def contract_circle_generator(
-    turns: int, resolution: tuple = (64, 128), space: Circle = Circle(1.0)
+    turns: int, resolution: tuple = (64, 128), space: Circle = _UNIT
 ) -> Homotopy:
     """Null-homotopy of the one-turn circle loop, based at coordinate 0.
 
@@ -449,16 +451,11 @@ def contract_circle_generator(
         raise UnsupportedDegree(f"turns must be +1 or -1, got {turns}")
     r, m = resolution
     c = space.circumference
-    s_grid = uniform_times(r)
-    t_grid = uniform_times(m)
-    rows = []
-    for s in s_grid:
-        cells = []
-        for t in t_grid:
-            vals = [space.canon(turns * v * c) for v in _generator_cell(s, t)]
-            cells.append(dedup(space, vals, cap=3))
-        rows.append(tuple(cells))
-    return Homotopy(space, s_grid, t_grid, tuple(rows), 3)
+
+    def cell(s, t):
+        return dedup(space, [space.canon(turns * v * c) for v in _generator_cell(s, t)], cap=3)
+
+    return _block(space, uniform_times(m), r, 3, cell)
 
 
 def pushforward_contraction(
@@ -478,27 +475,9 @@ def pushforward_contraction(
         times = uniform_times(len(strand) - 1)
     if space.distance(strand[0], strand[-1]) > LOOP_TOL:
         raise EndpointMismatch("pushforward needs a closed strand")
-    unit = Circle(1.0)
     interp = StrandInterpolator(space, times, strand)
     r, m = resolution
-    s_grid = uniform_times(r)
-    t_grid = uniform_times(m)
-    rows = []
-    for s in s_grid:
-        coords = []
-        sizes = []
-        for t in t_grid:
-            vals = [unit.canon(v) for v in _generator_cell(s, t)]
-            coords.extend(vals)
-            sizes.append(len(vals))
-        mapped = interp.many(coords)
-        cells = []
-        pos = 0
-        for size in sizes:
-            cells.append(dedup(space, mapped[pos : pos + size], cap=3))
-            pos += size
-        rows.append(tuple(cells))
-    return Homotopy(space, s_grid, t_grid, tuple(rows), 3)
+    return _block(space, uniform_times(m), r, 3, lambda s, t: dedup(space, _pushed(interp, s, t), cap=3))
 
 
 # -- the full pipeline --------------------------------------------------------
@@ -506,12 +485,16 @@ def pushforward_contraction(
 
 @dataclass(frozen=True)
 class _SubWindow:
+    """Strand `strand` runs its parameters [u0, u1] over the times [t0, t1]."""
+
     strand: int
-    lap: int
     t0: float
     t1: float
     u0: float
     u1: float
+
+    def u(self, t: float) -> float:
+        return self.u0 + (t - self.t0) / (self.t1 - self.t0) * (self.u1 - self.u0)
 
 
 def _lap_cuts(space: Space, strand: Sequence[Point], times: Sequence[float]) -> list:
@@ -550,13 +533,8 @@ def _schedule(space: Space, bundle: StrandBundle) -> list:
         for lap in range(k):
             t0 = j / n + lap / (k * n)
             t1 = j / n + (lap + 1) / (k * n)
-            windows.append(_SubWindow(j, lap, t0, t1, cuts[lap], cuts[lap + 1]))
+            windows.append(_SubWindow(j, t0, t1, cuts[lap], cuts[lap + 1]))
     return windows
-
-
-def _scheduled_u(win: _SubWindow, t: float) -> float:
-    frac = (t - win.t0) / (win.t1 - win.t0)
-    return win.u0 + frac * (win.u1 - win.u0)
 
 
 def _rho(windows: list, j: int, t: float) -> float:
@@ -565,10 +543,7 @@ def _rho(windows: list, j: int, t: float) -> float:
         return 0.0
     if t >= own[-1].t1:
         return 1.0
-    for w in own:
-        if w.t0 <= t <= w.t1:
-            return _scheduled_u(w, t)
-    return 1.0
+    return next((w.u(t) for w in own if w.t0 <= t <= w.t1), 1.0)
 
 
 def contract_pipeline(
@@ -602,43 +577,40 @@ def contract_pipeline(
     # staircase block: slide from the identity schedule to the windowed
     # one (one-turn splitting rides on the same reparametrization)
     def sched_value(j, lam, t):
-        target = _rho(windows, j, t)
-        return interps[j]((1.0 - lam) * t + lam * target)
+        return interps[j]((1.0 - lam) * t + lam * _rho(windows, j, t))
 
     h_stair = _block(space, grid, block_rows, n_strands, _strand_cell(space, n_strands, sched_value))
 
     declared = mode.declared_cap
     blocks = [h_norm, h_stair]
-    done = set()
-    unit = Circle(1.0)
 
-    def frozen_points(win, t):
-        """Every strand but the window's own, as the window sees it."""
-        pts = []
-        for j in range(n_strands):
-            if j == win.strand and win.t0 <= t <= win.t1:
-                continue
-            owner = next((w for w in windows if w.strand == j and w.t0 <= t <= w.t1), None)
-            if owner is not None and (owner.strand, owner.lap) in done:
-                pts.append(b)
-            elif owner is not None:
-                pts.append(interps[j](_scheduled_u(owner, t)))
-            else:
-                pts.append(interps[j](_rho(windows, j, t)))
-        return pts
+    # owner[j][k]: index of the first window of strand j holding grid[k]
+    # (None if none does); frozen[j][k]: strand j's value there, by the
+    # owner's schedule if there is one, else by the staircase schedule
+    owner = [
+        [next((i for i, w in enumerate(windows) if w.strand == j and w.t0 <= t <= w.t1), None) for t in grid]
+        for j in range(n_strands)
+    ]
+    frozen = [
+        interps[j].many([_rho(windows, j, t) if o is None else windows[o].u(t) for t, o in zip(grid, owner[j])])
+        for j in range(n_strands)
+    ]
 
-    def window_cell(win, frozen, s, t):
-        pts = list(frozen[t])
+    def window_cell(win, seen, s, t):
+        pts = list(seen[t])
         if win.t0 <= t <= win.t1:
-            vals = [unit.canon(v) for v in _generator_cell(s, (t - win.t0) / (win.t1 - win.t0))]
-            us = [win.u0 + v * (win.u1 - win.u0) for v in vals]
-            pts = pts + interps[win.strand].many(us)
+            pts += _pushed(interps[win.strand], s, (t - win.t0) / (win.t1 - win.t0), win.u0, win.u1)
         return dedup(space, pts if pts else [b], cap=declared)
 
-    for win in windows:
-        frozen = {t: frozen_points(win, t) for t in grid}
-        blocks.append(_block(space, grid, block_rows, declared, lambda s, t: window_cell(win, frozen, s, t)))
-        done.add((win.strand, win.lap))
+    for i, win in enumerate(windows):
+        # every strand but the window's own as window i sees it: at b where
+        # an earlier window has already contracted it
+        seen = {
+            t: [b if owner[j][k] is not None and owner[j][k] < i else frozen[j][k]
+                for j in range(n_strands) if not (j == win.strand and win.t0 <= t <= win.t1)]
+            for k, t in enumerate(grid)
+        }
+        blocks.append(_block(space, grid, block_rows, declared, lambda s, t: window_cell(win, seen, s, t)))
 
     homotopy = stack_homotopies(blocks)
     certificate = _certify(homotopy, declared, b, blocks)

@@ -53,9 +53,9 @@ def dedup(space: Space, points: Sequence[Point], eps: float = DEDUP_EPS, cap: in
     return Configuration(tuple(kept), cap if cap is not None else len(kept))
 
 
-def configuration(space: Space, points: Iterable[Point], cap: int | None = None, eps: float = DEDUP_EPS) -> Configuration:
-    """Build a configuration from raw points, deduplicating at eps."""
-    return dedup(space, list(points), eps=eps, cap=cap)
+def configuration(space: Space, points: Iterable[Point], cap: int | None = None) -> Configuration:
+    """Build a configuration from raw points, deduplicating at DEDUP_EPS."""
+    return dedup(space, list(points), cap=cap)
 
 
 def hausdorff(space: Space, a: Configuration, b: Configuration) -> float:

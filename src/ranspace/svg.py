@@ -124,6 +124,8 @@ def _write_frames(space: Space, out_dir: str, basepoint, frames) -> list:
 
 def render_track(track: Track, out_dir: str, basepoint=None, stride: int = 1) -> list:
     """One frame per sampled time (honoring the stride)."""
+    if stride < 1:
+        raise ValueError("stride must be positive")
 
     def dots(config):
         for p in config.points:

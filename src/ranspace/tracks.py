@@ -20,6 +20,7 @@ report.
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -27,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AmbiguousLift, EndpointMismatch, SpaceMismatch
-from .ran import DEDUP_EPS, Configuration, dedup, hausdorff
+from .ran import Configuration, dedup, hausdorff
 from .space import Circle, Interval, MetricGraph, Point, Space
 
 LOOP_TOL = 1e-9
@@ -35,6 +36,18 @@ LOOP_TOL = 1e-9
 
 def uniform_times(m: int) -> tuple:
     return tuple(i / m for i in range(m + 1))
+
+
+def nearest_sample(times: Sequence[float], t: float) -> int:
+    """Index of the sample of the increasing grid times nearest to t, a tie
+    going to the earlier sample; times outside the grid clamp to its ends."""
+    k = min(max(bisect_right(times, t), 1), len(times) - 1)
+    return k - 1 if t - times[k - 1] <= times[k] - t else k
+
+
+def _kind(space: Space, configs: Sequence[Configuration]) -> str:
+    """Track kind of configs: a loop when its ends coincide, else a path."""
+    return "loop" if hausdorff(space, configs[0], configs[-1]) <= LOOP_TOL else "path"
 
 
 def _validate_times(times: Sequence[float]) -> tuple:
@@ -74,8 +87,8 @@ class Track:
         return len(self.times)
 
 
-def make_track(space: Space, times: Sequence[float], point_lists: Sequence[Sequence[Point]], cap: int, kind: str = "path", eps: float = DEDUP_EPS) -> Track:
-    configs = tuple(dedup(space, pts, eps=eps, cap=cap) for pts in point_lists)
+def make_track(space: Space, times: Sequence[float], point_lists: Sequence[Sequence[Point]], cap: int, kind: str = "path") -> Track:
+    configs = tuple(dedup(space, pts, cap=cap) for pts in point_lists)
     return Track(space, tuple(times), configs, kind, cap)
 
 
@@ -97,12 +110,12 @@ class StrandBundle:
     def n(self) -> int:
         return len(self.strands)
 
-    def is_loop(self, tol: float = LOOP_TOL) -> bool:
-        return all(self.space.distance(s[0], s[-1]) <= tol for s in self.strands)
+    def is_loop(self) -> bool:
+        return all(self.space.distance(s[0], s[-1]) <= LOOP_TOL for s in self.strands)
 
-    def based_at(self, b: Point, tol: float = LOOP_TOL) -> bool:
+    def based_at(self, b: Point) -> bool:
         return all(
-            self.space.distance(s[0], b) <= tol and self.space.distance(s[-1], b) <= tol
+            self.space.distance(s[0], b) <= LOOP_TOL and self.space.distance(s[-1], b) <= LOOP_TOL
             for s in self.strands
         )
 
@@ -110,11 +123,11 @@ class StrandBundle:
         return StrandInterpolator(self.space, self.times, self.strands[j])
 
 
-def project(bundle: StrandBundle, eps: float = DEDUP_EPS) -> Track:
+def project(bundle: StrandBundle) -> Track:
     """Per-time union of strand values, deduplicated; cap = strand count."""
     point_lists = [[s[i] for s in bundle.strands] for i in range(len(bundle.times))]
     kind = "loop" if bundle.is_loop() else "path"
-    return make_track(bundle.space, bundle.times, point_lists, cap=bundle.n, kind=kind, eps=eps)
+    return make_track(bundle.space, bundle.times, point_lists, cap=bundle.n, kind=kind)
 
 
 # -- strand evaluation -------------------------------------------------------
@@ -172,15 +185,7 @@ class StrandInterpolator:
             if isinstance(self.space, Circle):
                 return [self.space.canon(v) for v in vals]
             return [self.space.canon(min(max(v, 0.0), self.space.length)) for v in vals]
-        idx = np.searchsorted(self.times, ts)
-        idx = np.clip(idx, 1, len(self.times) - 1)
-        left = self.times[idx - 1]
-        right = self.times[idx]
-        take_left = (ts - left) <= (right - ts)
-        out = []
-        for i, tl in zip(idx, take_left):
-            out.append(self.points[i - 1] if tl else self.points[i])
-        return out
+        return [self.points[nearest_sample(self.times, t)] for t in ts.tolist()]
 
 
 # -- continuity certification -------------------------------------------------
@@ -278,8 +283,12 @@ def check_continuity(obj, bound: float) -> ContinuityReport:
     rates = np.concatenate([(across / t_steps).ravel(), (down / s_steps[:, None]).ravel()])
     max_gap, lips = float(gaps.max()), float(rates.max())
     max_card = max(len(c) for c in cells)
-    passed = max_gap <= bound * max(ds, dt)
-    return ContinuityReport(max_gap, ds, dt, lips, max_card, bound, passed)
+    return ContinuityReport(max_gap, ds, dt, lips, max_card, bound, within_bound(max_gap, ds, dt, bound))
+
+
+def within_bound(max_gap: float, ds: float, dt: float, bound: float) -> bool:
+    """The continuity criterion: max gap at most bound * max(ds, dt)."""
+    return max_gap <= bound * max(ds, dt)
 
 
 # -- homotopies ---------------------------------------------------------------
@@ -319,9 +328,7 @@ class Homotopy:
 
     def row(self, i: int) -> Track:
         row = self.cells[i]
-        gap = hausdorff(self.space, row[0], row[-1])
-        kind = "loop" if gap <= LOOP_TOL else "path"
-        return Track(self.space, self.t_grid, row, kind, self.cap)
+        return Track(self.space, self.t_grid, row, _kind(self.space, row), self.cap)
 
     @cached_property
     def endpoint_drift(self) -> float:
@@ -419,22 +426,20 @@ def singleton_strand(track: Track) -> list:
 # -- path algebra -------------------------------------------------------------
 
 
-def _junction_ok(space: Space, a: Configuration, b: Configuration, tol: float):
+def _junction_ok(space: Space, a: Configuration, b: Configuration):
     gap = hausdorff(space, a, b)
-    if gap > tol:
-        raise EndpointMismatch(f"junction gap {gap} exceeds tolerance {tol}")
+    if gap > LOOP_TOL:
+        raise EndpointMismatch(f"junction gap {gap} exceeds tolerance {LOOP_TOL}")
 
 
-def concatenate(a: Track, b: Track, tol: float = LOOP_TOL) -> Track:
+def concatenate(a: Track, b: Track) -> Track:
     """Run a on [0, 1/2] and b on [1/2, 1]; junction configs must agree."""
     if a.space != b.space:
         raise SpaceMismatch("concatenating tracks over different spaces")
-    _junction_ok(a.space, a.configs[-1], b.configs[0], tol)
+    _junction_ok(a.space, a.configs[-1], b.configs[0])
     times = tuple(t / 2 for t in a.times) + tuple(0.5 + t / 2 for t in b.times[1:])
     configs = a.configs + b.configs[1:]
-    cap = max(a.cap, b.cap)
-    closes = hausdorff(a.space, configs[0], configs[-1]) <= tol
-    return Track(a.space, times, configs, "loop" if closes else "path", cap)
+    return Track(a.space, times, configs, _kind(a.space, configs), max(a.cap, b.cap))
 
 
 def reverse(a: Track) -> Track:
@@ -442,27 +447,15 @@ def reverse(a: Track) -> Track:
     return Track(a.space, times, tuple(reversed(a.configs)), a.kind, a.cap)
 
 
-def conjugate(gamma: Track, sigma: Track, tol: float = LOOP_TOL) -> Track:
+def conjugate(gamma: Track, sigma: Track) -> Track:
     """gamma . sigma . gamma^(-1): a loop based at gamma(0)."""
     if sigma.kind != "loop":
         raise EndpointMismatch("conjugation needs a loop")
-    _junction_ok(gamma.space, gamma.configs[-1], sigma.configs[0], tol)
-    return concatenate(concatenate(gamma, sigma, tol), reverse(gamma), tol)
+    _junction_ok(gamma.space, gamma.configs[-1], sigma.configs[0])
+    return concatenate(concatenate(gamma, sigma), reverse(gamma))
 
 
 def resample(track: Track, new_times: Sequence[float]) -> Track:
     """Carry each new time to the nearest original sample (ties earlier)."""
-    times = np.asarray(track.times)
-    out = []
-    for t in new_times:
-        idx = int(np.searchsorted(times, t))
-        if idx == 0:
-            out.append(track.configs[0])
-            continue
-        if idx >= len(times):
-            out.append(track.configs[-1])
-            continue
-        left, right = times[idx - 1], times[idx]
-        out.append(track.configs[idx - 1] if t - left <= right - t else track.configs[idx])
-    closes = hausdorff(track.space, out[0], out[-1]) <= LOOP_TOL
-    return Track(track.space, tuple(new_times), tuple(out), "loop" if closes else "path", track.cap)
+    out = tuple(track.configs[nearest_sample(track.times, t)] for t in new_times)
+    return Track(track.space, tuple(new_times), out, _kind(track.space, out), track.cap)

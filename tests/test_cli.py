@@ -16,8 +16,8 @@ from ranspace.io import (
     track_from_json,
     track_to_json,
 )
-from ranspace.space import Circle, MetricGraph
-from ranspace.tracks import make_track, uniform_times
+from ranspace.space import Circle, Interval, MetricGraph
+from ranspace.tracks import Homotopy, make_track, uniform_times
 
 C1 = Circle(1.0)
 
@@ -214,3 +214,101 @@ def test_homology_size_limit_exit_two(tmp_path):
         capture_output=True, text=True, env=env,
     )
     assert res.returncode == 2
+
+
+def test_contract_bound_failure_exit_one(tmp_path):
+    src = tmp_path / "loop.json"
+    write_generator_track(src, m=32)
+    out = tmp_path / "h.json"
+    res = run_cli("contract", src, "--cap", 1, "--out", out, "--resolution", 8, 32, "--bound", 0.001)
+    assert res.returncode == 1
+    assert out.exists()
+    assert res.stderr.startswith("continuity bound 0.001 failed: max gap ")
+    loose = tmp_path / "loose.json"
+    res = run_cli("contract", src, "--cap", 1, "--out", loose, "--resolution", 8, 32, "--bound", 1e9)
+    assert res.returncode == 0, res.stderr
+    assert loose.read_bytes() == out.read_bytes()
+
+
+def _write_doc(path: Path, doc) -> Path:
+    with open(path, "w") as fp:
+        dump(doc, fp)
+    return path
+
+
+def _open_path(tmp):
+    times = uniform_times(16)
+    track = make_track(C1, times, [[0.3 * t] for t in times], cap=1, kind="path")
+    return ["contract", _write_doc(tmp / "path.json", track_to_json(track)), "--cap", 1, "--out", tmp / "x.json"]
+
+
+def _interval_loop(tmp):
+    ival = Interval(1.0)
+    times = uniform_times(16)
+    track = make_track(ival, times, [[0.5]] * len(times), cap=1, kind="loop")
+    return ["contract", _write_doc(tmp / "ival.json", track_to_json(track)), "--cap", 1,
+            "--basepoint", 5.0, "--out", tmp / "x.json"]
+
+
+def _contract(*extra):
+    def args(tmp):
+        src = tmp / "loop.json"
+        write_generator_track(src, m=16)
+        return ["contract", src, "--out", tmp / "x.json", *extra]
+    return args
+
+
+def _homology(*extra):
+    return lambda tmp: ["homology", "--m", 20, "--max-scale", 0.3, *extra]
+
+
+def _verify_with_certificate(certificate):
+    def args(tmp):
+        times = uniform_times(4)
+        track = make_track(C1, times, [[0.0]] * len(times), cap=1, kind="loop")
+        h = Homotopy(C1, (0.0, 1.0), times, (track.configs, track.configs), 1)
+        return ["verify", _write_doc(tmp / "h.json", homotopy_to_json(h, certificate))]
+    return args
+
+
+def _convert(*extra):
+    def args(tmp):
+        src = tmp / "loop.json"
+        write_generator_track(src, m=16)
+        return ["convert", src, tmp / "frames", *extra]
+    return args
+
+
+@pytest.mark.parametrize(
+    "make_args, env",
+    [
+        (_open_path, {}),
+        (_interval_loop, {}),
+        (_contract("--cap", 1, "--resolution", 0, 0), {}),
+        (_contract("--cap", 0), {}),
+        (_contract("--cap", 2, "--mode", "simply-connected"), {}),
+        (_homology("--n", 1), {"RAN_SIMPLEX_BUDGET": "abc"}),
+        (_homology("--n", 0), {}),
+        (_homology("--n", 1, "--gap-ratio", 1), {}),
+        (_homology("--n", 1, "--landmarks", -3), {}),
+        (_verify_with_certificate([1, 0.0]), {}),
+        (_verify_with_certificate({"max_cardinality": 1, "max_gap": "0.0"}), {}),
+        (_convert("--stride", 0), {}),
+    ],
+    ids=[
+        "contract-open-path", "contract-basepoint-off-space", "contract-resolution-zero",
+        "contract-cap-zero", "contract-simply-connected-cap-2", "homology-budget-not-integer",
+        "homology-n-zero", "homology-gap-ratio-one", "homology-negative-landmarks",
+        "verify-certificate-list", "verify-certificate-string-gap", "convert-stride-zero",
+    ],
+)
+def test_parameter_errors_exit_two(tmp_path, make_args, env):
+    import os
+    res = subprocess.run(
+        [sys.executable, "-m", "ranspace.cli", *map(str, make_args(tmp_path))],
+        capture_output=True, text=True, env=dict(os.environ, **env),
+    )
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+    assert len(res.stderr.strip().splitlines()) == 1, res.stderr
+    assert res.stdout == ""

@@ -5,7 +5,7 @@ import pytest
 
 from ranspace.errors import AmbiguousLift, EndpointMismatch
 from ranspace.ran import configuration, hausdorff
-from ranspace.space import Circle, geodesic
+from ranspace.space import Circle, GraphPoint, Interval, MetricGraph, geodesic
 from ranspace.tracks import (
     StrandBundle,
     Track,
@@ -233,6 +233,36 @@ def test_resample_carries_nearest():
     out = resample(track, uniform_times(8))
     assert out.configs[2] == track.configs[1]
     assert out.configs[1] in (track.configs[0], track.configs[1])
+
+
+def test_nearest_sample_ties_to_earlier():
+    """resample, moves._config_at and a graph StrandInterpolator all carry a
+    time to its nearest sample, and an exact tie to the earlier one."""
+    from ranspace.moves import _config_at
+
+    rng = np.random.default_rng(11)
+    ival = Interval(1.0)
+    graph = MetricGraph(2, ((0, 1, 1.0), (0, 1, 1.5)))
+    for _ in range(40):
+        # dyadic grids, so every midpoint is an exact tie
+        inner = rng.choice(np.arange(1, 1024), size=int(rng.integers(1, 12)), replace=False)
+        times = tuple(float(x) for x in [0.0, *sorted(inner / 1024.0), 1.0])
+        m = len(times) - 1
+        track = make_track(ival, times, [[k / m] for k in range(m + 1)], cap=1)
+        strand = [GraphPoint(0, k / m) for k in range(m + 1)]
+        interp = StrandBundle(graph, times, (tuple(strand),)).interpolator(0)
+        mids = [(a + b) / 2 for a, b in zip(times, times[1:])]
+        queries = sorted(set(times) | set(mids) | {float(x) for x in rng.uniform(0.0, 1.0, 20)})
+        want = [min(range(m + 1), key=lambda k: (abs(t - times[k]), k)) for t in queries]
+        for t, k in zip(queries, want):
+            if t in times:
+                assert times[k] == t
+            if t in mids:
+                assert times[k] < t
+        carried = resample(track, queries).configs
+        assert [track.configs.index(c) for c in carried] == want
+        assert [track.configs.index(_config_at(track, t)) for t in queries] == want
+        assert [strand.index(p) for p in interp.many(queries)] == want
 
 
 def test_loop_validation():
