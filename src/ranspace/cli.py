@@ -88,6 +88,8 @@ def cmd_contract(input_path, mode, cap, basepoint, resolution, out, svg_dir, bou
         b = _parse_basepoint(track.space, basepoint)
         if min(resolution) < 1:
             raise ValueError("resolution must be positive")
+        if matching_radius is not None and not 0 < matching_radius < math.inf:
+            raise ValueError("matching radius must be finite and positive")
         homotopy, cert = contract_pipeline(
             track, pipeline_mode, b, resolution=tuple(resolution), matching_radius=matching_radius
         )

@@ -2,13 +2,15 @@
 
 This is the corroborating instrument for the first-homology claims: sample
 configurations, take their pairwise Hausdorff distances, and read H0/H1
-persistence off a filtered boundary-matrix reduction.  Z/2 coefficients
-suffice to separate the cases checked here, and the Rips filtration only
-needs the distance matrix, not an embedding.
+persistence off the Rips 2-skeleton: H0 by union-find, H1 by reducing
+edge coboundaries with clearing (cohomology gives the same pairs as the
+boundary-matrix reduction).  Z/2 coefficients suffice to separate the
+cases checked here, and the Rips filtration only needs the distance
+matrix, not an embedding.
 
-Distance-matrix assembly is vectorized; the reduction itself is
-single-threaded and fully deterministic (simplices ordered by filtration
-value, dimension, then vertex tuple).
+Distance-matrix assembly and the filtration are vectorized; the reduction
+itself is single-threaded and fully deterministic (simplices ordered by
+filtration value, dimension, then vertex tuple).
 """
 
 from __future__ import annotations
@@ -116,71 +118,114 @@ def count_simplices(cloud: MetricCloud, max_scale: float) -> int:
 
 
 def _filtration(cloud: MetricCloud, max_scale: float):
-    """Simplices up to dimension 2 as (value, dim, vertex tuple), sorted."""
+    """Edges and triangles of the Rips 2-skeleton, each in filtration order.
+
+    Returns (edge_value, edge_ends, tri_value, tri_faces): edge r has
+    vertices ``edge_ends[r]`` (i < j) and value ``edge_value[r]``; triangle
+    t has value ``tri_value[t]`` and face edge ranks ``tri_faces[t]``.
+    Edges sort by (value, i, j) and triangles by (value, i, j, k): the
+    (value, dim, vertex tuple) order restricted to each dimension.
+    Vertices come first, in index order, all at 0.0.
+    """
     m = len(cloud)
     d = cloud.dist
-    simplices = [(0.0, 0, (i,)) for i in range(m)]
     adj = (d <= max_scale) & ~np.eye(m, dtype=bool)
+    # np.nonzero yields (i, j) and, per vertex, (j, k) in lexicographic
+    # order, so a stable sort on the value alone gives the full order
     iu, ju = np.nonzero(np.triu(adj, k=1))
-    for i, j in zip(iu, ju):
-        simplices.append((float(d[i, j]), 1, (int(i), int(j))))
-    for i, j in zip(iu, ju):
-        common = np.nonzero(adj[i] & adj[j])[0]
-        for k in common[common > j]:
-            val = max(d[i, j], d[i, k], d[j, k])
-            simplices.append((float(val), 2, (int(i), int(j), int(k))))
-    simplices.sort(key=lambda s: (s[0], s[1], s[2]))
-    return simplices
+    edge_value = d[iu, ju]
+    order = np.argsort(edge_value, kind="stable")
+    iu, ju, edge_value = iu[order], ju[order], edge_value[order]
+    rank = np.zeros((m, m), dtype=np.intp)
+    rank[iu, ju] = np.arange(len(iu))
+    tris = [np.zeros((0, 3), dtype=np.intp)]
+    for i in range(m):
+        nb = np.flatnonzero(adj[i, i + 1 :]) + i + 1
+        a, b = np.nonzero(np.triu(adj[np.ix_(nb, nb)], k=1))
+        tris.append(np.column_stack((np.full(len(a), i), nb[a], nb[b])))
+    i, j, k = np.concatenate(tris).T
+    tri_value = np.maximum(np.maximum(d[i, j], d[i, k]), d[j, k])
+    order = np.argsort(tri_value, kind="stable")
+    i, j, k = i[order], j[order], k[order]
+    faces = np.column_stack((rank[i, j], rank[i, k], rank[j, k]))
+    return edge_value, np.column_stack((iu, ju)), tri_value[order], faces
 
 
 def rips_persistence_h1(cloud: MetricCloud, max_scale: float, budget: int = DEFAULT_SIMPLEX_BUDGET):
     """Persistence pairs in dimensions 0 and 1 of the Rips filtration.
 
-    Standard column reduction of the filtered boundary matrix over Z/2,
-    with columns as integer bitmasks.  Unpaired creators are reported with
-    death +inf.  Raises SizeLimit when the implied simplex count exceeds
-    the budget: the caller is expected to subsample (see maxmin_subsample).
+    H0 comes from union-find over the edges in filtration order: an edge
+    joining two components kills the younger root (the larger vertex
+    index, all vertices being born at 0.0).  H1 comes from reducing edge
+    coboundaries over Z/2 from the last edge to the first, skipping the
+    edges that killed an H0 class (clearing); a column's pivot is its
+    earliest triangle.  Cohomology pairs the same simplices as the
+    boundary-matrix reduction of the same total order.  Unpaired creators
+    are reported with death +inf.  Raises SizeLimit when the implied
+    simplex count exceeds the budget: the caller is expected to subsample
+    (see maxmin_subsample).
     """
-    if max_scale <= 0:
+    if not max_scale > 0:
         raise ValueError("max_scale must be positive")
     total = count_simplices(cloud, max_scale)
     if total > budget:
         raise SizeLimit(f"{total} simplices exceed budget {budget}")
-    simplices = _filtration(cloud, max_scale)
-    index = {s[2]: i for i, s in enumerate(simplices)}
-    columns = []
-    for _, dim, verts in simplices:
-        if dim == 0:
-            columns.append(0)
-            continue
-        col = 0
-        for drop in range(len(verts)):
-            face = verts[:drop] + verts[drop + 1 :]
-            col |= 1 << index[face]
-        columns.append(col)
-    pivot_owner: dict = {}
-    paired = set()
+    edge_value, edge_ends, tri_value, tri_faces = _filtration(cloud, max_scale)
+    edge_value, tri_value = edge_value.tolist(), tri_value.tolist()
     pairs = []
-    for j, col in enumerate(columns):
-        while col:
-            low = col.bit_length() - 1
-            owner = pivot_owner.get(low)
-            if owner is None:
-                break
-            col ^= columns[owner]
-        columns[j] = col
-        if col:
-            low = col.bit_length() - 1
-            pivot_owner[low] = j
-            paired.add(low)
-            paired.add(j)
-            birth_val, birth_dim, _ = simplices[low]
-            death_val = simplices[j][0]
-            if birth_dim <= 1:
-                pairs.append(PersistencePair(birth_val, death_val, birth_dim))
-    for j, col in enumerate(columns):
-        if col == 0 and j not in paired and simplices[j][1] <= 1:
-            pairs.append(PersistencePair(simplices[j][0], math.inf, simplices[j][1]))
+
+    root = list(range(len(cloud)))
+
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    negative = bytearray(len(edge_value))
+    for r, (i, j) in enumerate(edge_ends.tolist()):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            root[max(ri, rj)] = min(ri, rj)
+            negative[r] = 1
+            pairs.append(PersistencePair(0.0, edge_value[r], 0))
+    pairs.extend(PersistencePair(0.0, math.inf, 0) for v, parent in enumerate(root) if parent == v)
+
+    # coboundary of edge r: the triangles cof[start[r]:start[r + 1]], ascending;
+    # as a column it is a bitmask with triangle t at bit top - t, so its
+    # pivot, the earliest triangle, is the highest set bit
+    faces = tri_faces.ravel()
+    cof = np.argsort(faces, kind="stable") // 3
+    start = np.concatenate(([0], np.cumsum(np.bincount(faces, minlength=len(edge_value))))).tolist()
+    top = len(tri_value) - 1
+
+    def coboundary(r):
+        bits = np.zeros(top + 1, dtype=bool)
+        bits[top - cof[start[r] : start[r + 1]]] = True
+        return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+    owner = {}  # pivot triangle -> edge whose reduced column has it
+    reduced = {}  # edge -> its column after reduction, for edges that needed one
+    for r in range(len(edge_value) - 1, -1, -1):
+        if negative[r]:
+            continue
+        low = int(cof[start[r]]) if start[r] < start[r + 1] else None
+        if low in owner:  # no emergent pair: reduce the column
+            col = coboundary(r)
+            while col:
+                low = top + 1 - col.bit_length()
+                if low not in owner:
+                    break
+                other = owner[low]
+                col ^= reduced[other] if other in reduced else coboundary(other)
+            else:
+                low = None
+            reduced[r] = col
+        if low is None:
+            pairs.append(PersistencePair(edge_value[r], math.inf, 1))
+        else:
+            owner[low] = r
+            pairs.append(PersistencePair(edge_value[r], tri_value[low], 1))
     pairs.sort(key=lambda p: (p.dim, p.birth, p.death))
     return pairs
 
@@ -193,7 +238,7 @@ def long_lived_h1_count(pairs, gap_ratio: float) -> int:
     next one (next of the last pair being 0).  This is the decision rule
     separating essential classes from noise.
     """
-    if gap_ratio <= 1:
+    if not gap_ratio > 1:
         raise ValueError("gap_ratio must exceed 1")
     pers = sorted((p.persistence for p in pairs if p.dim == 1), reverse=True)
     if not pers:

@@ -294,12 +294,21 @@ def _convert(*extra):
         (_verify_with_certificate([1, 0.0]), {}),
         (_verify_with_certificate({"max_cardinality": 1, "max_gap": "0.0"}), {}),
         (_convert("--stride", 0), {}),
+        (_homology("--n", 1, "--max-scale", "nan"), {}),
+        (_homology("--n", 1, "--gap-ratio", "nan"), {}),
+        (_contract("--cap", 1, "--matching-radius", "nan"), {}),
+        (_contract("--cap", 1, "--matching-radius", "inf"), {}),
+        (_contract("--cap", 1, "--matching-radius", 0), {}),
+        (_contract("--cap", 1, "--matching-radius", -1), {}),
     ],
     ids=[
         "contract-open-path", "contract-basepoint-off-space", "contract-resolution-zero",
         "contract-cap-zero", "contract-simply-connected-cap-2", "homology-budget-not-integer",
         "homology-n-zero", "homology-gap-ratio-one", "homology-negative-landmarks",
         "verify-certificate-list", "verify-certificate-string-gap", "convert-stride-zero",
+        "homology-max-scale-nan", "homology-gap-ratio-nan", "contract-matching-radius-nan",
+        "contract-matching-radius-inf", "contract-matching-radius-zero",
+        "contract-matching-radius-negative",
     ],
 )
 def test_parameter_errors_exit_two(tmp_path, make_args, env):
@@ -312,3 +321,4 @@ def test_parameter_errors_exit_two(tmp_path, make_args, env):
     assert "Traceback" not in res.stderr
     assert len(res.stderr.strip().splitlines()) == 1, res.stderr
     assert res.stdout == ""
+

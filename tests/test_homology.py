@@ -76,6 +76,21 @@ def test_matches_naive_reduction_on_random_clouds():
         assert as_tuples(rips_persistence_h1(cloud, scale)) == naive_pairs(cloud.dist, scale)
 
 
+def test_matches_naive_reduction_on_tied_integer_distances():
+    # L1 distances between points of a 4x4 grid, drawn with repetition:
+    # duplicate points give zero off-diagonal entries and nearly every
+    # value is tied, which exercises the elder rule and tie-breaking
+    rng = np.random.default_rng(5)
+    grid = np.array([(x, y) for x in range(4) for y in range(4)])
+    for _ in range(120):
+        m = int(rng.integers(2, 10))
+        pts = grid[rng.integers(0, len(grid), m)]
+        dist = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2).astype(float)
+        cloud = MetricCloud(tuple(range(m)), dist)
+        scale = float(rng.choice([0.5, 1.0, 2.0, 3.0, 4.5, 6.0]))
+        assert as_tuples(rips_persistence_h1(cloud, scale)) == naive_pairs(dist, scale)
+
+
 def test_pairs_invariant_under_relabeling():
     rng = np.random.default_rng(1)
     cloud = singleton_cloud(rng.uniform(0, 1, 9))
@@ -85,6 +100,19 @@ def test_pairs_invariant_under_relabeling():
     )
     assert as_tuples(rips_persistence_h1(cloud, 0.4)) == as_tuples(
         rips_persistence_h1(permuted, 0.4)
+    )
+
+
+def test_pairs_invariant_under_relabeling_sampled_cloud():
+    cloud = sample_ran(C1, n=3, m=60, seed=0)
+    scale = 0.25
+    assert count_simplices(cloud, scale) >= 2000
+    perm = np.random.default_rng(6).permutation(60)
+    permuted = MetricCloud(
+        tuple(cloud.labels[i] for i in perm), cloud.dist[np.ix_(perm, perm)]
+    )
+    assert as_tuples(rips_persistence_h1(cloud, scale)) == as_tuples(
+        rips_persistence_h1(permuted, scale)
     )
 
 
