@@ -31,7 +31,7 @@ from .io import (
 from .moves import Inclusion, SimplyConnected, contract_pipeline
 from .space import Circle, GraphPoint, MetricGraph
 from .svg import render_homotopy, render_track
-from .tracks import check_continuity, within_bound
+from .tracks import LOOP_TOL, check_continuity, within_bound
 
 
 def _fail(code: int, what: str, exc: Exception):
@@ -120,7 +120,8 @@ def cmd_contract(input_path, mode, cap, basepoint, resolution, out, svg_dir, bou
 @click.argument("homotopy_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--bound", type=float, default=math.inf, help="Continuity modulus to enforce.")
 def cmd_verify(homotopy_path, bound):
-    """Recompute a homotopy certificate from its cells and check it."""
+    """Recompute a homotopy certificate from its cells and check it; the
+    last row must be one constant point."""
     try:
         with open(homotopy_path) as fp:
             doc = load(fp)
@@ -142,6 +143,14 @@ def cmd_verify(homotopy_path, bound):
         ok = False
     if not report.passed:
         click.echo(f"FAIL: max gap {report.max_gap:.6g} exceeds bound * grid step", err=True)
+        ok = False
+    target = homotopy.cells[-1][0].points[0]
+    stray = [
+        k for k, c in enumerate(homotopy.cells[-1])
+        if len(c) != 1 or homotopy.space.distance(c.points[0], target) > LOOP_TOL
+    ]
+    if stray:
+        click.echo(f"FAIL: last row is not one constant point (first stray cell at column {stray[0]})", err=True)
         ok = False
     if stored is not None:
         if stored.get("max_cardinality") != report.max_cardinality:

@@ -35,7 +35,10 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence, Union
+
+import numpy as np
 
 from .errors import (
     AmbiguousBranching,
@@ -43,7 +46,7 @@ from .errors import (
     ModeViolation,
     UnsupportedDegree,
 )
-from .ran import Configuration, dedup, hausdorff
+from .ran import Configuration, dedup, dedup_circle, hausdorff
 from .space import Circle, Point, Space
 from .tracks import (
     LOOP_TOL,
@@ -216,31 +219,41 @@ def _dwell(lam: float, t: float) -> float:
     return (1.0 - lam) * t + lam * min(max((t - 0.25) * 2.0, 0.0), 1.0)
 
 
-def _conjugation(s: float, t: float, connector, loop):
-    """Value at (s, t) of the block conjugating a loop by a connector path.
+def _conjugation(s: float, t: float) -> tuple:
+    """Where the block conjugating a loop by a connector path reads at
+    (s, t): (True, u) for the connector at u, (False, u) for the loop at u.
 
-    On [0, 1/4] and [3/4, 1] the connector is evaluated at a parameter
-    warped by s (the whole connector at s = 0, its far end only at s = 1);
-    in between the loop runs at double speed.
+    On [0, 1/4] and [3/4, 1] the connector is read at a parameter warped
+    by s (the whole connector at s = 0, its far end only at s = 1); in
+    between the loop runs at double speed.
     """
     if t <= 0.25:
-        return connector((1.0 - s) + (t / 0.25) * s)
+        return True, (1.0 - s) + (t / 0.25) * s
     if t >= 0.75:
-        return connector((1.0 - s) + ((1.0 - t) / 0.25) * s)
-    return loop((t - 0.25) * 2.0)
+        return True, (1.0 - s) + ((1.0 - t) / 0.25) * s
+    return False, (t - 0.25) * 2.0
 
 
-def _block(space: Space, grid: tuple, rows: int, cap: int, cell) -> Homotopy:
-    """Homotopy block of rows + 1 rows whose cell at (i / rows, t) is
-    cell(i / rows, t), for t on the time grid."""
-    cells = tuple(tuple(cell(i / rows, t) for t in grid) for i in range(rows + 1))
-    return Homotopy(space, uniform_times(rows), grid, cells, cap)
+def _cells(grid: tuple, rows: int, f) -> list:
+    """f(i / rows, t) over the cells of a block of rows + 1 rows on the
+    time grid, row by row."""
+    return [f(i / rows, t) for i in range(rows + 1) for t in grid]
 
 
-def _strand_cell(space: Space, n: int, value):
-    """Cell function of a block moving n strands: the configuration of
-    the strand values value(j, s, t), capped at n."""
-    return lambda s, t: dedup(space, [value(j, s, t) for j in range(n)], cap=n)
+def _block(space: Space, grid: tuple, rows: int, cap: int, cells: list) -> Homotopy:
+    """Homotopy block of rows + 1 rows on the time grid from its cells,
+    listed row by row."""
+    w = len(grid)
+    by_row = tuple(tuple(cells[i * w:(i + 1) * w]) for i in range(rows + 1))
+    return Homotopy(space, uniform_times(rows), grid, by_row, cap)
+
+
+def _strand_block(space: Space, grid: tuple, rows: int, values: list) -> Homotopy:
+    """Block moving strands: values[j] lists strand j's value at every
+    cell, row by row, and a cell is the configuration of its strand
+    values, capped at the strand count."""
+    n = len(values)
+    return _block(space, grid, rows, n, [dedup(space, pts, cap=n) for pts in zip(*values)])
 
 
 def normalize(
@@ -289,16 +302,18 @@ def _resample_bundle(bundle: StrandBundle, grid: tuple) -> StrandBundle:
 def _normalize_bundle(bundle: StrandBundle, b: Point, rows: int, grid: tuple) -> tuple[StrandBundle, Homotopy]:
     """Conjugate each strand by the geodesic from b to its own basepoint."""
     space = bundle.space
-    n = bundle.n
-    interps = [bundle.interpolator(j) for j in range(n)]
-    starts = [s[0] for s in bundle.strands]
+    interps = [bundle.interpolator(j) for j in range(bundle.n)]
+    dwell = _cells(grid, rows, _dwell)
+    h1 = _strand_block(space, grid, rows, [itp.many(dwell) for itp in interps])
 
-    def strand_value(j, s, t):
-        return _conjugation(s, t, lambda u: space.geodesic(b, starts[j], u), interps[j])
-
-    h1 = _block(space, grid, rows, n, _strand_cell(space, n, lambda j, lam, t: interps[j](_dwell(lam, t))))
-    h2 = _block(space, grid, rows, n, _strand_cell(space, n, strand_value))
-    out = StrandBundle(space, grid, tuple(tuple(strand_value(j, 1.0, t) for t in grid) for j in range(n)))
+    reads = _cells(grid, rows, _conjugation)
+    loop_u = [u for on_connector, u in reads if not on_connector]
+    values = []
+    for strand, itp in zip(bundle.strands, interps):
+        loop = iter(itp.many(loop_u))
+        values.append([space.geodesic(b, strand[0], u) if on_connector else next(loop) for on_connector, u in reads])
+    h2 = _strand_block(space, grid, rows, values)
+    out = StrandBundle(space, grid, tuple(tuple(v[-len(grid):]) for v in values))
     return out, stack_homotopies([h1, h2])
 
 
@@ -318,13 +333,13 @@ def _normalize_track(
         return [space.geodesic(pstar, q, 2.0 * u - 1.0) for q in sigma0.points]
 
     def conj_cell(s, t):
-        pts = _conjugation(s, t, gamma, lambda u: list(_config_at(track, u).points))
-        return dedup(space, pts, cap=n)
+        on_connector, u = _conjugation(s, t)
+        return dedup(space, gamma(u) if on_connector else _config_at(track, u).points, cap=n)
 
     # the reparametrization block reuses the input's cells without another
     # dedup: documents are only strictly sorted, not eps-separated
-    h1 = _block(space, grid, rows, n, lambda lam, t: _config_at(track, _dwell(lam, t)))
-    h2 = _block(space, grid, rows, n, conj_cell)
+    h1 = _block(space, grid, rows, n, _cells(grid, rows, lambda lam, t: _config_at(track, _dwell(lam, t))))
+    h2 = _block(space, grid, rows, n, _cells(grid, rows, conj_cell))
     conjugated = Track(space, grid, h2.cells[-1], "loop", n)
     bundle = extract_strands(conjugated, cap=n, matching_radius=matching_radius)
 
@@ -339,12 +354,12 @@ def _normalize_track(
         else:
             spans.append((grid[max(away[0] - 1, 0)], grid[min(away[-1] + 1, m)]))
 
-    def sched_value(j, lam, t):
-        t0, t1 = spans[j]
-        return interps[j]((1.0 - lam) * t + lam * (t0 + t * (t1 - t0)))
+    def sched(t0, t1):
+        return lambda lam, t: (1.0 - lam) * t + lam * (t0 + t * (t1 - t0))
 
-    h3 = _block(space, grid, rows, n, _strand_cell(space, n, sched_value))
-    out = StrandBundle(space, grid, tuple(tuple(sched_value(j, 1.0, t) for t in grid) for j in range(n)))
+    values = [itp.many(_cells(grid, rows, sched(*span))) for itp, span in zip(interps, spans)]
+    h3 = _strand_block(space, grid, rows, values)
+    out = StrandBundle(space, grid, tuple(tuple(v[-len(grid):]) for v in values))
     return out, stack_homotopies([h1, h2, h3])
 
 
@@ -372,21 +387,11 @@ def staircase(bundle: StrandBundle) -> StrandBundle:
     m = len(bundle.times) - 1
     out_times = uniform_times(n * m)
     aligned = bundle.times == uniform_times(m)
-    interps = [bundle.interpolator(j) for j in range(n)]
     strands = []
-    for j in range(n):
-        vals = []
-        for k in range(n * m + 1):
-            idx = k - j * m
-            if idx <= 0:
-                vals.append(bundle.strands[j][0])
-            elif idx >= m:
-                vals.append(bundle.strands[j][-1])
-            elif aligned:
-                vals.append(bundle.strands[j][idx])
-            else:
-                vals.append(interps[j](idx / m))
-        strands.append(tuple(vals))
+    for j, strand in enumerate(bundle.strands):
+        # the strand's own window [j/n, (j+1)/n] holds its samples 1..m-1
+        inner = strand[1:m] if aligned else bundle.interpolator(j).many([idx / m for idx in range(1, m)])
+        strands.append((strand[0],) * (j * m + 1) + tuple(inner) + (strand[-1],) * ((n - 1 - j) * m + 1))
     return StrandBundle(bundle.space, out_times, tuple(strands))
 
 
@@ -397,45 +402,46 @@ def _tent(u: float) -> float:
     return 1.0 - abs(1.0 - 2.0 * u)
 
 
-def _generator_cell(s: float, t: float) -> tuple:
-    """Configuration of the one-turn contraction at (s, t), unit circle.
+def _generator_points(s, t) -> np.ndarray:
+    """The one-turn contraction at the broadcast cells (s, t), unit circle.
 
-    Five deformation phases: split the turn into two half-laps run in
-    sequence; then for each half-lap, sprout a symmetric counter-running
-    pair out of the waiting point, pass the runner into it at the
-    crossing, and shrink the spread back to the basepoint.
+    Returns shape (..., 3): each cell's points in order, NaN past the
+    last.  Five deformation phases: split the turn into two half-laps run
+    in sequence; then for each half-lap, sprout a symmetric
+    counter-running pair out of the waiting point, pass the runner into
+    it at the crossing, and shrink the spread back to the basepoint.
     """
-    phase = min(int(s * 5.0), 4)
+    # quantities of s alone or of t alone keep their own shape; only the
+    # cases and their points broadcast to the whole grid
+    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    phase = np.minimum(np.floor(s * 5.0), 4.0)
     sig = s * 5.0 - phase
-    if phase == 0:
-        a = (1.0 - sig) * t + sig * min(2.0 * t, 1.0)
-        b = (1.0 - sig) * t + sig * max(2.0 * t - 1.0, 0.0)
-        return (a, b)
-    if phase == 1:
-        if t <= 0.5:
-            w = sig / 2.0
-            return (2.0 * t, w * _tent(2.0 * t), -w * _tent(2.0 * t))
-        return (0.0, 2.0 * t - 1.0)
-    if phase == 2:
-        if t <= 0.5:
-            v = (1.0 - sig) / 2.0
-            return (v * _tent(2.0 * t), -v * _tent(2.0 * t))
-        return (0.0, 2.0 * t - 1.0)
-    if phase == 3:
-        if t <= 0.5:
-            return (0.0,)
-        w = sig / 2.0
-        return (2.0 * t - 1.0, w * _tent(2.0 * t - 1.0), -w * _tent(2.0 * t - 1.0))
-    if t <= 0.5:
-        return (0.0,)
-    v = (1.0 - sig) / 2.0
-    return (v * _tent(2.0 * t - 1.0), -v * _tent(2.0 * t - 1.0))
+    w, v = sig / 2.0, (1.0 - sig) / 2.0
+    first = t <= 0.5
+    up, down = 2.0 * t, 2.0 * t - 1.0
+    nan = np.nan
+    # (cells, their points); the first case that holds decides a cell
+    cases = (
+        (phase == 0, ((1.0 - sig) * t + sig * np.minimum(up, 1.0), (1.0 - sig) * t + sig * np.maximum(down, 0.0), nan)),
+        ((phase == 1) & first, (up, w * _tent(up), -w * _tent(up))),
+        ((phase <= 2) & ~first, (0.0, down, nan)),
+        (phase == 2, (v * _tent(up), -v * _tent(up), nan)),
+        (first, (0.0, nan, nan)),
+        (phase == 3, (down, w * _tent(down), -w * _tent(down))),
+        (~first, (v * _tent(down), -v * _tent(down), nan)),
+    )
+    conds = [cond for cond, _ in cases]
+    return np.stack([np.select(conds, [pts[k] for _, pts in cases]) for k in range(3)], axis=-1)
 
 
-def _pushed(interp: StrandInterpolator, s: float, t: float, u0: float = 0.0, u1: float = 1.0) -> list:
-    """The one-turn contraction cell at (s, t) mapped through a strand,
-    its unit parameter rescaled onto the strand's [u0, u1]."""
-    return interp.many([u0 + _UNIT.canon(v) * (u1 - u0) for v in _generator_cell(s, t)])
+def _pushed(interp: StrandInterpolator, s_grid: Sequence[float], times: Sequence[float], u0: float = 0.0, u1: float = 1.0) -> list:
+    """The one-turn contraction at the cells s_grid x times mapped through
+    a strand, its unit parameter rescaled onto the strand's [u0, u1]:
+    rows of per-cell point lists, from one interpolator call."""
+    u = u0 + _UNIT.canon_many(_generator_points(np.asarray(s_grid)[:, None], np.asarray(times))) * (u1 - u0)
+    valid = ~np.isnan(u)
+    points = iter(interp.many(u[valid]))
+    return [[list(islice(points, k)) for k in row] for row in valid.sum(axis=-1).tolist()]
 
 
 def contract_circle_generator(
@@ -450,12 +456,16 @@ def contract_circle_generator(
     if turns not in (1, -1):
         raise UnsupportedDegree(f"turns must be +1 or -1, got {turns}")
     r, m = resolution
-    c = space.circumference
-
-    def cell(s, t):
-        return dedup(space, [space.canon(turns * v * c) for v in _generator_cell(s, t)], cap=3)
-
-    return _block(space, uniform_times(m), r, 3, cell)
+    grid = uniform_times(m)
+    s_grid = np.asarray(uniform_times(r))[:, None]
+    kept, counts = dedup_circle(space, turns * _generator_points(s_grid, np.asarray(grid)) * space.circumference)
+    # rows become configurations one at a time: converting the whole grid
+    # at once holds every point as a Python float and raises peak memory
+    cells = tuple(
+        tuple(Configuration(tuple(pts[:k]), 3) for pts, k in zip(row.tolist(), row_counts.tolist()))
+        for row, row_counts in zip(kept, counts)
+    )
+    return Homotopy(space, uniform_times(r), grid, cells, 3)
 
 
 def pushforward_contraction(
@@ -477,7 +487,9 @@ def pushforward_contraction(
         raise EndpointMismatch("pushforward needs a closed strand")
     interp = StrandInterpolator(space, times, strand)
     r, m = resolution
-    return _block(space, uniform_times(m), r, 3, lambda s, t: dedup(space, _pushed(interp, s, t), cap=3))
+    grid = uniform_times(m)
+    pushed = _pushed(interp, uniform_times(r), grid)
+    return _block(space, grid, r, 3, [dedup(space, pts, cap=3) for row in pushed for pts in row])
 
 
 # -- the full pipeline --------------------------------------------------------
@@ -576,10 +588,11 @@ def contract_pipeline(
 
     # staircase block: slide from the identity schedule to the windowed
     # one (one-turn splitting rides on the same reparametrization)
-    def sched_value(j, lam, t):
-        return interps[j]((1.0 - lam) * t + lam * _rho(windows, j, t))
+    def sched(j):
+        return lambda lam, t: (1.0 - lam) * t + lam * _rho(windows, j, t)
 
-    h_stair = _block(space, grid, block_rows, n_strands, _strand_cell(space, n_strands, sched_value))
+    values = [itp.many(_cells(grid, block_rows, sched(j))) for j, itp in enumerate(interps)]
+    h_stair = _strand_block(space, grid, block_rows, values)
 
     declared = mode.declared_cap
     blocks = [h_norm, h_stair]
@@ -596,21 +609,25 @@ def contract_pipeline(
         for j in range(n_strands)
     ]
 
-    def window_cell(win, seen, s, t):
-        pts = list(seen[t])
-        if win.t0 <= t <= win.t1:
-            pts += _pushed(interps[win.strand], s, (t - win.t0) / (win.t1 - win.t0), win.u0, win.u1)
-        return dedup(space, pts if pts else [b], cap=declared)
-
+    s_grid = uniform_times(block_rows)
     for i, win in enumerate(windows):
+        inside = [k for k, t in enumerate(grid) if win.t0 <= t <= win.t1]
+        local = [(grid[k] - win.t0) / (win.t1 - win.t0) for k in inside]
+        pushed = _pushed(interps[win.strand], s_grid, local, win.u0, win.u1)
         # every strand but the window's own as window i sees it: at b where
         # an earlier window has already contracted it
-        seen = {
-            t: [b if owner[j][k] is not None and owner[j][k] < i else frozen[j][k]
-                for j in range(n_strands) if not (j == win.strand and win.t0 <= t <= win.t1)]
+        seen = [
+            [b if owner[j][k] is not None and owner[j][k] < i else frozen[j][k]
+             for j in range(n_strands) if not (j == win.strand and win.t0 <= t <= win.t1)]
             for k, t in enumerate(grid)
-        }
-        blocks.append(_block(space, grid, block_rows, declared, lambda s, t: window_cell(win, seen, s, t)))
+        ]
+        cells = []
+        for row in pushed:
+            moving = dict(zip(inside, row))
+            for k in range(len(grid)):
+                pts = seen[k] + moving.get(k, [])
+                cells.append(dedup(space, pts if pts else [b], cap=declared))
+        blocks.append(_block(space, grid, block_rows, declared, cells))
 
     homotopy = stack_homotopies(blocks)
     certificate = _certify(homotopy, declared, b, blocks)

@@ -11,8 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import CapExceeded, EmptyConfiguration, InvalidPoint, SpaceMismatch
-from .space import Point, Space
+from .space import Circle, Point, Space
 
 DEDUP_EPS = 1e-9
 
@@ -51,6 +53,23 @@ def dedup(space: Space, points: Sequence[Point], eps: float = DEDUP_EPS, cap: in
             kept.append(cp)
     kept.sort(key=space.sort_key)
     return Configuration(tuple(kept), cap if cap is not None else len(kept))
+
+
+def dedup_circle(space: Circle, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """dedup at DEDUP_EPS over the last axis of an array of circle points.
+
+    NaN marks a missing point.  Returns the kept canonical points of each
+    row, sorted and padded with inf, and how many each row kept; the
+    merge is the same greedy left-to-right pass as dedup, slot by slot.
+    """
+    x = space.canon_many(points)
+    c = space.circumference
+    keep = ~np.isnan(x)
+    for k in range(x.shape[-1]):
+        for j in range(k):
+            raw = np.abs(x[..., k] - x[..., j])
+            keep[..., k] &= ~keep[..., j] | (np.minimum(raw, c - raw) > DEDUP_EPS)
+    return np.sort(np.where(keep, x, np.inf), axis=-1), keep.sum(axis=-1)
 
 
 def configuration(space: Space, points: Iterable[Point], cap: int | None = None) -> Configuration:

@@ -17,6 +17,7 @@ Determinism contracts:
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Union
 
@@ -42,8 +43,8 @@ class Circle:
     circumference: float = 1.0
 
     def __post_init__(self):
-        if not self.circumference > 0:
-            raise ValueError("circumference must be positive")
+        if not 0 < self.circumference < math.inf:
+            raise ValueError("circumference must be finite and positive")
 
     def canon(self, p: Point) -> float:
         if isinstance(p, GraphPoint):
@@ -54,6 +55,13 @@ class Circle:
         if c - x < CANON_TOL * max(1.0, c) or x < CANON_TOL * max(1.0, c):
             return 0.0
         return x
+
+    def canon_many(self, x: np.ndarray) -> np.ndarray:
+        """canon over an array of coordinates, value for value; NaN stays NaN."""
+        c = self.circumference
+        x = np.remainder(x, c)
+        tol = CANON_TOL * max(1.0, c)
+        return np.where((c - x < tol) | (x < tol), 0.0, x)
 
     def distance(self, p: float, q: float) -> float:
         c = self.circumference
@@ -83,8 +91,8 @@ class Interval:
     length: float = 1.0
 
     def __post_init__(self):
-        if not self.length > 0:
-            raise ValueError("length must be positive")
+        if not 0 < self.length < math.inf:
+            raise ValueError("length must be finite and positive")
 
     def canon(self, p: Point) -> float:
         if isinstance(p, GraphPoint):
@@ -110,7 +118,7 @@ class Interval:
 
 @dataclass(frozen=True)
 class MetricGraph:
-    """Connected multigraph with positive edge lengths.
+    """Connected multigraph with finite positive edge lengths.
 
     Edges are (u, v, length) triples; parallel edges and self loops are
     allowed.  Shortest paths are computed once per source vertex and cached.
@@ -127,8 +135,8 @@ class MetricGraph:
         for u, v, l in self.edges:
             if not 0 <= u < self.num_vertices or not 0 <= v < self.num_vertices:
                 raise ValueError(f"edge endpoint out of range: {(u, v, l)}")
-            if not l > 0:
-                raise ValueError("edge lengths must be strictly positive")
+            if not 0 < l < math.inf:
+                raise ValueError("edge lengths must be finite and strictly positive")
         if not self._connected():
             raise ValueError("metric graph must be connected")
 

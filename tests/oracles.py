@@ -1,8 +1,8 @@
 """Independent second implementations used as test oracles.
 
-Nothing here shares code with the package: point metrics, shortest paths
-and the boundary-matrix reduction are all rebuilt from scratch so that
-agreement is meaningful.
+Nothing here shares code with the package: point metrics, shortest paths,
+the one-turn contraction and the boundary-matrix reduction are all
+rebuilt from scratch so that agreement is meaningful.
 """
 
 import heapq
@@ -113,3 +113,37 @@ def naive_pairs(dist, max_scale):
         if low(j) == -1 and j not in victims and j not in killed and sims[j][1] <= 1:
             pairs.append((sims[j][0], math.inf, sims[j][1]))
     return sorted(pairs)
+
+
+def _tent(u):
+    return 1.0 - abs(1.0 - 2.0 * u)
+
+
+def generator_cell(s, t):
+    """Points of the one-turn contraction at (s, t) on the unit circle, one
+    cell at a time, in the order the package kernel lists them."""
+    phase = min(int(s * 5.0), 4)
+    sig = s * 5.0 - phase
+    if phase == 0:
+        a = (1.0 - sig) * t + sig * min(2.0 * t, 1.0)
+        b = (1.0 - sig) * t + sig * max(2.0 * t - 1.0, 0.0)
+        return (a, b)
+    if phase == 1:
+        if t <= 0.5:
+            w = sig / 2.0
+            return (2.0 * t, w * _tent(2.0 * t), -w * _tent(2.0 * t))
+        return (0.0, 2.0 * t - 1.0)
+    if phase == 2:
+        if t <= 0.5:
+            v = (1.0 - sig) / 2.0
+            return (v * _tent(2.0 * t), -v * _tent(2.0 * t))
+        return (0.0, 2.0 * t - 1.0)
+    if phase == 3:
+        if t <= 0.5:
+            return (0.0,)
+        w = sig / 2.0
+        return (2.0 * t - 1.0, w * _tent(2.0 * t - 1.0), -w * _tent(2.0 * t - 1.0))
+    if t <= 0.5:
+        return (0.0,)
+    v = (1.0 - sig) / 2.0
+    return (v * _tent(2.0 * t - 1.0), -v * _tent(2.0 * t - 1.0))

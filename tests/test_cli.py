@@ -16,7 +16,8 @@ from ranspace.io import (
     track_from_json,
     track_to_json,
 )
-from ranspace.space import Circle, Interval, MetricGraph
+from ranspace.moves import contract_circle_generator
+from ranspace.space import Circle, GraphPoint, Interval, MetricGraph
 from ranspace.tracks import Homotopy, make_track, uniform_times
 
 C1 = Circle(1.0)
@@ -100,6 +101,25 @@ def test_verify_round_trip_and_corruption(tmp_path):
     lowered = tmp_path / "lowered.json"
     lowered.write_text(json.dumps(doc))
     assert run_cli("verify", lowered, "--bound", 16.0).returncode == 1
+
+
+def test_verify_rejects_homotopy_not_ending_at_a_point(tmp_path):
+    src = tmp_path / "loop.json"
+    contracted = tmp_path / "h.json"
+    write_generator_track(src)
+    assert run_cli("contract", src, "--cap", 1, "--out", contracted, "--resolution", 24, 64).returncode == 0
+    generator = _write_doc(tmp_path / "gen.json", homotopy_to_json(contract_circle_generator(1, (64, 128))))
+    for full in (contracted, generator):
+        assert run_cli("verify", full).returncode == 0
+        doc = json.loads(full.read_text())
+        half = len(doc["cells"]) // 2
+        # the first half of the rows, without a certificate to disagree with
+        cut = {"space": doc["space"], "cap": doc["cap"], "s_grid": doc["s_grid"][:half],
+               "t_grid": doc["t_grid"], "cells": doc["cells"][:half]}
+        res = run_cli("verify", _write_doc(tmp_path / "cut.json", cut))
+        assert res.returncode == 1
+        assert res.stderr.startswith("FAIL: last row is not one constant point")
+        assert res.stdout.splitlines()[-1] == "FAIL"
 
 
 def test_load_save_identity(tmp_path):
@@ -262,6 +282,18 @@ def _homology(*extra):
     return lambda tmp: ["homology", "--m", 20, "--max-scale", 0.3, *extra]
 
 
+def _infinite_size(space, point, *extra):
+    """contract on a constant loop document whose space size reads 1e999
+    (every size 1.25 of space is rewritten in the document text)."""
+    def args(tmp):
+        times = uniform_times(4)
+        doc = track_to_json(make_track(space, times, [[point]] * len(times), cap=1, kind="loop"))
+        path = tmp / "infinite.json"
+        path.write_text(json.dumps(doc).replace("1.25", "1e999"))
+        return ["contract", path, "--cap", 1, "--out", tmp / "x.json", *extra]
+    return args
+
+
 def _verify_with_certificate(certificate):
     def args(tmp):
         times = uniform_times(4)
@@ -300,6 +332,10 @@ def _convert(*extra):
         (_contract("--cap", 1, "--matching-radius", "inf"), {}),
         (_contract("--cap", 1, "--matching-radius", 0), {}),
         (_contract("--cap", 1, "--matching-radius", -1), {}),
+        (_homology("--n", 1, "--circumference", "inf"), {}),
+        (_infinite_size(Circle(1.25), 0.5), {}),
+        (_infinite_size(Interval(1.25), 0.5), {}),
+        (_infinite_size(MetricGraph(2, ((0, 1, 1.0), (1, 0, 1.25))), GraphPoint(0, 0.5), "--basepoint", "0:0.5"), {}),
     ],
     ids=[
         "contract-open-path", "contract-basepoint-off-space", "contract-resolution-zero",
@@ -308,7 +344,8 @@ def _convert(*extra):
         "verify-certificate-list", "verify-certificate-string-gap", "convert-stride-zero",
         "homology-max-scale-nan", "homology-gap-ratio-nan", "contract-matching-radius-nan",
         "contract-matching-radius-inf", "contract-matching-radius-zero",
-        "contract-matching-radius-negative",
+        "contract-matching-radius-negative", "homology-circumference-inf",
+        "contract-circle-infinite", "contract-interval-infinite", "contract-graph-infinite-edge",
     ],
 )
 def test_parameter_errors_exit_two(tmp_path, make_args, env):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import generator_cell
 from ranspace.errors import (
     AmbiguousBranching,
     EndpointMismatch,
@@ -223,6 +224,20 @@ def test_generator_contraction_certificate(turns):
     assert all(hausdorff(C1, row[-1], base) <= 1e-9 for row in h.cells)
     report = check_continuity(h, bound=4.0)
     assert report.passed
+
+
+@pytest.mark.parametrize("c", [1.0, 2.5])
+@pytest.mark.parametrize("turns", [1, -1])
+@pytest.mark.parametrize("resolution", [(8, 16), (37, 101), (64, 128)])
+def test_generator_matches_scalar_oracle(resolution, turns, c):
+    space = Circle(c)
+    r, m = resolution
+    h = contract_circle_generator(turns, resolution, space)
+    for i, row in enumerate(h.cells):
+        for t, cell in zip(uniform_times(m), row):
+            want = dedup(space, [space.canon(turns * v * c) for v in generator_cell(i / r, t)], cap=3)
+            # repr tells -0.0 from 0.0
+            assert repr(cell) == repr(want), (i, t)
 
 
 def test_generator_contraction_stable_under_refinement():

@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import circle_point_metric, make_graph_point_metric, oracle_hausdorff
 from ranspace.errors import CapExceeded, EmptyConfiguration, SpaceMismatch
-from ranspace.ran import Configuration, configuration, dedup, hausdorff, union
-from ranspace.space import Circle, GraphPoint, MetricGraph
+from ranspace.ran import DEDUP_EPS, Configuration, configuration, dedup, dedup_circle, hausdorff, union
+from ranspace.space import CANON_TOL, Circle, GraphPoint, MetricGraph
 
 CIRCLE = Circle(1.0)
 GRAPH = MetricGraph(4, ((0, 1, 1.0), (1, 2, 0.5), (2, 3, 0.75), (3, 0, 1.25), (0, 2, 2.0)))
@@ -108,6 +112,33 @@ def test_dedup_cases():
     assert got.points == (0.0, 0.3)
     with pytest.raises(EmptyConfiguration):
         dedup(CIRCLE, [], eps=1e-9)
+
+
+@st.composite
+def _circle_rows(draw):
+    """A circumference and a 3-slot row of 1-3 points, NaN in the empty
+    slots: points anywhere, within CANON_TOL of the seam on either side,
+    and at about DEDUP_EPS from the first point, just inside or beyond."""
+    c = draw(st.sampled_from([1.0, 2.5, 0.3]))
+    tol = CANON_TOL * max(1.0, c)
+    seam = st.one_of(st.floats(-2 * tol, 2 * tol), st.floats(c - 2 * tol, c + 2 * tol))
+    first = draw(st.one_of(st.floats(-c, 2 * c), seam))
+    step = st.sampled_from([0.5, 0.999, 1.0, 1.001, 2.0]).map(lambda f: f * DEDUP_EPS)
+    near = st.tuples(step, st.sampled_from([1.0, -1.0])).map(lambda d: first + d[0] * d[1])
+    others = draw(st.lists(st.one_of(st.floats(-c, 2 * c), seam, near), max_size=2))
+    row = [first] + others
+    return c, draw(st.permutations(row + [math.nan] * (3 - len(row))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_circle_rows())
+def test_dedup_circle_matches_scalar_dedup(case):
+    c, row = case
+    space = Circle(c)
+    kept, counts = dedup_circle(space, np.array([row]))
+    got = tuple(kept[0, : counts[0]].tolist())
+    want = dedup(space, [p for p in row if not math.isnan(p)]).points
+    assert repr(got) == repr(want)
 
 
 def test_configuration_sorted_and_capped():
