@@ -1,8 +1,9 @@
 """Command line surface: contract loops, verify homotopy certificates,
 run the homology probe, and render JSON documents to SVG frames.
 
-Exit codes: 0 success, 1 verification failure, 2 schema, input or size
-error, 3 ambiguous branching, 4 mode cap violation.
+Commands parse, call and report; EXIT_CODES alone turns an error into an
+exit code.  Exit codes: 0 success, 1 verification failure, 2 schema,
+input or size error, 3 ambiguous branching, 4 mode cap violation.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 
 import click
 
-from .errors import AmbiguousBranching, EndpointMismatch, InvalidPoint, ModeViolation, SchemaError, SizeLimit
+from .errors import AmbiguousBranching, ModeViolation, RanspaceError, SchemaError, SizeLimit
 from .homology import (
     DEFAULT_SIMPLEX_BUDGET,
     long_lived_h1_count,
@@ -29,15 +30,39 @@ from .io import (
     track_from_json,
 )
 from .moves import Inclusion, SimplyConnected, contract_pipeline
+from .ran import hausdorff
 from .space import Circle, GraphPoint, MetricGraph
 from .svg import render_homotopy, render_track
 from .tracks import LOOP_TOL, check_continuity, within_bound
 
+# (exception types, exit code, stderr label): the first row that matches decides
+EXIT_CODES = (
+    (AmbiguousBranching, 3, "ambiguous branching"),
+    (ModeViolation, 4, "mode violation"),
+    (SchemaError, 2, "schema error"),
+    (SizeLimit, 2, "size limit"),
+    ((RanspaceError, ValueError, OSError), 2, "input error"),
+)
 
-def _fail(code: int, what: str, exc: Exception):
-    """Exit with code after a one-line message on stderr."""
-    click.echo(f"{what}: {exc}", err=True)
-    sys.exit(code)
+
+class _Commands(click.Group):
+    """Command group that exits by EXIT_CODES on any error a command raises."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except Exception as exc:
+            for types, code, label in EXIT_CODES:
+                if isinstance(exc, types):
+                    click.echo(f"{label}: {exc}", err=True)
+                    sys.exit(code)
+            raise
+
+
+def _check_bound(bound: float) -> None:
+    """ValueError unless bound is a continuity modulus (NaN or negative is not)."""
+    if not bound >= 0:
+        raise ValueError(f"bound must be a non-negative number, got {bound}")
 
 
 def _parse_basepoint(space, text: str):
@@ -54,13 +79,13 @@ def _parse_basepoint(space, text: str):
         raise ValueError("basepoint must be a coordinate") from exc
 
 
-@click.group()
+@click.group(cls=_Commands)
 def main():
     """Loop contraction and homology tooling for configuration spaces.
 
     Exit codes: 0 success; 1 verification or continuity-bound failure;
-    2 schema, parameter or size-budget error; 3 ambiguous branching (no
-    strand decomposition at the matching radius); 4 cardinality cap
+    2 schema, parameter, file or size-budget error; 3 ambiguous branching
+    (no strand decomposition at the matching radius); 4 cardinality cap
     violation.
     """
 
@@ -78,27 +103,14 @@ def main():
 def cmd_contract(input_path, mode, cap, basepoint, resolution, out, svg_dir, bound, matching_radius):
     """Contract the loop in INPUT_PATH to its basepoint and write the
     homotopy with its certificate."""
-    try:
-        with open(input_path) as fp:
-            track = track_from_json(load(fp))
-    except SchemaError as exc:
-        _fail(2, "schema error", exc)
-    try:
-        pipeline_mode = Inclusion(cap) if mode == "inclusion" else SimplyConnected(cap)
-        b = _parse_basepoint(track.space, basepoint)
-        if min(resolution) < 1:
-            raise ValueError("resolution must be positive")
-        if matching_radius is not None and not 0 < matching_radius < math.inf:
-            raise ValueError("matching radius must be finite and positive")
-        homotopy, cert = contract_pipeline(
-            track, pipeline_mode, b, resolution=tuple(resolution), matching_radius=matching_radius
-        )
-    except AmbiguousBranching as exc:
-        _fail(3, "ambiguous branching", exc)
-    except ModeViolation as exc:
-        _fail(4, "mode violation", exc)
-    except (EndpointMismatch, InvalidPoint, ValueError) as exc:
-        _fail(2, "input error", exc)
+    _check_bound(bound)
+    with open(input_path) as fp:
+        track = track_from_json(load(fp))
+    pipeline_mode = Inclusion(cap) if mode == "inclusion" else SimplyConnected(cap)
+    b = _parse_basepoint(track.space, basepoint)
+    homotopy, cert = contract_pipeline(
+        track, pipeline_mode, b, resolution=tuple(resolution), matching_radius=matching_radius
+    )
     with open(out, "w") as fp:
         dump(homotopy_to_json(homotopy, cert.as_dict()), fp)
     if svg_dir is not None:
@@ -108,30 +120,25 @@ def cmd_contract(input_path, mode, cap, basepoint, resolution, out, svg_dir, bou
         f"max gap {cert.max_gap:.6g}; lipschitz {cert.lipschitz:.6g}; "
         f"target constancy {cert.target_constancy:.3g}"
     )
-    if cert.max_cardinality > cert.declared_cap:
-        sys.exit(4)
     if not within_bound(cert.max_gap, cert.ds, cert.dt, bound):
         click.echo(f"continuity bound {bound} failed: max gap {cert.max_gap:.6g}", err=True)
         sys.exit(1)
-    sys.exit(0)
 
 
 @main.command("verify")
 @click.argument("homotopy_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--bound", type=float, default=math.inf, help="Continuity modulus to enforce.")
 def cmd_verify(homotopy_path, bound):
-    """Recompute a homotopy certificate from its cells and check it; the
-    last row must be one constant point."""
-    try:
-        with open(homotopy_path) as fp:
-            doc = load(fp)
-        homotopy, stored = homotopy_from_json(doc, lenient_cap=True)
-        declared_cap = int(doc["cap"])
-        stored_gap = None if stored is None else stored.get("max_gap")
-        if not isinstance(stored_gap, (int, float, type(None))):
-            raise SchemaError("certificate max_gap must be a number")
-    except (SchemaError, KeyError, TypeError, ValueError) as exc:
-        _fail(2, "schema error", exc)
+    """Recompute a homotopy certificate from its cells and check it; every
+    row must be a closed loop and the last row one constant point."""
+    _check_bound(bound)
+    with open(homotopy_path) as fp:
+        doc = load(fp)
+    homotopy, stored = homotopy_from_json(doc, lenient_cap=True)
+    declared_cap = int(doc["cap"])
+    stored_gap = None if stored is None else stored.get("max_gap")
+    if not isinstance(stored_gap, (int, float, type(None))):
+        raise SchemaError("certificate max_gap must be a number")
     report = check_continuity(homotopy, bound)
     ok = True
     click.echo(
@@ -152,6 +159,10 @@ def cmd_verify(homotopy_path, bound):
     if stray:
         click.echo(f"FAIL: last row is not one constant point (first stray cell at column {stray[0]})", err=True)
         ok = False
+    open_rows = [i for i, row in enumerate(homotopy.cells) if hausdorff(homotopy.space, row[0], row[-1]) > LOOP_TOL]
+    if open_rows:
+        click.echo(f"FAIL: row {open_rows[0]} is not a closed loop (its first and last cells differ)", err=True)
+        ok = False
     if stored is not None:
         if stored.get("max_cardinality") != report.max_cardinality:
             click.echo("FAIL: stored certificate cardinality does not match cells", err=True)
@@ -164,7 +175,6 @@ def cmd_verify(homotopy_path, bound):
 
 
 @main.command("homology")
-@click.option("--space", "space_kind", type=click.Choice(["circle"]), default="circle", show_default=True)
 @click.option("--circumference", type=float, default=1.0, show_default=True)
 @click.option("--n", type=int, required=True, help="Configuration size cap.")
 @click.option("--m", type=int, required=True, help="Number of sampled configurations.")
@@ -172,28 +182,21 @@ def cmd_verify(homotopy_path, bound):
 @click.option("--max-scale", type=float, required=True)
 @click.option("--gap-ratio", type=float, default=5.0, show_default=True)
 @click.option("--landmarks", type=int, default=48, show_default=True, help="Farthest-point subsample size (0 = use the full cloud).")
-def cmd_homology(space_kind, circumference, n, m, seed, max_scale, gap_ratio, landmarks):
-    """Sample configurations, run the persistence probe, and report the
-    number of long-lived 1-cycles."""
-    try:
-        budget = int(os.environ.get("RAN_SIMPLEX_BUDGET", DEFAULT_SIMPLEX_BUDGET))
-        space = Circle(circumference)
-        cloud = sample_ran(space, n=n, m=m, seed=seed)
-        if landmarks and landmarks < len(cloud):
-            cloud = maxmin_subsample(cloud, landmarks, seed=seed)
-        pairs = rips_persistence_h1(cloud, max_scale=max_scale, budget=budget)
-        count = long_lived_h1_count(pairs, gap_ratio)
-    except SizeLimit as exc:
-        _fail(2, "size limit", exc)
-    except ValueError as exc:
-        _fail(2, "input error", exc)
+def cmd_homology(circumference, n, m, seed, max_scale, gap_ratio, landmarks):
+    """Sample configurations on the circle, run the persistence probe, and
+    report the number of long-lived 1-cycles."""
+    budget = int(os.environ.get("RAN_SIMPLEX_BUDGET", DEFAULT_SIMPLEX_BUDGET))
+    cloud = sample_ran(Circle(circumference), n=n, m=m, seed=seed)
+    if landmarks and landmarks < len(cloud):
+        cloud = maxmin_subsample(cloud, landmarks, seed=seed)
+    pairs = rips_persistence_h1(cloud, max_scale=max_scale, budget=budget)
+    count = long_lived_h1_count(pairs, gap_ratio)
     click.echo(f"{'dim':>3} {'birth':>12} {'death':>12} {'persistence':>12}")
     for p in pairs:
         death = f"{p.death:.6g}" if math.isfinite(p.death) else "inf"
         pers = f"{p.persistence:.6g}" if math.isfinite(p.persistence) else "inf"
         click.echo(f"{p.dim:>3} {p.birth:>12.6g} {death:>12} {pers:>12}")
     click.echo(f"long-lived H1 classes: {count}")
-    sys.exit(0)
 
 
 @main.command("convert")
@@ -203,23 +206,17 @@ def cmd_homology(space_kind, circumference, n, m, seed, max_scale, gap_ratio, la
 @click.option("--basepoint", default=None, help="Mark this point in every frame.")
 def cmd_convert(input_path, out_dir, stride, basepoint):
     """Render a track or homotopy JSON document to SVG frames."""
-    try:
-        with open(input_path) as fp:
-            doc = load(fp)
-        if "cells" in doc:
-            homotopy, _ = homotopy_from_json(doc)
-            b = _parse_basepoint(homotopy.space, basepoint) if basepoint else None
-            written = render_homotopy(homotopy, out_dir, basepoint=b)
-        else:
-            track = track_from_json(doc)
-            b = _parse_basepoint(track.space, basepoint) if basepoint else None
-            written = render_track(track, out_dir, basepoint=b, stride=stride)
-    except SchemaError as exc:
-        _fail(2, "schema error", exc)
-    except (InvalidPoint, ValueError) as exc:
-        _fail(2, "input error", exc)
+    with open(input_path) as fp:
+        doc = load(fp)
+    if "cells" in doc:
+        homotopy, _ = homotopy_from_json(doc)
+        b = _parse_basepoint(homotopy.space, basepoint) if basepoint else None
+        written = render_homotopy(homotopy, out_dir, basepoint=b)
+    else:
+        track = track_from_json(doc)
+        b = _parse_basepoint(track.space, basepoint) if basepoint else None
+        written = render_track(track, out_dir, basepoint=b, stride=stride)
     click.echo(f"wrote {len(written)} frames to {out_dir}")
-    sys.exit(0)
 
 
 if __name__ == "__main__":

@@ -52,20 +52,25 @@ def point_to_json(p):
 
 
 def point_from_json(space: Space, obj):
+    """The canonical point obj names; a canonical one reads back bit for bit."""
     try:
         if isinstance(space, MetricGraph):
-            return GraphPoint(int(obj["edge"]), float(obj["t"]))
-        return float(obj)
+            return space.canon(GraphPoint(int(obj["edge"]), float(obj["t"])))
+        p = float(obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad point {obj!r}: {exc}") from exc
+    # keep the parsed float when it is canonical: callers hold the document,
+    # and a second float per point adds 13 MB to reading a 512x512 one
+    c = space.canon(p)
+    return p if c == p else c
 
 
 def _config_from_json(space: Space, pts, cap: int) -> Configuration:
     points = tuple(point_from_json(space, p) for p in pts)
     if len(points) == 0:
         raise SchemaError("empty configuration in document")
-    keys = [space.sort_key(p) for p in points]
-    if any(b <= a for a, b in zip(keys, keys[1:])):
+    # canonical points compare as their sort keys
+    if any(b <= a for a, b in zip(points, points[1:])):
         raise SchemaError("configuration points must be strictly sorted")
     return Configuration(points, cap)
 
@@ -142,6 +147,9 @@ def dump(doc: dict, fp: IO[str]) -> None:
 
 def load(fp: IO[str]) -> dict:
     try:
-        return json.load(fp)
+        doc = json.load(fp)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaError("a document must be a JSON object")
+    return doc

@@ -155,7 +155,7 @@ def _match_step(space: Space, prev: tuple, nxt: tuple, radius: float, when: floa
     return parent
 
 
-def extract_strands(track: Track, cap: int | None = None, matching_radius: float | None = None) -> StrandBundle:
+def extract_strands(track: Track, matching_radius: float | None = None) -> StrandBundle:
     """Factor a track through coordinate strands on its own grid.
 
     Strands are seeded round robin over the first configuration.  At each
@@ -167,9 +167,11 @@ def extract_strands(track: Track, cap: int | None = None, matching_radius: float
     on this grid.
     """
     space = track.space
-    n = cap if cap is not None else track.cap
+    n = track.cap
     if matching_radius is None:
         matching_radius = 2.0 * check_continuity(track, math.inf).max_gap + 1e-9
+    elif not 0 < matching_radius < math.inf:
+        raise ValueError("matching radius must be finite and positive")
     first = track.configs[0].points
     positions = [j % len(first) for j in range(n)]
     strands = [[first[p]] for p in positions]
@@ -341,7 +343,7 @@ def _normalize_track(
     h1 = _block(space, grid, rows, n, _cells(grid, rows, lambda lam, t: _config_at(track, _dwell(lam, t))))
     h2 = _block(space, grid, rows, n, _cells(grid, rows, conj_cell))
     conjugated = Track(space, grid, h2.cells[-1], "loop", n)
-    bundle = extract_strands(conjugated, cap=n, matching_radius=matching_radius)
+    bundle = extract_strands(conjugated, matching_radius=matching_radius)
 
     # excursion rescheduling: stretch each strand's span away from b over
     # the whole loop, so splits and rejoins happen only at the base time
@@ -471,7 +473,6 @@ def contract_circle_generator(
 def pushforward_contraction(
     space: Space,
     strand: Sequence[Point],
-    times: Sequence[float] | None = None,
     resolution: tuple = (64, 128),
 ) -> Homotopy:
     """Map the one-turn contraction pointwise through a based loop.
@@ -481,11 +482,9 @@ def pushforward_contraction(
     yielding a null-homotopy of the loop's singleton track onto its
     basepoint.
     """
-    if times is None:
-        times = uniform_times(len(strand) - 1)
     if space.distance(strand[0], strand[-1]) > LOOP_TOL:
         raise EndpointMismatch("pushforward needs a closed strand")
-    interp = StrandInterpolator(space, times, strand)
+    interp = StrandInterpolator(space, uniform_times(len(strand) - 1), strand)
     r, m = resolution
     grid = uniform_times(m)
     pushed = _pushed(interp, uniform_times(r), grid)
@@ -571,13 +570,15 @@ def contract_pipeline(
     scheduled window in ascending order through the pushed-forward
     one-turn contraction while every other strand sits frozen at b.
     """
+    r, m = resolution
+    if min(r, m) < 1:
+        raise ValueError("resolution must be positive")
     space = obj.space
     b = space.canon(b)
     n = mode.n
     input_cap = obj.cap if isinstance(obj, Track) else obj.n
     if input_cap > n:
         raise ValueError(f"input cap {input_cap} inconsistent with mode cap {n}")
-    r, m = resolution
     grid = uniform_times(m)
 
     bundle, h_norm = normalize(obj, b, rows=max(2, r // 6), m=m, matching_radius=matching_radius)

@@ -33,9 +33,6 @@ class Configuration:
     def __len__(self):
         return len(self.points)
 
-    def __iter__(self):
-        return iter(self.points)
-
 
 def dedup(space: Space, points: Sequence[Point], eps: float = DEDUP_EPS, cap: int | None = None) -> Configuration:
     """Greedy left-to-right merge of points within distance eps.

@@ -83,9 +83,6 @@ class Track:
             if gap > LOOP_TOL:
                 raise EndpointMismatch(f"loop fails to close: gap {gap}")
 
-    def __len__(self):
-        return len(self.times)
-
 
 def make_track(space: Space, times: Sequence[float], point_lists: Sequence[Sequence[Point]], cap: int, kind: str = "path") -> Track:
     configs = tuple(dedup(space, pts, cap=cap) for pts in point_lists)
@@ -174,9 +171,6 @@ class StrandInterpolator:
             self.lifts = np.asarray([space.canon(p) for p in points], dtype=float)
         else:
             self.lifts = None
-
-    def __call__(self, t: float) -> Point:
-        return self.many([t])[0]
 
     def many(self, ts: Sequence[float]) -> list:
         ts = np.clip(np.asarray(ts, dtype=float), 0.0, 1.0)

@@ -102,6 +102,16 @@ def test_verify_round_trip_and_corruption(tmp_path):
     lowered.write_text(json.dumps(doc))
     assert run_cli("verify", lowered, "--bound", 16.0).returncode == 1
 
+    doc = json.loads(out.read_text())
+    del doc["certificate"]
+    # move one interior cell by half a turn, written off the canonical range
+    doc["cells"][30][40] = [doc["cells"][30][40][0] + 2.5]
+    hidden = tmp_path / "hidden.json"
+    hidden.write_text(json.dumps(doc))
+    res = run_cli("verify", hidden, "--bound", 16.0)
+    assert res.returncode == 1
+    assert res.stderr.startswith("FAIL: max gap ")
+
 
 def test_verify_rejects_homotopy_not_ending_at_a_point(tmp_path):
     src = tmp_path / "loop.json"
@@ -120,6 +130,23 @@ def test_verify_rejects_homotopy_not_ending_at_a_point(tmp_path):
         assert res.returncode == 1
         assert res.stderr.startswith("FAIL: last row is not one constant point")
         assert res.stdout.splitlines()[-1] == "FAIL"
+
+
+def test_verify_rejects_open_rows(tmp_path):
+    src = tmp_path / "loop.json"
+    out = tmp_path / "h.json"
+    write_generator_track(src)
+    assert run_cli("contract", src, "--cap", 1, "--out", out, "--resolution", 16, 32).returncode == 0
+    doc = json.loads(out.read_text())
+    del doc["certificate"]
+    rows = len(doc["cells"])
+    # rotate column 0 of every interior row, by up to 0.01
+    for i in range(1, rows - 1):
+        doc["cells"][i][0] = sorted(C1.canon(p + 0.01 * i / (rows - 1)) for p in doc["cells"][i][0])
+    res = run_cli("verify", _write_doc(tmp_path / "open.json", doc))
+    assert res.returncode == 1
+    assert res.stderr.startswith("FAIL: row 1 is not a closed loop")
+    assert res.stdout.splitlines()[-1] == "FAIL"
 
 
 def test_load_save_identity(tmp_path):
@@ -303,12 +330,33 @@ def _verify_with_certificate(certificate):
     return args
 
 
+def _half_turn_step(tmp):
+    track = make_track(C1, uniform_times(4), [[0.0], [0.5], [0.0], [0.5], [0.0]], cap=1, kind="loop")
+    return ["contract", _write_doc(tmp / "half.json", track_to_json(track)), "--cap", 1, "--out", tmp / "x.json"]
+
+
+def _out_in_missing_dir(tmp):
+    src = tmp / "loop.json"
+    write_generator_track(src, m=16)
+    return ["contract", src, "--cap", 1, "--resolution", 4, 16, "--out", tmp / "missing" / "x.json"]
+
+
+def _verify(*extra):
+    return lambda tmp: [*_verify_with_certificate(None)(tmp), *extra]
+
+
 def _convert(*extra):
     def args(tmp):
         src = tmp / "loop.json"
         write_generator_track(src, m=16)
         return ["convert", src, tmp / "frames", *extra]
     return args
+
+
+def _convert_not_an_object(tmp):
+    src = tmp / "number.json"
+    src.write_text("5")
+    return ["convert", src, tmp / "frames"]
 
 
 @pytest.mark.parametrize(
@@ -336,6 +384,12 @@ def _convert(*extra):
         (_infinite_size(Circle(1.25), 0.5), {}),
         (_infinite_size(Interval(1.25), 0.5), {}),
         (_infinite_size(MetricGraph(2, ((0, 1, 1.0), (1, 0, 1.25))), GraphPoint(0, 0.5), "--basepoint", "0:0.5"), {}),
+        (_half_turn_step, {}),
+        (_out_in_missing_dir, {}),
+        (_contract("--cap", 1, "--bound", "nan"), {}),
+        (_verify("--bound", "nan"), {}),
+        (_verify("--bound", -1), {}),
+        (_convert_not_an_object, {}),
     ],
     ids=[
         "contract-open-path", "contract-basepoint-off-space", "contract-resolution-zero",
@@ -346,6 +400,8 @@ def _convert(*extra):
         "contract-matching-radius-inf", "contract-matching-radius-zero",
         "contract-matching-radius-negative", "homology-circumference-inf",
         "contract-circle-infinite", "contract-interval-infinite", "contract-graph-infinite-edge",
+        "contract-half-turn-step", "contract-out-missing-dir", "contract-bound-nan",
+        "verify-bound-nan", "verify-bound-negative", "convert-not-an-object",
     ],
 )
 def test_parameter_errors_exit_two(tmp_path, make_args, env):

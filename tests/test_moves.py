@@ -398,3 +398,13 @@ def test_pipeline_bound_stable_under_refinement():
     assert math.isfinite(coarse.lipschitz) and math.isfinite(fine.lipschitz)
     ratio = fine.lipschitz / coarse.lipschitz
     assert 0.5 <= ratio <= 2.0
+
+
+@pytest.mark.parametrize(
+    "resolution, radius",
+    [((0, 16), None), ((-3, 16), None), ((8, 0), None), ((8, 16), math.nan)],
+    ids=["rows-zero", "rows-negative", "columns-zero", "matching-radius-nan"],
+)
+def test_pipeline_rejects_bad_parameters(resolution, radius):
+    with pytest.raises(ValueError):
+        contract_pipeline(generator_track(m=16), Inclusion(1), 0.0, resolution=resolution, matching_radius=radius)
