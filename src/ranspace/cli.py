@@ -13,6 +13,7 @@ import os
 import sys
 
 import click
+import numpy as np
 
 from .errors import AmbiguousBranching, ModeViolation, RanspaceError, SchemaError, SizeLimit
 from .homology import (
@@ -23,17 +24,18 @@ from .homology import (
     sample_ran,
 )
 from .io import (
+    certificate_from_json,
     dump,
+    grid_from_json,
     homotopy_from_json,
     homotopy_to_json,
     load,
     track_from_json,
 )
 from .moves import Inclusion, SimplyConnected, contract_pipeline
-from .ran import hausdorff
 from .space import Circle, GraphPoint, MetricGraph
 from .svg import render_homotopy, render_track
-from .tracks import LOOP_TOL, check_continuity, within_bound
+from .tracks import LOOP_TOL, batch_hausdorff, check_continuity, within_bound
 
 # (exception types, exit code, stderr label): the first row that matches decides
 EXIT_CODES = (
@@ -125,6 +127,37 @@ def cmd_contract(input_path, mode, cap, basepoint, resolution, out, svg_dir, bou
         sys.exit(1)
 
 
+def _stored_stages(stored: dict) -> list | None:
+    """The certificate's stages as (name, first row, last row, max
+    cardinality) rows, or None when it has none."""
+    stages = stored.get("stages")
+    if stages is None:
+        return None
+    if not isinstance(stages, list) or not all(
+        isinstance(st, list) and len(st) == 4 and isinstance(st[0], str)
+        and all(type(v) is int for v in st[1:])
+        for st in stages
+    ):
+        raise SchemaError("certificate stages must be [name, first row, last row, max cardinality] lists")
+    return stages
+
+
+def _stage_mismatch(stages: list, counts) -> str | None:
+    """The first stage whose row range or max cardinality the cells do not
+    bear out; stages must chain, each starting on the row the last ended
+    on, from row 0 to the last row."""
+    row = 0
+    for i, (name, first, last, card) in enumerate(stages):
+        if first != row or not first <= last < len(counts):
+            return f"stages[{i}] ({name}) row range"
+        if card != counts[first:last + 1].max():
+            return f"stages[{i}] ({name}) max cardinality"
+        row = last
+    if row != len(counts) - 1:
+        return "stages row range"
+    return None
+
+
 @main.command("verify")
 @click.argument("homotopy_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--bound", type=float, default=math.inf, help="Continuity modulus to enforce.")
@@ -134,41 +167,50 @@ def cmd_verify(homotopy_path, bound):
     _check_bound(bound)
     with open(homotopy_path) as fp:
         doc = load(fp)
-    homotopy, stored = homotopy_from_json(doc, lenient_cap=True)
-    declared_cap = int(doc["cap"])
-    stored_gap = None if stored is None else stored.get("max_gap")
-    if not isinstance(stored_gap, (int, float, type(None))):
-        raise SchemaError("certificate max_gap must be a number")
-    report = check_continuity(homotopy, bound)
+    if "cells" not in doc:
+        raise SchemaError("not a homotopy document: no cells")
+    grid = grid_from_json(doc)
+    stored = certificate_from_json(doc)
+    del doc  # the parsed lists outweigh the grid: free them before the kernels run
+    for key in ("max_gap", "ds", "dt", "lipschitz"):
+        if not isinstance((stored or {}).get(key), (int, float, type(None))):
+            raise SchemaError(f"certificate {key} must be a number")
+    stages = None if stored is None else _stored_stages(stored)
+    report = check_continuity(grid, bound)
     ok = True
+    rows, cols = grid.counts.shape
     click.echo(
-        f"cells {homotopy.rows}x{len(homotopy.t_grid)}; max cardinality "
-        f"{report.max_cardinality} (cap {declared_cap}); max gap {report.max_gap:.6g}"
+        f"cells {rows}x{cols}; max cardinality "
+        f"{report.max_cardinality} (cap {grid.cap}); max gap {report.max_gap:.6g}"
     )
-    if report.max_cardinality > declared_cap:
+    if report.max_cardinality > grid.cap:
         click.echo("FAIL: cardinality exceeds declared cap", err=True)
         ok = False
     if not report.passed:
         click.echo(f"FAIL: max gap {report.max_gap:.6g} exceeds bound * grid step", err=True)
         ok = False
-    target = homotopy.cells[-1][0].points[0]
-    stray = [
-        k for k, c in enumerate(homotopy.cells[-1])
-        if len(c) != 1 or homotopy.space.distance(c.points[0], target) > LOOP_TOL
-    ]
-    if stray:
+    last = grid.enc[-1]
+    target = np.broadcast_to(last[:1, :1], last[:, :1].shape)
+    stray = np.flatnonzero((grid.counts[-1] != 1) | (batch_hausdorff(grid.space, last, target) > LOOP_TOL))
+    if len(stray):
         click.echo(f"FAIL: last row is not one constant point (first stray cell at column {stray[0]})", err=True)
         ok = False
-    open_rows = [i for i, row in enumerate(homotopy.cells) if hausdorff(homotopy.space, row[0], row[-1]) > LOOP_TOL]
-    if open_rows:
+    open_rows = np.flatnonzero(batch_hausdorff(grid.space, grid.enc[:, 0], grid.enc[:, -1]) > LOOP_TOL)
+    if len(open_rows):
         click.echo(f"FAIL: row {open_rows[0]} is not a closed loop (its first and last cells differ)", err=True)
         ok = False
     if stored is not None:
         if stored.get("max_cardinality") != report.max_cardinality:
             click.echo("FAIL: stored certificate cardinality does not match cells", err=True)
             ok = False
-        if stored_gap is not None and abs(stored_gap - report.max_gap) > 1e-9:
-            click.echo("FAIL: stored certificate gap does not match cells", err=True)
+        for key, label in (("max_gap", "gap"), ("ds", "ds"), ("dt", "dt"), ("lipschitz", "lipschitz")):
+            value, recomputed = stored.get(key), getattr(report, key)
+            if value is not None and not (value == recomputed or abs(value - recomputed) <= 1e-9 * max(1.0, abs(recomputed))):
+                click.echo(f"FAIL: stored certificate {label} does not match cells", err=True)
+                ok = False
+        mismatch = None if stages is None else _stage_mismatch(stages, grid.counts.max(axis=1))
+        if mismatch is not None:
+            click.echo(f"FAIL: stored certificate {mismatch} does not match cells", err=True)
             ok = False
     click.echo("PASS" if ok else "FAIL")
     sys.exit(0 if ok else 1)

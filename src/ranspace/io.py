@@ -2,7 +2,11 @@
 
 Documents round-trip bit-exactly: floats are emitted with Python's
 shortest exact representation and loading rebuilds values without any
-renormalization that could move a bit.
+renormalization that could move a bit.  ``dump`` writes exactly what
+``json.dump(doc, fp, indent=1)`` writes, plus a newline.  Reading goes
+through one decoder, ``grid_from_json``, which turns the cells of a
+document into a ``CellGrid`` of canonical points with vectorized schema
+checks; non-finite coordinates and grid values are schema errors.
 """
 
 from __future__ import annotations
@@ -10,10 +14,11 @@ from __future__ import annotations
 import json
 from typing import IO
 
-from .errors import SchemaError
-from .ran import Configuration
-from .space import Circle, GraphPoint, Interval, MetricGraph, Space
-from .tracks import Homotopy, Track
+import numpy as np
+
+from .errors import InvalidPoint, RanspaceError, SchemaError
+from .space import Circle, Interval, MetricGraph, Space
+from .tracks import CellGrid, Homotopy, Track, _pad, _validate_times
 
 
 def space_to_json(space: Space) -> dict:
@@ -45,34 +50,96 @@ def space_from_json(doc) -> Space:
     raise SchemaError(f"unknown space kind {doc.get('kind')!r}")
 
 
-def point_to_json(p):
-    if isinstance(p, GraphPoint):
-        return {"edge": p.edge, "t": p.t}
-    return p
+def _point_lists(space: Space, configs) -> list:
+    """The points of each configuration as JSON values."""
+    if isinstance(space, MetricGraph):
+        return [[{"edge": p.edge, "t": p.t} for p in c.points] for c in configs]
+    return [list(c.points) for c in configs]
 
 
-def point_from_json(space: Space, obj):
-    """The canonical point obj names; a canonical one reads back bit for bit."""
+def _numbers(values, what: str) -> np.ndarray:
+    """A list of finite JSON numbers as a float array."""
+    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+        raise SchemaError(f"{what} must be a list of numbers")
+    arr = np.array(values, dtype=float)
+    if not np.isfinite(arr).all():
+        raise SchemaError(f"{what} must be finite")
+    return arr
+
+
+def _canonical_points(space: Space, points: list) -> np.ndarray:
+    """The canonical points the JSON points name: coordinates, or (edge, t)
+    rows on graphs; a canonical coordinate reads back bit for bit."""
     try:
         if isinstance(space, MetricGraph):
-            return space.canon(GraphPoint(int(obj["edge"]), float(obj["t"])))
-        p = float(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad point {obj!r}: {exc}") from exc
-    # keep the parsed float when it is canonical: callers hold the document,
-    # and a second float per point adds 13 MB to reading a 512x512 one
-    c = space.canon(p)
-    return p if c == p else c
+            raw = np.stack([_numbers([p["edge"] for p in points], "edge indices"),
+                            _numbers([p["t"] for p in points], "edge parameters")], axis=-1)
+            return space.canon_many(raw)
+        raw = _numbers(points, "point coordinates")
+        c = space.canon_many(raw)
+    except InvalidPoint as exc:
+        raise SchemaError(f"bad point: {exc}") from exc
+    return np.where(c == raw, raw, c)
 
 
-def _config_from_json(space: Space, pts, cap: int) -> Configuration:
-    points = tuple(point_from_json(space, p) for p in pts)
-    if len(points) == 0:
+def grid_from_json(doc) -> CellGrid:
+    """The cells of a homotopy document, or of a track document (one row
+    at s = 0), as one CellGrid.
+
+    Every cell must be a non-empty list of points on the document's space,
+    strictly sorted once canonical; rows must match the time grid, which
+    runs from 0 to 1 and, like the deformation grid, strictly increases.
+    The declared cap is recorded, not enforced.  Any breach is a
+    SchemaError.
+    """
+    try:
+        space = space_from_json(doc["space"])
+        cap = int(doc["cap"])
+        if "cells" in doc:
+            s_grid, times, rows = _numbers(doc["s_grid"], "s_grid"), doc["t_grid"], doc["cells"]
+        else:
+            s_grid, times, rows = np.zeros(1), doc["times"], [doc["configs"]]
+        t_grid = _numbers(times, "time grid")
+        _validate_times(t_grid.tolist())
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"bad document: {exc}") from exc
+    if not isinstance(rows, list) or not rows or set(map(type, rows)) != {list}:
+        raise SchemaError("cells must be a non-empty list of rows")
+    if len(rows) != len(s_grid):
+        raise SchemaError("one row of cells per deformation sample")
+    if not (np.diff(s_grid) > 0).all():
+        raise SchemaError("deformation grid must be strictly increasing")
+    if any(len(row) != len(t_grid) for row in rows):
+        raise SchemaError("ragged homotopy grid")
+    cells = [c for row in rows for c in row]
+    if set(map(type, cells)) != {list}:
+        raise SchemaError("a configuration must be a list of points")
+    counts = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
+    if not counts.all():
         raise SchemaError("empty configuration in document")
-    # canonical points compare as their sort keys
-    if any(b <= a for a, b in zip(points, points[1:])):
+    try:
+        flat = _canonical_points(space, [p for c in cells for p in c])
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise SchemaError(f"bad point: {exc}") from exc
+    enc = _pad(space, counts, flat)
+    # canonical points compare as their sort keys: (edge, t) on graphs
+    paired = np.arange(1, enc.shape[1]) < counts[:, None]
+    if isinstance(space, MetricGraph):
+        e, t = enc[..., 0], enc[..., 1]
+        later = (e[:, 1:] > e[:, :-1]) | ((e[:, 1:] == e[:, :-1]) & (t[:, 1:] > t[:, :-1]))
+    else:
+        later = enc[:, 1:] > enc[:, :-1]
+    if (paired & ~later).any():
         raise SchemaError("configuration points must be strictly sorted")
-    return Configuration(points, cap)
+    shape = (len(rows), len(t_grid))
+    return CellGrid(space, cap, s_grid, t_grid, enc.reshape(shape + enc.shape[1:]), counts.reshape(shape))
+
+
+def certificate_from_json(doc) -> dict | None:
+    certificate = doc.get("certificate")
+    if certificate is not None and not isinstance(certificate, dict):
+        raise SchemaError("certificate must be an object")
+    return certificate
 
 
 def track_to_json(track: Track) -> dict:
@@ -81,21 +148,15 @@ def track_to_json(track: Track) -> dict:
         "cap": track.cap,
         "kind": track.kind,
         "times": list(track.times),
-        "configs": [[point_to_json(p) for p in c.points] for c in track.configs],
+        "configs": _point_lists(track.space, track.configs),
     }
 
 
 def track_from_json(doc) -> Track:
+    grid = grid_from_json(doc)
     try:
-        space = space_from_json(doc["space"])
-        cap = int(doc["cap"])
-        kind = doc["kind"]
-        times = tuple(float(t) for t in doc["times"])
-        configs = tuple(_config_from_json(space, pts, cap) for pts in doc["configs"])
-        return Track(space, times, configs, kind, cap)
-    except SchemaError:
-        raise
-    except Exception as exc:
+        return Track(grid.space, tuple(grid.t_grid.tolist()), grid.configurations()[0], doc["kind"], grid.cap)
+    except (KeyError, RanspaceError, ValueError) as exc:
         raise SchemaError(f"bad track document: {exc}") from exc
 
 
@@ -105,44 +166,98 @@ def homotopy_to_json(h: Homotopy, certificate: dict | None = None) -> dict:
         "cap": h.cap,
         "s_grid": list(h.s_grid),
         "t_grid": list(h.t_grid),
-        "cells": [
-            [[point_to_json(p) for p in c.points] for c in row] for row in h.cells
-        ],
+        "cells": [_point_lists(h.space, row) for row in h.cells],
     }
     if certificate is not None:
         doc["certificate"] = certificate
     return doc
 
 
-def homotopy_from_json(doc, lenient_cap: bool = False) -> tuple[Homotopy, dict | None]:
-    """Rebuild a homotopy; with lenient_cap the declared cap may be lower
-    than the observed cell sizes (the caller checks and reports)."""
+def homotopy_from_json(doc) -> tuple[Homotopy, dict | None]:
+    if "cells" not in doc:
+        raise SchemaError("not a homotopy document: no cells")
+    grid = grid_from_json(doc)
+    certificate = certificate_from_json(doc)
     try:
-        space = space_from_json(doc["space"])
-        cap = int(doc["cap"])
-        build_cap = cap
-        if lenient_cap:
-            build_cap = max(cap, max(len(pts) for row in doc["cells"] for pts in row))
-        s_grid = tuple(float(s) for s in doc["s_grid"])
-        t_grid = tuple(float(t) for t in doc["t_grid"])
-        cells = tuple(
-            tuple(_config_from_json(space, pts, build_cap) for pts in row)
-            for row in doc["cells"]
-        )
-        h = Homotopy(space, s_grid, t_grid, cells, build_cap)
-        certificate = doc.get("certificate")
-        if certificate is not None and not isinstance(certificate, dict):
-            raise SchemaError("certificate must be an object")
-        return h, certificate
-    except SchemaError:
-        raise
-    except Exception as exc:
+        h = Homotopy(grid.space, tuple(grid.s_grid.tolist()), tuple(grid.t_grid.tolist()),
+                     grid.configurations(), grid.cap)
+    except (RanspaceError, ValueError) as exc:
         raise SchemaError(f"bad homotopy document: {exc}") from exc
+    return h, certificate
+
+
+# -- writing ------------------------------------------------------------------
+
+# keys whose values are lists of point lists; dump writes them row by row
+_POINT_LIST_KEYS = ("cells", "configs")
+
+
+def _graph_point_text(p, pad: str) -> str:
+    if type(p) is not dict or list(p) != ["edge", "t"] or type(p["edge"]) is not int or type(p["t"]) is not float:
+        raise TypeError("not a graph point")
+    return f'{{\n{pad} "edge": {p["edge"]},\n{pad} "t": {p["t"]!r}\n{pad}}}'
+
+
+def _point_lists_text(value, pad: str) -> str:
+    """json.dumps(value, indent=1), its first line at indent pad, for lists
+    nested to any depth around lists of floats or graph points; TypeError
+    on anything else."""
+    if type(value) is not list:
+        raise TypeError("not a list")
+    if not value:
+        return "[]"
+    inner = pad + " "
+    sep = ",\n" + inner
+    first = value[0]
+    if type(first) is list and first and type(first[0]) is float and all(value):
+        # a row of circle or interval cells: the hot loop, one level inlined
+        lead, close = "[\n" + inner + " ", "\n" + inner + "]"
+        body = sep.join([lead + (sep + " ").join(map(float.__repr__, v)) + close for v in value])
+    elif type(first) is list:
+        body = sep.join([_point_lists_text(v, inner) for v in value])
+    elif type(first) is dict:
+        body = sep.join([_graph_point_text(p, inner) for p in value])
+    else:
+        body = sep.join(map(float.__repr__, value))
+    return "[\n" + inner + body + "\n" + pad + "]"
+
+
+def _json_text(value, pad: str) -> str:
+    """json.dumps(value, indent=1) with its first line at indent pad."""
+    try:
+        text = _point_lists_text(value, pad)
+        # finite float reprs hold no "n"; json writes nan and inf otherwise
+        if "n" not in text:
+            return text
+    except TypeError:
+        pass
+    # a JSON string holds no raw newline, so every newline starts a line
+    return json.dumps(value, indent=1).replace("\n", "\n" + pad)
 
 
 def dump(doc: dict, fp: IO[str]) -> None:
-    json.dump(doc, fp, indent=1)
-    fp.write("\n")
+    """Write json.dump(doc, fp, indent=1) and a newline, byte for byte.
+
+    The point lists under "cells" and "configs" are written one row at a
+    time, from float.__repr__ strings joined under precomputed indents;
+    every other key goes through json.dumps.
+    """
+    if not isinstance(doc, dict) or not doc:
+        fp.write(json.dumps(doc, indent=1) + "\n")
+        return
+    sep = "{\n "
+    for key, value in doc.items():
+        fp.write(sep)
+        sep = ",\n "
+        if key in _POINT_LIST_KEYS and type(value) is list and value:
+            fp.write(json.dumps(key) + ": [")
+            for i, row in enumerate(value):
+                fp.write((",\n  " if i else "\n  ") + _json_text(row, "  "))
+            fp.write("\n ]")
+        else:
+            # {key: value} alone, less its braces: json's key coercion and indents
+            fp.write(json.dumps({key: value}, indent=1)[3:-2])
+    fp.write("\n}\n")
 
 
 def load(fp: IO[str]) -> dict:

@@ -102,6 +102,13 @@ class Interval:
             raise InvalidPoint(f"{x} outside [0, {self.length}]")
         return min(max(x, 0.0), self.length)
 
+    def canon_many(self, x: np.ndarray) -> np.ndarray:
+        """canon over an array of coordinates, value for value."""
+        outside = (x < -CANON_TOL) | (x > self.length + CANON_TOL)
+        if outside.any():
+            raise InvalidPoint(f"{x[outside][0]} outside [0, {self.length}]")
+        return np.minimum(np.maximum(x, 0.0), self.length)
+
     def distance(self, p: float, q: float) -> float:
         return abs(self.canon(p) - self.canon(q))
 
@@ -219,6 +226,22 @@ class MetricGraph:
         if t > 1 - CANON_TOL:
             return self.vertex_point(v)
         return GraphPoint(int(p.edge), t)
+
+    def canon_many(self, p: np.ndarray) -> np.ndarray:
+        """canon over an array of (edge, t) pairs (last axis), value for value."""
+        e, t = p[..., 0], p[..., 1]
+        bad = (e != np.floor(e)) | (e < 0) | (e >= len(self.edges))
+        if bad.any():
+            raise InvalidPoint(f"edge index {e[bad][0]} out of range")
+        bad = (t < -CANON_TOL) | (t > 1 + CANON_TOL)
+        if bad.any():
+            raise InvalidPoint(f"edge parameter {t[bad][0]} outside [0, 1]")
+        if "ends" not in self._cache:
+            # ends[i]: the canonical points of edge i's first and second endpoint
+            self._cache["ends"] = np.array([[self.vertex_point(u), self.vertex_point(v)] for u, v, _ in self.edges], dtype=float)
+        ends = self._cache["ends"][e.astype(np.intp)]
+        at_v = np.where((t > 1 - CANON_TOL)[..., None], ends[..., 1, :], p)
+        return np.where((t < CANON_TOL)[..., None], ends[..., 0, :], at_v)
 
     def _endpoint_legs(self, p: GraphPoint):
         u, v, l = self.edges[p.edge]

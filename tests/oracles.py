@@ -147,3 +147,11 @@ def generator_cell(s, t):
         return (0.0,)
     v = (1.0 - sig) / 2.0
     return (v * _tent(2.0 * t - 1.0), -v * _tent(2.0 * t - 1.0))
+
+
+def oracle_dump(doc):
+    """The text a document is written as: the standard library encoder at
+    indent 1, and a newline."""
+    import json
+
+    return json.dumps(doc, indent=1) + "\n"

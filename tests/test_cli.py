@@ -1,6 +1,7 @@
 """End-to-end CLI checks: exit codes, round trips, determinism, SVG."""
 
 import json
+import math
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -415,3 +416,168 @@ def test_parameter_errors_exit_two(tmp_path, make_args, env):
     assert len(res.stderr.strip().splitlines()) == 1, res.stderr
     assert res.stdout == ""
 
+
+
+THETA = MetricGraph(2, ((0, 1, 1.0), (0, 1, 1.2), (0, 1, 0.8)))
+
+
+def _constant_doc(space, point):
+    """A 3x5 homotopy document constant at one point: it passes verify."""
+    times = uniform_times(4)
+    row = make_track(space, times, [[point]] * len(times), cap=2, kind="loop").configs
+    return homotopy_to_json(Homotopy(space, (0.0, 0.5, 1.0), times, (row,) * 3, 2))
+
+
+def _set_cell(value, space=C1, point=0.25):
+    def doc():
+        d = _constant_doc(space, point)
+        d["cells"][1][2] = value
+        return d
+    return doc
+
+
+def _ragged_row():
+    d = _constant_doc(C1, 0.25)
+    d["cells"][1] = d["cells"][1][:-1]
+    return d
+
+
+def _flat_s_grid():
+    d = _constant_doc(C1, 0.25)
+    d["s_grid"] = [0.0, 0.5, 0.5]
+    return d
+
+
+MALFORMED = {
+    "non-numeric-point": _set_cell(["x"]),
+    "list-as-circle-point": _set_cell([[0.25]]),
+    "empty-cell": _set_cell([]),
+    "unsorted-cell": _set_cell([0.5, 0.25]),
+    "duplicate-point": _set_cell([0.25, 0.25]),
+    "ragged-row": _ragged_row,
+    "non-increasing-s-grid": _flat_s_grid,
+    "interval-point-out-of-range": _set_cell([1.5], Interval(1.0), 0.25),
+    "graph-edge-out-of-range": _set_cell([{"edge": 7, "t": 0.5}], THETA, GraphPoint(0, 0.5)),
+    "graph-t-outside-unit": _set_cell([{"edge": 0, "t": 1.5}], THETA, GraphPoint(0, 0.5)),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "convert"])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_documents_are_schema_errors(tmp_path, command, case):
+    path = _write_doc(tmp_path / "bad.json", MALFORMED[case]())
+    extra = [tmp_path / "frames"] if command == "convert" else []
+    res = run_cli(command, path, *extra)
+    assert res.returncode == 2, res.stderr
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("schema error: "), res.stderr
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("space, point, written", [
+    (C1, 0.25, 1.25),
+    (C1, 0.0, 0.9999999999999999),
+    (Interval(1.0), 1.0, 1.0 + 1e-13),
+    (THETA, GraphPoint(0, 0.0), {"edge": 0, "t": 1e-13}),
+])
+def test_valid_non_canonical_points_are_canonicalized(tmp_path, space, point, written):
+    doc = _constant_doc(space, point)
+    expected = doc["cells"][1][2]
+    doc["cells"][1][2] = [written]
+    path = _write_doc(tmp_path / "noncanon.json", doc)
+    res = run_cli("verify", path)
+    assert res.returncode == 0, res.stderr
+    with open(path) as fp:
+        h, _ = homotopy_from_json(load(fp))
+    assert homotopy_to_json(h)["cells"][1][2] == expected
+
+
+def _all_cells(value):
+    def doc():
+        d = _constant_doc(C1, 0.25)
+        d["cells"] = [[value] * 5 for _ in range(4)]
+        d["s_grid"] = uniform_times(3)
+        return d
+    return doc
+
+
+def _grid_value(key, index, value):
+    def doc():
+        d = _constant_doc(C1, 0.25)
+        d[key][index] = value
+        return d
+    return doc
+
+
+def _track_value(key, value):
+    def doc():
+        times = uniform_times(4)
+        d = track_to_json(make_track(C1, times, [[0.25]] * len(times), cap=1, kind="loop"))
+        d[key][2] = value
+        return d
+    return doc
+
+
+NON_FINITE = {
+    "cells-nan": _all_cells([math.nan]),
+    "cells-infinity": _all_cells([math.inf]),
+    "cell-minus-infinity": _set_cell([-math.inf]),
+    "graph-t-nan": _set_cell([{"edge": 0, "t": math.nan}], THETA, GraphPoint(0, 0.5)),
+    "s-grid-nan": _grid_value("s_grid", 1, math.nan),
+    "t-grid-0-nan": _grid_value("t_grid", 0, math.nan),
+    "track-point-nan": _track_value("configs", [math.nan]),
+    "track-time-nan": _track_value("times", math.nan),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_values_are_schema_errors(tmp_path, case):
+    doc = NON_FINITE[case]()
+    path = _write_doc(tmp_path / "nonfinite.json", doc)
+    commands = [["convert", path, tmp_path / "frames"]]
+    if "cells" in doc:
+        commands.append(["verify", path])
+    for args in commands:
+        res = run_cli(*args)
+        assert res.returncode == 2, (args[0], res.stdout, res.stderr)
+        lines = res.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("schema error: "), res.stderr
+
+
+@pytest.fixture(scope="module")
+def contracted(tmp_path_factory):
+    """A 16x32 contract output of the one-turn loop, made once."""
+    tmp = tmp_path_factory.mktemp("contracted")
+    write_generator_track(tmp / "loop.json")
+    res = run_cli("contract", tmp / "loop.json", "--cap", 1, "--out", tmp / "h.json", "--resolution", 16, 32)
+    assert res.returncode == 0, res.stderr
+    assert run_cli("verify", tmp / "h.json").returncode == 0
+    return tmp / "h.json"
+
+
+@pytest.mark.parametrize("field, change, named", [
+    ("ds", lambda c: c.update(ds=2 * c["ds"]), "FAIL: stored certificate ds does not match cells"),
+    ("dt", lambda c: c.update(dt=c["dt"] / 2), "FAIL: stored certificate dt does not match cells"),
+    ("lipschitz", lambda c: c.update(lipschitz=c["lipschitz"] + 1.0), "FAIL: stored certificate lipschitz does not match cells"),
+    ("stage-rows", lambda c: c["stages"][1].__setitem__(1, c["stages"][1][1] + 1),
+     "FAIL: stored certificate stages[1] (staircase) row range does not match cells"),
+    ("stage-cardinality", lambda c: c["stages"][0].__setitem__(3, c["stages"][0][3] + 1),
+     "FAIL: stored certificate stages[0] (normalize) max cardinality does not match cells"),
+    ("stages-short", lambda c: c["stages"].pop(), "FAIL: stored certificate stages row range does not match cells"),
+])
+def test_verify_checks_every_recomputable_certificate_field(tmp_path, contracted, field, change, named):
+    doc = json.loads(contracted.read_text())
+    change(doc["certificate"])
+    res = run_cli("verify", _write_doc(tmp_path / f"{field}.json", doc))
+    assert res.returncode == 1, res.stderr
+    assert res.stderr.startswith(named), res.stderr
+    assert res.stdout.splitlines()[-1] == "FAIL"
+
+
+def test_verify_rejects_malformed_certificate_stages(tmp_path):
+    doc = _constant_doc(C1, 0.25)
+    doc["certificate"] = {"max_cardinality": 1, "stages": [["normalize", 0, "2", 1]]}
+    res = run_cli("verify", _write_doc(tmp_path / "stages.json", doc))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("schema error: certificate stages")
+    assert res.stdout == ""
