@@ -17,7 +17,7 @@ from typing import IO
 import numpy as np
 
 from .errors import InvalidPoint, RanspaceError, SchemaError
-from .space import Circle, Interval, MetricGraph, Space
+from .space import Circle, GraphPoint, Interval, MetricGraph, Space
 from .tracks import CellGrid, Homotopy, Track, _pad, _validate_times
 
 
@@ -50,10 +50,16 @@ def space_from_json(doc) -> Space:
     raise SchemaError(f"unknown space kind {doc.get('kind')!r}")
 
 
+def point_to_json(p):
+    if isinstance(p, GraphPoint):
+        return {"edge": p.edge, "t": p.t}
+    return p
+
+
 def _point_lists(space: Space, configs) -> list:
     """The points of each configuration as JSON values."""
     if isinstance(space, MetricGraph):
-        return [[{"edge": p.edge, "t": p.t} for p in c.points] for c in configs]
+        return [list(map(point_to_json, c.points)) for c in configs]
     return [list(c.points) for c in configs]
 
 

@@ -249,10 +249,10 @@ class CellGrid:
             rows, s_grid, t_grid = (obj.configs,), (0.0,), obj.times
         else:
             rows, s_grid, t_grid = obj.cells, obj.s_grid, obj.t_grid
-        cells = [c for row in rows for c in row]
         shape = (len(rows), len(t_grid))
-        counts = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
-        enc = _pad(obj.space, counts, np.asarray([p for c in cells for p in c.points], dtype=float))
+        enc = _pad_encode(obj.space, [c for row in rows for c in row])
+        # a filled slot holds a coordinate (a t on graphs), padding a NaN
+        counts = np.count_nonzero(~np.isnan(enc[..., 1] if isinstance(obj.space, MetricGraph) else enc), axis=-1)
         return cls(obj.space, obj.cap, np.asarray(s_grid, dtype=float), np.asarray(t_grid, dtype=float),
                    enc.reshape(shape + enc.shape[1:]), counts.reshape(shape))
 

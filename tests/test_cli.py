@@ -574,6 +574,18 @@ def test_verify_checks_every_recomputable_certificate_field(tmp_path, contracted
     assert res.stdout.splitlines()[-1] == "FAIL"
 
 
+@pytest.mark.parametrize("offset, code", [(0.0, 0), (1e-7, 1)])
+def test_verify_compares_a_large_stored_gap_to_1e_9(tmp_path, offset, code):
+    # one cell of row 0 sits 1000 away from its neighbours, so max gap is 1000
+    doc = _constant_doc(Circle(4000.0), 0.0)
+    doc["cells"][0][2] = [1000.0]
+    doc["certificate"] = {"max_cardinality": 1, "max_gap": 1000.0 + offset}
+    res = run_cli("verify", _write_doc(tmp_path / "gap.json", doc))
+    assert res.returncode == code, res.stderr
+    assert res.stdout.splitlines() == ["cells 3x5; max cardinality 1 (cap 2); max gap 1000", "PASS" if code == 0 else "FAIL"]
+    assert res.stderr == ("" if code == 0 else "FAIL: stored certificate gap does not match cells\n")
+
+
 def test_verify_rejects_malformed_certificate_stages(tmp_path):
     doc = _constant_doc(C1, 0.25)
     doc["certificate"] = {"max_cardinality": 1, "stages": [["normalize", 0, "2", 1]]}
