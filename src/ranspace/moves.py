@@ -46,7 +46,7 @@ from .errors import (
     ModeViolation,
     UnsupportedDegree,
 )
-from .ran import Configuration, dedup, dedup_circle, hausdorff
+from .ran import Configuration, as_configurations, dedup, dedup_many, hausdorff
 from .space import Circle, Point, Space
 from .tracks import (
     LOOP_TOL,
@@ -54,6 +54,7 @@ from .tracks import (
     StrandBundle,
     StrandInterpolator,
     Track,
+    _pad_lists,
     check_continuity,
     circle_lift,
     nearest_sample,
@@ -250,12 +251,19 @@ def _block(space: Space, grid: tuple, rows: int, cap: int, cells: list) -> Homot
     return Homotopy(space, uniform_times(rows), grid, by_row, cap)
 
 
+def _configurations(space: Space, point_lists: Sequence, cap: int) -> list:
+    """dedup(space, pts, cap=cap) of every point list, from one dedup_many
+    call on their padded encoding."""
+    kept, counts = dedup_many(space, _pad_lists(space, point_lists))
+    return as_configurations(space, kept, counts, cap)
+
+
 def _strand_block(space: Space, grid: tuple, rows: int, values: list) -> Homotopy:
     """Block moving strands: values[j] lists strand j's value at every
     cell, row by row, and a cell is the configuration of its strand
     values, capped at the strand count."""
     n = len(values)
-    return _block(space, grid, rows, n, [dedup(space, pts, cap=n) for pts in zip(*values)])
+    return _block(space, grid, rows, n, _configurations(space, list(zip(*values)), n))
 
 
 def normalize(
@@ -334,14 +342,14 @@ def _normalize_track(
             return [space.geodesic(b, pstar, 2.0 * u)]
         return [space.geodesic(pstar, q, 2.0 * u - 1.0) for q in sigma0.points]
 
-    def conj_cell(s, t):
+    def conj_points(s, t):
         on_connector, u = _conjugation(s, t)
-        return dedup(space, gamma(u) if on_connector else _config_at(track, u).points, cap=n)
+        return gamma(u) if on_connector else _config_at(track, u).points
 
     # the reparametrization block reuses the input's cells without another
     # dedup: documents are only strictly sorted, not eps-separated
     h1 = _block(space, grid, rows, n, _cells(grid, rows, lambda lam, t: _config_at(track, _dwell(lam, t))))
-    h2 = _block(space, grid, rows, n, _cells(grid, rows, conj_cell))
+    h2 = _block(space, grid, rows, n, _configurations(space, _cells(grid, rows, conj_points), n))
     conjugated = Track(space, grid, h2.cells[-1], "loop", n)
     bundle = extract_strands(conjugated, matching_radius=matching_radius)
 
@@ -460,14 +468,8 @@ def contract_circle_generator(
     r, m = resolution
     grid = uniform_times(m)
     s_grid = np.asarray(uniform_times(r))[:, None]
-    kept, counts = dedup_circle(space, turns * _generator_points(s_grid, np.asarray(grid)) * space.circumference)
-    # rows become configurations one at a time: converting the whole grid
-    # at once holds every point as a Python float and raises peak memory
-    cells = tuple(
-        tuple(Configuration(tuple(pts[:k]), 3) for pts, k in zip(row.tolist(), row_counts.tolist()))
-        for row, row_counts in zip(kept, counts)
-    )
-    return Homotopy(space, uniform_times(r), grid, cells, 3)
+    kept, counts = dedup_many(space, turns * _generator_points(s_grid, np.asarray(grid)) * space.circumference)
+    return _block(space, grid, r, 3, as_configurations(space, kept.reshape(-1, 3), counts.ravel(), 3))
 
 
 def pushforward_contraction(
@@ -488,7 +490,7 @@ def pushforward_contraction(
     r, m = resolution
     grid = uniform_times(m)
     pushed = _pushed(interp, uniform_times(r), grid)
-    return _block(space, grid, r, 3, [dedup(space, pts, cap=3) for row in pushed for pts in row])
+    return _block(space, grid, r, 3, _configurations(space, [pts for row in pushed for pts in row], 3))
 
 
 # -- the full pipeline --------------------------------------------------------
@@ -622,13 +624,13 @@ def contract_pipeline(
              for j in range(n_strands) if not (j == win.strand and win.t0 <= t <= win.t1)]
             for k, t in enumerate(grid)
         ]
-        cells = []
+        point_lists = []
         for row in pushed:
             moving = dict(zip(inside, row))
             for k in range(len(grid)):
                 pts = seen[k] + moving.get(k, [])
-                cells.append(dedup(space, pts if pts else [b], cap=declared))
-        blocks.append(_block(space, grid, block_rows, declared, cells))
+                point_lists.append(pts if pts else [b])
+        blocks.append(_block(space, grid, block_rows, declared, _configurations(space, point_lists, declared)))
 
     homotopy = stack_homotopies(blocks)
     certificate = _certify(homotopy, declared, b, blocks)

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapExceeded, EmptyConfiguration, InvalidPoint, SpaceMismatch
-from .space import Circle, Point, Space
+from .space import GraphPoint, MetricGraph, Point, Space
 
 DEDUP_EPS = 1e-9
 
@@ -52,21 +52,52 @@ def dedup(space: Space, points: Sequence[Point], eps: float = DEDUP_EPS, cap: in
     return Configuration(tuple(kept), cap if cap is not None else len(kept))
 
 
-def dedup_circle(space: Circle, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """dedup at DEDUP_EPS over the last axis of an array of circle points.
+def dedup_many(space: Space, enc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """dedup at DEDUP_EPS of every cell of a padded encoding.
 
-    NaN marks a missing point.  Returns the kept canonical points of each
-    row, sorted and padded with inf, and how many each row kept; the
-    merge is the same greedy left-to-right pass as dedup, slot by slot.
+    enc is laid out as tracks._pad lays it out: cells along the leading
+    axes, then their point slots (then (edge, t) on graphs), NaN marking
+    an empty slot.  The merge is the same greedy left-to-right pass as
+    dedup, slot by slot: a point is kept when it is more than DEDUP_EPS
+    from every point kept before it.  Returns each cell's kept canonical
+    points in sort_key order, padded with inf (edge 0 and a NaN t on
+    graphs), and how many each cell kept.
     """
-    x = space.canon_many(points)
-    c = space.circumference
-    keep = ~np.isnan(x)
-    for k in range(x.shape[-1]):
+    graph = isinstance(space, MetricGraph)
+    x = space.canon_many(enc)
+    keep = ~np.isnan(x[..., 1] if graph else x)
+    slots = np.moveaxis(x, -2 if graph else -1, 0)
+    for k in range(1, len(slots)):
         for j in range(k):
-            raw = np.abs(x[..., k] - x[..., j])
-            keep[..., k] &= ~keep[..., j] | (np.minimum(raw, c - raw) > DEDUP_EPS)
-    return np.sort(np.where(keep, x, np.inf), axis=-1), keep.sum(axis=-1)
+            keep[..., k] &= ~keep[..., j] | (space.distance_many(slots[k], slots[j]) > DEDUP_EPS)
+    if not graph:
+        return np.sort(np.where(keep, x, np.inf), axis=-1), keep.sum(axis=-1)
+    order = np.lexsort((x[..., 1], np.where(keep, x[..., 0], np.inf)), axis=-1)
+    x = np.where(keep[..., None], x, [0.0, np.nan])
+    return np.take_along_axis(x, order[..., None], axis=-2), keep.sum(axis=-1)
+
+
+# kept points become Python objects a chunk of cells at a time: converting
+# a whole grid at once holds every point of it as a Python float
+_CHUNK = 256
+
+
+def as_configurations(space: Space, kept: np.ndarray, counts: np.ndarray, cap: int) -> list:
+    """The Configurations, capped at cap, of dedup_many's kept points and
+    counts, one per cell along the leading axis."""
+    out = []
+    # one float object per distinct graph t, as when cells share their
+    # strands' points
+    shared = {}
+    for i in range(0, len(kept), _CHUNK):
+        chunk, sizes = kept[i:i + _CHUNK], counts[i:i + _CHUNK].tolist()
+        if isinstance(space, MetricGraph):
+            edges, ts = chunk[..., 0].astype(np.intp).tolist(), chunk[..., 1].tolist()
+            out.extend(Configuration(tuple(map(GraphPoint, e[:k], map(shared.setdefault, t[:k], t[:k]))), cap)
+                       for e, t, k in zip(edges, ts, sizes))
+        else:
+            out.extend(Configuration(tuple(pts[:k]), cap) for pts, k in zip(chunk.tolist(), sizes))
+    return out
 
 
 def configuration(space: Space, points: Iterable[Point], cap: int | None = None) -> Configuration:

@@ -68,6 +68,12 @@ class Circle:
         raw = abs(self.canon(p) - self.canon(q))
         return min(raw, c - raw)
 
+    def distance_many(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """distance between broadcast arrays of canonical coordinates,
+        value for value; NaN gives NaN."""
+        raw = np.abs(x - y)
+        return np.minimum(raw, self.circumference - raw)
+
     def geodesic(self, p: float, q: float, s: float) -> float:
         c = self.circumference
         a, b = self.canon(p), self.canon(q)
@@ -103,14 +109,21 @@ class Interval:
         return min(max(x, 0.0), self.length)
 
     def canon_many(self, x: np.ndarray) -> np.ndarray:
-        """canon over an array of coordinates, value for value."""
+        """canon over an array of coordinates, value for value; NaN stays
+        NaN and -0.0 stays -0.0, as with min and max on floats."""
         outside = (x < -CANON_TOL) | (x > self.length + CANON_TOL)
         if outside.any():
             raise InvalidPoint(f"{x[outside][0]} outside [0, {self.length}]")
-        return np.minimum(np.maximum(x, 0.0), self.length)
+        x = np.where(x < 0.0, 0.0, x)
+        return np.where(x > self.length, self.length, x)
 
     def distance(self, p: float, q: float) -> float:
         return abs(self.canon(p) - self.canon(q))
+
+    def distance_many(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """distance between broadcast arrays of canonical coordinates,
+        value for value; NaN gives NaN."""
+        return np.abs(x - y)
 
     def geodesic(self, p: float, q: float, s: float) -> float:
         a, b = self.canon(p), self.canon(q)
@@ -243,6 +256,17 @@ class MetricGraph:
         at_v = np.where((t > 1 - CANON_TOL)[..., None], ends[..., 1, :], p)
         return np.where((t < CANON_TOL)[..., None], ends[..., 0, :], at_v)
 
+    def edge_arrays(self) -> tuple:
+        """Each edge's length, first endpoint and second endpoint, as arrays
+        indexed by edge."""
+        if "edge_arrays" not in self._cache:
+            self._cache["edge_arrays"] = (
+                np.array([l for _, _, l in self.edges]),
+                np.array([u for u, _, _ in self.edges], dtype=np.intp),
+                np.array([v for _, v, _ in self.edges], dtype=np.intp),
+            )
+        return self._cache["edge_arrays"]
+
     def _endpoint_legs(self, p: GraphPoint):
         u, v, l = self.edges[p.edge]
         return ((u, p.t * l), (v, (1.0 - p.t) * l))
@@ -260,6 +284,25 @@ class MetricGraph:
             for b, leg_b in self._endpoint_legs(q):
                 best = min(best, leg_a + dmat[a, b] + leg_b)
         return float(best)
+
+    def distance_many(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """distance between broadcast arrays of canonical (edge, t) pairs
+        (last axis), bit for bit: each pair is taken in the scalar operand
+        order and each leg sum in the scalar summation order.  A NaN t
+        gives NaN; its edge must still index an edge."""
+        swap = (y[..., 0] < x[..., 0]) | ((y[..., 0] == x[..., 0]) & (y[..., 1] < x[..., 1]))
+        p = np.where(swap[..., None], y, x)
+        q = np.where(swap[..., None], x, y)
+        lengths, us, vs = self.edge_arrays()
+        dmat = self.vertex_distance_matrix()
+        ep, tp = p[..., 0].astype(np.intp), p[..., 1]
+        eq, tq = q[..., 0].astype(np.intp), q[..., 1]
+        lp, lq = lengths[ep], lengths[eq]
+        best = np.where(ep == eq, np.abs(tp - tq) * lp, np.inf)
+        for a, leg_a in ((us[ep], tp * lp), (vs[ep], (1.0 - tp) * lp)):
+            for b, leg_b in ((us[eq], tq * lq), (vs[eq], (1.0 - tq) * lq)):
+                best = np.minimum(best, leg_a + dmat[a, b] + leg_b)
+        return best
 
     def _route(self, p: GraphPoint, q: GraphPoint):
         """Segment list ((edge, t0, t1), ...) realizing a shortest route.

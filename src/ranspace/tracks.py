@@ -23,6 +23,7 @@ import dataclasses
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -177,7 +178,7 @@ class StrandInterpolator:
         if self.lifts is not None:
             vals = np.interp(ts, self.times, self.lifts)
             if isinstance(self.space, Circle):
-                return [self.space.canon(v) for v in vals]
+                return self.space.canon_many(vals).tolist()
             return [self.space.canon(min(max(v, 0.0), self.space.length)) for v in vals]
         return [self.points[nearest_sample(self.times, t)] for t in ts.tolist()]
 
@@ -217,11 +218,18 @@ def _pad(space: Space, counts: np.ndarray, flat: np.ndarray) -> np.ndarray:
     return enc
 
 
+def _pad_lists(space: Space, point_lists: Sequence[Sequence[Point]]) -> np.ndarray:
+    """The padded encoding (see _pad) of point lists, one row per list."""
+    counts = np.fromiter(map(len, point_lists), dtype=np.intp, count=len(point_lists))
+    points = chain.from_iterable(point_lists)
+    if isinstance(space, MetricGraph):
+        return _pad(space, counts, np.fromiter(chain.from_iterable(points), dtype=float).reshape(-1, 2))
+    return _pad(space, counts, np.fromiter(points, dtype=float))
+
+
 def _pad_encode(space: Space, configs: Sequence[Configuration]) -> np.ndarray:
     """The padded encoding (see _pad) of configs, one row per configuration."""
-    counts = np.fromiter((len(c) for c in configs), dtype=np.intp, count=len(configs))
-    flat = np.asarray([p for c in configs for p in c.points], dtype=float)
-    return _pad(space, counts, flat)
+    return _pad_lists(space, [c.points for c in configs])
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,9 +283,7 @@ def batch_hausdorff(space: Space, enc_a: np.ndarray, enc_b: np.ndarray) -> np.nd
     if isinstance(space, MetricGraph):
         ea, ta = enc_a[..., 0].astype(np.intp), enc_a[..., 1]
         eb, tb = enc_b[..., 0].astype(np.intp), enc_b[..., 1]
-        lengths = np.array([l for _, _, l in space.edges])
-        us = np.array([u for u, _, _ in space.edges])
-        vs = np.array([v for _, v, _ in space.edges])
+        lengths, us, vs = space.edge_arrays()
         dmat = space.vertex_distance_matrix()
         la, lb = lengths[ea], lengths[eb]
         d = np.full(ea.shape + eb.shape[-1:], np.inf)
@@ -394,9 +400,9 @@ def stack_homotopies(blocks: Sequence[Homotopy]) -> Homotopy:
     for prev, nxt in zip(blocks, blocks[1:]):
         if nxt.space != prev.space or nxt.t_grid != prev.t_grid:
             raise SpaceMismatch("homotopy blocks disagree on space or grid")
-        seam = max(
-            hausdorff(first.space, a, b) for a, b in zip(prev.cells[-1], nxt.cells[0])
-        )
+        seam = float(batch_hausdorff(
+            first.space, _pad_encode(first.space, prev.cells[-1]), _pad_encode(first.space, nxt.cells[0])
+        ).max())
         if seam > LOOP_TOL:
             raise EndpointMismatch(f"homotopy blocks fail to chain: seam gap {seam}")
         rows.append(list(nxt.cells[1:]))

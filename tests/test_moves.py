@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import generator_cell
+from ranspace import moves
 from ranspace.errors import (
     AmbiguousBranching,
     EndpointMismatch,
@@ -408,3 +409,41 @@ def test_pipeline_bound_stable_under_refinement():
 def test_pipeline_rejects_bad_parameters(resolution, radius):
     with pytest.raises(ValueError):
         contract_pipeline(generator_track(m=16), Inclusion(1), 0.0, resolution=resolution, matching_radius=radius)
+
+
+def test_block_dedup_matches_scalar_dedup_per_cell(monkeypatch):
+    """Every block's cells, deduplicated as arrays, equal dedup of each
+    cell's point list: the normalize, staircase and window blocks of theta
+    bundles and of a raw circle track."""
+    blocks = []
+    configurations = moves._configurations
+
+    def recorded(space, point_lists, cap):
+        got = configurations(space, point_lists, cap)
+        blocks.append((space, point_lists, cap, got))
+        return got
+
+    monkeypatch.setattr(moves, "_configurations", recorded)
+    theta = MetricGraph(2, ((0, 1, 1.0), (0, 1, 1.2), (0, 1, 0.8)))
+    b = theta.vertex_point(0)
+    times = uniform_times(64)
+    out_and_back = tuple(theta.canon((0, 2 * t)) if t <= 0.5 else theta.canon((1, 2 * (1 - t))) for t in times)
+    theta_bundle = StrandBundle(theta, times, (out_and_back, tuple(b for _ in times), out_and_back[::-1], tuple(b for _ in times)))
+    counts = []
+    for run in (
+        lambda: contract_pipeline(theta_bundle, SimplyConnected(4), b, resolution=(24, 48)),
+        lambda: contract_pipeline(theta_bundle, SimplyConnected(4), theta.vertex_point(1), resolution=(24, 48)),
+        lambda: contract_pipeline(figure_branch_track(64), Inclusion(2), 0.0, resolution=(24, 48)),
+    ):
+        before = len(blocks)
+        run()
+        counts.append(len(blocks) - before)
+    # based theta bundle: the staircase and one window per strand; rebased
+    # onto the other vertex: normalize's two strand blocks as well; circle
+    # track: normalize's conjugation and rescheduling blocks, the staircase
+    # and a window per strand
+    assert counts == [5, 7, 5]
+    for space, point_lists, cap, got in blocks:
+        want = [dedup(space, pts, cap=cap) for pts in point_lists]
+        assert [repr(c.points) for c in got] == [repr(c.points) for c in want]
+        assert all(c.cap == cap for c in got)

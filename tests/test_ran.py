@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from oracles import circle_point_metric, make_graph_point_metric, oracle_hausdorff
 from ranspace.errors import CapExceeded, EmptyConfiguration, SpaceMismatch
-from ranspace.ran import DEDUP_EPS, Configuration, configuration, dedup, dedup_circle, hausdorff, union
-from ranspace.space import CANON_TOL, Circle, GraphPoint, MetricGraph
+from ranspace.ran import DEDUP_EPS, Configuration, configuration, dedup, dedup_many, hausdorff, union
+from ranspace.space import CANON_TOL, Circle, GraphPoint, Interval, MetricGraph
 
 CIRCLE = Circle(1.0)
 GRAPH = MetricGraph(4, ((0, 1, 1.0), (1, 2, 0.5), (2, 3, 0.75), (3, 0, 1.25), (0, 2, 2.0)))
@@ -135,10 +135,130 @@ def _circle_rows(draw):
 def test_dedup_circle_matches_scalar_dedup(case):
     c, row = case
     space = Circle(c)
-    kept, counts = dedup_circle(space, np.array([row]))
+    kept, counts = dedup_many(space, np.array([row]))
     got = tuple(kept[0, : counts[0]].tolist())
     want = dedup(space, [p for p in row if not math.isnan(p)]).points
     assert repr(got) == repr(want)
+
+
+THETA = MetricGraph(2, ((0, 1, 1.0), (0, 1, 1.2), (0, 1, 0.8)))
+K4_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# distances at DEDUP_EPS and one ulp either side of it, and clearly inside
+# and beyond it
+STEPS = (DEDUP_EPS, math.nextafter(DEDUP_EPS, 0.0), math.nextafter(DEDUP_EPS, 1.0), 0.5 * DEDUP_EPS, 2.0 * DEDUP_EPS)
+
+
+@st.composite
+def _spaces(draw):
+    kind = draw(st.sampled_from(["circle", "interval", "theta", "k4"]))
+    if kind == "circle":
+        return Circle(draw(st.sampled_from([1.0, 2.5, 0.3])))
+    if kind == "interval":
+        return Interval(draw(st.sampled_from([1.0, 2.5])))
+    if kind == "theta":
+        return THETA
+    lengths = draw(st.lists(st.floats(0.3, 2.0), min_size=6, max_size=6))
+    return MetricGraph(4, tuple((u, v, l) for (u, v), l in zip(K4_EDGES, lengths)))
+
+
+def _raw_points(space):
+    """A strategy for raw points of space (canon accepts them all), and one
+    for points a step of STEPS from a given point, either way."""
+    step = st.tuples(st.sampled_from(STEPS), st.sampled_from([1.0, -1.0])).map(lambda d: d[0] * d[1])
+    if isinstance(space, Circle):
+        c = space.circumference
+        tol = CANON_TOL * max(1.0, c)
+        seam = st.one_of(st.floats(-2 * tol, 2 * tol), st.floats(c - 2 * tol, c + 2 * tol))
+        return st.one_of(st.floats(-c, 2 * c), seam, st.sampled_from([0.0, -0.0])), lambda p: step.map(lambda d: p + d)
+    if isinstance(space, Interval):
+        length = space.length
+        ends = st.sampled_from([-0.0, 0.0, length, CANON_TOL / 2, -CANON_TOL / 2, length + CANON_TOL / 2])
+        inside = st.one_of(st.floats(0.0, length), ends)
+        return inside, lambda p: step.map(lambda d: min(max(p + d, 0.0), length))
+    edge = st.integers(0, len(space.edges) - 1)
+    near_ends = st.one_of(
+        st.sampled_from([0.0, 1.0]),
+        st.floats(-CANON_TOL / 2, 2 * CANON_TOL),
+        st.floats(1 - 2 * CANON_TOL, 1 + CANON_TOL / 2),
+    )
+    point = st.builds(GraphPoint, edge, st.one_of(st.floats(0.0, 1.0), near_ends))
+
+    def near(p):
+        length = space.edges[p.edge][2]
+        return step.map(lambda d: GraphPoint(p.edge, min(max(p.t + d / length, 0.0), 1.0)))
+
+    return point, near
+
+
+@st.composite
+def _dedup_cases(draw):
+    """A space and 1-4 cells of 1-4 raw points in 5 slots, NaN in the
+    empty ones (edge 0 and a NaN t on graphs) at any position."""
+    space = draw(_spaces())
+    point, near = _raw_points(space)
+    pad = (0.0, math.nan) if isinstance(space, MetricGraph) else math.nan
+    cells = []
+    for _ in range(draw(st.integers(1, 4))):
+        first = draw(point)
+        rest = draw(st.lists(st.one_of(point, near(first)), max_size=3))
+        cells.append(draw(st.permutations([first] + rest + [pad] * (4 - len(rest)))))
+    return space, cells
+
+
+def _hex(points):
+    return [(p.edge, float.hex(p.t)) if isinstance(p, GraphPoint) else float.hex(p) for p in points]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_dedup_cases())
+def test_dedup_many_matches_scalar_dedup(case):
+    space, cells = case
+    graph = isinstance(space, MetricGraph)
+    kept, counts = dedup_many(space, np.array(cells, dtype=float))
+    for cell, row, k in zip(cells, kept, counts.tolist()):
+        points = [p for p in cell if not math.isnan(p[1] if graph else p)]
+        want = dedup(space, points).points
+        got = [GraphPoint(int(e), t) for e, t in row[:k].tolist()] if graph else row[:k].tolist()
+        assert k == len(want)
+        assert _hex(got) == _hex(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_distance_many_matches_scalar_distance(data):
+    space = data.draw(_spaces())
+    point, near = _raw_points(space)
+    firsts = data.draw(st.lists(point, min_size=1, max_size=8))
+    seconds = [data.draw(st.one_of(point, near(p))) for p in firsts]
+    xs, ys = ([space.canon(p) for p in ps] for ps in (firsts, seconds))
+    got = space.distance_many(np.array(xs, dtype=float), np.array(ys, dtype=float)).tolist()
+    assert [float.hex(d) for d in got] == [float.hex(space.distance(p, q)) for p, q in zip(xs, ys)]
+
+
+@pytest.mark.parametrize("graph", ["theta", "random-theta", "random-k4"])
+def test_distance_many_matches_scalar_distance_on_random_graph_pairs(graph):
+    """Bit for bit over 20,000 random pairs: summing the legs in another
+    order, or not putting the smaller point first, moves the last bits of
+    some of them."""
+    rng = np.random.default_rng(11)
+    if graph == "theta":
+        space = THETA
+    elif graph == "random-theta":
+        space = MetricGraph(2, tuple((0, 1, l) for l in rng.uniform(0.3, 2.0, 3)))
+    else:
+        space = MetricGraph(4, tuple((u, v, l) for (u, v), l in zip(K4_EDGES, rng.uniform(0.3, 2.0, 6))))
+    xs = [space.random_point(rng) for _ in range(20000)]
+    ys = [space.random_point(rng) for _ in range(20000)]
+    got = space.distance_many(np.array(xs), np.array(ys)).tolist()
+    assert [float.hex(d) for d in got] == [float.hex(space.distance(p, q)) for p, q in zip(xs, ys)]
+
+
+def test_dedup_many_keeps_vertex_points_once():
+    """A vertex reached from each of its edges is one point."""
+    cell = [[e, t] for e in range(3) for t in (0.0, 1.0)]
+    kept, counts = dedup_many(THETA, np.array([cell]))
+    assert counts.tolist() == [2]
+    assert kept[0, :2].tolist() == [list(THETA.vertex_point(0)), list(THETA.vertex_point(1))]
 
 
 def test_configuration_sorted_and_capped():

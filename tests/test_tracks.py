@@ -7,6 +7,8 @@ from ranspace.errors import AmbiguousLift, EndpointMismatch
 from ranspace.ran import configuration, hausdorff
 from ranspace.space import Circle, GraphPoint, Interval, MetricGraph, geodesic
 from ranspace.tracks import (
+    LOOP_TOL,
+    Homotopy,
     StrandBundle,
     Track,
     check_continuity,
@@ -18,6 +20,7 @@ from ranspace.tracks import (
     resample,
     reverse,
     singleton_strand,
+    stack_homotopies,
     uniform_times,
     winding_number,
 )
@@ -280,3 +283,19 @@ def test_homotopy_certificate_fields():
     assert report.max_cardinality == 3
     assert h.endpoint_drift == 0.0
     assert report.max_gap > 0.0
+
+
+def test_stack_homotopies_checks_graph_seams():
+    """Blocks chain when the seam rows agree and fail when one seam cell
+    is 2 * LOOP_TOL off."""
+    theta = MetricGraph(2, ((0, 1, 1.0), (0, 1, 1.2), (0, 1, 0.8)))
+    times = uniform_times(4)
+    row = tuple(configuration(theta, [GraphPoint(0, 0.25 + 0.125 * t), GraphPoint(2, 0.5)]) for t in times)
+    first = Homotopy(theta, (0.0, 1.0), times, (row, row), 2)
+    stacked = stack_homotopies([first, Homotopy(theta, (0.0, 1.0), times, (row, row), 2)])
+    assert stacked.rows == 3
+    # edge 0 has length 1, so the t offset is the distance
+    off = list(row)
+    off[2] = configuration(theta, [GraphPoint(0, 0.3125 + 2 * LOOP_TOL), GraphPoint(2, 0.5)])
+    with pytest.raises(EndpointMismatch):
+        stack_homotopies([first, Homotopy(theta, (0.0, 1.0), times, (tuple(off), row), 2)])
