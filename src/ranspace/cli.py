@@ -33,9 +33,10 @@ from .io import (
     track_from_json,
 )
 from .moves import Inclusion, SimplyConnected, contract_pipeline
+from .ran import batch_hausdorff
 from .space import Circle, GraphPoint, MetricGraph
 from .svg import render_homotopy, render_track
-from .tracks import LOOP_TOL, batch_hausdorff, check_continuity, within_bound
+from .tracks import LOOP_TOL, check_continuity, endpoint_drift, within_bound
 
 # (exception types, exit code, stderr label): the first row that matches decides
 EXIT_CODES = (
@@ -172,7 +173,7 @@ def cmd_verify(homotopy_path, bound):
     grid = grid_from_json(doc)
     stored = certificate_from_json(doc)
     del doc  # the parsed lists outweigh the grid: free them before the kernels run
-    for key in ("max_gap", "ds", "dt", "lipschitz"):
+    for key in ("max_gap", "ds", "dt", "lipschitz", "endpoint_drift"):
         if not isinstance((stored or {}).get(key), (int, float, type(None))):
             raise SchemaError(f"certificate {key} must be a number")
     stages = None if stored is None else _stored_stages(stored)
@@ -190,8 +191,7 @@ def cmd_verify(homotopy_path, bound):
         click.echo(f"FAIL: max gap {report.max_gap:.6g} exceeds bound * grid step", err=True)
         ok = False
     last = grid.enc[-1]
-    target = np.broadcast_to(last[:1, :1], last[:, :1].shape)
-    stray = np.flatnonzero((grid.counts[-1] != 1) | (batch_hausdorff(grid.space, last, target) > LOOP_TOL))
+    stray = np.flatnonzero((grid.counts[-1] != 1) | (batch_hausdorff(grid.space, last, last[:1, :1]) > LOOP_TOL))
     if len(stray):
         click.echo(f"FAIL: last row is not one constant point (first stray cell at column {stray[0]})", err=True)
         ok = False
@@ -203,8 +203,11 @@ def cmd_verify(homotopy_path, bound):
         if stored.get("max_cardinality") != report.max_cardinality:
             click.echo("FAIL: stored certificate cardinality does not match cells", err=True)
             ok = False
-        for key, label in (("max_gap", "gap"), ("ds", "ds"), ("dt", "dt"), ("lipschitz", "lipschitz")):
-            value, recomputed = stored.get(key), getattr(report, key)
+        for key, label, recomputed in (
+            ("max_gap", "gap", report.max_gap), ("ds", "ds", report.ds), ("dt", "dt", report.dt),
+            ("lipschitz", "lipschitz", report.lipschitz), ("endpoint_drift", "endpoint_drift", endpoint_drift(grid)),
+        ):
+            value = stored.get(key)
             if value is not None and abs(value - recomputed) > 1e-9:
                 click.echo(f"FAIL: stored certificate {label} does not match cells", err=True)
                 ok = False

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeLimit
-from .ran import dedup
+from .ran import _pad_encode, batch_hausdorff, dedup
 from .space import Space
-from .tracks import _pad_encode, batch_hausdorff
 
 DEFAULT_SIMPLEX_BUDGET = 5_000_000
 

@@ -17,8 +17,9 @@ from typing import IO
 import numpy as np
 
 from .errors import InvalidPoint, RanspaceError, SchemaError
+from .ran import _pad
 from .space import Circle, GraphPoint, Interval, MetricGraph, Space
-from .tracks import CellGrid, Homotopy, Track, _pad, _validate_times
+from .tracks import CellGrid, Homotopy, Track, _validate_times
 
 
 def space_to_json(space: Space) -> dict:

@@ -46,17 +46,19 @@ from .errors import (
     ModeViolation,
     UnsupportedDegree,
 )
-from .ran import Configuration, as_configurations, dedup, dedup_many, hausdorff
+# dedup and hausdorff are unused here, but perfbench/tracer.py rebinds them here
+from .ran import Configuration, _configurations, _pad_lists, as_configurations, batch_hausdorff, dedup, dedup_many, hausdorff
 from .space import Circle, Point, Space
 from .tracks import (
     LOOP_TOL,
+    CellGrid,
     Homotopy,
     StrandBundle,
     StrandInterpolator,
     Track,
-    _pad_lists,
     check_continuity,
     circle_lift,
+    endpoint_drift,
     nearest_sample,
     project,
     stack_homotopies,
@@ -249,13 +251,6 @@ def _block(space: Space, grid: tuple, rows: int, cap: int, cells: list) -> Homot
     w = len(grid)
     by_row = tuple(tuple(cells[i * w:(i + 1) * w]) for i in range(rows + 1))
     return Homotopy(space, uniform_times(rows), grid, by_row, cap)
-
-
-def _configurations(space: Space, point_lists: Sequence, cap: int) -> list:
-    """dedup(space, pts, cap=cap) of every point list, from one dedup_many
-    call on their padded encoding."""
-    kept, counts = dedup_many(space, _pad_lists(space, point_lists))
-    return as_configurations(space, kept, counts, cap)
 
 
 def _strand_block(space: Space, grid: tuple, rows: int, values: list) -> Homotopy:
@@ -642,11 +637,9 @@ def contract_pipeline(
 
 
 def _certify(homotopy: Homotopy, declared: int, b: Point, blocks: list) -> ContractionCertificate:
-    report = check_continuity(homotopy, math.inf)
-    base = dedup(homotopy.space, [b], cap=1)
-    target_constancy = max(
-        hausdorff(homotopy.space, cell, base) for cell in homotopy.cells[-1]
-    )
+    grid = CellGrid.of(homotopy)
+    report = check_continuity(grid, math.inf)
+    target_constancy = float(batch_hausdorff(grid.space, grid.enc[-1], _pad_lists(grid.space, [[b]])).max())
     names = ["normalize", "staircase"] + [f"contract-window-{i}" for i in range(len(blocks) - 2)]
     stages = []
     row = 0
@@ -662,7 +655,7 @@ def _certify(homotopy: Homotopy, declared: int, b: Point, blocks: list) -> Contr
         ds=report.ds,
         dt=report.dt,
         lipschitz=report.lipschitz,
-        endpoint_drift=homotopy.endpoint_drift,
+        endpoint_drift=endpoint_drift(grid),
         target_constancy=target_constancy,
         source="input loop resampled",
         target="constant basepoint configuration",

@@ -4,11 +4,17 @@ A configuration stores its points sorted in the canonical order of the
 space, pairwise distinct under canonical equality, with a cardinality cap.
 The metric between configurations is the two-sided max-min distance over
 point pairs.  Everything is immutable and pure.
+
+Many configurations at once travel as one padded array (``_pad``), and
+two kernels run over it: ``dedup_many`` and ``batch_hausdorff``, both on
+the space's ``distance_many``.  Scalar ``hausdorff`` is one row of
+``batch_hausdorff``; scalar ``dedup`` is the single-configuration call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -52,12 +58,50 @@ def dedup(space: Space, points: Sequence[Point], eps: float = DEDUP_EPS, cap: in
     return Configuration(tuple(kept), cap if cap is not None else len(kept))
 
 
+def _pad(space: Space, counts: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """The padded cell encoding shared by every batch kernel.
+
+    Row i holds the next counts[i] points of flat (coordinates on circles
+    and intervals, (edge, t) pairs on graphs), padded to the widest cell:
+    shape (cells, width) or (cells, width, 2).  Padding slots hold a NaN
+    coordinate (edge 0 and a NaN t on graphs), so leading axes slice and
+    fancy-index the same way on every space.
+    """
+    enc = np.full((len(counts), counts.max()) + flat.shape[1:], np.nan)
+    if isinstance(space, MetricGraph):
+        enc[..., 0] = 0.0
+    rows = np.repeat(np.arange(len(counts)), counts)
+    slots = np.arange(len(flat)) - np.repeat(np.cumsum(counts) - counts, counts)
+    enc[rows, slots] = flat
+    return enc
+
+
+def _pad_lists(space: Space, point_lists: Sequence[Sequence[Point]]) -> np.ndarray:
+    """The padded encoding (see _pad) of point lists, one row per list."""
+    counts = np.fromiter(map(len, point_lists), dtype=np.intp, count=len(point_lists))
+    points = chain.from_iterable(point_lists)
+    if isinstance(space, MetricGraph):
+        return _pad(space, counts, np.fromiter(chain.from_iterable(points), dtype=float).reshape(-1, 2))
+    return _pad(space, counts, np.fromiter(points, dtype=float))
+
+
+def _pad_encode(space: Space, configs: Sequence[Configuration]) -> np.ndarray:
+    """The padded encoding (see _pad) of configs, one row per configuration."""
+    return _pad_lists(space, [c.points for c in configs])
+
+
+def _slot_values(space: Space, enc: np.ndarray) -> np.ndarray:
+    """The per-slot values of a padded encoding that are NaN on padding:
+    the coordinates, or the t of each (edge, t) pair on graphs."""
+    return enc[..., 1] if isinstance(space, MetricGraph) else enc
+
+
 def dedup_many(space: Space, enc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """dedup at DEDUP_EPS of every cell of a padded encoding.
 
-    enc is laid out as tracks._pad lays it out: cells along the leading
-    axes, then their point slots (then (edge, t) on graphs), NaN marking
-    an empty slot.  The merge is the same greedy left-to-right pass as
+    enc is laid out as _pad lays it out: cells along the leading axes,
+    then their point slots (then (edge, t) on graphs), NaN marking an
+    empty slot.  The merge is the same greedy left-to-right pass as
     dedup, slot by slot: a point is kept when it is more than DEDUP_EPS
     from every point kept before it.  Returns each cell's kept canonical
     points in sort_key order, padded with inf (edge 0 and a NaN t on
@@ -65,7 +109,7 @@ def dedup_many(space: Space, enc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     graph = isinstance(space, MetricGraph)
     x = space.canon_many(enc)
-    keep = ~np.isnan(x[..., 1] if graph else x)
+    keep = ~np.isnan(_slot_values(space, x))
     slots = np.moveaxis(x, -2 if graph else -1, 0)
     for k in range(1, len(slots)):
         for j in range(k):
@@ -83,8 +127,8 @@ _CHUNK = 256
 
 
 def as_configurations(space: Space, kept: np.ndarray, counts: np.ndarray, cap: int) -> list:
-    """The Configurations, capped at cap, of dedup_many's kept points and
-    counts, one per cell along the leading axis."""
+    """The Configurations, capped at cap, of the first counts[i] points of
+    each cell i of a padded encoding, such as dedup_many's result."""
     out = []
     # one float object per distinct graph t, as when cells share their
     # strands' points
@@ -100,27 +144,50 @@ def as_configurations(space: Space, kept: np.ndarray, counts: np.ndarray, cap: i
     return out
 
 
+def _configurations(space: Space, point_lists: Sequence[Sequence[Point]], cap: int) -> list:
+    """dedup(space, pts, cap=cap) of every point list, from one dedup_many
+    call on their padded encoding, with dedup's error types."""
+    if not all(point_lists):
+        raise EmptyConfiguration("cannot dedup an empty point list")
+    try:
+        enc = _pad_lists(space, point_lists)
+    except (TypeError, ValueError) as exc:
+        raise InvalidPoint(f"a point list does not live on {space!r}") from exc
+    if np.count_nonzero(~np.isnan(_slot_values(space, enc))) != sum(map(len, point_lists)):
+        raise InvalidPoint(f"NaN point on {space!r}")
+    kept, counts = dedup_many(space, enc)
+    return as_configurations(space, kept, counts, cap)
+
+
 def configuration(space: Space, points: Iterable[Point], cap: int | None = None) -> Configuration:
     """Build a configuration from raw points, deduplicating at DEDUP_EPS."""
     return dedup(space, list(points), cap=cap)
 
 
+def batch_hausdorff(space: Space, enc_a: np.ndarray, enc_b: np.ndarray) -> np.ndarray:
+    """Hausdorff distance between corresponding cells of two padded
+    encodings (see _pad) whose leading shapes broadcast, from one
+    space.distance_many call on every pair of their slots."""
+    # slots lead and the cells are contiguous, so each array operation
+    # runs along whole rows of cells instead of a cell's few slots
+    axis = -2 if isinstance(space, MetricGraph) else -1
+    a = np.ascontiguousarray(np.moveaxis(enc_a, axis, 0))
+    b = np.ascontiguousarray(np.moveaxis(enc_b, axis, 0))
+    d = space.distance_many(a[:, None], b[None, :])
+    # a pair is NaN exactly when one of its slots is padding; fmin skips it
+    dir_ab = np.where(~np.isnan(_slot_values(space, a)), np.fmin.reduce(d, axis=1), -np.inf).max(axis=0)
+    dir_ba = np.where(~np.isnan(_slot_values(space, b)), np.fmin.reduce(d, axis=0), -np.inf).max(axis=0)
+    return np.maximum(dir_ab, dir_ba)
+
+
 def hausdorff(space: Space, a: Configuration, b: Configuration) -> float:
-    """max(max_{x in a} d(x, b), max_{y in b} d(y, a))."""
+    """max(max_{x in a} d(x, b), max_{y in b} d(y, a)): one row of
+    batch_hausdorff on the canonical points of a and b."""
     try:
-        forward = 0.0
-        for p in a.points:
-            best = min(space.distance(p, q) for q in b.points)
-            if best > forward:
-                forward = best
-        backward = 0.0
-        for q in b.points:
-            best = min(space.distance(p, q) for p in a.points)
-            if best > backward:
-                backward = best
-    except InvalidPoint as exc:
+        enc = space.canon_many(_pad_lists(space, [a.points, b.points]))
+    except (InvalidPoint, TypeError, ValueError) as exc:
         raise SpaceMismatch(f"configuration does not live on {space!r}") from exc
-    return max(forward, backward)
+    return float(batch_hausdorff(space, enc[:1], enc[1:])[0])
 
 
 def union(space: Space, a: Configuration, b: Configuration, cap: int) -> Configuration:

@@ -72,7 +72,8 @@ class Circle:
         """distance between broadcast arrays of canonical coordinates,
         value for value; NaN gives NaN."""
         raw = np.abs(x - y)
-        return np.minimum(raw, self.circumference - raw)
+        # in place on arrays: the pair arrays are the batch kernels' peak memory
+        return np.minimum(raw, self.circumference - raw, out=raw if isinstance(raw, np.ndarray) else None)
 
     def geodesic(self, p: float, q: float, s: float) -> float:
         c = self.circumference
@@ -287,22 +288,30 @@ class MetricGraph:
 
     def distance_many(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """distance between broadcast arrays of canonical (edge, t) pairs
-        (last axis), bit for bit: each pair is taken in the scalar operand
-        order and each leg sum in the scalar summation order.  A NaN t
-        gives NaN; its edge must still index an edge."""
-        swap = (y[..., 0] < x[..., 0]) | ((y[..., 0] == x[..., 0]) & (y[..., 1] < x[..., 1]))
-        p = np.where(swap[..., None], y, x)
-        q = np.where(swap[..., None], x, y)
+        (last axis), bit for bit: each pair sums its path legs as scalar
+        distance does, (leg_p + dmat[a, b]) + leg_q with p the smaller
+        (edge, t).  Each operand's edges, lengths and legs are computed
+        at its own shape; only the vertex gathers and the sums broadcast.
+        A NaN t gives NaN; its edge must still index an edge."""
         lengths, us, vs = self.edge_arrays()
         dmat = self.vertex_distance_matrix()
-        ep, tp = p[..., 0].astype(np.intp), p[..., 1]
-        eq, tq = q[..., 0].astype(np.intp), q[..., 1]
-        lp, lq = lengths[ep], lengths[eq]
-        best = np.where(ep == eq, np.abs(tp - tq) * lp, np.inf)
-        for a, leg_a in ((us[ep], tp * lp), (vs[ep], (1.0 - tp) * lp)):
-            for b, leg_b in ((us[eq], tq * lq), (vs[eq], (1.0 - tq) * lq)):
-                best = np.minimum(best, leg_a + dmat[a, b] + leg_b)
-        return best
+        nv = len(dmat)
+        ex, tx = x[..., 0].astype(np.intp), x[..., 1]
+        ey, ty = y[..., 0].astype(np.intp), y[..., 1]
+        lx, ly = lengths[ex], lengths[ey]
+        # the best path sums with x as p (forward) and with y as p (backward)
+        forward = np.where(ex == ey, np.abs(tx - ty) * lx, np.inf)
+        backward, total, ab = forward.copy(), np.empty_like(forward), np.empty(forward.shape, dtype=np.intp)
+        for a, leg_a in ((us[ex] * nv, tx * lx), (vs[ex] * nv, (1.0 - tx) * lx)):
+            for b, leg_b in ((us[ey], ty * ly), (vs[ey], (1.0 - ty) * ly)):
+                np.add(a, b, out=ab)  # the flat index of dmat[a, b] in dmat and of dmat[b, a] in dmat.T
+                for best, table, first, second in ((forward, dmat, leg_a, leg_b), (backward, dmat.T, leg_b, leg_a)):
+                    np.take(table.ravel(), ab, out=total, mode="clip")  # "clip" takes into out unbuffered
+                    total += first
+                    total += second
+                    np.minimum(best, total, out=best)
+        np.copyto(forward, backward, where=(ey < ex) | ((ey == ex) & (ty < tx)))
+        return forward
 
     def _route(self, p: GraphPoint, q: GraphPoint):
         """Segment list ((edge, t0, t1), ...) realizing a shortest route.

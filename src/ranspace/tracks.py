@@ -22,15 +22,14 @@ from __future__ import annotations
 import dataclasses
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from .errors import AmbiguousLift, EndpointMismatch, SpaceMismatch
-from .ran import Configuration, dedup, hausdorff
-from .space import Circle, GraphPoint, Interval, MetricGraph, Point, Space
+# dedup is unused here, but perfbench/tracer.py rebinds it here
+from .ran import Configuration, _configurations, _pad_encode, _slot_values, as_configurations, batch_hausdorff, dedup, hausdorff
+from .space import Circle, Interval, Point, Space
 
 LOOP_TOL = 1e-9
 
@@ -86,7 +85,7 @@ class Track:
 
 
 def make_track(space: Space, times: Sequence[float], point_lists: Sequence[Sequence[Point]], cap: int, kind: str = "path") -> Track:
-    configs = tuple(dedup(space, pts, cap=cap) for pts in point_lists)
+    configs = tuple(_configurations(space, point_lists, cap))
     return Track(space, tuple(times), configs, kind, cap)
 
 
@@ -177,9 +176,7 @@ class StrandInterpolator:
         ts = np.clip(np.asarray(ts, dtype=float), 0.0, 1.0)
         if self.lifts is not None:
             vals = np.interp(ts, self.times, self.lifts)
-            if isinstance(self.space, Circle):
-                return self.space.canon_many(vals).tolist()
-            return [self.space.canon(min(max(v, 0.0), self.space.length)) for v in vals]
+            return self.space.canon_many(vals).tolist()
         return [self.points[nearest_sample(self.times, t)] for t in ts.tolist()]
 
 
@@ -200,41 +197,9 @@ class ContinuityReport:
         return dataclasses.asdict(self)
 
 
-def _pad(space: Space, counts: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """The padded cell encoding shared by every batch kernel.
-
-    Row i holds the next counts[i] points of flat (coordinates on circles
-    and intervals, (edge, t) pairs on graphs), padded to the widest cell:
-    shape (cells, width) or (cells, width, 2).  Padding slots hold a NaN
-    coordinate (edge 0 and a NaN t on graphs), so leading axes slice and
-    fancy-index the same way on every space.
-    """
-    enc = np.full((len(counts), counts.max()) + flat.shape[1:], np.nan)
-    if isinstance(space, MetricGraph):
-        enc[..., 0] = 0.0
-    rows = np.repeat(np.arange(len(counts)), counts)
-    slots = np.arange(len(flat)) - np.repeat(np.cumsum(counts) - counts, counts)
-    enc[rows, slots] = flat
-    return enc
-
-
-def _pad_lists(space: Space, point_lists: Sequence[Sequence[Point]]) -> np.ndarray:
-    """The padded encoding (see _pad) of point lists, one row per list."""
-    counts = np.fromiter(map(len, point_lists), dtype=np.intp, count=len(point_lists))
-    points = chain.from_iterable(point_lists)
-    if isinstance(space, MetricGraph):
-        return _pad(space, counts, np.fromiter(chain.from_iterable(points), dtype=float).reshape(-1, 2))
-    return _pad(space, counts, np.fromiter(points, dtype=float))
-
-
-def _pad_encode(space: Space, configs: Sequence[Configuration]) -> np.ndarray:
-    """The padded encoding (see _pad) of configs, one row per configuration."""
-    return _pad_lists(space, [c.points for c in configs])
-
-
 @dataclass(frozen=True, eq=False)
 class CellGrid:
-    """A grid of configurations as arrays: the padded encoding (see _pad)
+    """A grid of configurations as arrays: the padded encoding (see ran._pad)
     of every cell, shaped (rows, cols, width) or (rows, cols, width, 2) on
     graphs, and each cell's point count.
 
@@ -259,54 +224,23 @@ class CellGrid:
             rows, s_grid, t_grid = obj.cells, obj.s_grid, obj.t_grid
         shape = (len(rows), len(t_grid))
         enc = _pad_encode(obj.space, [c for row in rows for c in row])
-        # a filled slot holds a coordinate (a t on graphs), padding a NaN
-        counts = np.count_nonzero(~np.isnan(enc[..., 1] if isinstance(obj.space, MetricGraph) else enc), axis=-1)
+        counts = np.count_nonzero(~np.isnan(_slot_values(obj.space, enc)), axis=-1)
         return cls(obj.space, obj.cap, np.asarray(s_grid, dtype=float), np.asarray(t_grid, dtype=float),
                    enc.reshape(shape + enc.shape[1:]), counts.reshape(shape))
 
     def configurations(self) -> tuple:
         """The rows of cells as Configurations of the grid's cap."""
-        graph = isinstance(self.space, MetricGraph)
-
-        def points(cell, n):
-            return tuple(GraphPoint(int(e), t) for e, t in cell[:n]) if graph else tuple(cell[:n])
-
-        return tuple(
-            tuple(Configuration(points(cell, n), self.cap) for cell, n in zip(row, row_counts))
-            for row, row_counts in zip(self.enc.tolist(), self.counts.tolist())
-        )
+        rows, cols = self.counts.shape
+        flat = self.enc.reshape((rows * cols,) + self.enc.shape[2:])
+        cells = as_configurations(self.space, flat, self.counts.ravel(), self.cap)
+        return tuple(tuple(cells[i * cols:(i + 1) * cols]) for i in range(rows))
 
 
-def batch_hausdorff(space: Space, enc_a: np.ndarray, enc_b: np.ndarray) -> np.ndarray:
-    """Hausdorff distance between corresponding cells of two padded
-    encodings (see _pad) with equal leading shape."""
-    if isinstance(space, MetricGraph):
-        ea, ta = enc_a[..., 0].astype(np.intp), enc_a[..., 1]
-        eb, tb = enc_b[..., 0].astype(np.intp), enc_b[..., 1]
-        lengths, us, vs = space.edge_arrays()
-        dmat = space.vertex_distance_matrix()
-        la, lb = lengths[ea], lengths[eb]
-        d = np.full(ea.shape + eb.shape[-1:], np.inf)
-        for leg_a, end_a in ((ta * la, us[ea]), ((1.0 - ta) * la, vs[ea])):
-            for leg_b, end_b in ((tb * lb, us[eb]), ((1.0 - tb) * lb, vs[eb])):
-                cand = leg_a[..., :, None] + dmat[end_a[..., :, None], end_b[..., None, :]] + leg_b[..., None, :]
-                d = np.fmin(d, cand)
-        same = ea[..., :, None] == eb[..., None, :]
-        direct = np.abs(ta[..., :, None] - tb[..., None, :]) * la[..., :, None]
-        d = np.where(same, np.fmin(d, direct), d)
-    else:
-        # ta, tb: the slot values that are NaN on padding, on every space
-        ta, tb = enc_a, enc_b
-        d = np.abs(ta[..., :, None] - tb[..., None, :])
-        if isinstance(space, Circle):
-            d = np.minimum(d, space.circumference - d)
-    valid_a, valid_b = ~np.isnan(ta), ~np.isnan(tb)
-    d = np.where(valid_b[..., None, :], d, np.inf)
-    d = np.where(np.isnan(d), np.inf, d)
-    dir_ab = np.where(valid_a, d.min(axis=-1), -np.inf).max(axis=-1)
-    d2 = np.where(valid_a[..., :, None], d, np.inf)
-    dir_ba = np.where(valid_b, d2.min(axis=-2), -np.inf).max(axis=-1)
-    return np.maximum(dir_ab, dir_ba)
+def endpoint_drift(grid: CellGrid) -> float:
+    """How far the grid's first and last columns drift from row 0: the
+    largest Hausdorff distance of a cell there from row 0's cell."""
+    ends = grid.enc[:, [0, -1]]
+    return float(batch_hausdorff(grid.space, ends, ends[:1]).max())
 
 
 def check_continuity(obj, bound: float) -> ContinuityReport:
@@ -347,7 +281,7 @@ def within_bound(max_gap: float, ds: float, dt: float, bound: float) -> bool:
 class Homotopy:
     """Grid of configurations: rows are tracks, row 0 the source, the last
     row the target.  check_continuity reports cardinality and adjacent-cell
-    gaps; endpoint_drift is how far the endpoint columns drift from the
+    gaps, and endpoint_drift how far the endpoint columns drift from the
     source row."""
 
     space: Space
@@ -378,14 +312,6 @@ class Homotopy:
     def row(self, i: int) -> Track:
         row = self.cells[i]
         return Track(self.space, self.t_grid, row, _kind(self.space, row), self.cap)
-
-    @cached_property
-    def endpoint_drift(self) -> float:
-        drift = 0.0
-        for row in self.cells:
-            drift = max(drift, hausdorff(self.space, row[0], self.cells[0][0]))
-            drift = max(drift, hausdorff(self.space, row[-1], self.cells[0][-1]))
-        return drift
 
 
 def stack_homotopies(blocks: Sequence[Homotopy]) -> Homotopy:

@@ -374,6 +374,7 @@ def _convert_not_an_object(tmp):
         (_homology("--n", 1, "--landmarks", -3), {}),
         (_verify_with_certificate([1, 0.0]), {}),
         (_verify_with_certificate({"max_cardinality": 1, "max_gap": "0.0"}), {}),
+        (_verify_with_certificate({"max_cardinality": 1, "endpoint_drift": "0.0"}), {}),
         (_convert("--stride", 0), {}),
         (_homology("--n", 1, "--max-scale", "nan"), {}),
         (_homology("--n", 1, "--gap-ratio", "nan"), {}),
@@ -396,7 +397,7 @@ def _convert_not_an_object(tmp):
         "contract-open-path", "contract-basepoint-off-space", "contract-resolution-zero",
         "contract-cap-zero", "contract-simply-connected-cap-2", "homology-budget-not-integer",
         "homology-n-zero", "homology-gap-ratio-one", "homology-negative-landmarks",
-        "verify-certificate-list", "verify-certificate-string-gap", "convert-stride-zero",
+        "verify-certificate-list", "verify-certificate-string-gap", "verify-certificate-string-drift", "convert-stride-zero",
         "homology-max-scale-nan", "homology-gap-ratio-nan", "contract-matching-radius-nan",
         "contract-matching-radius-inf", "contract-matching-radius-zero",
         "contract-matching-radius-negative", "homology-circumference-inf",
@@ -559,6 +560,8 @@ def contracted(tmp_path_factory):
     ("ds", lambda c: c.update(ds=2 * c["ds"]), "FAIL: stored certificate ds does not match cells"),
     ("dt", lambda c: c.update(dt=c["dt"] / 2), "FAIL: stored certificate dt does not match cells"),
     ("lipschitz", lambda c: c.update(lipschitz=c["lipschitz"] + 1.0), "FAIL: stored certificate lipschitz does not match cells"),
+    ("endpoint_drift", lambda c: c.update(endpoint_drift=c["endpoint_drift"] + 1e-6),
+     "FAIL: stored certificate endpoint_drift does not match cells"),
     ("stage-rows", lambda c: c["stages"][1].__setitem__(1, c["stages"][1][1] + 1),
      "FAIL: stored certificate stages[1] (staircase) row range does not match cells"),
     ("stage-cardinality", lambda c: c["stages"][0].__setitem__(3, c["stages"][0][3] + 1),

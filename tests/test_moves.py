@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import generator_cell
+from oracles import circle_point_metric, generator_cell, make_graph_point_metric, oracle_hausdorff
 from ranspace import moves
 from ranspace.errors import (
     AmbiguousBranching,
@@ -65,6 +65,17 @@ def figure_branch_track(m=128):
         return [C1.canon(s), C1.canon(-s)]
 
     return make_track(C1, times, [pts(t) for t in times], cap=2, kind="loop")
+
+
+def out_and_back_theta_bundle():
+    """A based theta-graph bundle of four strands on 64 steps: two run out
+    along edge 0 and back along edge 1 (one of them reversed), two rest at
+    the basepoint, vertex 0."""
+    theta = MetricGraph(2, ((0, 1, 1.0), (0, 1, 1.2), (0, 1, 0.8)))
+    b = theta.vertex_point(0)
+    times = uniform_times(64)
+    out_and_back = tuple(theta.canon((0, 2 * t)) if t <= 0.5 else theta.canon((1, 2 * (1 - t))) for t in times)
+    return theta, StrandBundle(theta, times, (out_and_back, tuple(b for _ in times), out_and_back[::-1], tuple(b for _ in times)))
 
 
 # -- strand extraction ---------------------------------------------------
@@ -424,11 +435,8 @@ def test_block_dedup_matches_scalar_dedup_per_cell(monkeypatch):
         return got
 
     monkeypatch.setattr(moves, "_configurations", recorded)
-    theta = MetricGraph(2, ((0, 1, 1.0), (0, 1, 1.2), (0, 1, 0.8)))
+    theta, theta_bundle = out_and_back_theta_bundle()
     b = theta.vertex_point(0)
-    times = uniform_times(64)
-    out_and_back = tuple(theta.canon((0, 2 * t)) if t <= 0.5 else theta.canon((1, 2 * (1 - t))) for t in times)
-    theta_bundle = StrandBundle(theta, times, (out_and_back, tuple(b for _ in times), out_and_back[::-1], tuple(b for _ in times)))
     counts = []
     for run in (
         lambda: contract_pipeline(theta_bundle, SimplyConnected(4), b, resolution=(24, 48)),
@@ -447,3 +455,30 @@ def test_block_dedup_matches_scalar_dedup_per_cell(monkeypatch):
         want = [dedup(space, pts, cap=cap) for pts in point_lists]
         assert [repr(c.points) for c in got] == [repr(c.points) for c in want]
         assert all(c.cap == cap for c in got)
+
+
+@pytest.mark.parametrize("case", ["theta-bundle", "unbased-circle-loop"])
+def test_certificate_drift_and_constancy_match_the_oracle(case):
+    """endpoint_drift and target_constancy, read from the cell grid by the
+    batch kernel, equal the oracle Hausdorff maxima over the cells: the
+    endpoint columns against row 0, the last row against {b}."""
+    if case == "theta-bundle":
+        theta, loop = out_and_back_theta_bundle()
+        b = theta.vertex_point(0)
+        h, cert = contract_pipeline(loop, SimplyConnected(4), b, resolution=(24, 48))
+        metric = make_graph_point_metric(theta.edges, theta.num_vertices)
+    else:
+        b = 0.0
+        h, cert = contract_pipeline(generator_track(m=48, base=0.1), Inclusion(1), b, resolution=(16, 48))
+        metric = circle_point_metric(1.0)
+    first = h.cells[0]
+    drift = max(
+        max(oracle_hausdorff(metric, row[0].points, first[0].points),
+            oracle_hausdorff(metric, row[-1].points, first[-1].points))
+        for row in h.cells
+    )
+    constancy = max(oracle_hausdorff(metric, cell.points, [b]) for cell in h.cells[-1])
+    assert cert.endpoint_drift == drift
+    assert cert.target_constancy == constancy
+    if case == "unbased-circle-loop":
+        assert drift > 0.05  # column 0 moves from the loop's start to b

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from ranspace.errors import InvalidPoint
-from ranspace.ran import dedup, hausdorff
+from ranspace.ran import _pad_encode, batch_hausdorff, dedup, hausdorff
 from ranspace.space import Circle, GraphPoint, Interval, MetricGraph, distance, geodesic
-from ranspace.tracks import _pad_encode, batch_hausdorff
 
 
 def oracle_graph_distance(graph, p, q):
@@ -106,8 +105,8 @@ def test_geodesic_consistency(space):
 @pytest.mark.parametrize("space", SPACES, ids=["circle", "interval", "graph"])
 def test_pairwise_kernel_matches_scalar(space):
     """The batch Hausdorff kernel on random configurations of 1-4 points
-    agrees with the scalar metric: exactly on circle and interval, to the
-    last bits on graphs (the two sum path legs in different orders)."""
+    agrees exactly with scalar hausdorff, and with the max-min of the
+    scalar point distance, on every space."""
     rng = np.random.default_rng(2)
 
     def random_configs(count):
@@ -119,10 +118,9 @@ def test_pairwise_kernel_matches_scalar(space):
     configs_a, configs_b = random_configs(2000), random_configs(2000)
     batch = batch_hausdorff(space, _pad_encode(space, configs_a), _pad_encode(space, configs_b))
     for got, a, b in zip(batch, configs_a, configs_b):
-        if isinstance(space, MetricGraph):
-            assert got == pytest.approx(hausdorff(space, a, b), abs=1e-12)
-        else:
-            assert got == hausdorff(space, a, b)
+        forward = max(min(space.distance(p, q) for q in b.points) for p in a.points)
+        backward = max(min(space.distance(p, q) for p in a.points) for q in b.points)
+        assert got == hausdorff(space, a, b) == max(forward, backward)
 
 
 def test_invalid_points_rejected():

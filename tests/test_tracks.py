@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from ranspace.errors import AmbiguousLift, EndpointMismatch
-from ranspace.ran import configuration, hausdorff
+from ranspace.errors import AmbiguousLift, CapExceeded, EmptyConfiguration, EndpointMismatch, InvalidPoint
+from ranspace.ran import configuration, dedup, hausdorff
 from ranspace.space import Circle, GraphPoint, Interval, MetricGraph, geodesic
 from ranspace.tracks import (
     LOOP_TOL,
+    CellGrid,
     Homotopy,
     StrandBundle,
     Track,
@@ -15,6 +16,7 @@ from ranspace.tracks import (
     concatenate,
     conjugate,
     detect_branch_merge,
+    endpoint_drift,
     make_track,
     project,
     resample,
@@ -275,13 +277,50 @@ def test_loop_validation():
         make_track(C1, times, pts, cap=1, kind="loop")
 
 
+MAKE_TRACK_GRAPH = MetricGraph(2, ((0, 1, 1.0), (0, 1, 1.2), (0, 1, 0.8)))
+
+
+@pytest.mark.parametrize("space, point_lists, cap, error", [
+    (C1, [[0.3, 1.3 + 1e-12, 0.7], [1.0 - 1e-13], [0.25, -0.75, 0.5]], 2, None),
+    (Interval(2.0), [[2.0, 0.5, -0.0], [1e-13, 1.9]], 3, None),
+    (MAKE_TRACK_GRAPH, [[GraphPoint(0, 0.0), GraphPoint(1, 1e-13)], [(2, 0.5), (0, 1.0), (1, 1.0)]], 2, None),
+    (C1, [[0.1], []], 1, EmptyConfiguration),
+    (C1, [[0.1, 0.2], [0.3]], 1, CapExceeded),
+    (C1, [[0.1], [GraphPoint(0, 0.5)]], 1, InvalidPoint),
+    (Interval(1.0), [[0.5], [1.5]], 1, InvalidPoint),
+    (MAKE_TRACK_GRAPH, [[GraphPoint(0, 0.5)], [0.25]], 1, InvalidPoint),
+    (MAKE_TRACK_GRAPH, [[GraphPoint(0, 0.5)], [GraphPoint(7, 0.5)]], 1, InvalidPoint),
+    (MAKE_TRACK_GRAPH, [[GraphPoint(0, 0.5), GraphPoint(1, 0.25)], [GraphPoint(0, 0.5)]], 1, CapExceeded),
+], ids=["circle", "interval", "graph", "circle-empty", "circle-cap", "circle-graph-point",
+        "interval-outside", "graph-coordinate", "graph-edge-out-of-range", "graph-cap"])
+def test_make_track_matches_scalar_dedup(space, point_lists, cap, error):
+    """make_track's one array dedup gives the configurations, or raises
+    the error type, of scalar dedup on each point list."""
+    times = uniform_times(len(point_lists) - 1)
+    if error is None:
+        want = tuple(dedup(space, pts, cap=cap) for pts in point_lists)
+        got = make_track(space, times, point_lists, cap=cap).configs
+        assert got == want
+        assert [type(p) for c in got for p in c.points] == [type(p) for c in want for p in c.points]
+        return
+    with pytest.raises(error):
+        [dedup(space, pts, cap=cap) for pts in point_lists]
+    with pytest.raises(error):
+        make_track(space, times, point_lists, cap=cap)
+
+
+def test_make_track_rejects_nan_points():
+    with pytest.raises(InvalidPoint):
+        make_track(Interval(1.0), uniform_times(1), [[0.5], [0.2, math.nan]], cap=2)
+
+
 def test_homotopy_certificate_fields():
     from ranspace.moves import contract_circle_generator
 
     h = contract_circle_generator(1, resolution=(8, 16))
     report = check_continuity(h, math.inf)
     assert report.max_cardinality == 3
-    assert h.endpoint_drift == 0.0
+    assert endpoint_drift(CellGrid.of(h)) == 0.0
     assert report.max_gap > 0.0
 
 
