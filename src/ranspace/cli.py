@@ -36,7 +36,7 @@ from .moves import Inclusion, SimplyConnected, contract_pipeline
 from .ran import batch_hausdorff
 from .space import Circle, GraphPoint, MetricGraph
 from .svg import render_homotopy, render_track
-from .tracks import LOOP_TOL, check_continuity, endpoint_drift, within_bound
+from .tracks import LOOP_TOL, CellGrid, check_continuity, endpoint_drift, first_gap_over, within_bound
 
 # (exception types, exit code, stderr label): the first row that matches decides
 EXIT_CODES = (
@@ -143,18 +143,18 @@ def _stored_stages(stored: dict) -> list | None:
     return stages
 
 
-def _stage_mismatch(stages: list, counts) -> str | None:
+def _stage_mismatch(stages: list, grid: CellGrid) -> str | None:
     """The first stage whose row range or max cardinality the cells do not
     bear out; stages must chain, each starting on the row the last ended
     on, from row 0 to the last row."""
-    row = 0
+    row, rows = 0, len(grid.counts)
     for i, (name, first, last, card) in enumerate(stages):
-        if first != row or not first <= last < len(counts):
+        if first != row or not first <= last < rows:
             return f"stages[{i}] ({name}) row range"
-        if card != counts[first:last + 1].max():
+        if card != grid.max_cardinality(first, last):
             return f"stages[{i}] ({name}) max cardinality"
         row = last
-    if row != len(counts) - 1:
+    if row != rows - 1:
         return "stages row range"
     return None
 
@@ -188,7 +188,10 @@ def cmd_verify(homotopy_path, bound):
         click.echo("FAIL: cardinality exceeds declared cap", err=True)
         ok = False
     if not report.passed:
-        click.echo(f"FAIL: max gap {report.max_gap:.6g} exceeds bound * grid step", err=True)
+        row, col, way = first_gap_over(grid, bound * max(report.ds, report.dt))
+        pair = f"column {col + 1}" if way == "across" else f"row {row + 1}"
+        click.echo(f"FAIL: max gap {report.max_gap:.6g} exceeds bound * grid step "
+                   f"(first pair over it: row {row}, column {col} {way} to {pair})", err=True)
         ok = False
     last = grid.enc[-1]
     stray = np.flatnonzero((grid.counts[-1] != 1) | (batch_hausdorff(grid.space, last, last[:1, :1]) > LOOP_TOL))
@@ -211,7 +214,7 @@ def cmd_verify(homotopy_path, bound):
             if value is not None and abs(value - recomputed) > 1e-9:
                 click.echo(f"FAIL: stored certificate {label} does not match cells", err=True)
                 ok = False
-        mismatch = None if stages is None else _stage_mismatch(stages, grid.counts.max(axis=1))
+        mismatch = None if stages is None else _stage_mismatch(stages, grid)
         if mismatch is not None:
             click.echo(f"FAIL: stored certificate {mismatch} does not match cells", err=True)
             ok = False

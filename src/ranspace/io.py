@@ -12,6 +12,7 @@ checks; non-finite coordinates and grid values are schema errors.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import IO
 
 import numpy as np
@@ -62,6 +63,15 @@ def _point_lists(space: Space, configs) -> list:
     if isinstance(space, MetricGraph):
         return [list(map(point_to_json, c.points)) for c in configs]
     return [list(c.points) for c in configs]
+
+
+def _row_point_lists(space: Space, enc: np.ndarray, counts: np.ndarray) -> list:
+    """The points of each cell of one encoded grid row as JSON values."""
+    sizes = counts.tolist()
+    if isinstance(space, MetricGraph):
+        edges, ts = enc[..., 0].astype(np.intp).tolist(), enc[..., 1].tolist()
+        return [[{"edge": e, "t": t} for e, t in zip(es[:k], tt[:k])] for es, tt, k in zip(edges, ts, sizes)]
+    return [pts[:k] for pts, k in zip(enc.tolist(), sizes)]
 
 
 def _numbers(values, what: str) -> np.ndarray:
@@ -162,18 +172,19 @@ def track_to_json(track: Track) -> dict:
 def track_from_json(doc) -> Track:
     grid = grid_from_json(doc)
     try:
-        return Track(grid.space, tuple(grid.t_grid.tolist()), grid.configurations()[0], doc["kind"], grid.cap)
+        return Track(grid.space, tuple(grid.t_grid.tolist()), grid.row(0), doc["kind"], grid.cap)
     except (KeyError, RanspaceError, ValueError) as exc:
         raise SchemaError(f"bad track document: {exc}") from exc
 
 
 def homotopy_to_json(h: Homotopy, certificate: dict | None = None) -> dict:
+    grid = h.grid
     doc = {
         "space": space_to_json(h.space),
         "cap": h.cap,
-        "s_grid": list(h.s_grid),
-        "t_grid": list(h.t_grid),
-        "cells": [_point_lists(h.space, row) for row in h.cells],
+        "s_grid": grid.s_grid.tolist(),
+        "t_grid": grid.t_grid.tolist(),
+        "cells": [_row_point_lists(h.space, enc, counts) for enc, counts in zip(grid.enc, grid.counts)],
     }
     if certificate is not None:
         doc["certificate"] = certificate
@@ -186,8 +197,7 @@ def homotopy_from_json(doc) -> tuple[Homotopy, dict | None]:
     grid = grid_from_json(doc)
     certificate = certificate_from_json(doc)
     try:
-        h = Homotopy(grid.space, tuple(grid.s_grid.tolist()), tuple(grid.t_grid.tolist()),
-                     grid.configurations(), grid.cap)
+        h = Homotopy.from_grid(grid)
     except (RanspaceError, ValueError) as exc:
         raise SchemaError(f"bad homotopy document: {exc}") from exc
     return h, certificate
@@ -205,10 +215,19 @@ def _graph_point_text(p, pad: str) -> str:
     return f'{{\n{pad} "edge": {p["edge"]},\n{pad} "t": {p["t"]!r}\n{pad}}}'
 
 
-def _point_lists_text(value, pad: str) -> str:
+def _cells_template(sizes: tuple, pad: str) -> str:
+    """json.dumps(row, indent=1) at indent pad of a row of float lists of
+    the given sizes, with a %r field for each float."""
+    inner = pad + " "
+    sep = ",\n" + inner
+    cell = {k: "[\n" + inner + " " + (sep + " ").join(["%r"] * k) + "\n" + inner + "]" for k in set(sizes)}
+    return "[\n" + inner + sep.join(map(cell.__getitem__, sizes)) + "\n" + pad + "]"
+
+
+def _point_lists_text(value, pad: str, templates: dict) -> str:
     """json.dumps(value, indent=1), its first line at indent pad, for lists
     nested to any depth around lists of floats or graph points; TypeError
-    on anything else."""
+    on anything else.  templates caches _cells_template by (sizes, pad)."""
     if type(value) is not list:
         raise TypeError("not a list")
     if not value:
@@ -217,11 +236,18 @@ def _point_lists_text(value, pad: str) -> str:
     sep = ",\n" + inner
     first = value[0]
     if type(first) is list and first and type(first[0]) is float and all(value):
-        # a row of circle or interval cells: the hot loop, one level inlined
-        lead, close = "[\n" + inner + " ", "\n" + inner + "]"
-        body = sep.join([lead + (sep + " ").join(map(float.__repr__, v)) + close for v in value])
-    elif type(first) is list:
-        body = sep.join([_point_lists_text(v, inner) for v in value])
+        # a row of circle or interval cells, the hot loop: one %-format of
+        # the template for its cell sizes
+        points = tuple(chain.from_iterable(value))
+        if set(map(type, value)) != {list} or set(map(type, points)) != {float}:
+            raise TypeError("not a row of float lists")
+        key = (tuple(map(len, value)), pad)
+        template = templates.get(key)
+        if template is None:
+            template = templates[key] = _cells_template(*key)
+        return template % points
+    if type(first) is list:
+        body = sep.join([_point_lists_text(v, inner, templates) for v in value])
     elif type(first) is dict:
         body = sep.join([_graph_point_text(p, inner) for p in value])
     else:
@@ -229,10 +255,10 @@ def _point_lists_text(value, pad: str) -> str:
     return "[\n" + inner + body + "\n" + pad + "]"
 
 
-def _json_text(value, pad: str) -> str:
+def _json_text(value, pad: str, templates: dict) -> str:
     """json.dumps(value, indent=1) with its first line at indent pad."""
     try:
-        text = _point_lists_text(value, pad)
+        text = _point_lists_text(value, pad, templates)
         # finite float reprs hold no "n"; json writes nan and inf otherwise
         if "n" not in text:
             return text
@@ -246,12 +272,15 @@ def dump(doc: dict, fp: IO[str]) -> None:
     """Write json.dump(doc, fp, indent=1) and a newline, byte for byte.
 
     The point lists under "cells" and "configs" are written one row at a
-    time, from float.__repr__ strings joined under precomputed indents;
-    every other key goes through json.dumps.
+    time: a row of float lists is one %-format of a text template made
+    once per dump for each pattern of cell sizes, other point lists join
+    float.__repr__ strings under precomputed indents, and every other key
+    goes through json.dumps.
     """
     if not isinstance(doc, dict) or not doc:
         fp.write(json.dumps(doc, indent=1) + "\n")
         return
+    templates = {}
     sep = "{\n "
     for key, value in doc.items():
         fp.write(sep)
@@ -259,7 +288,7 @@ def dump(doc: dict, fp: IO[str]) -> None:
         if key in _POINT_LIST_KEYS and type(value) is list and value:
             fp.write(json.dumps(key) + ": [")
             for i, row in enumerate(value):
-                fp.write((",\n  " if i else "\n  ") + _json_text(row, "  "))
+                fp.write((",\n  " if i else "\n  ") + _json_text(row, "  ", templates))
             fp.write("\n ]")
         else:
             # {key: value} alone, less its braces: json's key coercion and indents

@@ -47,7 +47,7 @@ from .errors import (
     UnsupportedDegree,
 )
 # dedup and hausdorff are unused here, but perfbench/tracer.py rebinds them here
-from .ran import Configuration, _configurations, _pad_lists, as_configurations, batch_hausdorff, dedup, dedup_many, hausdorff
+from .ran import Configuration, _dedup_lists, _pad_lists, batch_hausdorff, dedup, dedup_many, hausdorff
 from .space import Circle, Point, Space
 from .tracks import (
     LOOP_TOL,
@@ -245,12 +245,19 @@ def _cells(grid: tuple, rows: int, f) -> list:
     return [f(i / rows, t) for i in range(rows + 1) for t in grid]
 
 
-def _block(space: Space, grid: tuple, rows: int, cap: int, cells: list) -> Homotopy:
-    """Homotopy block of rows + 1 rows on the time grid from its cells,
-    listed row by row."""
-    w = len(grid)
-    by_row = tuple(tuple(cells[i * w:(i + 1) * w]) for i in range(rows + 1))
-    return Homotopy(space, uniform_times(rows), grid, by_row, cap)
+def _block(space: Space, grid: tuple, rows: int, cap: int, enc: np.ndarray, counts: np.ndarray) -> Homotopy:
+    """Homotopy block of rows + 1 rows on the time grid from the padded
+    encoding of its cells, listed row by row, and their point counts."""
+    shape = (rows + 1, len(grid))
+    enc = enc.reshape(shape + enc.shape[1:])[:, :, :counts.max()]
+    s_grid = np.asarray(uniform_times(rows))
+    return Homotopy.from_grid(CellGrid(space, cap, s_grid, np.asarray(grid), enc, counts.reshape(shape)))
+
+
+def _dedup_block(space: Space, grid: tuple, rows: int, cap: int, point_lists: list) -> Homotopy:
+    """Block whose cells are dedup(space, pts, cap=cap) of the point
+    lists, listed row by row, from one dedup_many call."""
+    return _block(space, grid, rows, cap, *_dedup_lists(space, point_lists, cap))
 
 
 def _strand_block(space: Space, grid: tuple, rows: int, values: list) -> Homotopy:
@@ -258,7 +265,7 @@ def _strand_block(space: Space, grid: tuple, rows: int, values: list) -> Homotop
     cell, row by row, and a cell is the configuration of its strand
     values, capped at the strand count."""
     n = len(values)
-    return _block(space, grid, rows, n, _configurations(space, list(zip(*values)), n))
+    return _dedup_block(space, grid, rows, n, list(zip(*values)))
 
 
 def normalize(
@@ -343,9 +350,11 @@ def _normalize_track(
 
     # the reparametrization block reuses the input's cells without another
     # dedup: documents are only strictly sorted, not eps-separated
-    h1 = _block(space, grid, rows, n, _cells(grid, rows, lambda lam, t: _config_at(track, _dwell(lam, t))))
-    h2 = _block(space, grid, rows, n, _configurations(space, _cells(grid, rows, conj_points), n))
-    conjugated = Track(space, grid, h2.cells[-1], "loop", n)
+    source = CellGrid.of(track)
+    reads = _cells(grid, rows, lambda lam, t: nearest_sample(track.times, _dwell(lam, t)))
+    h1 = _block(space, grid, rows, n, source.enc[0, reads], source.counts[0, reads])
+    h2 = _dedup_block(space, grid, rows, n, _cells(grid, rows, conj_points))
+    conjugated = h2.row(-1)
     bundle = extract_strands(conjugated, matching_radius=matching_radius)
 
     # excursion rescheduling: stretch each strand's span away from b over
@@ -464,7 +473,7 @@ def contract_circle_generator(
     grid = uniform_times(m)
     s_grid = np.asarray(uniform_times(r))[:, None]
     kept, counts = dedup_many(space, turns * _generator_points(s_grid, np.asarray(grid)) * space.circumference)
-    return _block(space, grid, r, 3, as_configurations(space, kept.reshape(-1, 3), counts.ravel(), 3))
+    return _block(space, grid, r, 3, kept.reshape(-1, 3), counts.ravel())
 
 
 def pushforward_contraction(
@@ -485,7 +494,7 @@ def pushforward_contraction(
     r, m = resolution
     grid = uniform_times(m)
     pushed = _pushed(interp, uniform_times(r), grid)
-    return _block(space, grid, r, 3, _configurations(space, [pts for row in pushed for pts in row], 3))
+    return _dedup_block(space, grid, r, 3, [pts for row in pushed for pts in row])
 
 
 # -- the full pipeline --------------------------------------------------------
@@ -625,7 +634,7 @@ def contract_pipeline(
             for k in range(len(grid)):
                 pts = seen[k] + moving.get(k, [])
                 point_lists.append(pts if pts else [b])
-        blocks.append(_block(space, grid, block_rows, declared, _configurations(space, point_lists, declared)))
+        blocks.append(_dedup_block(space, grid, block_rows, declared, point_lists))
 
     homotopy = stack_homotopies(blocks)
     certificate = _certify(homotopy, declared, b, blocks)
@@ -637,16 +646,15 @@ def contract_pipeline(
 
 
 def _certify(homotopy: Homotopy, declared: int, b: Point, blocks: list) -> ContractionCertificate:
-    grid = CellGrid.of(homotopy)
+    grid = homotopy.grid
     report = check_continuity(grid, math.inf)
     target_constancy = float(batch_hausdorff(grid.space, grid.enc[-1], _pad_lists(grid.space, [[b]])).max())
     names = ["normalize", "staircase"] + [f"contract-window-{i}" for i in range(len(blocks) - 2)]
     stages = []
     row = 0
     for name, block in zip(names, blocks):
-        block_max = max(len(c) for cells in block.cells for c in cells)
         last = row + block.rows - 1
-        stages.append((name, row, last, block_max))
+        stages.append((name, row, last, grid.max_cardinality(row, last)))
         row = last
     return ContractionCertificate(
         max_cardinality=report.max_cardinality,

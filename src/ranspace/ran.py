@@ -13,6 +13,7 @@ the space's ``distance_many``.  Scalar ``hausdorff`` is one row of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
@@ -45,13 +46,15 @@ def dedup(space: Space, points: Sequence[Point], eps: float = DEDUP_EPS, cap: in
 
     Later points within eps of an already kept point are dropped, so kept
     points are pairwise more than eps apart.  The result is sorted in
-    canonical order.
+    canonical order.  A NaN point raises InvalidPoint, wherever it sits.
     """
     if len(points) == 0:
         raise EmptyConfiguration("cannot dedup an empty point list")
     kept: list = []
     for p in points:
         cp = space.canon(p)
+        if math.isnan(cp.t if isinstance(cp, GraphPoint) else cp):
+            raise InvalidPoint(f"NaN point on {space!r}")
         if all(space.distance(cp, k) > eps for k in kept):
             kept.append(cp)
     kept.sort(key=space.sort_key)
@@ -67,12 +70,19 @@ def _pad(space: Space, counts: np.ndarray, flat: np.ndarray) -> np.ndarray:
     coordinate (edge 0 and a NaN t on graphs), so leading axes slice and
     fancy-index the same way on every space.
     """
-    enc = np.full((len(counts), counts.max()) + flat.shape[1:], np.nan)
-    if isinstance(space, MetricGraph):
-        enc[..., 0] = 0.0
+    enc = _padding(space, (len(counts), counts.max()))
     rows = np.repeat(np.arange(len(counts)), counts)
     slots = np.arange(len(flat)) - np.repeat(np.cumsum(counts) - counts, counts)
     enc[rows, slots] = flat
+    return enc
+
+
+def _padding(space: Space, shape: tuple) -> np.ndarray:
+    """An encoding (see _pad) of cells shape[:-1] of width shape[-1] that
+    holds only padding slots."""
+    enc = np.full(shape + ((2,) if isinstance(space, MetricGraph) else ()), np.nan)
+    if isinstance(space, MetricGraph):
+        enc[..., 0] = 0.0
     return enc
 
 
@@ -104,8 +114,8 @@ def dedup_many(space: Space, enc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     empty slot.  The merge is the same greedy left-to-right pass as
     dedup, slot by slot: a point is kept when it is more than DEDUP_EPS
     from every point kept before it.  Returns each cell's kept canonical
-    points in sort_key order, padded with inf (edge 0 and a NaN t on
-    graphs), and how many each cell kept.
+    points in sort_key order, padded as _pad pads, and how many each cell
+    kept.
     """
     graph = isinstance(space, MetricGraph)
     x = space.canon_many(enc)
@@ -114,11 +124,15 @@ def dedup_many(space: Space, enc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for k in range(1, len(slots)):
         for j in range(k):
             keep[..., k] &= ~keep[..., j] | (space.distance_many(slots[k], slots[j]) > DEDUP_EPS)
+    counts = keep.sum(axis=-1)
     if not graph:
-        return np.sort(np.where(keep, x, np.inf), axis=-1), keep.sum(axis=-1)
+        # canonical points are finite, so only dropped slots sort as inf
+        kept = np.sort(np.where(keep, x, np.inf), axis=-1)
+        kept[kept == np.inf] = np.nan
+        return kept, counts
     order = np.lexsort((x[..., 1], np.where(keep, x[..., 0], np.inf)), axis=-1)
     x = np.where(keep[..., None], x, [0.0, np.nan])
-    return np.take_along_axis(x, order[..., None], axis=-2), keep.sum(axis=-1)
+    return np.take_along_axis(x, order[..., None], axis=-2), counts
 
 
 # kept points become Python objects a chunk of cells at a time: converting
@@ -144,9 +158,10 @@ def as_configurations(space: Space, kept: np.ndarray, counts: np.ndarray, cap: i
     return out
 
 
-def _configurations(space: Space, point_lists: Sequence[Sequence[Point]], cap: int) -> list:
-    """dedup(space, pts, cap=cap) of every point list, from one dedup_many
-    call on their padded encoding, with dedup's error types."""
+def _dedup_lists(space: Space, point_lists: Sequence[Sequence[Point]], cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """dedup_many's (kept, counts) for dedup(space, pts, cap=cap) of every
+    point list, from one call on their padded encoding, with dedup's
+    error types."""
     if not all(point_lists):
         raise EmptyConfiguration("cannot dedup an empty point list")
     try:
@@ -156,7 +171,9 @@ def _configurations(space: Space, point_lists: Sequence[Sequence[Point]], cap: i
     if np.count_nonzero(~np.isnan(_slot_values(space, enc))) != sum(map(len, point_lists)):
         raise InvalidPoint(f"NaN point on {space!r}")
     kept, counts = dedup_many(space, enc)
-    return as_configurations(space, kept, counts, cap)
+    if counts.max() > cap:
+        raise CapExceeded(f"{counts.max()} points with cap {cap}")
+    return kept, counts
 
 
 def configuration(space: Space, points: Iterable[Point], cap: int | None = None) -> Configuration:

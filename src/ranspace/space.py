@@ -226,20 +226,21 @@ class MetricGraph:
     def canon(self, p: Point) -> GraphPoint:
         if not isinstance(p, GraphPoint):
             if isinstance(p, (tuple, list)) and len(p) == 2:
-                p = GraphPoint(int(p[0]), float(p[1]))
+                p = GraphPoint(*p)
             else:
                 raise InvalidPoint(f"{p!r} is not a graph point")
-        if not 0 <= p.edge < len(self.edges):
+        # as canon_many: an edge index must be a whole number in range
+        if not 0 <= p.edge < len(self.edges) or p.edge != int(p.edge):
             raise InvalidPoint(f"edge index {p.edge} out of range")
-        t = float(p.t)
+        edge, t = int(p.edge), float(p.t)
         if t < -CANON_TOL or t > 1 + CANON_TOL:
             raise InvalidPoint(f"edge parameter {t} outside [0, 1]")
-        u, v, _ = self.edges[p.edge]
+        u, v, _ = self.edges[edge]
         if t < CANON_TOL:
             return self.vertex_point(u)
         if t > 1 - CANON_TOL:
             return self.vertex_point(v)
-        return GraphPoint(int(p.edge), t)
+        return GraphPoint(edge, t)
 
     def canon_many(self, p: np.ndarray) -> np.ndarray:
         """canon over an array of (edge, t) pairs (last axis), value for value."""

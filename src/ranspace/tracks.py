@@ -20,6 +20,7 @@ report.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import AmbiguousLift, EndpointMismatch, SpaceMismatch
 # dedup is unused here, but perfbench/tracer.py rebinds it here
-from .ran import Configuration, _configurations, _pad_encode, _slot_values, as_configurations, batch_hausdorff, dedup, hausdorff
+from .ran import Configuration, _dedup_lists, _pad_encode, _padding, as_configurations, batch_hausdorff, dedup, hausdorff
 from .space import Circle, Interval, Point, Space
 
 LOOP_TOL = 1e-9
@@ -85,7 +86,7 @@ class Track:
 
 
 def make_track(space: Space, times: Sequence[float], point_lists: Sequence[Sequence[Point]], cap: int, kind: str = "path") -> Track:
-    configs = tuple(_configurations(space, point_lists, cap))
+    configs = tuple(as_configurations(space, *_dedup_lists(space, point_lists, cap), cap))
     return Track(space, tuple(times), configs, kind, cap)
 
 
@@ -218,15 +219,27 @@ class CellGrid:
 
     @classmethod
     def of(cls, obj: Track | Homotopy) -> CellGrid:
-        if isinstance(obj, Track):
-            rows, s_grid, t_grid = (obj.configs,), (0.0,), obj.times
-        else:
-            rows, s_grid, t_grid = obj.cells, obj.s_grid, obj.t_grid
+        """A homotopy's own grid, or a track's configurations encoded as
+        one row at s = 0."""
+        if isinstance(obj, Homotopy):
+            return obj.grid
+        return cls.encode(obj.space, obj.cap, (0.0,), obj.times, (obj.configs,))
+
+    @classmethod
+    def encode(cls, space: Space, cap: int, s_grid, t_grid, rows) -> CellGrid:
+        """The grid of rows of Configurations, one row per s_grid sample."""
+        if any(len(row) != len(t_grid) for row in rows):
+            raise ValueError("ragged homotopy grid")
+        cells = [c for row in rows for c in row]
         shape = (len(rows), len(t_grid))
-        enc = _pad_encode(obj.space, [c for row in rows for c in row])
-        counts = np.count_nonzero(~np.isnan(_slot_values(obj.space, enc)), axis=-1)
-        return cls(obj.space, obj.cap, np.asarray(s_grid, dtype=float), np.asarray(t_grid, dtype=float),
+        enc = _pad_encode(space, cells)
+        counts = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
+        return cls(space, cap, np.asarray(s_grid, dtype=float), np.asarray(t_grid, dtype=float),
                    enc.reshape(shape + enc.shape[1:]), counts.reshape(shape))
+
+    def row(self, i: int) -> tuple:
+        """Row i's cells as Configurations of the grid's cap."""
+        return tuple(as_configurations(self.space, self.enc[i], self.counts[i], self.cap))
 
     def configurations(self) -> tuple:
         """The rows of cells as Configurations of the grid's cap."""
@@ -234,6 +247,10 @@ class CellGrid:
         flat = self.enc.reshape((rows * cols,) + self.enc.shape[2:])
         cells = as_configurations(self.space, flat, self.counts.ravel(), self.cap)
         return tuple(tuple(cells[i * cols:(i + 1) * cols]) for i in range(rows))
+
+    def max_cardinality(self, first: int, last: int) -> int:
+        """The largest cell of rows first to last: a stage's cardinality."""
+        return int(self.counts[first:last + 1].max())
 
 
 def endpoint_drift(grid: CellGrid) -> float:
@@ -243,13 +260,18 @@ def endpoint_drift(grid: CellGrid) -> float:
     return float(batch_hausdorff(grid.space, ends, ends[:1]).max())
 
 
+def _adjacent_gaps(space: Space, enc: np.ndarray) -> tuple:
+    """Hausdorff gaps of horizontal neighbours (rows, cols - 1) and of
+    vertical ones (rows - 1, cols), from slices of the encoding."""
+    return batch_hausdorff(space, enc[:, :-1], enc[:, 1:]), batch_hausdorff(space, enc[:-1], enc[1:])
+
+
 def check_continuity(obj, bound: float) -> ContinuityReport:
     """Certify that adjacent grid cells stay within bound * grid step.
 
-    Accepts a CellGrid, or a Track (a grid of one row) or Homotopy, which
-    is encoded into one first.  Horizontal and vertical neighbours are
-    slices of the encoding.  The report passes iff the maximum
-    adjacent-cell gap is at most bound * max(ds, dt).
+    Accepts a CellGrid, a Homotopy (its grid) or a Track (encoded as a
+    grid of one row).  The report passes iff the maximum adjacent-cell gap
+    is at most bound * max(ds, dt).
     """
     grid = obj if isinstance(obj, CellGrid) else CellGrid.of(obj)
     s_steps, t_steps = np.diff(grid.s_grid), np.diff(grid.t_grid)
@@ -261,8 +283,7 @@ def check_continuity(obj, bound: float) -> ContinuityReport:
     # its small arrays, left live, raised peak RSS by 0.7 MB over four
     # contract-theta passes
     del grid
-    across = batch_hausdorff(space, enc[:, :-1], enc[:, 1:])
-    down = batch_hausdorff(space, enc[:-1], enc[1:])
+    across, down = _adjacent_gaps(space, enc)
     gaps = np.concatenate([across.ravel(), down.ravel()])
     rates = np.concatenate([(across / t_steps).ravel(), (down / s_steps[:, None]).ravel()])
     max_gap, lips = float(gaps.max()), float(rates.max())
@@ -274,44 +295,87 @@ def within_bound(max_gap: float, ds: float, dt: float, bound: float) -> bool:
     return max_gap <= bound * max(ds, dt)
 
 
+def first_gap_over(grid: CellGrid, limit: float) -> tuple | None:
+    """The first adjacent pair of cells, in row-major order, whose gap
+    exceeds limit: (row, column, "across" to the next column or "down" to
+    the next row), a horizontal pair first on a tie; None if no pair does."""
+    across, down = _adjacent_gaps(grid.space, grid.enc)
+    hits = [(int(i), int(k), way) for gaps, way in ((across, "across"), (down, "down"))
+            for i, k in np.argwhere(gaps > limit)[:1]]
+    return min(hits, default=None)
+
+
 # -- homotopies ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Homotopy:
-    """Grid of configurations: rows are tracks, row 0 the source, the last
-    row the target.  check_continuity reports cardinality and adjacent-cell
-    gaps, and endpoint_drift how far the endpoint columns drift from the
-    source row."""
+    """Grid of configurations stored as one CellGrid: rows are tracks, row 0
+    the source, the last row the target.  check_continuity reports
+    cardinality and adjacent-cell gaps, and endpoint_drift how far the
+    endpoint columns drift from the source row.
 
-    space: Space
-    s_grid: tuple
-    t_grid: tuple
-    cells: tuple  # rows of Configuration tuples
-    cap: int
+    Homotopy(space, s_grid, t_grid, cells, cap) encodes rows of
+    Configurations; from_grid wraps a grid as is.  cells, the rows as
+    Configurations, is built on first access.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "t_grid", _validate_times(self.t_grid))
-        s = tuple(float(x) for x in self.s_grid)
-        if len(s) != len(self.cells):
-            raise ValueError("one row of cells per deformation sample")
-        if any(b <= a for a, b in zip(s, s[1:])):
-            raise ValueError("deformation grid must be strictly increasing")
-        object.__setattr__(self, "s_grid", s)
-        for row in self.cells:
-            if len(row) != len(self.t_grid):
-                raise ValueError("ragged homotopy grid")
-            for c in row:
-                if len(c) > self.cap:
-                    raise ValueError(f"cell of size {len(c)} exceeds cap {self.cap}")
+    grid: CellGrid
+
+    def __init__(self, space: Space, s_grid: Sequence[float], t_grid: Sequence[float], cells, cap: int):
+        grid = CellGrid.encode(space, cap, tuple(s_grid), tuple(t_grid), tuple(map(tuple, cells)))
+        object.__setattr__(self, "grid", _checked(grid))
+
+    @classmethod
+    def from_grid(cls, grid: CellGrid) -> Homotopy:
+        h = cls.__new__(cls)
+        object.__setattr__(h, "grid", _checked(grid))
+        return h
+
+    @property
+    def space(self) -> Space:
+        return self.grid.space
+
+    @property
+    def cap(self) -> int:
+        return self.grid.cap
+
+    @property
+    def s_grid(self) -> tuple:
+        return tuple(self.grid.s_grid.tolist())
+
+    @property
+    def t_grid(self) -> tuple:
+        return tuple(self.grid.t_grid.tolist())
 
     @property
     def rows(self) -> int:
-        return len(self.cells)
+        return len(self.grid.counts)
+
+    @functools.cached_property
+    def cells(self) -> tuple:
+        """Rows of Configuration tuples."""
+        return self.grid.configurations()
 
     def row(self, i: int) -> Track:
-        row = self.cells[i]
+        row = self.grid.row(i)
         return Track(self.space, self.t_grid, row, _kind(self.space, row), self.cap)
+
+
+def _checked(grid: CellGrid) -> CellGrid:
+    """grid, once its shapes agree, its time grid runs from 0 to 1, its s
+    grid strictly increases and no cell exceeds its cap; else ValueError."""
+    _validate_times(grid.t_grid.tolist())
+    if len(grid.s_grid) != len(grid.counts):
+        raise ValueError("one row of cells per deformation sample")
+    if not (np.diff(grid.s_grid) > 0).all():
+        raise ValueError("deformation grid must be strictly increasing")
+    if grid.counts.shape != (len(grid.s_grid), len(grid.t_grid)) or grid.enc.shape[:2] != grid.counts.shape:
+        raise ValueError("ragged homotopy grid")
+    biggest = int(grid.counts.max())
+    if biggest > grid.cap:
+        raise ValueError(f"cell of size {biggest} exceeds cap {grid.cap}")
+    return grid
 
 
 def stack_homotopies(blocks: Sequence[Homotopy]) -> Homotopy:
@@ -319,22 +383,27 @@ def stack_homotopies(blocks: Sequence[Homotopy]) -> Homotopy:
 
     Blocks must share space, cap and time grid, and each block's first row
     must repeat the previous block's last row; the duplicate seams are
-    dropped.  The output s grid is uniform.
+    dropped.  The encodings are padded to the widest block.  The output s
+    grid is uniform.
     """
-    first = blocks[0]
-    rows = [list(first.cells)]
-    for prev, nxt in zip(blocks, blocks[1:]):
-        if nxt.space != prev.space or nxt.t_grid != prev.t_grid:
+    grids = [b.grid for b in blocks]
+    space = grids[0].space
+    for prev, nxt in zip(grids, grids[1:]):
+        if nxt.space != prev.space or not np.array_equal(nxt.t_grid, prev.t_grid):
             raise SpaceMismatch("homotopy blocks disagree on space or grid")
-        seam = float(batch_hausdorff(
-            first.space, _pad_encode(first.space, prev.cells[-1]), _pad_encode(first.space, nxt.cells[0])
-        ).max())
+        seam = float(batch_hausdorff(space, prev.enc[-1], nxt.enc[0]).max())
         if seam > LOOP_TOL:
             raise EndpointMismatch(f"homotopy blocks fail to chain: seam gap {seam}")
-        rows.append(list(nxt.cells[1:]))
-    cells = tuple(c for block in rows for c in block)
-    cap = max(b.cap for b in blocks)
-    return Homotopy(first.space, uniform_times(len(cells) - 1), first.t_grid, cells, cap)
+    parts = [grids[0].enc] + [g.enc[1:] for g in grids[1:]]
+    counts = np.concatenate([grids[0].counts] + [g.counts[1:] for g in grids[1:]])
+    enc = _padding(space, counts.shape + (max(p.shape[2] for p in parts),))
+    row = 0
+    for part in parts:
+        enc[row:row + len(part), :, :part.shape[2]] = part
+        row += len(part)
+    s_grid = np.asarray(uniform_times(len(counts) - 1))
+    cap = max(g.cap for g in grids)
+    return Homotopy.from_grid(CellGrid(space, cap, s_grid, grids[0].t_grid, enc, counts))
 
 
 # -- branch and merge detection ----------------------------------------------

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import circle_point_metric, oracle_hausdorff
 from ranspace.io import (
     dump,
     homotopy_from_json,
@@ -147,6 +148,43 @@ def test_verify_rejects_open_rows(tmp_path):
     res = run_cli("verify", _write_doc(tmp_path / "open.json", doc))
     assert res.returncode == 1
     assert res.stderr.startswith("FAIL: row 1 is not a closed loop")
+    assert res.stdout.splitlines()[-1] == "FAIL"
+
+
+def _first_pair_over(doc, limit):
+    """(row, column, direction) of the first adjacent pair of cells, in
+    row-major order and horizontal first, whose oracle gap exceeds limit."""
+    metric = circle_point_metric(1.0)
+    cells = doc["cells"]
+    for i, row in enumerate(cells):
+        for k, cell in enumerate(row):
+            if k + 1 < len(row) and oracle_hausdorff(metric, cell, row[k + 1]) > limit:
+                return i, k, "across"
+            if i + 1 < len(cells) and oracle_hausdorff(metric, cell, cells[i + 1][k]) > limit:
+                return i, k, "down"
+    return None
+
+
+def test_verify_names_the_first_pair_over_the_bound(tmp_path):
+    """A continuity FAIL names the first adjacent pair over bound * grid
+    step: its row, column and direction."""
+    src = tmp_path / "loop.json"
+    out = tmp_path / "h.json"
+    write_generator_track(src)
+    assert run_cli("contract", src, "--cap", 1, "--out", out, "--resolution", 16, 32).returncode == 0
+    doc = json.loads(out.read_text())
+    cert = doc.pop("certificate")
+    bound = 4.0
+    limit = bound * max(cert["ds"], cert["dt"])
+    # move row 1's cell at column 5 half a turn
+    doc["cells"][1][5] = sorted(C1.canon(p + 0.5) for p in doc["cells"][1][5])
+    want = _first_pair_over(doc, limit)
+    assert want == (0, 5, "down")
+    res = run_cli("verify", _write_doc(tmp_path / "corrupt.json", doc), "--bound", bound)
+    assert res.returncode == 1
+    assert res.stderr.splitlines()[0] == (
+        "FAIL: max gap 0.5 exceeds bound * grid step (first pair over it: row 0, column 5 down to row 1)"
+    )
     assert res.stdout.splitlines()[-1] == "FAIL"
 
 

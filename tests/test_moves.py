@@ -427,14 +427,14 @@ def test_block_dedup_matches_scalar_dedup_per_cell(monkeypatch):
     cell's point list: the normalize, staircase and window blocks of theta
     bundles and of a raw circle track."""
     blocks = []
-    configurations = moves._configurations
+    dedup_block = moves._dedup_block
 
-    def recorded(space, point_lists, cap):
-        got = configurations(space, point_lists, cap)
-        blocks.append((space, point_lists, cap, got))
-        return got
+    def recorded(space, grid, rows, cap, point_lists):
+        block = dedup_block(space, grid, rows, cap, point_lists)
+        blocks.append((space, point_lists, cap, [c for row in block.cells for c in row]))
+        return block
 
-    monkeypatch.setattr(moves, "_configurations", recorded)
+    monkeypatch.setattr(moves, "_dedup_block", recorded)
     theta, theta_bundle = out_and_back_theta_bundle()
     b = theta.vertex_point(0)
     counts = []

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import circle_point_metric, make_graph_point_metric, oracle_hausdorff
-from ranspace.errors import CapExceeded, EmptyConfiguration, SpaceMismatch
+from ranspace.errors import CapExceeded, EmptyConfiguration, InvalidPoint, SpaceMismatch
 from ranspace.ran import DEDUP_EPS, Configuration, configuration, dedup, dedup_many, hausdorff, union
 from ranspace.space import CANON_TOL, Circle, GraphPoint, Interval, MetricGraph
 
@@ -266,3 +266,18 @@ def test_configuration_sorted_and_capped():
     assert c.points == (0.2, 0.7)
     with pytest.raises(CapExceeded):
         Configuration((0.1, 0.2), cap=1)
+
+
+@pytest.mark.parametrize("space, good, nan", [
+    (CIRCLE, 0.2, math.nan),
+    (Interval(1.0), 0.2, math.nan),
+    (THETA, GraphPoint(0, 0.2), GraphPoint(1, math.nan)),
+], ids=["circle", "interval", "theta"])
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_dedup_rejects_a_nan_point_wherever_it_sits(space, good, nan, where):
+    """Scalar dedup raises InvalidPoint on a NaN point, as the array path
+    (make_track) does, instead of keeping or dropping it by position."""
+    points = [good, good]
+    points.insert(where, nan)
+    with pytest.raises(InvalidPoint):
+        dedup(space, points)

@@ -142,3 +142,22 @@ def test_vertex_canonicalization_is_stable():
     # the same vertex reached through different edges canonicalizes identically
     assert g.canon(GraphPoint(0, 1.0)) == g.canon(GraphPoint(1, 0.0))
     assert g.canon(GraphPoint(3, 1.0)) == g.canon(GraphPoint(0, 0.0))
+
+
+@pytest.mark.parametrize("edge", [1.5, -1, 3, 2.0], ids=["fractional", "negative", "num-edges", "integral-float"])
+def test_scalar_and_array_canon_agree_on_edge_indices(edge):
+    """MetricGraph.canon and canon_many both reject an edge index that is
+    not a whole number in range, and agree on one that is."""
+    theta = MetricGraph(2, ((0, 1, 1.0), (0, 1, 1.2), (0, 1, 0.8)))
+    array = np.array([[edge, 0.5]])
+    if edge in (1.5, -1, 3):
+        with pytest.raises(InvalidPoint):
+            theta.canon_many(array)
+        for point in ((edge, 0.5), [edge, 0.5], GraphPoint(edge, 0.5)):
+            with pytest.raises(InvalidPoint):
+                theta.canon(point)
+        with pytest.raises(InvalidPoint):
+            dedup(theta, [(edge, 0.5)])
+        return
+    assert list(theta.canon((edge, 0.5))) == theta.canon_many(array)[0].tolist()
+    assert type(theta.canon((edge, 0.5)).edge) is int
