@@ -23,6 +23,7 @@ from .homology import (
     rips_persistence_h1,
     sample_ran,
 )
+# dump and homotopy_to_json are unused here, but perfbench/tracer.py rebinds them here
 from .io import (
     certificate_from_json,
     dump,
@@ -31,6 +32,7 @@ from .io import (
     homotopy_to_json,
     load,
     track_from_json,
+    write_homotopy,
 )
 from .moves import Inclusion, SimplyConnected, contract_pipeline
 from .ran import batch_hausdorff
@@ -115,7 +117,7 @@ def cmd_contract(input_path, mode, cap, basepoint, resolution, out, svg_dir, bou
         track, pipeline_mode, b, resolution=tuple(resolution), matching_radius=matching_radius
     )
     with open(out, "w") as fp:
-        dump(homotopy_to_json(homotopy, cert.as_dict()), fp)
+        write_homotopy(homotopy, cert.as_dict(), fp)
     if svg_dir is not None:
         render_homotopy(homotopy, svg_dir, basepoint=b)
     click.echo(
@@ -185,7 +187,8 @@ def cmd_verify(homotopy_path, bound):
         f"{report.max_cardinality} (cap {grid.cap}); max gap {report.max_gap:.6g}"
     )
     if report.max_cardinality > grid.cap:
-        click.echo("FAIL: cardinality exceeds declared cap", err=True)
+        row, col = np.argwhere(grid.counts > grid.cap)[0]
+        click.echo(f"FAIL: cardinality exceeds declared cap (first cell over it: row {row}, column {col})", err=True)
         ok = False
     if not report.passed:
         row, col, way = first_gap_over(grid, bound * max(report.ds, report.dt))

@@ -3,8 +3,9 @@
 Documents round-trip bit-exactly: floats are emitted with Python's
 shortest exact representation and loading rebuilds values without any
 renormalization that could move a bit.  ``dump`` writes exactly what
-``json.dump(doc, fp, indent=1)`` writes, plus a newline.  Reading goes
-through one decoder, ``grid_from_json``, which turns the cells of a
+``json.dump(doc, fp, indent=1)`` writes, plus a newline;
+``write_homotopy`` writes those bytes from a homotopy's grid.  Reading
+goes through one decoder, ``grid_from_json``, which turns the cells of a
 document into a ``CellGrid`` of canonical points with vectorized schema
 checks; non-finite coordinates and grid values are schema errors.
 """
@@ -12,7 +13,7 @@ checks; non-finite coordinates and grid values are schema errors.
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, islice
 from typing import IO
 
 import numpy as np
@@ -56,13 +57,6 @@ def point_to_json(p):
     if isinstance(p, GraphPoint):
         return {"edge": p.edge, "t": p.t}
     return p
-
-
-def _point_lists(space: Space, configs) -> list:
-    """The points of each configuration as JSON values."""
-    if isinstance(space, MetricGraph):
-        return [list(map(point_to_json, c.points)) for c in configs]
-    return [list(c.points) for c in configs]
 
 
 def _row_point_lists(space: Space, enc: np.ndarray, counts: np.ndarray) -> list:
@@ -160,12 +154,13 @@ def certificate_from_json(doc) -> dict | None:
 
 
 def track_to_json(track: Track) -> dict:
+    grid = CellGrid.of(track)
     return {
         "space": space_to_json(track.space),
         "cap": track.cap,
         "kind": track.kind,
         "times": list(track.times),
-        "configs": _point_lists(track.space, track.configs),
+        "configs": _row_point_lists(track.space, grid.enc[0], grid.counts[0]),
     }
 
 
@@ -216,11 +211,12 @@ def _graph_point_text(p, pad: str) -> str:
 
 
 def _cells_template(sizes: tuple, pad: str) -> str:
-    """json.dumps(row, indent=1) at indent pad of a row of float lists of
-    the given sizes, with a %r field for each float."""
+    """json.dumps(row, indent=1) at indent pad of a row of point lists of
+    the given sizes, with a %s field for each point's text (a float's
+    str is its repr)."""
     inner = pad + " "
     sep = ",\n" + inner
-    cell = {k: "[\n" + inner + " " + (sep + " ").join(["%r"] * k) + "\n" + inner + "]" for k in set(sizes)}
+    cell = {k: "[\n" + inner + " " + (sep + " ").join(["%s"] * k) + "\n" + inner + "]" for k in set(sizes)}
     return "[\n" + inner + sep.join(map(cell.__getitem__, sizes)) + "\n" + pad + "]"
 
 
@@ -293,6 +289,50 @@ def dump(doc: dict, fp: IO[str]) -> None:
         else:
             # {key: value} alone, less its braces: json's key coercion and indents
             fp.write(json.dumps({key: value}, indent=1)[3:-2])
+    fp.write("\n}\n")
+
+
+# cells write_homotopy formats at once: the strings of one chunk of rows,
+# not of the whole grid, are live at a time
+_WRITE_CELLS = 1 << 16
+
+
+def _point_texts(values: np.ndarray) -> list:
+    """The text dump writes for each point of an array of coordinates or
+    of (edge, t) rows, made once per distinct bit pattern, so that 0.0
+    and -0.0 keep their own text."""
+    graph = values.ndim == 2
+    distinct, where = np.unique(values.view(np.int64), return_inverse=True, axis=0 if graph else None)
+    if graph:
+        # at the indent of a point in a row of cells written at indent "  "
+        texts = [_graph_point_text({"edge": int(e), "t": t}, "    ") for e, t in distinct.view(float).tolist()]
+    else:
+        texts = list(map(float.__repr__, distinct.view(float).tolist()))
+    return list(map(texts.__getitem__, where.ravel().tolist()))
+
+
+def write_homotopy(h: Homotopy, certificate: dict | None, fp: IO[str]) -> None:
+    """Write dump(homotopy_to_json(h, certificate), fp), byte for byte,
+    with the cells formatted straight from h's grid, whose points are
+    finite: each distinct point becomes text once per chunk of rows, and
+    each row is one %-format of the text template for its cell sizes."""
+    grid = h.grid
+    head = {"space": space_to_json(h.space), "cap": h.cap, "s_grid": grid.s_grid.tolist(), "t_grid": grid.t_grid.tolist()}
+    # the document less its closing brace, its keys as dump writes them
+    fp.write(json.dumps(head, indent=1)[:-2] + ',\n "cells": [')
+    templates, sep = {}, "\n  "
+    step = max(1, _WRITE_CELLS // grid.counts.shape[1])
+    for first in range(0, len(grid.counts), step):
+        counts = grid.counts[first:first + step]
+        texts = iter(_point_texts(grid.enc[first:first + step][np.arange(grid.enc.shape[2]) < counts[..., None]]))
+        for sizes in map(tuple, counts.tolist()):
+            if sizes not in templates:
+                templates[sizes] = _cells_template(sizes, "  ")
+            fp.write(sep + templates[sizes] % tuple(islice(texts, sum(sizes))))
+            sep = ",\n  "
+    fp.write("\n ]")
+    if certificate is not None:
+        fp.write(",\n " + json.dumps({"certificate": certificate}, indent=1)[3:-2])
     fp.write("\n}\n")
 
 

@@ -35,20 +35,21 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import (
     AmbiguousBranching,
+    CapExceeded,
+    EmptyConfiguration,
     EndpointMismatch,
     ModeViolation,
     UnsupportedDegree,
 )
 # dedup and hausdorff are unused here, but perfbench/tracer.py rebinds them here
-from .ran import Configuration, _dedup_lists, _pad_lists, batch_hausdorff, dedup, dedup_many, hausdorff
-from .space import Circle, Point, Space
+from .ran import _pad_lists, _padding, batch_hausdorff, dedup, dedup_many, hausdorff
+from .space import Circle, MetricGraph, Point, Space
 from .tracks import (
     LOOP_TOL,
     CellGrid,
@@ -56,6 +57,8 @@ from .tracks import (
     StrandBundle,
     StrandInterpolator,
     Track,
+    _distances,
+    _slot_points,
     check_continuity,
     circle_lift,
     endpoint_drift,
@@ -214,58 +217,57 @@ def extract_strands(track: Track, matching_radius: float | None = None) -> Stran
 # -- normalization ------------------------------------------------------------
 
 
-def _config_at(track: Track, t: float) -> Configuration:
-    return track.configs[nearest_sample(track.times, t)]
+def _block_cells(rows: int, grid: tuple) -> tuple:
+    """The cells (s, t) of a block of rows + 1 rows on the time grid, as a
+    column of s and a row of t that broadcast to the block's shape."""
+    return np.asarray(uniform_times(rows))[:, None], np.asarray(grid)
 
 
-def _dwell(lam: float, t: float) -> float:
+def _dwell_reads(lam, t) -> np.ndarray:
     """Reparametrization sliding (lam from 0 to 1) onto a schedule that
-    dwells at the ends of [0, 1/4] and [3/4, 1] and runs the loop between."""
-    return (1.0 - lam) * t + lam * min(max((t - 0.25) * 2.0, 0.0), 1.0)
+    dwells at the ends of [0, 1/4] and [3/4, 1] and runs the loop between,
+    at the broadcast cells (lam, t)."""
+    return (1.0 - lam) * t + lam * np.clip((t - 0.25) * 2.0, 0.0, 1.0)
 
 
-def _conjugation(s: float, t: float) -> tuple:
-    """Where the block conjugating a loop by a connector path reads at
-    (s, t): (True, u) for the connector at u, (False, u) for the loop at u.
+def _conjugation_reads(s, t) -> tuple:
+    """Where the block conjugating a loop by a connector path reads at the
+    broadcast cells (s, t): a mask of the cells that read the connector,
+    and the parameter u each cell reads the connector or the loop at.
 
     On [0, 1/4] and [3/4, 1] the connector is read at a parameter warped
     by s (the whole connector at s = 0, its far end only at s = 1); in
     between the loop runs at double speed.
     """
-    if t <= 0.25:
-        return True, (1.0 - s) + (t / 0.25) * s
-    if t >= 0.75:
-        return True, (1.0 - s) + ((1.0 - t) / 0.25) * s
-    return False, (t - 0.25) * 2.0
+    early, late = t <= 0.25, t >= 0.75
+    u = np.select([early, late], [(1.0 - s) + (t / 0.25) * s, (1.0 - s) + ((1.0 - t) / 0.25) * s], (t - 0.25) * 2.0)
+    return np.broadcast_to(early | late, u.shape), u
 
 
-def _cells(grid: tuple, rows: int, f) -> list:
-    """f(i / rows, t) over the cells of a block of rows + 1 rows on the
-    time grid, row by row."""
-    return [f(i / rows, t) for i in range(rows + 1) for t in grid]
+def _block(space: Space, grid: tuple, cap: int, kept: np.ndarray, counts: np.ndarray) -> Homotopy:
+    """Homotopy block on the time grid from the padded encoding of its
+    cells, shaped (rows, columns, slots) (then (edge, t) on graphs), and
+    their point counts."""
+    s_grid = np.asarray(uniform_times(len(counts) - 1))
+    return Homotopy.from_grid(CellGrid(space, cap, s_grid, np.asarray(grid), kept[:, :, :counts.max()], counts))
 
 
-def _block(space: Space, grid: tuple, rows: int, cap: int, enc: np.ndarray, counts: np.ndarray) -> Homotopy:
-    """Homotopy block of rows + 1 rows on the time grid from the padded
-    encoding of its cells, listed row by row, and their point counts."""
-    shape = (rows + 1, len(grid))
-    enc = enc.reshape(shape + enc.shape[1:])[:, :, :counts.max()]
-    s_grid = np.asarray(uniform_times(rows))
-    return Homotopy.from_grid(CellGrid(space, cap, s_grid, np.asarray(grid), enc, counts.reshape(shape)))
+def _slots_block(space: Space, grid: tuple, cap: int, enc: np.ndarray) -> Homotopy:
+    """Block whose cells are dedup(space, pts, cap=cap) of the points in
+    each cell's slots of a padded encoding, NaN slots skipped, from one
+    dedup_many call."""
+    kept, counts = dedup_many(space, enc)
+    if counts.min() < 1:
+        raise EmptyConfiguration("a block cell has no point")
+    if counts.max() > cap:
+        raise CapExceeded(f"{counts.max()} points with cap {cap}")
+    return _block(space, grid, cap, kept, counts)
 
 
-def _dedup_block(space: Space, grid: tuple, rows: int, cap: int, point_lists: list) -> Homotopy:
-    """Block whose cells are dedup(space, pts, cap=cap) of the point
-    lists, listed row by row, from one dedup_many call."""
-    return _block(space, grid, rows, cap, *_dedup_lists(space, point_lists, cap))
-
-
-def _strand_block(space: Space, grid: tuple, rows: int, values: list) -> Homotopy:
-    """Block moving strands: values[j] lists strand j's value at every
-    cell, row by row, and a cell is the configuration of its strand
-    values, capped at the strand count."""
-    n = len(values)
-    return _dedup_block(space, grid, rows, n, list(zip(*values)))
+def _strand_slots(space: Space, values: list) -> np.ndarray:
+    """Strand values at a block's cells, one array per strand as
+    StrandInterpolator.many gives them, as one encoding: strand j in slot j."""
+    return np.stack(values, axis=-2 if isinstance(space, MetricGraph) else -1)
 
 
 def normalize(
@@ -289,43 +291,34 @@ def normalize(
     if isinstance(obj, StrandBundle):
         if not obj.is_loop():
             return normalize(project(obj), b, rows=rows, m=m, matching_radius=matching_radius)
-        if obj.based_at(b):
-            out = obj if m is None else _resample_bundle(obj, uniform_times(m))
-            proj = project(out)
-            ident = Homotopy(space, (0.0, 1.0), proj.times, (proj.configs, proj.configs), out.n)
-            return out, ident
         grid = obj.times if m is None else uniform_times(m)
-        return _normalize_bundle(obj, b, rows, grid)
+        if not obj.based_at(b):
+            return _normalize_bundle(obj, b, rows, grid)
+        out = obj if obj.times == grid else StrandBundle(space, grid, tuple(
+            _slot_points(space, obj.interpolator(j).many(grid)) for j in range(obj.n)))
+        proj = project(out)
+        return out, Homotopy(space, (0.0, 1.0), proj.times, (proj.configs, proj.configs), out.n)
     if obj.kind != "loop":
         raise EndpointMismatch("normalization needs a loop")
     grid = uniform_times(m if m is not None else len(obj.times) - 1)
     return _normalize_track(obj, b, rows, grid, matching_radius)
 
 
-def _resample_bundle(bundle: StrandBundle, grid: tuple) -> StrandBundle:
-    if bundle.times == grid:
-        return bundle
-    interps = [bundle.interpolator(j) for j in range(bundle.n)]
-    return StrandBundle(
-        bundle.space, grid, tuple(tuple(itp.many(grid)) for itp in interps)
-    )
-
-
 def _normalize_bundle(bundle: StrandBundle, b: Point, rows: int, grid: tuple) -> tuple[StrandBundle, Homotopy]:
     """Conjugate each strand by the geodesic from b to its own basepoint."""
     space = bundle.space
     interps = [bundle.interpolator(j) for j in range(bundle.n)]
-    dwell = _cells(grid, rows, _dwell)
-    h1 = _strand_block(space, grid, rows, [itp.many(dwell) for itp in interps])
+    s, t = _block_cells(rows, grid)
+    h1 = _slots_block(space, grid, bundle.n, _strand_slots(space, [itp.many(_dwell_reads(s, t)) for itp in interps]))
 
-    reads = _cells(grid, rows, _conjugation)
-    loop_u = [u for on_connector, u in reads if not on_connector]
+    on_connector, u = _conjugation_reads(s, t)
     values = []
     for strand, itp in zip(bundle.strands, interps):
-        loop = iter(itp.many(loop_u))
-        values.append([space.geodesic(b, strand[0], u) if on_connector else next(loop) for on_connector, u in reads])
-    h2 = _strand_block(space, grid, rows, values)
-    out = StrandBundle(space, grid, tuple(tuple(v[-len(grid):]) for v in values))
+        v = itp.many(u)
+        v[on_connector] = space.geodesic_many(b, strand[0], u[on_connector])
+        values.append(v)
+    h2 = _slots_block(space, grid, bundle.n, _strand_slots(space, values))
+    out = StrandBundle(space, grid, tuple(_slot_points(space, v[-1]) for v in values))
     return out, stack_homotopies([h1, h2])
 
 
@@ -335,25 +328,28 @@ def _normalize_track(
     space = track.space
     n = track.cap
     m = len(grid) - 1
-    sigma0 = track.configs[0]
-    dists = [space.distance(b, q) for q in sigma0.points]
-    pstar = sigma0.points[min(range(len(sigma0)), key=lambda k: (dists[k], k))]
-
-    def gamma(u: float) -> list:
-        if u <= 0.5:
-            return [space.geodesic(b, pstar, 2.0 * u)]
-        return [space.geodesic(pstar, q, 2.0 * u - 1.0) for q in sigma0.points]
-
-    def conj_points(s, t):
-        on_connector, u = _conjugation(s, t)
-        return gamma(u) if on_connector else _config_at(track, u).points
+    source = CellGrid.of(track)
+    sigma0 = track.configs[0].points
+    # the point of the first configuration nearest b, the first on a tie
+    pstar = sigma0[int(np.argmin(_distances(space, sigma0, b)))]
+    s, t = _block_cells(rows, grid)
 
     # the reparametrization block reuses the input's cells without another
     # dedup: documents are only strictly sorted, not eps-separated
-    source = CellGrid.of(track)
-    reads = _cells(grid, rows, lambda lam, t: nearest_sample(track.times, _dwell(lam, t)))
-    h1 = _block(space, grid, rows, n, source.enc[0, reads], source.counts[0, reads])
-    h2 = _dedup_block(space, grid, rows, n, _cells(grid, rows, conj_points))
+    reads = nearest_sample(track.times, _dwell_reads(s, t))
+    h1 = _block(space, grid, n, source.enc[0, reads], source.counts[0, reads])
+
+    # the conjugation block: loop cells read the input's cells; connector
+    # cells read the path from b to pstar (one point), then from pstar out
+    # to every point of the first configuration
+    on_connector, u = _conjugation_reads(s, t)
+    enc = source.enc[0, nearest_sample(track.times, u)]
+    enc[on_connector] = _padding(space, enc.shape[2:3])
+    to_pstar, fan = on_connector & (u <= 0.5), on_connector & (u > 0.5)
+    enc[to_pstar, 0] = space.geodesic_many(b, pstar, 2.0 * u[to_pstar])
+    for k, q in enumerate(sigma0):
+        enc[fan, k] = space.geodesic_many(pstar, q, 2.0 * u[fan] - 1.0)
+    h2 = _slots_block(space, grid, n, enc)
     conjugated = h2.row(-1)
     bundle = extract_strands(conjugated, matching_radius=matching_radius)
 
@@ -362,32 +358,21 @@ def _normalize_track(
     interps = [bundle.interpolator(j) for j in range(n)]
     spans = []
     for strand in bundle.strands:
-        away = [i for i, p in enumerate(strand) if space.distance(p, b) > LOOP_TOL]
-        if not away:
-            spans.append((0.0, 1.0))
-        else:
-            spans.append((grid[max(away[0] - 1, 0)], grid[min(away[-1] + 1, m)]))
-
-    def sched(t0, t1):
-        return lambda lam, t: (1.0 - lam) * t + lam * (t0 + t * (t1 - t0))
-
-    values = [itp.many(_cells(grid, rows, sched(*span))) for itp, span in zip(interps, spans)]
-    h3 = _strand_block(space, grid, rows, values)
-    out = StrandBundle(space, grid, tuple(tuple(v[-len(grid):]) for v in values))
+        away = np.flatnonzero(_distances(space, strand, b) > LOOP_TOL)
+        spans.append((grid[max(away[0] - 1, 0)], grid[min(away[-1] + 1, m)]) if len(away) else (0.0, 1.0))
+    values = [itp.many((1.0 - s) * t + s * (t0 + t * (t1 - t0))) for itp, (t0, t1) in zip(interps, spans)]
+    h3 = _slots_block(space, grid, n, _strand_slots(space, values))
+    out = StrandBundle(space, grid, tuple(_slot_points(space, v[-1]) for v in values))
     return out, stack_homotopies([h1, h2, h3])
 
 
 # -- staircase ----------------------------------------------------------------
 
 
-def _common_basepoint(bundle: StrandBundle) -> Point:
-    space = bundle.space
-    base = bundle.strands[0][0]
-    for s in bundle.strands:
-        for p in (s[0], s[-1]):
-            if space.distance(p, base) > LOOP_TOL:
-                raise EndpointMismatch("staircase needs all strand endpoints to coincide")
-    return base
+def _check_common_basepoint(bundle: StrandBundle) -> None:
+    ends = [p for s in bundle.strands for p in (s[0], s[-1])]
+    if (_distances(bundle.space, ends, ends[0]) > LOOP_TOL).any():
+        raise EndpointMismatch("staircase needs all strand endpoints to coincide")
 
 
 def staircase(bundle: StrandBundle) -> StrandBundle:
@@ -396,7 +381,7 @@ def staircase(bundle: StrandBundle) -> StrandBundle:
     At any time at most one strand is away from the shared endpoint value,
     so the projected track has at most two distinct points.
     """
-    _common_basepoint(bundle)
+    _check_common_basepoint(bundle)
     n = bundle.n
     m = len(bundle.times) - 1
     out_times = uniform_times(n * m)
@@ -404,7 +389,7 @@ def staircase(bundle: StrandBundle) -> StrandBundle:
     strands = []
     for j, strand in enumerate(bundle.strands):
         # the strand's own window [j/n, (j+1)/n] holds its samples 1..m-1
-        inner = strand[1:m] if aligned else bundle.interpolator(j).many([idx / m for idx in range(1, m)])
+        inner = strand[1:m] if aligned else _slot_points(bundle.space, bundle.interpolator(j).many(np.arange(1, m) / m))
         strands.append((strand[0],) * (j * m + 1) + tuple(inner) + (strand[-1],) * ((n - 1 - j) * m + 1))
     return StrandBundle(bundle.space, out_times, tuple(strands))
 
@@ -448,14 +433,12 @@ def _generator_points(s, t) -> np.ndarray:
     return np.stack([np.select(conds, [pts[k] for _, pts in cases]) for k in range(3)], axis=-1)
 
 
-def _pushed(interp: StrandInterpolator, s_grid: Sequence[float], times: Sequence[float], u0: float = 0.0, u1: float = 1.0) -> list:
-    """The one-turn contraction at the cells s_grid x times mapped through
-    a strand, its unit parameter rescaled onto the strand's [u0, u1]:
-    rows of per-cell point lists, from one interpolator call."""
-    u = u0 + _UNIT.canon_many(_generator_points(np.asarray(s_grid)[:, None], np.asarray(times))) * (u1 - u0)
-    valid = ~np.isnan(u)
-    points = iter(interp.many(u[valid]))
-    return [[list(islice(points, k)) for k in row] for row in valid.sum(axis=-1).tolist()]
+def _pushed(interp: StrandInterpolator, s, t, u0: float = 0.0, u1: float = 1.0) -> np.ndarray:
+    """The one-turn contraction at the broadcast cells (s, t) mapped through
+    a strand, its unit parameter rescaled onto the strand's [u0, u1]: each
+    cell's three slots as StrandInterpolator.many gives them, NaN past the
+    cell's last point, from one interpolator call."""
+    return interp.many(u0 + _UNIT.canon_many(_generator_points(s, t)) * (u1 - u0))
 
 
 def contract_circle_generator(
@@ -471,9 +454,8 @@ def contract_circle_generator(
         raise UnsupportedDegree(f"turns must be +1 or -1, got {turns}")
     r, m = resolution
     grid = uniform_times(m)
-    s_grid = np.asarray(uniform_times(r))[:, None]
-    kept, counts = dedup_many(space, turns * _generator_points(s_grid, np.asarray(grid)) * space.circumference)
-    return _block(space, grid, r, 3, kept.reshape(-1, 3), counts.ravel())
+    s, t = _block_cells(r, grid)
+    return _slots_block(space, grid, 3, turns * _generator_points(s, t) * space.circumference)
 
 
 def pushforward_contraction(
@@ -493,8 +475,7 @@ def pushforward_contraction(
     interp = StrandInterpolator(space, uniform_times(len(strand) - 1), strand)
     r, m = resolution
     grid = uniform_times(m)
-    pushed = _pushed(interp, uniform_times(r), grid)
-    return _dedup_block(space, grid, r, 3, [pts for row in pushed for pts in row])
+    return _slots_block(space, grid, 3, _pushed(interp, *_block_cells(r, grid)))
 
 
 # -- the full pipeline --------------------------------------------------------
@@ -525,18 +506,14 @@ def _lap_cuts(space: Space, strand: Sequence[Point], times: Sequence[float]) -> 
     w = winding_number(space, strand)
     if abs(w) < 2:
         return [0.0, 1.0]
-    lifts = circle_lift(space, strand)
-    c = space.circumference
+    lifts, times = circle_lift(space, strand), np.asarray(times)
+    lo, hi = lifts[:-1], lifts[1:]
     cuts = [0.0]
     for i in range(1, abs(w)):
-        level = lifts[0] + math.copysign(i * c, w)
-        for k in range(len(lifts) - 1):
-            lo, hi = lifts[k], lifts[k + 1]
-            if (lo - level) * (hi - level) <= 0.0 and lo != hi:
-                u = times[k] + (level - lo) / (hi - lo) * (times[k + 1] - times[k])
-                if u > cuts[-1]:
-                    cuts.append(float(u))
-                    break
+        level = lifts[0] + math.copysign(i * space.circumference, w)
+        k = np.flatnonzero(((lo - level) * (hi - level) <= 0.0) & (lo != hi))
+        u = times[k] + (level - lo[k]) / (hi[k] - lo[k]) * (times[k + 1] - times[k])
+        cuts.extend(u[u > cuts[-1]][:1].tolist())
     cuts.append(1.0)
     return cuts
 
@@ -554,13 +531,15 @@ def _schedule(space: Space, bundle: StrandBundle) -> list:
     return windows
 
 
-def _rho(windows: list, j: int, t: float) -> float:
+def _staircase_u(windows: list, j: int, t: np.ndarray) -> np.ndarray:
+    """Strand j's parameter at the times t on the windowed schedule: 0
+    up to its first window, 1 from the end of its last, by the first of
+    its windows holding t in between, else 1."""
     own = [w for w in windows if w.strand == j]
-    if t <= own[0].t0:
-        return 0.0
-    if t >= own[-1].t1:
-        return 1.0
-    return next((w.u(t) for w in own if w.t0 <= t <= w.t1), 1.0)
+    u = np.ones_like(t)
+    for w in reversed(own):
+        u = np.where((w.t0 <= t) & (t <= w.t1), w.u(t), u)
+    return np.where(t <= own[0].t0, 0.0, np.where(t >= own[-1].t1, 1.0, u))
 
 
 def contract_pipeline(
@@ -595,46 +574,36 @@ def contract_pipeline(
 
     # staircase block: slide from the identity schedule to the windowed
     # one (one-turn splitting rides on the same reparametrization)
-    def sched(j):
-        return lambda lam, t: (1.0 - lam) * t + lam * _rho(windows, j, t)
-
-    values = [itp.many(_cells(grid, block_rows, sched(j))) for j, itp in enumerate(interps)]
-    h_stair = _strand_block(space, grid, block_rows, values)
+    s, t = _block_cells(block_rows, grid)
+    stair_u = np.array([_staircase_u(windows, j, t) for j in range(n_strands)])
+    values = [itp.many((1.0 - s) * t + s * stair_u[j]) for j, itp in enumerate(interps)]
+    h_stair = _slots_block(space, grid, n_strands, _strand_slots(space, values))
 
     declared = mode.declared_cap
     blocks = [h_norm, h_stair]
 
-    # owner[j][k]: index of the first window of strand j holding grid[k]
-    # (None if none does); frozen[j][k]: strand j's value there, by the
+    # owner[j, k]: index of the first window of strand j holding grid[k]
+    # (len(windows) if none does); frozen: strand j's value there, by the
     # owner's schedule if there is one, else by the staircase schedule
-    owner = [
-        [next((i for i, w in enumerate(windows) if w.strand == j and w.t0 <= t <= w.t1), None) for t in grid]
-        for j in range(n_strands)
-    ]
-    frozen = [
-        interps[j].many([_rho(windows, j, t) if o is None else windows[o].u(t) for t, o in zip(grid, owner[j])])
-        for j in range(n_strands)
-    ]
+    owner = np.full((n_strands, len(grid)), len(windows))
+    frozen_u = stair_u.copy()
+    for i, win in reversed(list(enumerate(windows))):
+        inside = (win.t0 <= t) & (t <= win.t1)
+        owner[win.strand, inside] = i
+        frozen_u[win.strand, inside] = win.u(t[inside])
+    frozen = _strand_slots(space, [itp.many(u) for itp, u in zip(interps, frozen_u)])
 
-    s_grid = uniform_times(block_rows)
     for i, win in enumerate(windows):
-        inside = [k for k, t in enumerate(grid) if win.t0 <= t <= win.t1]
-        local = [(grid[k] - win.t0) / (win.t1 - win.t0) for k in inside]
-        pushed = _pushed(interps[win.strand], s_grid, local, win.u0, win.u1)
+        inside = (win.t0 <= t) & (t <= win.t1)
+        moving = _padding(space, (block_rows + 1, len(grid), 3))
+        moving[:, inside] = _pushed(interps[win.strand], s, (t[inside] - win.t0) / (win.t1 - win.t0), win.u0, win.u1)
         # every strand but the window's own as window i sees it: at b where
         # an earlier window has already contracted it
-        seen = [
-            [b if owner[j][k] is not None and owner[j][k] < i else frozen[j][k]
-             for j in range(n_strands) if not (j == win.strand and win.t0 <= t <= win.t1)]
-            for k, t in enumerate(grid)
-        ]
-        point_lists = []
-        for row in pushed:
-            moving = dict(zip(inside, row))
-            for k in range(len(grid)):
-                pts = seen[k] + moving.get(k, [])
-                point_lists.append(pts if pts else [b])
-        blocks.append(_dedup_block(space, grid, block_rows, declared, point_lists))
+        seen = frozen.copy()
+        seen[owner.T < i] = b
+        seen[inside, win.strand] = _padding(space, ())
+        seen = np.broadcast_to(seen, moving.shape[:2] + seen.shape[1:])
+        blocks.append(_slots_block(space, grid, declared, np.concatenate([seen, moving], axis=2)))
 
     homotopy = stack_homotopies(blocks)
     certificate = _certify(homotopy, declared, b, blocks)

@@ -76,13 +76,17 @@ class Circle:
         return np.minimum(raw, self.circumference - raw, out=raw if isinstance(raw, np.ndarray) else None)
 
     def geodesic(self, p: float, q: float, s: float) -> float:
+        return float(self.geodesic_many(p, q, np.array([s]))[0])
+
+    def geodesic_many(self, p: float, q: float, s: np.ndarray) -> np.ndarray:
+        """geodesic from p to q at every s of an array, value for value."""
         c = self.circumference
         a, b = self.canon(p), self.canon(q)
         forward = (b - a) % c
         # forward == c/2 is the antipodal tie: go with increasing coordinate
         if forward <= c / 2.0:
-            return self.canon(a + s * forward)
-        return self.canon(a - s * (c - forward))
+            return self.canon_many(a + s * forward)
+        return self.canon_many(a - s * (c - forward))
 
     def sort_key(self, p: float):
         return (self.canon(p),)
@@ -104,10 +108,7 @@ class Interval:
     def canon(self, p: Point) -> float:
         if isinstance(p, GraphPoint):
             raise InvalidPoint(f"graph point {p!r} on an interval")
-        x = float(p)
-        if x < -CANON_TOL or x > self.length + CANON_TOL:
-            raise InvalidPoint(f"{x} outside [0, {self.length}]")
-        return min(max(x, 0.0), self.length)
+        return float(self.canon_many(np.array(float(p))))
 
     def canon_many(self, x: np.ndarray) -> np.ndarray:
         """canon over an array of coordinates, value for value; NaN stays
@@ -127,6 +128,10 @@ class Interval:
         return np.abs(x - y)
 
     def geodesic(self, p: float, q: float, s: float) -> float:
+        return float(self.geodesic_many(p, q, np.array([s]))[0])
+
+    def geodesic_many(self, p: float, q: float, s: np.ndarray) -> np.ndarray:
+        """geodesic from p to q at every s of an array, value for value."""
         a, b = self.canon(p), self.canon(q)
         return a + s * (b - a)
 
@@ -158,23 +163,8 @@ class MetricGraph:
                 raise ValueError(f"edge endpoint out of range: {(u, v, l)}")
             if not 0 < l < math.inf:
                 raise ValueError("edge lengths must be finite and strictly positive")
-        if not self._connected():
+        if not np.isfinite(self._paths_from(0)[0]).all():
             raise ValueError("metric graph must be connected")
-
-    def _connected(self) -> bool:
-        seen = {0}
-        frontier = [0]
-        adj = {}
-        for u, v, _ in self.edges:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        while frontier:
-            w = frontier.pop()
-            for x in adj.get(w, []):
-                if x not in seen:
-                    seen.add(x)
-                    frontier.append(x)
-        return len(seen) == self.num_vertices
 
     # -- vertex-level shortest paths ------------------------------------
 
@@ -224,30 +214,17 @@ class MetricGraph:
     # -- points ----------------------------------------------------------
 
     def canon(self, p: Point) -> GraphPoint:
-        if not isinstance(p, GraphPoint):
-            if isinstance(p, (tuple, list)) and len(p) == 2:
-                p = GraphPoint(*p)
-            else:
-                raise InvalidPoint(f"{p!r} is not a graph point")
-        # as canon_many: an edge index must be a whole number in range
-        if not 0 <= p.edge < len(self.edges) or p.edge != int(p.edge):
-            raise InvalidPoint(f"edge index {p.edge} out of range")
-        edge, t = int(p.edge), float(p.t)
-        if t < -CANON_TOL or t > 1 + CANON_TOL:
-            raise InvalidPoint(f"edge parameter {t} outside [0, 1]")
-        u, v, _ = self.edges[edge]
-        if t < CANON_TOL:
-            return self.vertex_point(u)
-        if t > 1 - CANON_TOL:
-            return self.vertex_point(v)
-        return GraphPoint(edge, t)
+        if not isinstance(p, (tuple, list)) or len(p) != 2:
+            raise InvalidPoint(f"{p!r} is not a graph point")
+        edge, t = self.canon_many(np.array(p, dtype=float)).tolist()
+        return GraphPoint(int(edge), t)
 
     def canon_many(self, p: np.ndarray) -> np.ndarray:
         """canon over an array of (edge, t) pairs (last axis), value for value."""
         e, t = p[..., 0], p[..., 1]
         bad = (e != np.floor(e)) | (e < 0) | (e >= len(self.edges))
         if bad.any():
-            raise InvalidPoint(f"edge index {e[bad][0]} out of range")
+            raise InvalidPoint(f"edge index {e[bad][0]:g} out of range")
         bad = (t < -CANON_TOL) | (t > 1 + CANON_TOL)
         if bad.any():
             raise InvalidPoint(f"edge parameter {t[bad][0]} outside [0, 1]")
@@ -274,24 +251,13 @@ class MetricGraph:
         return ((u, p.t * l), (v, (1.0 - p.t) * l))
 
     def distance(self, p: Point, q: Point) -> float:
-        p, q = self.canon(p), self.canon(q)
-        if q < p:
-            # fixed operand order makes symmetry exact in floating point
-            p, q = q, p
-        dmat = self.vertex_distance_matrix()
-        best = np.inf
-        if p.edge == q.edge:
-            best = abs(p.t - q.t) * self.edges[p.edge][2]
-        for a, leg_a in self._endpoint_legs(p):
-            for b, leg_b in self._endpoint_legs(q):
-                best = min(best, leg_a + dmat[a, b] + leg_b)
-        return float(best)
+        return float(self.distance_many(np.array(self.canon(p)), np.array(self.canon(q))))
 
     def distance_many(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """distance between broadcast arrays of canonical (edge, t) pairs
-        (last axis), bit for bit: each pair sums its path legs as scalar
-        distance does, (leg_p + dmat[a, b]) + leg_q with p the smaller
-        (edge, t).  Each operand's edges, lengths and legs are computed
+        (last axis): each pair sums its path legs as (leg_p + dmat[a, b])
+        + leg_q with p the smaller (edge, t), so the metric is symmetric
+        bit for bit.  Each operand's edges, lengths and legs are computed
         at its own shape; only the vertex gathers and the sums broadcast.
         A NaN t gives NaN; its edge must still index an edge."""
         lengths, us, vs = self.edge_arrays()
@@ -350,21 +316,32 @@ class MetricGraph:
         return best, best_len
 
     def geodesic(self, p: Point, q: Point, s: float) -> GraphPoint:
+        edge, t = self.geodesic_many(p, q, np.array([s]))[0].tolist()
+        return GraphPoint(int(edge), t)
+
+    def geodesic_many(self, p: Point, q: Point, s: np.ndarray) -> np.ndarray:
+        """geodesic from p to q at every s of an array, as (edge, t) pairs
+        (last axis), value for value: each s walks the route, computed once,
+        to the first segment reaching s times its length, else ends at q."""
         p, q = self.canon(p), self.canon(q)
+        out = np.empty(np.shape(s) + (2,))
+        out[...] = q
         if p == q:
-            return p
+            return out
         segs, total = self._route(p, q)
         target = s * total
+        left = np.ones(np.shape(s), dtype=bool)  # no segment reached yet
         acc = 0.0
         for edge, t0, t1 in segs:
             seg_len = abs(t1 - t0) * self.edges[edge][2]
             if seg_len <= 0:
                 continue
-            if acc + seg_len >= target - CANON_TOL:
-                frac = (target - acc) / seg_len
-                return self.canon(GraphPoint(edge, t0 + frac * (t1 - t0)))
+            hit = left & (acc + seg_len >= target - CANON_TOL)
+            frac = (target[hit] - acc) / seg_len
+            out[hit] = self.canon_many(np.stack([np.full(frac.shape, float(edge)), t0 + frac * (t1 - t0)], axis=-1))
+            left &= ~hit
             acc += seg_len
-        return q
+        return out
 
     def sort_key(self, p: Point):
         c = self.canon(p)

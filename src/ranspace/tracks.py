@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,7 +29,7 @@ import numpy as np
 from .errors import AmbiguousLift, EndpointMismatch, SpaceMismatch
 # dedup is unused here, but perfbench/tracer.py rebinds it here
 from .ran import Configuration, _dedup_lists, _pad_encode, _padding, as_configurations, batch_hausdorff, dedup, hausdorff
-from .space import Circle, Interval, Point, Space
+from .space import Circle, GraphPoint, Interval, MetricGraph, Point, Space
 
 LOOP_TOL = 1e-9
 
@@ -39,11 +38,13 @@ def uniform_times(m: int) -> tuple:
     return tuple(i / m for i in range(m + 1))
 
 
-def nearest_sample(times: Sequence[float], t: float) -> int:
-    """Index of the sample of the increasing grid times nearest to t, a tie
-    going to the earlier sample; times outside the grid clamp to its ends."""
-    k = min(max(bisect_right(times, t), 1), len(times) - 1)
-    return k - 1 if t - times[k - 1] <= times[k] - t else k
+def nearest_sample(times: Sequence[float], t: np.ndarray) -> np.ndarray:
+    """Index of the sample of the increasing grid times nearest to each t
+    of an array, a tie going to the earlier sample; times outside the grid
+    clamp to its ends."""
+    times = np.asarray(times, dtype=float)
+    k = np.clip(np.searchsorted(times, t, side="right"), 1, len(times) - 1)
+    return np.where(t - times[k - 1] <= times[k] - t, k - 1, k)
 
 
 def _kind(space: Space, configs: Sequence[Configuration]) -> str:
@@ -85,6 +86,12 @@ class Track:
                 raise EndpointMismatch(f"loop fails to close: gap {gap}")
 
 
+def _distances(space: Space, points: Sequence[Point], to) -> np.ndarray:
+    """The distance from each of points to to, one point or as many points,
+    from one distance_many call on their canonical encodings."""
+    return space.distance_many(*(space.canon_many(np.array(x, dtype=float)) for x in (points, to)))
+
+
 def make_track(space: Space, times: Sequence[float], point_lists: Sequence[Sequence[Point]], cap: int, kind: str = "path") -> Track:
     configs = tuple(as_configurations(space, *_dedup_lists(space, point_lists, cap), cap))
     return Track(space, tuple(times), configs, kind, cap)
@@ -109,13 +116,10 @@ class StrandBundle:
         return len(self.strands)
 
     def is_loop(self) -> bool:
-        return all(self.space.distance(s[0], s[-1]) <= LOOP_TOL for s in self.strands)
+        return bool((_distances(self.space, [s[0] for s in self.strands], [s[-1] for s in self.strands]) <= LOOP_TOL).all())
 
     def based_at(self, b: Point) -> bool:
-        return all(
-            self.space.distance(s[0], b) <= LOOP_TOL and self.space.distance(s[-1], b) <= LOOP_TOL
-            for s in self.strands
-        )
+        return bool((_distances(self.space, [p for s in self.strands for p in (s[0], s[-1])], b) <= LOOP_TOL).all())
 
     def interpolator(self, j: int) -> "StrandInterpolator":
         return StrandInterpolator(self.space, self.times, self.strands[j])
@@ -131,26 +135,20 @@ def project(bundle: StrandBundle) -> Track:
 # -- strand evaluation -------------------------------------------------------
 
 
-def circle_signed_step(circ: Circle, a: float, b: float) -> float:
-    """Signed displacement from a to b along the shorter arc.
+def circle_lift(circ: Circle, points: Sequence[float]) -> np.ndarray:
+    """The lift of a circle strand: its first canonical point, then each
+    step's signed displacement along the shorter arc, added in order.
 
-    Raises AmbiguousLift when the arc distance reaches half the
-    circumference, where the lift direction is undefined.
+    Raises AmbiguousLift when a step's arc reaches half the circumference,
+    where the lift direction is undefined.
     """
     c = circ.circumference
-    raw = (circ.canon(b) - circ.canon(a)) % c
-    arc = min(raw, c - raw)
-    if arc >= c / 2.0 - 1e-15 * c:
-        raise AmbiguousLift(f"step of arc length {arc} with circumference {c}")
-    return raw if raw <= c / 2.0 else raw - c
-
-
-def circle_lift(circ: Circle, points: Sequence[float]) -> np.ndarray:
-    lifts = np.empty(len(points))
-    lifts[0] = circ.canon(points[0])
-    for i in range(1, len(points)):
-        lifts[i] = lifts[i - 1] + circle_signed_step(circ, points[i - 1], points[i])
-    return lifts
+    x = circ.canon_many(np.asarray(points, dtype=float))
+    raw = np.remainder(x[1:] - x[:-1], c)
+    arc = np.minimum(raw, c - raw)
+    if (arc >= c / 2.0 - 1e-15 * c).any():
+        raise AmbiguousLift(f"step of arc length {arc[arc >= c / 2.0 - 1e-15 * c][0]} with circumference {c}")
+    return np.cumsum(np.concatenate([x[:1], np.where(raw <= c / 2.0, raw, raw - c)]))
 
 
 class StrandInterpolator:
@@ -165,20 +163,32 @@ class StrandInterpolator:
     def __init__(self, space: Space, times: Sequence[float], points: Sequence[Point]):
         self.space = space
         self.times = np.asarray(times, dtype=float)
-        self.points = list(points)
+        self.lifts = None
         if isinstance(space, Circle):
             self.lifts = circle_lift(space, points)
         elif isinstance(space, Interval):
-            self.lifts = np.asarray([space.canon(p) for p in points], dtype=float)
+            self.lifts = space.canon_many(np.asarray(points, dtype=float))
         else:
-            self.lifts = None
+            self.enc = np.array(points, dtype=float)
 
-    def many(self, ts: Sequence[float]) -> list:
+    def many(self, ts) -> np.ndarray:
+        """The strand at every time of an array, as cell slots (see
+        ran._pad): coordinates, or (edge, t) pairs on graphs; a NaN time
+        gives a padding slot."""
         ts = np.clip(np.asarray(ts, dtype=float), 0.0, 1.0)
         if self.lifts is not None:
-            vals = np.interp(ts, self.times, self.lifts)
-            return self.space.canon_many(vals).tolist()
-        return [self.points[nearest_sample(self.times, t)] for t in ts.tolist()]
+            return self.space.canon_many(np.interp(ts, self.times, self.lifts))
+        out = self.enc[nearest_sample(self.times, ts)]
+        out[np.isnan(ts)] = (0.0, np.nan)
+        return out
+
+
+def _slot_points(space: Space, values: np.ndarray) -> tuple:
+    """The points of a 1-D array of cell slots, such as a strand's values
+    from StrandInterpolator.many."""
+    if isinstance(space, MetricGraph):
+        return tuple(map(GraphPoint, values[:, 0].astype(np.intp).tolist(), values[:, 1].tolist()))
+    return tuple(values.tolist())
 
 
 # -- continuity certification -------------------------------------------------
@@ -501,5 +511,5 @@ def conjugate(gamma: Track, sigma: Track) -> Track:
 
 def resample(track: Track, new_times: Sequence[float]) -> Track:
     """Carry each new time to the nearest original sample (ties earlier)."""
-    out = tuple(track.configs[nearest_sample(track.times, t)] for t in new_times)
+    out = tuple(track.configs[k] for k in nearest_sample(track.times, np.asarray(new_times, dtype=float)).tolist())
     return Track(track.space, tuple(new_times), out, _kind(track.space, out), track.cap)

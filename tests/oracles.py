@@ -1,15 +1,25 @@
 """Independent second implementations used as test oracles.
 
-Nothing here shares code with the package: point metrics, shortest paths,
-the one-turn contraction and the boundary-matrix reduction are all
-rebuilt from scratch so that agreement is meaningful.
+Point metrics, shortest paths, the one-turn contraction and the
+boundary-matrix reduction share no code with the package: they are
+rebuilt from scratch so that agreement is meaningful.  The per-cell
+pipeline schedules at the end evaluate one cell at a time what the
+package evaluates as arrays; they take the package's canonical points,
+scalar dedup, graph routes, strand extraction and window schedule as
+given, since those are not what the array evaluation changes.
 """
 
 import heapq
 import math
+from bisect import bisect_right
 from itertools import combinations
 
 import numpy as np
+
+from ranspace.moves import _schedule, extract_strands
+from ranspace.ran import dedup
+from ranspace.space import Circle, GraphPoint, Interval
+from ranspace.tracks import StrandBundle, Track, project
 
 
 def oracle_vertex_table(edges, num_vertices):
@@ -155,3 +165,213 @@ def oracle_dump(doc):
     import json
 
     return json.dumps(doc, indent=1) + "\n"
+
+
+# -- the contraction pipeline, one cell at a time ------------------------------
+
+_UNIT = Circle(1.0)
+
+
+def oracle_geodesic(space, p, q, s):
+    """The geodesic from p (s = 0) to q (s = 1) at one s: circle ties at
+    antipodes go the way of increasing coordinate, graph geodesics walk
+    the space's own route to the first segment reaching s times its
+    length."""
+    if isinstance(space, Circle):
+        c = space.circumference
+        a, b = space.canon(p), space.canon(q)
+        forward = (b - a) % c
+        if forward <= c / 2.0:
+            return space.canon(a + s * forward)
+        return space.canon(a - s * (c - forward))
+    if isinstance(space, Interval):
+        a, b = space.canon(p), space.canon(q)
+        return a + s * (b - a)
+    p, q = space.canon(p), space.canon(q)
+    if p == q:
+        return p
+    segs, total = space._route(p, q)
+    target = s * total
+    acc = 0.0
+    for edge, t0, t1 in segs:
+        seg_len = abs(t1 - t0) * space.edges[edge][2]
+        if seg_len <= 0:
+            continue
+        if acc + seg_len >= target - 1e-12:
+            frac = (target - acc) / seg_len
+            return space.canon(GraphPoint(edge, t0 + frac * (t1 - t0)))
+        acc += seg_len
+    return q
+
+
+def _uniform(m):
+    return tuple(i / m for i in range(m + 1))
+
+
+def oracle_nearest(times, t):
+    """Index of the sample of times nearest to t, a tie to the earlier."""
+    k = min(max(bisect_right(times, t), 1), len(times) - 1)
+    return k - 1 if t - times[k - 1] <= times[k] - t else k
+
+
+class OracleStrand:
+    """One strand read at one time at a time: circle strands along their
+    small-step lift, interval strands linearly, graph strands at the
+    nearest sample."""
+
+    def __init__(self, space, times, points):
+        self.space, self.times, self.points = space, list(times), list(points)
+        self.lifts = None
+        if isinstance(space, Circle):
+            c = space.circumference
+            self.lifts = [space.canon(points[0])]
+            for a, b in zip(points, points[1:]):
+                raw = (space.canon(b) - space.canon(a)) % c
+                self.lifts.append(self.lifts[-1] + (raw if raw <= c / 2.0 else raw - c))
+        elif isinstance(space, Interval):
+            self.lifts = [space.canon(p) for p in points]
+
+    def at(self, t):
+        t = min(max(t, 0.0), 1.0)
+        if self.lifts is None:
+            return self.points[oracle_nearest(self.times, t)]
+        return self.space.canon(float(np.interp(t, self.times, self.lifts)))
+
+
+def _cells(grid, rows, f):
+    """f(i / rows, t) over a block of rows + 1 rows on the time grid."""
+    return [[f(i / rows, t) for t in grid] for i in range(rows + 1)]
+
+
+def _deduped(space, rows, cap):
+    return [[dedup(space, pts, cap=cap) for pts in row] for row in rows]
+
+
+def _dwell(lam, t):
+    return (1.0 - lam) * t + lam * min(max((t - 0.25) * 2.0, 0.0), 1.0)
+
+
+def _conjugation(s, t):
+    """(True, u) where the conjugation block reads the connector at u,
+    (False, u) where it reads the loop at u."""
+    if t <= 0.25:
+        return True, (1.0 - s) + (t / 0.25) * s
+    if t >= 0.75:
+        return True, (1.0 - s) + ((1.0 - t) / 0.25) * s
+    return False, (t - 0.25) * 2.0
+
+
+def _rho(windows, j, t):
+    own = [w for w in windows if w.strand == j]
+    if t <= own[0].t0:
+        return 0.0
+    if t >= own[-1].t1:
+        return 1.0
+    return next((w.u(t) for w in own if w.t0 <= t <= w.t1), 1.0)
+
+
+def _last_row_bundle(space, grid, values):
+    """The bundle of the strand values of a block's last row."""
+    return StrandBundle(space, grid, tuple(zip(*values[-1])))
+
+
+def _normalize_bundle(bundle, b, rows, grid):
+    space, n = bundle.space, bundle.n
+    strands = [OracleStrand(space, bundle.times, s) for s in bundle.strands]
+    dwell = _deduped(space, _cells(grid, rows, lambda lam, t: [st.at(_dwell(lam, t)) for st in strands]), n)
+
+    def conj(s, t):
+        on_connector, u = _conjugation(s, t)
+        return [oracle_geodesic(space, b, strand[0], u) if on_connector else st.at(u)
+                for strand, st in zip(bundle.strands, strands)]
+
+    values = _cells(grid, rows, conj)
+    return _last_row_bundle(space, grid, values), dwell + _deduped(space, values, n)[1:]
+
+
+def _normalize_track(track, b, rows, grid, matching_radius):
+    space, n, m = track.space, track.cap, len(grid) - 1
+    sigma0 = track.configs[0].points
+    pstar = min(sigma0, key=lambda q: (space.distance(b, q), sigma0.index(q)))
+
+    def conj_points(s, t):
+        on_connector, u = _conjugation(s, t)
+        if not on_connector:
+            return list(track.configs[oracle_nearest(track.times, u)].points)
+        if u <= 0.5:
+            return [oracle_geodesic(space, b, pstar, 2.0 * u)]
+        return [oracle_geodesic(space, pstar, q, 2.0 * u - 1.0) for q in sigma0]
+
+    dwell = _cells(grid, rows, lambda lam, t: track.configs[oracle_nearest(track.times, _dwell(lam, t))])
+    conjugated = _deduped(space, _cells(grid, rows, conj_points), n)
+    bundle = extract_strands(Track(space, grid, tuple(conjugated[-1]), "path", n), matching_radius)
+    strands = [OracleStrand(space, grid, s) for s in bundle.strands]
+    spans = []
+    for strand in bundle.strands:
+        away = [i for i, p in enumerate(strand) if space.distance(p, b) > 1e-9]
+        spans.append((grid[max(away[0] - 1, 0)], grid[min(away[-1] + 1, m)]) if away else (0.0, 1.0))
+    values = _cells(grid, rows, lambda lam, t: [
+        st.at((1.0 - lam) * t + lam * (t0 + t * (t1 - t0))) for st, (t0, t1) in zip(strands, spans)])
+    rows_out = dwell + conjugated[1:] + _deduped(space, values, n)[1:]
+    return _last_row_bundle(space, grid, values), rows_out
+
+
+def _normalize(obj, b, rows, grid, matching_radius):
+    """normalize's bundle and the rows of its homotopy."""
+    if not isinstance(obj, StrandBundle):
+        return _normalize_track(obj, b, rows, grid, matching_radius)
+    if not obj.is_loop():
+        return _normalize(project(obj), b, rows, grid, matching_radius)
+    if not obj.based_at(b):
+        return _normalize_bundle(obj, b, rows, grid)
+    if obj.times != grid:
+        strands = [OracleStrand(obj.space, obj.times, s) for s in obj.strands]
+        obj = StrandBundle(obj.space, grid, tuple(tuple(st.at(t) for t in grid) for st in strands))
+    proj = [dedup(obj.space, [s[k] for s in obj.strands], cap=obj.n) for k in range(len(grid))]
+    return obj, [proj, proj]
+
+
+def oracle_pipeline_stages(obj, mode, b, resolution, matching_radius=None):
+    """contract_pipeline's cells stage by stage, as (name, rows of
+    Configurations), every cell built on its own as dedup of the points
+    its schedule reads: normalize, the staircase, then each window with
+    its strand pushed through the one-turn contraction and every other
+    strand frozen, or at b once an earlier window contracted it."""
+    r, m = resolution
+    space = obj.space
+    b = space.canon(b)
+    grid = _uniform(m)
+    bundle, normalized = _normalize(obj, b, max(2, r // 6), grid, matching_radius)
+    n = bundle.n
+    strands = [OracleStrand(space, bundle.times, s) for s in bundle.strands]
+    windows = _schedule(space, bundle)
+    rows = max(2, r // (2 + len(windows)))
+    stair = _cells(grid, rows, lambda lam, t: [
+        st.at((1.0 - lam) * t + lam * _rho(windows, j, t)) for j, st in enumerate(strands)])
+    stages = [("normalize", normalized), ("staircase", _deduped(space, stair, n))]
+    owner = [[next((i for i, w in enumerate(windows) if w.strand == j and w.t0 <= t <= w.t1), None) for t in grid]
+             for j in range(n)]
+    frozen = [[strands[j].at(_rho(windows, j, t) if o is None else windows[o].u(t)) for t, o in zip(grid, owner[j])]
+              for j in range(n)]
+    for i, win in enumerate(windows):
+        seen = [[b if owner[j][k] is not None and owner[j][k] < i else frozen[j][k]
+                 for j in range(n) if not (j == win.strand and win.t0 <= t <= win.t1)]
+                for k, t in enumerate(grid)]
+
+        def cell(s, k, t, win=win, seen=seen):
+            if not win.t0 <= t <= win.t1:
+                return seen[k]
+            local = (t - win.t0) / (win.t1 - win.t0)
+            u = [win.u0 + _UNIT.canon(v) * (win.u1 - win.u0) for v in generator_cell(s, local)]
+            return seen[k] + [strands[win.strand].at(x) for x in u]
+
+        cells = [[cell(s, k, t) for k, t in enumerate(grid)] for s in _uniform(rows)]
+        stages.append((f"contract-window-{i}", _deduped(space, cells, mode.declared_cap)))
+    return stages
+
+
+def oracle_pipeline_cells(obj, mode, b, resolution, matching_radius=None):
+    """contract_pipeline's rows of cells: the stages of
+    oracle_pipeline_stages stacked, each seam row kept once."""
+    stages = oracle_pipeline_stages(obj, mode, b, resolution, matching_radius)
+    return stages[0][1] + [row for _, rows in stages[1:] for row in rows[1:]]

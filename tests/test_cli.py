@@ -1,5 +1,6 @@
 """End-to-end CLI checks: exit codes, round trips, determinism, SVG."""
 
+import io
 import json
 import math
 import subprocess
@@ -18,9 +19,9 @@ from ranspace.io import (
     track_from_json,
     track_to_json,
 )
-from ranspace.moves import contract_circle_generator
+from ranspace.moves import Inclusion, contract_circle_generator, contract_pipeline
 from ranspace.space import Circle, GraphPoint, Interval, MetricGraph
-from ranspace.tracks import Homotopy, make_track, uniform_times
+from ranspace.tracks import Homotopy, make_track, project, uniform_times
 
 C1 = Circle(1.0)
 
@@ -186,6 +187,42 @@ def test_verify_names_the_first_pair_over_the_bound(tmp_path):
         "FAIL: max gap 0.5 exceeds bound * grid step (first pair over it: row 0, column 5 down to row 1)"
     )
     assert res.stdout.splitlines()[-1] == "FAIL"
+
+
+def test_verify_names_the_first_cell_over_the_cap(tmp_path):
+    """A cap FAIL names the first cell, in row-major order, with more
+    points than the declared cap: its row and column."""
+    src = tmp_path / "loop.json"
+    out = tmp_path / "h.json"
+    write_generator_track(src)
+    assert run_cli("contract", src, "--cap", 1, "--out", out, "--resolution", 16, 32).returncode == 0
+    doc = json.loads(out.read_text())
+    doc["cap"] = doc["certificate"]["max_cardinality"] - 1
+    row, col = next((i, k) for i, cells in enumerate(doc["cells"]) for k, cell in enumerate(cells) if len(cell) > doc["cap"])
+    res = run_cli("verify", _write_doc(tmp_path / "lowered.json", doc))
+    assert res.returncode == 1
+    assert res.stderr.splitlines() == [f"FAIL: cardinality exceeds declared cap (first cell over it: row {row}, column {col})"]
+    assert res.stdout.splitlines()[-1] == "FAIL"
+
+
+def test_contract_writes_the_pipeline_document(tmp_path):
+    """contract writes the bytes dump(homotopy_to_json(...)) writes for
+    the same pipeline call: a circle loop and a projected theta bundle."""
+    from test_moves import out_and_back_theta_bundle
+
+    theta, bundle = out_and_back_theta_bundle()
+    write_generator_track(tmp_path / "circle.json")
+    _write_doc(tmp_path / "theta.json", track_to_json(project(bundle)))
+    for name, cap, basepoint, b in (("circle", 1, "0.0", 0.0), ("theta", 4, "0:0.0", GraphPoint(0, 0.0))):
+        src, out = tmp_path / f"{name}.json", tmp_path / f"{name}-h.json"
+        res = run_cli("contract", src, "--cap", cap, "--basepoint", basepoint, "--resolution", 16, 48, "--out", out)
+        assert res.returncode == 0, res.stderr
+        with open(src) as fp:
+            track = track_from_json(load(fp))
+        h, cert = contract_pipeline(track, Inclusion(cap), b, resolution=(16, 48))
+        want = io.StringIO()
+        dump(homotopy_to_json(h, cert.as_dict()), want)
+        assert out.read_text() == want.getvalue()
 
 
 def test_load_save_identity(tmp_path):

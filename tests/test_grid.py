@@ -4,13 +4,14 @@ from a block to the written document."""
 
 import io
 import math
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import generator_cell, oracle_dump
-from ranspace import moves
-from ranspace.io import dump, homotopy_to_json, space_to_json
+from oracles import generator_cell, oracle_dump, oracle_pipeline_cells
+from ranspace import io as rio
+from ranspace.io import dump, homotopy_to_json, space_to_json, write_homotopy
 from ranspace.moves import (
     Inclusion,
     SimplyConnected,
@@ -20,8 +21,8 @@ from ranspace.moves import (
 )
 from ranspace.ran import Configuration, dedup
 from ranspace.space import Circle, GraphPoint, Interval, MetricGraph
-from ranspace.tracks import Homotopy, StrandInterpolator, check_continuity, nearest_sample, uniform_times
-from test_moves import figure_branch_track, out_and_back_theta_bundle
+from ranspace.tracks import Homotopy, StrandInterpolator, check_continuity, make_track, uniform_times
+from test_moves import figure_branch_track, generator_track, out_and_back_theta_bundle
 
 C1 = Circle(1.0)
 THETA = MetricGraph(2, ((0, 1, 1.0), (0, 1, 1.2), (0, 1, 0.8)))
@@ -32,10 +33,6 @@ def _hex(rows):
     def point(p):
         return (p.edge, p.t.hex()) if isinstance(p, GraphPoint) else p.hex()
     return [[tuple(map(point, c.points)) for c in row] for row in rows]
-
-
-def _rows(cells, width):
-    return [cells[i:i + width] for i in range(0, len(cells), width)]
 
 
 def test_generator_cells_match_the_object_path():
@@ -61,68 +58,36 @@ def test_pushforward_cells_match_the_object_path():
         assert _hex(pushforward_contraction(space, strand, (r, m)).cells) == _hex(want)
 
 
-def _pipeline_by_object_path(monkeypatch, run):
-    """Run a pipeline and rebuild its cells the way the object path did:
-    each deduplicating block as dedup of each cell's point list, every
-    stack as its blocks' rows with the seams dropped.  Returns the
-    homotopy, the object path's rows of each deduplicating block by id and
-    every stack's (blocks, result); the caller adds the rows of blocks
-    that reuse input cells (a raw track's reparametrization, a based
-    bundle's constant block)."""
-    oracle, stacks = {}, []
-    dedup_block, stack = moves._dedup_block, moves.stack_homotopies
-
-    def recorded_block(space, grid, rows, cap, point_lists):
-        block = dedup_block(space, grid, rows, cap, point_lists)
-        oracle[id(block)] = _rows([dedup(space, pts, cap=cap) for pts in point_lists], len(grid))
-        return block
-
-    def recorded_stack(blocks):
-        out = stack(blocks)
-        stacks.append((blocks, out))
-        return out
-
-    monkeypatch.setattr(moves, "_dedup_block", recorded_block)
-    monkeypatch.setattr(moves, "stack_homotopies", recorded_stack)
-    h, _ = run()
-    return h, oracle, stacks
-
-
-def _stacked(oracle, stacks):
-    for blocks, out in stacks:
-        oracle[id(out)] = oracle[id(blocks[0])] + [row for b in blocks[1:] for row in oracle[id(b)][1:]]
-    return oracle[id(stacks[-1][1])]
-
-
-def test_theta_pipeline_cells_match_the_object_path(monkeypatch):
+def test_theta_pipeline_cells_match_the_object_path():
+    """A theta bundle based at b (normalize gives back its projection as a
+    constant block) and rebased onto the other vertex (normalize's dwell
+    and conjugation blocks as well): every cell equals the per-cell
+    oracle's, bit for bit."""
     theta, bundle = out_and_back_theta_bundle()
-    m = 48
-    # based at vertex 0: normalize returns the projection as a constant block
-    h, oracle, stacks = _pipeline_by_object_path(
-        monkeypatch, lambda: contract_pipeline(bundle, SimplyConnected(4), theta.vertex_point(0), resolution=(24, m)))
-    resampled = moves._resample_bundle(bundle, uniform_times(m))
-    proj = [dedup(theta, [s[k] for s in resampled.strands], cap=4) for k in range(m + 1)]
-    oracle[id(stacks[0][0][0])] = [proj, proj]
-    assert _hex(h.cells) == _hex(_stacked(oracle, stacks))
-    # rebased onto vertex 1: normalize's two strand blocks as well
-    h, oracle, stacks = _pipeline_by_object_path(
-        monkeypatch, lambda: contract_pipeline(bundle, SimplyConnected(4), theta.vertex_point(1), resolution=(24, m)))
-    assert _hex(h.cells) == _hex(_stacked(oracle, stacks))
+    for b in (theta.vertex_point(0), theta.vertex_point(1)):
+        h, _ = contract_pipeline(bundle, SimplyConnected(4), b, resolution=(24, 48))
+        assert _hex(h.cells) == _hex(oracle_pipeline_cells(bundle, SimplyConnected(4), b, (24, 48)))
 
 
-def test_raw_circle_track_cells_match_the_object_path(monkeypatch):
-    """A raw circle track through normalize (reparametrization,
-    conjugation, rescheduling), the staircase and the windows."""
-    track = figure_branch_track(64)
-    r, m = 24, 48
-    h, oracle, stacks = _pipeline_by_object_path(
-        monkeypatch, lambda: contract_pipeline(track, Inclusion(2), 0.0, resolution=(r, m)))
-    rows, grid = max(2, r // 6), uniform_times(m)
-    # the reparametrization block reuses the input's cells as they are
-    oracle[id(stacks[0][0][0])] = [
-        [track.configs[nearest_sample(track.times, moves._dwell(i / rows, t))] for t in grid] for i in range(rows + 1)
-    ]
-    assert _hex(h.cells) == _hex(_stacked(oracle, stacks))
+def test_raw_circle_track_cells_match_the_object_path():
+    """Raw tracks through normalize (reparametrization, conjugation,
+    rescheduling), the staircase and the windows: a branching circle loop,
+    an unbased one-turn circle loop and an interval loop that branches."""
+    times = uniform_times(64)
+    ival = Interval(1.0)
+
+    def ival_points(t):
+        spread = 0.3 * max(0.0, 0.25 - abs(t - 0.5))
+        return [0.4 + 0.2 * math.sin(2.0 * math.pi * t) + d for d in {-spread, spread}]
+
+    cases = (
+        (figure_branch_track(64), Inclusion(2), 0.0),
+        (generator_track(m=48, base=0.1), Inclusion(1), 0.0),
+        (make_track(ival, times, [ival_points(t) for t in times], cap=2, kind="loop"), Inclusion(2), 0.4),
+    )
+    for track, mode, b in cases:
+        h, _ = contract_pipeline(track, mode, b, resolution=(24, 48))
+        assert _hex(h.cells) == _hex(oracle_pipeline_cells(track, mode, b, (24, 48)))
 
 
 @st.composite
@@ -169,6 +134,43 @@ def test_a_homotopy_of_configurations_gives_them_back(case):
     buf = io.StringIO()
     dump(homotopy_to_json(h), buf)
     assert buf.getvalue() == oracle_dump(_old_document(space, s_grid, t_grid, cells))
+
+
+_CERTIFICATES = st.sampled_from([None, {"max_gap": 1 / 3, "stages": [["normalize", 0, 1, 2]], "source": "loop"}])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_configuration_rows(), _CERTIFICATES, st.sampled_from([None, 1, 3, 7]))
+def test_write_homotopy_matches_dump(case, certificate, chunk):
+    """write_homotopy writes the bytes of dump(homotopy_to_json(...)) and
+    of the standard library encoder, formatting the grid in chunks of any
+    size: -0.0 on intervals, 5e-324 and 1/3 included."""
+    space, s_grid, t_grid, cells = case
+    h = Homotopy(space, s_grid, t_grid, cells, 4)
+    want = io.StringIO()
+    dump(homotopy_to_json(h, certificate), want)
+    doc = _old_document(space, s_grid, t_grid, cells)
+    if certificate is not None:
+        doc["certificate"] = certificate
+    assert want.getvalue() == oracle_dump(doc)
+    got = io.StringIO()
+    with mock.patch.object(rio, "_WRITE_CELLS", chunk or rio._WRITE_CELLS):
+        write_homotopy(h, certificate, got)
+    assert got.getvalue() == want.getvalue()
+
+
+def test_write_homotopy_matches_dump_past_one_chunk():
+    """A generator grid of more cells than the writer formats at once, and
+    a theta pipeline homotopy, are written as dump writes them."""
+    h = contract_circle_generator(1, (300, 256))
+    assert h.rows * len(h.t_grid) > rio._WRITE_CELLS
+    theta, bundle = out_and_back_theta_bundle()
+    h_theta, cert = contract_pipeline(bundle, SimplyConnected(4), theta.vertex_point(1), resolution=(24, 48))
+    for homotopy, certificate in ((h, check_continuity(h, 4.0).as_dict()), (h_theta, cert.as_dict())):
+        want, got = io.StringIO(), io.StringIO()
+        dump(homotopy_to_json(homotopy, certificate), want)
+        write_homotopy(homotopy, certificate, got)
+        assert got.getvalue() == want.getvalue()
 
 
 def _counting_configurations(monkeypatch) -> list:

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import circle_point_metric, generator_cell, make_graph_point_metric, oracle_hausdorff
+from oracles import circle_point_metric, generator_cell, make_graph_point_metric, oracle_hausdorff, oracle_pipeline_stages
 from ranspace import moves
 from ranspace.errors import (
     AmbiguousBranching,
+    EmptyConfiguration,
     EndpointMismatch,
     ModeViolation,
     UnsupportedDegree,
@@ -422,39 +423,87 @@ def test_pipeline_rejects_bad_parameters(resolution, radius):
         contract_pipeline(generator_track(m=16), Inclusion(1), 0.0, resolution=resolution, matching_radius=radius)
 
 
-def test_block_dedup_matches_scalar_dedup_per_cell(monkeypatch):
-    """Every block's cells, deduplicated as arrays, equal dedup of each
-    cell's point list: the normalize, staircase and window blocks of theta
-    bundles and of a raw circle track."""
-    blocks = []
-    dedup_block = moves._dedup_block
+def _hex_rows(rows):
+    """The points of rows of configurations, floats as their exact hex."""
+    def point(p):
+        return (p.edge, p.t.hex()) if hasattr(p, "edge") else p.hex()
+    return [[tuple(map(point, c.points)) for c in row] for row in rows]
 
-    def recorded(space, grid, rows, cap, point_lists):
-        block = dedup_block(space, grid, rows, cap, point_lists)
-        blocks.append((space, point_lists, cap, [c for row in block.cells for c in row]))
+
+def _slot_point_lists(space, enc):
+    """The points in each cell's slots of a padded block encoding, row by
+    row, NaN slots skipped."""
+    if isinstance(space, MetricGraph):
+        return [[(int(e), t) for e, t in cell if not math.isnan(t)] for cell in enc.reshape(-1, *enc.shape[2:]).tolist()]
+    return [[x for x in cell if not math.isnan(x)] for cell in enc.reshape(-1, enc.shape[2]).tolist()]
+
+
+def test_block_dedup_matches_scalar_dedup_per_cell(monkeypatch):
+    """Every block is deduplicated by one dedup_many call over its slot
+    encoding, its cells equal dedup of each cell's slot points and carry
+    the block's own cap; and every stage's cells, scheduled as arrays,
+    equal the per-cell oracle's dedup of each cell's points, bit for bit:
+    based and rebased theta bundles, rebased circle and interval bundles,
+    and raw circle and theta tracks (normalize's dwell, conjugation and
+    rescheduling blocks)."""
+    blocks = []
+    slots_block = moves._slots_block
+
+    def recorded(space, grid, cap, enc):
+        block = slots_block(space, grid, cap, enc)
+        blocks.append((space, cap, enc.copy(), block))
         return block
 
-    monkeypatch.setattr(moves, "_dedup_block", recorded)
+    monkeypatch.setattr(moves, "_slots_block", recorded)
     theta, theta_bundle = out_and_back_theta_bundle()
-    b = theta.vertex_point(0)
+    rng = np.random.default_rng(7)
+    circle_bundle = StrandBundle(C1, uniform_times(64), tuple(
+        tuple(C1.canon(0.2 + x) for x in random_based_strand(rng, 64, max_wind=1)) for _ in range(2)))
+    ival = Interval(1.0)
+    ival_bundle = StrandBundle(ival, uniform_times(64), tuple(
+        tuple(0.6 - peak * (1.0 - abs(1.0 - 2.0 * t)) for t in uniform_times(64)) for peak in (0.5, 0.2)))
+    cases = (
+        (theta_bundle, SimplyConnected(4), theta.vertex_point(0)),
+        (theta_bundle, SimplyConnected(4), theta.vertex_point(1)),
+        (figure_branch_track(64), Inclusion(2), 0.0),
+        (circle_bundle, Inclusion(2), 0.0),
+        (ival_bundle, Inclusion(2), 0.1),
+        (project(theta_bundle), Inclusion(4), theta.vertex_point(0)),
+    )
     counts = []
-    for run in (
-        lambda: contract_pipeline(theta_bundle, SimplyConnected(4), b, resolution=(24, 48)),
-        lambda: contract_pipeline(theta_bundle, SimplyConnected(4), theta.vertex_point(1), resolution=(24, 48)),
-        lambda: contract_pipeline(figure_branch_track(64), Inclusion(2), 0.0, resolution=(24, 48)),
-    ):
+    for obj, mode, b in cases:
         before = len(blocks)
-        run()
+        h, cert = contract_pipeline(obj, mode, b, resolution=(24, 48))
         counts.append(len(blocks) - before)
+        stages = oracle_pipeline_stages(obj, mode, b, (24, 48))
+        assert [name for name, *_ in cert.stages] == [name for name, _ in stages]
+        # a stage after the first shares its first row with the stage before
+        for i, ((name, first, last, _), (_, rows)) in enumerate(zip(cert.stages, stages)):
+            assert _hex_rows(h.cells[first + (i > 0):last + 1]) == _hex_rows(rows[(i > 0):]), name
     # based theta bundle: the staircase and one window per strand; rebased
     # onto the other vertex: normalize's two strand blocks as well; circle
     # track: normalize's conjugation and rescheduling blocks, the staircase
     # and a window per strand
-    assert counts == [5, 7, 5]
-    for space, point_lists, cap, got in blocks:
-        want = [dedup(space, pts, cap=cap) for pts in point_lists]
+    assert counts[:3] == [5, 7, 5]
+    for space, cap, enc, block in blocks:
+        want = [dedup(space, pts, cap=cap) for pts in _slot_point_lists(space, enc)]
+        got = [c for row in block.cells for c in row]
         assert [repr(c.points) for c in got] == [repr(c.points) for c in want]
-        assert all(c.cap == cap for c in got)
+        assert block.grid.cap == cap and all(c.cap == cap for c in got)
+
+
+def test_block_rejects_a_cell_with_no_point():
+    """A block cell whose slots are all padding is an error, not an empty
+    configuration."""
+    nan = math.nan
+    for space in (C1, Interval(1.0)):
+        enc = np.array([[[0.1, nan], [0.2, 0.3]], [[0.1, 0.4], [nan, nan]]])
+        with pytest.raises(EmptyConfiguration):
+            moves._slots_block(space, (0.0, 1.0), 2, enc)
+    theta, _ = out_and_back_theta_bundle()
+    enc = np.array([[[[0, 0.5], [0, nan]], [[1, 0.5], [0, nan]]], [[[0, 0.5], [1, 0.2]], [[1, nan], [0, nan]]]])
+    with pytest.raises(EmptyConfiguration):
+        moves._slots_block(theta, (0.0, 1.0), 2, enc)
 
 
 @pytest.mark.parametrize("case", ["theta-bundle", "unbased-circle-loop"])

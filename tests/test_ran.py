@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import circle_point_metric, make_graph_point_metric, oracle_hausdorff
 from ranspace.errors import CapExceeded, EmptyConfiguration, InvalidPoint, SpaceMismatch
-from ranspace.ran import DEDUP_EPS, Configuration, configuration, dedup, dedup_many, hausdorff, union
+from ranspace.ran import DEDUP_EPS, Configuration, _pad_encode, as_configurations, configuration, dedup, dedup_many, hausdorff, union
 from ranspace.space import CANON_TOL, Circle, GraphPoint, Interval, MetricGraph
 
 CIRCLE = Circle(1.0)
@@ -223,6 +223,15 @@ def test_dedup_many_matches_scalar_dedup(case):
         assert _hex(got) == _hex(want)
 
 
+def _scalar_distance(space):
+    """The scalar metric distance_many must match bit for bit: the space's
+    own on circles and intervals, the oracle's on graphs, where scalar
+    distance is a one-row call of the kernel."""
+    if isinstance(space, MetricGraph):
+        return make_graph_point_metric(space.edges, space.num_vertices)
+    return space.distance
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_distance_many_matches_scalar_distance(data):
@@ -232,7 +241,8 @@ def test_distance_many_matches_scalar_distance(data):
     seconds = [data.draw(st.one_of(point, near(p))) for p in firsts]
     xs, ys = ([space.canon(p) for p in ps] for ps in (firsts, seconds))
     got = space.distance_many(np.array(xs, dtype=float), np.array(ys, dtype=float)).tolist()
-    assert [float.hex(d) for d in got] == [float.hex(space.distance(p, q)) for p, q in zip(xs, ys)]
+    assert [float.hex(d) for d in got] == [float.hex(_scalar_distance(space)(p, q)) for p, q in zip(xs, ys)]
+    assert got == [space.distance(p, q) for p, q in zip(xs, ys)]
 
 
 @pytest.mark.parametrize("graph", ["theta", "random-theta", "random-k4"])
@@ -250,7 +260,8 @@ def test_distance_many_matches_scalar_distance_on_random_graph_pairs(graph):
     xs = [space.random_point(rng) for _ in range(20000)]
     ys = [space.random_point(rng) for _ in range(20000)]
     got = space.distance_many(np.array(xs), np.array(ys)).tolist()
-    assert [float.hex(d) for d in got] == [float.hex(space.distance(p, q)) for p, q in zip(xs, ys)]
+    metric = _scalar_distance(space)
+    assert [float.hex(d) for d in got] == [float.hex(metric(p, q)) for p, q in zip(xs, ys)]
 
 
 def test_dedup_many_keeps_vertex_points_once():
@@ -281,3 +292,25 @@ def test_dedup_rejects_a_nan_point_wherever_it_sits(space, good, nan, where):
     points.insert(where, nan)
     with pytest.raises(InvalidPoint):
         dedup(space, points)
+
+
+@st.composite
+def _point_lists(draw):
+    """A space and 1-6 raw points on it, some a step of STEPS from the first."""
+    space = draw(_spaces())
+    point, near = _raw_points(space)
+    first = draw(point)
+    return space, [first] + draw(st.lists(st.one_of(point, near(first)), max_size=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_point_lists())
+def test_dedup_is_idempotent(case):
+    """dedup of a configuration's own points gives back its points, bit
+    for bit, on every space, by the scalar and by the array kernel."""
+    space, points = case
+    once = dedup(space, points)
+    assert _hex(dedup(space, once.points).points) == _hex(once.points)
+    kept, counts = dedup_many(space, _pad_encode(space, [once]))
+    assert counts.tolist() == [len(once)]
+    assert _hex(as_configurations(space, kept, counts, len(once))[0].points) == _hex(once.points)

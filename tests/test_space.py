@@ -2,7 +2,10 @@ import heapq
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import oracle_geodesic
 from ranspace.errors import InvalidPoint
 from ranspace.ran import _pad_encode, batch_hausdorff, dedup, hausdorff
 from ranspace.space import Circle, GraphPoint, Interval, MetricGraph, distance, geodesic
@@ -100,6 +103,44 @@ def test_geodesic_consistency(space):
         b = geodesic(space, p, q, t)
         assert distance(space, a, b) == pytest.approx(abs(s - t) * d, abs=1e-9)
         assert distance(space, p, a) == pytest.approx(s * d, abs=1e-9)
+
+
+# edge 0's ends are nearer each other through both vertices and edge 1
+LONG_EDGE = MetricGraph(2, ((0, 1, 3.0), (0, 1, 0.5)))
+
+
+@st.composite
+def _geodesic_cases(draw):
+    """A space, raw endpoints p and q and an array of s: q is any point,
+    p itself, p's antipode on circles, or a point on p's edge on graphs."""
+    from test_ran import _raw_points, _spaces
+
+    space = draw(st.one_of(_spaces(), st.just(LONG_EDGE)))
+    point, _ = _raw_points(space)
+    p = draw(st.one_of(point, st.sampled_from([0.0, 0.25, 0.1])) if not isinstance(space, MetricGraph) else point)
+    others = [point, st.just(p)]
+    if isinstance(space, Circle):
+        others.append(st.just(p + space.circumference / 2.0))
+    if isinstance(space, MetricGraph):
+        others.append(st.builds(GraphPoint, st.just(p.edge), st.floats(0.0, 1.0)))
+    q = draw(st.one_of(*others))
+    s = draw(st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 0.5])), min_size=1, max_size=6))
+    return space, p, q, s
+
+
+@settings(max_examples=400, deadline=None)
+@given(_geodesic_cases())
+def test_geodesic_many_matches_the_scalar_oracle(case):
+    """geodesic_many at an array of s equals the oracle's geodesic at each
+    s, and scalar geodesic (its one-row call) equals it too, with ==."""
+    space, p, q, s = case
+    want = [oracle_geodesic(space, p, q, x) for x in s]
+    got = space.geodesic_many(p, q, np.array(s)).tolist()
+    if isinstance(space, MetricGraph):
+        assert got == [[w.edge, w.t] for w in want]
+    else:
+        assert got == want
+    assert [geodesic(space, p, q, x) for x in s] == want
 
 
 @pytest.mark.parametrize("space", SPACES, ids=["circle", "interval", "graph"])

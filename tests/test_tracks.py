@@ -2,6 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import OracleStrand
 
 from ranspace.errors import AmbiguousLift, CapExceeded, EmptyConfiguration, EndpointMismatch, InvalidPoint
 from ranspace.ran import configuration, dedup, hausdorff
@@ -11,6 +15,7 @@ from ranspace.tracks import (
     CellGrid,
     Homotopy,
     StrandBundle,
+    StrandInterpolator,
     Track,
     check_continuity,
     concatenate,
@@ -18,6 +23,7 @@ from ranspace.tracks import (
     detect_branch_merge,
     endpoint_drift,
     make_track,
+    nearest_sample,
     project,
     resample,
     reverse,
@@ -28,6 +34,7 @@ from ranspace.tracks import (
 )
 
 C1 = Circle(1.0)
+THETA = MetricGraph(2, ((0, 1, 1.0), (0, 1, 1.2), (0, 1, 0.8)))
 
 
 def strand_track(space, strand_fn, m=100, cap=1, kind="loop"):
@@ -241,10 +248,9 @@ def test_resample_carries_nearest():
 
 
 def test_nearest_sample_ties_to_earlier():
-    """resample, moves._config_at and a graph StrandInterpolator all carry a
-    time to its nearest sample, and an exact tie to the earlier one."""
-    from ranspace.moves import _config_at
-
+    """resample, nearest_sample over an array and a graph
+    StrandInterpolator all carry a time to its nearest sample, and an
+    exact tie to the earlier one."""
     rng = np.random.default_rng(11)
     ival = Interval(1.0)
     graph = MetricGraph(2, ((0, 1, 1.0), (0, 1, 1.5)))
@@ -266,8 +272,51 @@ def test_nearest_sample_ties_to_earlier():
                 assert times[k] < t
         carried = resample(track, queries).configs
         assert [track.configs.index(c) for c in carried] == want
-        assert [track.configs.index(_config_at(track, t)) for t in queries] == want
-        assert [strand.index(p) for p in interp.many(queries)] == want
+        assert nearest_sample(times, np.array(queries)).tolist() == want
+        assert interp.many(queries).tolist() == [list(strand[k]) for k in want]
+
+
+@st.composite
+def _strands(draw):
+    """A space, a strand on it with steps under half a circle, its time
+    grid, and query times: anywhere in [0, 1] or outside it, at grid
+    times, at midpoints between them (exact ties on dyadic grids), or NaN."""
+    space = draw(st.sampled_from([C1, Circle(2.5), Interval(1.0), THETA]))
+    m = draw(st.sampled_from([1, 2, 3, 8, 13, 32]))
+    times = uniform_times(m)
+    mids = [(a + b) / 2 for a, b in zip(times, times[1:])]
+    if isinstance(space, MetricGraph):
+        point = st.builds(GraphPoint, st.integers(0, 2), st.floats(0.0, 1.0))
+        points = draw(st.lists(point, min_size=m + 1, max_size=m + 1))
+    elif isinstance(space, Circle):
+        steps = draw(st.lists(st.floats(-0.49, 0.49), min_size=m, max_size=m))
+        points = [space.canon(x * space.circumference) for x in np.cumsum([draw(st.floats(0.0, 1.0))] + steps)]
+    else:
+        points = draw(st.lists(st.floats(0.0, 1.0), min_size=m + 1, max_size=m + 1))
+    query = st.floats(-0.5, 1.5) | st.sampled_from(times) | st.sampled_from(mids) | st.just(math.nan)
+    ts = draw(st.lists(query, min_size=1, max_size=10))
+    return space, times, points, ts
+
+
+@settings(max_examples=300, deadline=None)
+@given(_strands())
+def test_strand_interpolator_matches_the_scalar_oracle(case):
+    """StrandInterpolator.many at an array of times equals the oracle read
+    one time at a time, bit for bit: circle strands along their lift,
+    interval strands linearly, graph strands at the nearest sample; a NaN
+    time gives a padding slot (edge 0 and a NaN t on graphs)."""
+    space, times, points, ts = case
+    got = StrandInterpolator(space, times, points).many(ts).tolist()
+    oracle = OracleStrand(space, times, points)
+    graph = isinstance(space, MetricGraph)
+
+    def want(t):
+        if math.isnan(t):
+            return [0.0, math.nan] if graph else math.nan
+        p = oracle.at(t)
+        return [float(p.edge), p.t] if graph else p
+
+    assert repr(got) == repr([want(t) for t in ts])
 
 
 def test_loop_validation():
