@@ -50,6 +50,12 @@ EXIT_CODES = (
 )
 
 
+def _echo(message: str, err: bool = False) -> None:
+    # click.echo with no file caches each sys.stdout or sys.stderr it meets
+    # with the stream itself as the value, so it never frees a redirected one
+    click.echo(message, file=sys.stderr if err else sys.stdout)
+
+
 class _Commands(click.Group):
     """Command group that exits by EXIT_CODES on any error a command raises."""
 
@@ -59,7 +65,7 @@ class _Commands(click.Group):
         except Exception as exc:
             for types, code, label in EXIT_CODES:
                 if isinstance(exc, types):
-                    click.echo(f"{label}: {exc}", err=True)
+                    _echo(f"{label}: {exc}", err=True)
                     sys.exit(code)
             raise
 
@@ -72,16 +78,18 @@ def _check_bound(bound: float) -> None:
 
 def _parse_basepoint(space, text: str):
     """The point that text names on space; ValueError or InvalidPoint if none."""
-    if isinstance(space, MetricGraph):
-        try:
-            edge, t = text.split(":")
-            return space.canon(GraphPoint(int(edge), float(t)))
-        except (ValueError, IndexError) as exc:
-            raise ValueError("graph basepoint must look like EDGE:T") from exc
+    graph = isinstance(space, MetricGraph)
     try:
-        return space.canon(float(text))
+        if graph:
+            edge, t = text.split(":")
+            edge, x = int(edge), float(t)
+        else:
+            x = float(text)
     except ValueError as exc:
-        raise ValueError("basepoint must be a coordinate") from exc
+        raise ValueError("graph basepoint must look like EDGE:T" if graph else "basepoint must be a coordinate") from exc
+    if not math.isfinite(x):
+        raise ValueError("basepoint must be finite")
+    return space.canon(GraphPoint(edge, x) if graph else x)
 
 
 @click.group(cls=_Commands)
@@ -120,13 +128,13 @@ def cmd_contract(input_path, mode, cap, basepoint, resolution, out, svg_dir, bou
         write_homotopy(homotopy, cert.as_dict(), fp)
     if svg_dir is not None:
         render_homotopy(homotopy, svg_dir, basepoint=b)
-    click.echo(
+    _echo(
         f"max cardinality {cert.max_cardinality} (cap {cert.declared_cap}); "
         f"max gap {cert.max_gap:.6g}; lipschitz {cert.lipschitz:.6g}; "
         f"target constancy {cert.target_constancy:.3g}"
     )
     if not within_bound(cert.max_gap, cert.ds, cert.dt, bound):
-        click.echo(f"continuity bound {bound} failed: max gap {cert.max_gap:.6g}", err=True)
+        _echo(f"continuity bound {bound} failed: max gap {cert.max_gap:.6g}", err=True)
         sys.exit(1)
 
 
@@ -182,46 +190,47 @@ def cmd_verify(homotopy_path, bound):
     report = check_continuity(grid, bound)
     ok = True
     rows, cols = grid.counts.shape
-    click.echo(
+    _echo(
         f"cells {rows}x{cols}; max cardinality "
         f"{report.max_cardinality} (cap {grid.cap}); max gap {report.max_gap:.6g}"
     )
     if report.max_cardinality > grid.cap:
         row, col = np.argwhere(grid.counts > grid.cap)[0]
-        click.echo(f"FAIL: cardinality exceeds declared cap (first cell over it: row {row}, column {col})", err=True)
+        _echo(f"FAIL: cardinality exceeds declared cap (first cell over it: row {row}, column {col})", err=True)
         ok = False
     if not report.passed:
         row, col, way = first_gap_over(grid, bound * max(report.ds, report.dt))
         pair = f"column {col + 1}" if way == "across" else f"row {row + 1}"
-        click.echo(f"FAIL: max gap {report.max_gap:.6g} exceeds bound * grid step "
+        _echo(f"FAIL: max gap {report.max_gap:.6g} exceeds bound * grid step "
                    f"(first pair over it: row {row}, column {col} {way} to {pair})", err=True)
         ok = False
     last = grid.enc[-1]
     stray = np.flatnonzero((grid.counts[-1] != 1) | (batch_hausdorff(grid.space, last, last[:1, :1]) > LOOP_TOL))
     if len(stray):
-        click.echo(f"FAIL: last row is not one constant point (first stray cell at column {stray[0]})", err=True)
+        _echo(f"FAIL: last row is not one constant point (first stray cell at column {stray[0]})", err=True)
         ok = False
     open_rows = np.flatnonzero(batch_hausdorff(grid.space, grid.enc[:, 0], grid.enc[:, -1]) > LOOP_TOL)
     if len(open_rows):
-        click.echo(f"FAIL: row {open_rows[0]} is not a closed loop (its first and last cells differ)", err=True)
+        _echo(f"FAIL: row {open_rows[0]} is not a closed loop (its first and last cells differ)", err=True)
         ok = False
     if stored is not None:
         if stored.get("max_cardinality") != report.max_cardinality:
-            click.echo("FAIL: stored certificate cardinality does not match cells", err=True)
+            _echo("FAIL: stored certificate cardinality does not match cells", err=True)
             ok = False
         for key, label, recomputed in (
             ("max_gap", "gap", report.max_gap), ("ds", "ds", report.ds), ("dt", "dt", report.dt),
             ("lipschitz", "lipschitz", report.lipschitz), ("endpoint_drift", "endpoint_drift", endpoint_drift(grid)),
         ):
             value = stored.get(key)
-            if value is not None and abs(value - recomputed) > 1e-9:
-                click.echo(f"FAIL: stored certificate {label} does not match cells", err=True)
+            # not <= rather than >, so that a NaN value fails
+            if value is not None and not abs(value - recomputed) <= 1e-9:
+                _echo(f"FAIL: stored certificate {label} does not match cells", err=True)
                 ok = False
         mismatch = None if stages is None else _stage_mismatch(stages, grid)
         if mismatch is not None:
-            click.echo(f"FAIL: stored certificate {mismatch} does not match cells", err=True)
+            _echo(f"FAIL: stored certificate {mismatch} does not match cells", err=True)
             ok = False
-    click.echo("PASS" if ok else "FAIL")
+    _echo("PASS" if ok else "FAIL")
     sys.exit(0 if ok else 1)
 
 
@@ -242,12 +251,12 @@ def cmd_homology(circumference, n, m, seed, max_scale, gap_ratio, landmarks):
         cloud = maxmin_subsample(cloud, landmarks, seed=seed)
     pairs = rips_persistence_h1(cloud, max_scale=max_scale, budget=budget)
     count = long_lived_h1_count(pairs, gap_ratio)
-    click.echo(f"{'dim':>3} {'birth':>12} {'death':>12} {'persistence':>12}")
+    _echo(f"{'dim':>3} {'birth':>12} {'death':>12} {'persistence':>12}")
     for p in pairs:
         death = f"{p.death:.6g}" if math.isfinite(p.death) else "inf"
         pers = f"{p.persistence:.6g}" if math.isfinite(p.persistence) else "inf"
-        click.echo(f"{p.dim:>3} {p.birth:>12.6g} {death:>12} {pers:>12}")
-    click.echo(f"long-lived H1 classes: {count}")
+        _echo(f"{p.dim:>3} {p.birth:>12.6g} {death:>12} {pers:>12}")
+    _echo(f"long-lived H1 classes: {count}")
 
 
 @main.command("convert")
@@ -267,7 +276,7 @@ def cmd_convert(input_path, out_dir, stride, basepoint):
         track = track_from_json(doc)
         b = _parse_basepoint(track.space, basepoint) if basepoint else None
         written = render_track(track, out_dir, basepoint=b, stride=stride)
-    click.echo(f"wrote {len(written)} frames to {out_dir}")
+    _echo(f"wrote {len(written)} frames to {out_dir}")
 
 
 if __name__ == "__main__":

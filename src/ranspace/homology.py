@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeLimit
-from .ran import _pad_encode, batch_hausdorff, dedup
+# dedup is unused here, but perfbench/tracer.py rebinds it here
+from .ran import _dedup_lists, _pad_encode, as_configurations, batch_hausdorff, dedup
 from .space import Space
 
 DEFAULT_SIMPLEX_BUDGET = 5_000_000
@@ -80,12 +81,8 @@ def sample_ran(space: Space, n: int, m: int, seed: int) -> MetricCloud:
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
     rng = np.random.default_rng(seed)
-    configs = []
-    for _ in range(m):
-        size = int(rng.integers(1, n + 1))
-        pts = [space.random_point(rng) for _ in range(size)]
-        configs.append(dedup(space, pts, cap=n))
-    return cloud_from_configs(space, configs)
+    point_lists = [[space.random_point(rng) for _ in range(int(rng.integers(1, n + 1)))] for _ in range(m)]
+    return cloud_from_configs(space, as_configurations(space, *_dedup_lists(space, point_lists, n), n))
 
 
 def maxmin_subsample(cloud: MetricCloud, k: int, seed: int) -> MetricCloud:

@@ -129,19 +129,16 @@ class ContractionCertificate:
 # -- strand extraction --------------------------------------------------------
 
 
-def _match_step(space: Space, prev: tuple, nxt: tuple, radius: float, when: float) -> list:
-    """Parent index in prev for every point of nxt.
+def _match_step(dist: np.ndarray, nxt: tuple, radius: float, when: float) -> list:
+    """Parent index for every point of nxt, from the step's distance matrix
+    dist[child, parent].
 
     Pairs are scanned in ascending (distance, child, parent) order; the
     first pass builds an injective matching so a point passing close to
     another cannot steal its successor, and a second pass attaches the
     remaining points (genuine branches) to their nearest predecessor.
     """
-    pairs = sorted(
-        (space.distance(q, p), qi, pi)
-        for qi, q in enumerate(nxt)
-        for pi, p in enumerate(prev)
-    )
+    pairs = sorted((d, qi, pi) for qi, row in enumerate(dist.tolist()) for pi, d in enumerate(row))
     parent = [-1] * len(nxt)
     taken = set()
     for d, qi, pi in pairs:
@@ -170,30 +167,36 @@ def extract_strands(track: Track, matching_radius: float | None = None) -> Stran
     successors, and strands on a vanishing point follow it to the nearest
     surviving point.  Any step that cannot be matched within the radius
     raises AmbiguousBranching: such tracks admit no strand decomposition
-    on this grid.
+    on this grid.  Every step's distances come from one distance_many
+    call over adjacent columns of the track's grid.
     """
     space = track.space
     n = track.cap
+    grid = CellGrid.of(track)
     if matching_radius is None:
-        matching_radius = 2.0 * check_continuity(track, math.inf).max_gap + 1e-9
+        matching_radius = 2.0 * check_continuity(grid, math.inf).max_gap + 1e-9
     elif not 0 < matching_radius < math.inf:
         raise ValueError("matching radius must be finite and positive")
+    enc = space.canon_many(grid.enc[0])
+    # steps[i, child, parent]: from point child of column i + 1 to point
+    # parent of column i
+    steps = space.distance_many(np.expand_dims(enc[1:], 2), np.expand_dims(enc[:-1], 1))
     first = track.configs[0].points
     positions = [j % len(first) for j in range(n)]
     strands = [[first[p]] for p in positions]
-    for i in range(len(track.times) - 1):
+    for i, dist in enumerate(steps):
         prev = track.configs[i].points
         nxt = track.configs[i + 1].points
-        parent = _match_step(space, prev, nxt, matching_radius, track.times[i + 1])
+        dist = dist[:len(nxt), :len(prev)]
+        parent = _match_step(dist, nxt, matching_radius, track.times[i + 1])
         children = {p: [q for q, par in enumerate(parent) if par == p] for p in range(len(prev))}
         new_positions = [0] * n
         for p in range(len(prev)):
             holders = [j for j in range(n) if positions[j] == p]
             kids = children[p]
             if not kids:
-                dists = [space.distance(prev[p], q) for q in nxt]
-                tgt = min(range(len(nxt)), key=lambda k: (dists[k], k))
-                if dists[tgt] > matching_radius:
+                tgt = int(np.argmin(dist[:, p]))
+                if dist[tgt, p] > matching_radius:
                     raise AmbiguousBranching(
                         f"point {prev[p]!r} at t={track.times[i]} vanishes with no "
                         f"successor within radius {matching_radius:.3g}"

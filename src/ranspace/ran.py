@@ -7,13 +7,12 @@ point pairs.  Everything is immutable and pure.
 
 Many configurations at once travel as one padded array (``_pad``), and
 two kernels run over it: ``dedup_many`` and ``batch_hausdorff``, both on
-the space's ``distance_many``.  Scalar ``hausdorff`` is one row of
-``batch_hausdorff``; scalar ``dedup`` is the single-configuration call.
+the space's ``distance_many``.  Scalar ``hausdorff`` and ``dedup`` are
+one-row calls of them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
@@ -41,24 +40,18 @@ class Configuration:
         return len(self.points)
 
 
-def dedup(space: Space, points: Sequence[Point], eps: float = DEDUP_EPS, cap: int | None = None) -> Configuration:
-    """Greedy left-to-right merge of points within distance eps.
+def dedup(space: Space, points: Iterable[Point], cap: int | None = None) -> Configuration:
+    """Greedy left-to-right merge of points within DEDUP_EPS: one row of
+    dedup_many.
 
-    Later points within eps of an already kept point are dropped, so kept
-    points are pairwise more than eps apart.  The result is sorted in
-    canonical order.  A NaN point raises InvalidPoint, wherever it sits.
+    Later points within DEDUP_EPS of an already kept point are dropped, so
+    kept points are pairwise more than DEDUP_EPS apart.  The result is
+    sorted in canonical order, capped at cap (default: its own size).  A
+    NaN point raises InvalidPoint, wherever it sits.
     """
-    if len(points) == 0:
-        raise EmptyConfiguration("cannot dedup an empty point list")
-    kept: list = []
-    for p in points:
-        cp = space.canon(p)
-        if math.isnan(cp.t if isinstance(cp, GraphPoint) else cp):
-            raise InvalidPoint(f"NaN point on {space!r}")
-        if all(space.distance(cp, k) > eps for k in kept):
-            kept.append(cp)
-    kept.sort(key=space.sort_key)
-    return Configuration(tuple(kept), cap if cap is not None else len(kept))
+    points = list(points)
+    kept, counts = _dedup_lists(space, [points], len(points) if cap is None else cap)
+    return as_configurations(space, kept, counts, int(counts[0]) if cap is None else cap)[0]
 
 
 def _pad(space: Space, counts: np.ndarray, flat: np.ndarray) -> np.ndarray:
@@ -114,8 +107,8 @@ def dedup_many(space: Space, enc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     empty slot.  The merge is the same greedy left-to-right pass as
     dedup, slot by slot: a point is kept when it is more than DEDUP_EPS
     from every point kept before it.  Returns each cell's kept canonical
-    points in sort_key order, padded as _pad pads, and how many each cell
-    kept.
+    points in order (by (edge, t) on graphs), padded as _pad pads, and
+    how many each cell kept.
     """
     graph = isinstance(space, MetricGraph)
     x = space.canon_many(enc)
@@ -159,9 +152,10 @@ def as_configurations(space: Space, kept: np.ndarray, counts: np.ndarray, cap: i
 
 
 def _dedup_lists(space: Space, point_lists: Sequence[Sequence[Point]], cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """dedup_many's (kept, counts) for dedup(space, pts, cap=cap) of every
-    point list, from one call on their padded encoding, with dedup's
-    error types."""
+    """dedup_many's (kept, counts) for every point list, from one call on
+    their padded encoding: EmptyConfiguration for an empty list,
+    InvalidPoint for a point off the space or NaN, CapExceeded for a list
+    that keeps more than cap points."""
     if not all(point_lists):
         raise EmptyConfiguration("cannot dedup an empty point list")
     try:
@@ -178,7 +172,7 @@ def _dedup_lists(space: Space, point_lists: Sequence[Sequence[Point]], cap: int)
 
 def configuration(space: Space, points: Iterable[Point], cap: int | None = None) -> Configuration:
     """Build a configuration from raw points, deduplicating at DEDUP_EPS."""
-    return dedup(space, list(points), cap=cap)
+    return dedup(space, points, cap=cap)
 
 
 def batch_hausdorff(space: Space, enc_a: np.ndarray, enc_b: np.ndarray) -> np.ndarray:
@@ -213,7 +207,4 @@ def union(space: Space, a: Configuration, b: Configuration, cap: int) -> Configu
     The cap failure is the cardinality bookkeeping signal used throughout
     the contraction pipelines.
     """
-    merged = dedup(space, list(a.points) + list(b.points), eps=DEDUP_EPS, cap=None)
-    if len(merged) > cap:
-        raise CapExceeded(f"union has {len(merged)} points, cap {cap}")
-    return Configuration(merged.points, cap)
+    return dedup(space, [*a.points, *b.points], cap=cap)

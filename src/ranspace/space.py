@@ -64,9 +64,7 @@ class Circle:
         return np.where((c - x < tol) | (x < tol), 0.0, x)
 
     def distance(self, p: float, q: float) -> float:
-        c = self.circumference
-        raw = abs(self.canon(p) - self.canon(q))
-        return min(raw, c - raw)
+        return float(self.distance_many(np.array(self.canon(p)), np.array(self.canon(q))))
 
     def distance_many(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """distance between broadcast arrays of canonical coordinates,
@@ -87,9 +85,6 @@ class Circle:
         if forward <= c / 2.0:
             return self.canon_many(a + s * forward)
         return self.canon_many(a - s * (c - forward))
-
-    def sort_key(self, p: float):
-        return (self.canon(p),)
 
     def random_point(self, rng: np.random.Generator) -> float:
         return self.canon(rng.uniform(0.0, self.circumference))
@@ -120,7 +115,7 @@ class Interval:
         return np.where(x > self.length, self.length, x)
 
     def distance(self, p: float, q: float) -> float:
-        return abs(self.canon(p) - self.canon(q))
+        return float(self.distance_many(np.array(self.canon(p)), np.array(self.canon(q))))
 
     def distance_many(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """distance between broadcast arrays of canonical coordinates,
@@ -134,9 +129,6 @@ class Interval:
         """geodesic from p to q at every s of an array, value for value."""
         a, b = self.canon(p), self.canon(q)
         return a + s * (b - a)
-
-    def sort_key(self, p: float):
-        return (self.canon(p),)
 
     def random_point(self, rng: np.random.Generator) -> float:
         return float(rng.uniform(0.0, self.length))
@@ -338,14 +330,13 @@ class MetricGraph:
                 continue
             hit = left & (acc + seg_len >= target - CANON_TOL)
             frac = (target[hit] - acc) / seg_len
-            out[hit] = self.canon_many(np.stack([np.full(frac.shape, float(edge)), t0 + frac * (t1 - t0)], axis=-1))
+            # a t past a vertex by rounding is clipped onto it; canon_many
+            # snaps it to that vertex either way
+            t = np.clip(t0 + frac * (t1 - t0), 0.0, 1.0)
+            out[hit] = self.canon_many(np.stack([np.full(frac.shape, float(edge)), t], axis=-1))
             left &= ~hit
             acc += seg_len
         return out
-
-    def sort_key(self, p: Point):
-        c = self.canon(p)
-        return (c.edge, c.t)
 
     def random_point(self, rng: np.random.Generator) -> GraphPoint:
         lengths = np.array([l for _, _, l in self.edges])

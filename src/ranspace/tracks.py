@@ -270,10 +270,16 @@ def endpoint_drift(grid: CellGrid) -> float:
     return float(batch_hausdorff(grid.space, ends, ends[:1]).max())
 
 
-def _adjacent_gaps(space: Space, enc: np.ndarray) -> tuple:
-    """Hausdorff gaps of horizontal neighbours (rows, cols - 1) and of
-    vertical ones (rows - 1, cols), from slices of the encoding."""
-    return batch_hausdorff(space, enc[:, :-1], enc[:, 1:]), batch_hausdorff(space, enc[:-1], enc[1:])
+def _gap_blocks(space: Space, enc: np.ndarray, cells: int = 1 << 15):
+    """Hausdorff gaps of adjacent cells in blocks of rows of about `cells`
+    cells, so that no pair array spans a large grid: (first row, gaps to
+    the next column, gaps to the next row, none from the last row)."""
+    rows, cols = enc.shape[:2]
+    step = max(1, cells // cols)
+    for first in range(0, rows, step):
+        stop, down_stop = min(first + step, rows), min(first + step, rows - 1)
+        yield (first, batch_hausdorff(space, enc[first:stop, :-1], enc[first:stop, 1:]),
+               batch_hausdorff(space, enc[first:down_stop], enc[first + 1:down_stop + 1]))
 
 
 def check_continuity(obj, bound: float) -> ContinuityReport:
@@ -293,10 +299,9 @@ def check_continuity(obj, bound: float) -> ContinuityReport:
     # its small arrays, left live, raised peak RSS by 0.7 MB over four
     # contract-theta passes
     del grid
-    across, down = _adjacent_gaps(space, enc)
-    gaps = np.concatenate([across.ravel(), down.ravel()])
-    rates = np.concatenate([(across / t_steps).ravel(), (down / s_steps[:, None]).ravel()])
-    max_gap, lips = float(gaps.max()), float(rates.max())
+    tops = [(gaps.max(), (gaps / step).max()) for first, across, down in _gap_blocks(space, enc)
+            for gaps, step in ((across, t_steps), (down, s_steps[first:first + len(down), None])) if gaps.size]
+    max_gap, lips = (float(np.max(column)) for column in zip(*tops))
     return ContinuityReport(max_gap, ds, dt, lips, max_card, bound, within_bound(max_gap, ds, dt, bound))
 
 
@@ -309,10 +314,12 @@ def first_gap_over(grid: CellGrid, limit: float) -> tuple | None:
     """The first adjacent pair of cells, in row-major order, whose gap
     exceeds limit: (row, column, "across" to the next column or "down" to
     the next row), a horizontal pair first on a tie; None if no pair does."""
-    across, down = _adjacent_gaps(grid.space, grid.enc)
-    hits = [(int(i), int(k), way) for gaps, way in ((across, "across"), (down, "down"))
-            for i, k in np.argwhere(gaps > limit)[:1]]
-    return min(hits, default=None)
+    for first, across, down in _gap_blocks(grid.space, grid.enc):
+        hits = [(first + int(i), int(k), way) for gaps, way in ((across, "across"), (down, "down"))
+                for i, k in np.argwhere(gaps > limit)[:1]]
+        if hits:
+            return min(hits)
+    return None
 
 
 # -- homotopies ---------------------------------------------------------------
@@ -425,30 +432,31 @@ def detect_branch_merge(track: Track, radius: float, lookahead: int):
     A point p of config(t_i) is a branch when its radius ball holds exactly
     one point of config(t_i) but at least two points of config(t_{i+k}) for
     some k <= lookahead; a merge symmetrically with t_{i-k}.  Returns
-    (time index, point, kind) triples in grid order.
+    (time index, point, kind) triples in grid order, a branch before a
+    merge at the same point.  Each offset k takes one distance_many call
+    between the columns k apart, read both ways.
     """
     if radius <= 0 or lookahead < 1:
         raise ValueError("radius must be positive and lookahead at least 1")
     space = track.space
+    enc = space.canon_many(CellGrid.of(track).enc[0])
+    cols = len(enc)
+
+    def within(k: int) -> np.ndarray:
+        # [i, a, b]: point a of column i within radius of point b of column
+        # i + k; a NaN padding slot is within no radius
+        return space.distance_many(np.expand_dims(enc[:cols - k], 2), np.expand_dims(enc[k:], 1)) <= radius
+
+    alone = within(0).sum(axis=-1) == 1
+    branch, merge = np.zeros_like(alone), np.zeros_like(alone)
+    for k in range(1, min(lookahead, cols - 1) + 1):
+        near = within(k)
+        branch[:cols - k] |= near.sum(axis=-1) >= 2
+        merge[k:] |= near.sum(axis=-2) >= 2
     out = []
-    m = len(track.times) - 1
-    for i, config in enumerate(track.configs):
-        for p in config.points:
-            in_ball_now = sum(1 for q in config.points if space.distance(p, q) <= radius)
-            if in_ball_now != 1:
-                continue
-            for kind, direction in (("branch", 1), ("merge", -1)):
-                hit = False
-                for k in range(1, lookahead + 1):
-                    j = i + direction * k
-                    if j < 0 or j > m:
-                        break
-                    near = sum(1 for q in track.configs[j].points if space.distance(p, q) <= radius)
-                    if near >= 2:
-                        hit = True
-                        break
-                if hit:
-                    out.append((i, p, kind))
+    for i, a in np.argwhere(alone & (branch | merge)).tolist():
+        p = track.configs[i].points[a]
+        out.extend((i, p, kind) for kind, hit in (("branch", branch), ("merge", merge)) if hit[i, a])
     return out
 
 

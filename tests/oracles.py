@@ -1,14 +1,16 @@
 """Independent second implementations used as test oracles.
 
-Point metrics, shortest paths, the one-turn contraction and the
-boundary-matrix reduction share no code with the package: they are
-rebuilt from scratch so that agreement is meaningful.  The per-cell
-pipeline schedules at the end evaluate one cell at a time what the
-package evaluates as arrays; they take the package's canonical points,
-scalar dedup, graph routes, strand extraction and window schedule as
-given, since those are not what the array evaluation changes.
+Point metrics, shortest paths, dedup, strand extraction, branch and merge
+detection, the one-turn contraction and the boundary-matrix reduction
+share no code with the package: they are rebuilt from scratch, one point
+at a time, so that agreement is meaningful.  The per-cell pipeline
+schedules at the end evaluate one cell at a time what the package
+evaluates as arrays; they take the package's canonical points, graph
+routes and window schedule as given, since those are not what the array
+evaluation changes.
 """
 
+import functools
 import heapq
 import math
 from bisect import bisect_right
@@ -16,8 +18,9 @@ from itertools import combinations
 
 import numpy as np
 
-from ranspace.moves import _schedule, extract_strands
-from ranspace.ran import dedup
+from ranspace.errors import AmbiguousBranching, EmptyConfiguration, InvalidPoint
+from ranspace.moves import _schedule
+from ranspace.ran import DEDUP_EPS, Configuration
 from ranspace.space import Circle, GraphPoint, Interval
 from ranspace.tracks import StrandBundle, Track, project
 
@@ -69,6 +72,123 @@ def circle_point_metric(circumference):
         return min(raw, circumference - raw)
 
     return metric
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_metric(space):
+    """The point metric of space on canonical points: the arc metric on
+    circles, |p - q| on intervals, the oracle graph metric on graphs."""
+    if isinstance(space, Circle):
+        return circle_point_metric(space.circumference)
+    if isinstance(space, Interval):
+        return lambda p, q: abs(p - q)
+    return make_graph_point_metric(space.edges, space.num_vertices)
+
+
+def oracle_dedup(space, points, cap=None):
+    """dedup one point at a time: each canonical point is kept when it is
+    more than DEDUP_EPS from every point kept before it, and the kept
+    points, sorted, make a Configuration of the cap (default: its size).
+    An empty list, a NaN point and a point off the space raise."""
+    points = list(points)
+    if not points:
+        raise EmptyConfiguration("cannot dedup an empty point list")
+    metric = oracle_metric(space)
+    kept = []
+    for p in points:
+        cp = space.canon(p)
+        if math.isnan(cp.t if isinstance(cp, GraphPoint) else cp):
+            raise InvalidPoint(f"NaN point on {space!r}")
+        if all(metric(cp, k) > DEDUP_EPS for k in kept):
+            kept.append(cp)
+    kept.sort()
+    return Configuration(tuple(kept), len(kept) if cap is None else cap)
+
+
+def _oracle_match_step(dist, prev, nxt, radius, when):
+    pairs = sorted((dist(q, p), qi, pi) for qi, q in enumerate(nxt) for pi, p in enumerate(prev))
+    parent = [-1] * len(nxt)
+    taken = set()
+    for d, qi, pi in pairs:
+        if d > radius:
+            break
+        if parent[qi] == -1 and pi not in taken:
+            parent[qi] = pi
+            taken.add(pi)
+    for d, qi, pi in pairs:
+        if parent[qi] == -1 and d <= radius:
+            parent[qi] = pi
+    for qi, pi in enumerate(parent):
+        if pi == -1:
+            raise AmbiguousBranching(f"point {nxt[qi]!r} at t={when} has no predecessor within radius {radius:.3g}")
+    return parent
+
+
+def oracle_extract_strands(track, matching_radius=None):
+    """extract_strands one step and one point pair at a time, the radius
+    (by default twice the largest adjacent Hausdorff gap, plus 1e-9) and
+    every distance from the oracle metric: the same greedy matching, ties
+    to the lower (child, parent) index pair, the same round-robin strand
+    moves and the same AmbiguousBranching messages."""
+    space, n = track.space, track.cap
+    metric = oracle_metric(space)
+
+    def dist(p, q):
+        return metric(space.canon(p), space.canon(q))
+
+    configs = [c.points for c in track.configs]
+    if matching_radius is None:
+        matching_radius = 2.0 * max(oracle_hausdorff(dist, a, b) for a, b in zip(configs, configs[1:])) + 1e-9
+    positions = [j % len(configs[0]) for j in range(n)]
+    strands = [[configs[0][p]] for p in positions]
+    for i in range(len(configs) - 1):
+        prev, nxt = configs[i], configs[i + 1]
+        parent = _oracle_match_step(dist, prev, nxt, matching_radius, track.times[i + 1])
+        new_positions = [0] * n
+        for p in range(len(prev)):
+            holders = [j for j in range(n) if positions[j] == p]
+            kids = [q for q, par in enumerate(parent) if par == p]
+            if not kids:
+                dists = [dist(prev[p], q) for q in nxt]
+                tgt = min(range(len(nxt)), key=lambda k: (dists[k], k))
+                if dists[tgt] > matching_radius:
+                    raise AmbiguousBranching(
+                        f"point {prev[p]!r} at t={track.times[i]} vanishes with no "
+                        f"successor within radius {matching_radius:.3g}"
+                    )
+                for j in holders:
+                    new_positions[j] = tgt
+                continue
+            if len(holders) < len(kids):
+                raise AmbiguousBranching(
+                    f"branch at t={track.times[i]} needs {len(kids)} strands "
+                    f"but only {len(holders)} ride the branching point"
+                )
+            for k, j in enumerate(holders):
+                new_positions[j] = kids[k % len(kids)]
+        positions = new_positions
+        for j in range(n):
+            strands[j].append(nxt[positions[j]])
+    return StrandBundle(space, track.times, tuple(tuple(s) for s in strands))
+
+
+def oracle_branch_merge(track, radius, lookahead):
+    """detect_branch_merge one point pair at a time: (time index, point,
+    kind) for each point alone in its radius ball at its own time with two
+    or more points of the configuration k <= lookahead steps later (a
+    branch) or earlier (a merge) in that ball."""
+    metric = oracle_metric(track.space)
+    configs = [[track.space.canon(p) for p in c.points] for c in track.configs]
+    out = []
+    for i, config in enumerate(configs):
+        for a, p in enumerate(config):
+            if sum(1 for q in config if metric(p, q) <= radius) != 1:
+                continue
+            for kind, direction in (("branch", 1), ("merge", -1)):
+                js = [i + direction * k for k in range(1, lookahead + 1)]
+                if any(sum(1 for q in configs[j] if metric(p, q) <= radius) >= 2 for j in js if 0 <= j < len(configs)):
+                    out.append((i, track.configs[i].points[a], kind))
+    return out
 
 
 def oracle_hausdorff(metric, a_points, b_points):
@@ -199,7 +319,7 @@ def oracle_geodesic(space, p, q, s):
             continue
         if acc + seg_len >= target - 1e-12:
             frac = (target - acc) / seg_len
-            return space.canon(GraphPoint(edge, t0 + frac * (t1 - t0)))
+            return space.canon(GraphPoint(edge, min(max(t0 + frac * (t1 - t0), 0.0), 1.0)))
         acc += seg_len
     return q
 
@@ -244,7 +364,7 @@ def _cells(grid, rows, f):
 
 
 def _deduped(space, rows, cap):
-    return [[dedup(space, pts, cap=cap) for pts in row] for row in rows]
+    return [[oracle_dedup(space, pts, cap=cap) for pts in row] for row in rows]
 
 
 def _dwell(lam, t):
@@ -291,8 +411,9 @@ def _normalize_bundle(bundle, b, rows, grid):
 
 def _normalize_track(track, b, rows, grid, matching_radius):
     space, n, m = track.space, track.cap, len(grid) - 1
+    metric = oracle_metric(space)
     sigma0 = track.configs[0].points
-    pstar = min(sigma0, key=lambda q: (space.distance(b, q), sigma0.index(q)))
+    pstar = min(sigma0, key=lambda q: (metric(b, q), sigma0.index(q)))
 
     def conj_points(s, t):
         on_connector, u = _conjugation(s, t)
@@ -304,11 +425,11 @@ def _normalize_track(track, b, rows, grid, matching_radius):
 
     dwell = _cells(grid, rows, lambda lam, t: track.configs[oracle_nearest(track.times, _dwell(lam, t))])
     conjugated = _deduped(space, _cells(grid, rows, conj_points), n)
-    bundle = extract_strands(Track(space, grid, tuple(conjugated[-1]), "path", n), matching_radius)
+    bundle = oracle_extract_strands(Track(space, grid, tuple(conjugated[-1]), "path", n), matching_radius)
     strands = [OracleStrand(space, grid, s) for s in bundle.strands]
     spans = []
     for strand in bundle.strands:
-        away = [i for i, p in enumerate(strand) if space.distance(p, b) > 1e-9]
+        away = [i for i, p in enumerate(strand) if metric(p, b) > 1e-9]
         spans.append((grid[max(away[0] - 1, 0)], grid[min(away[-1] + 1, m)]) if away else (0.0, 1.0))
     values = _cells(grid, rows, lambda lam, t: [
         st.at((1.0 - lam) * t + lam * (t0 + t * (t1 - t0))) for st, (t0, t1) in zip(strands, spans)])
@@ -327,7 +448,7 @@ def _normalize(obj, b, rows, grid, matching_radius):
     if obj.times != grid:
         strands = [OracleStrand(obj.space, obj.times, s) for s in obj.strands]
         obj = StrandBundle(obj.space, grid, tuple(tuple(st.at(t) for t in grid) for st in strands))
-    proj = [dedup(obj.space, [s[k] for s in obj.strands], cap=obj.n) for k in range(len(grid))]
+    proj = [oracle_dedup(obj.space, [s[k] for s in obj.strands], cap=obj.n) for k in range(len(grid))]
     return obj, [proj, proj]
 
 

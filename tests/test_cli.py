@@ -381,6 +381,15 @@ def _contract(*extra):
     return args
 
 
+def _theta_contract(*extra):
+    """contract on a constant theta-graph loop document."""
+    def args(tmp):
+        times = uniform_times(4)
+        track = make_track(THETA, times, [[GraphPoint(0, 0.5)]] * len(times), cap=1, kind="loop")
+        return ["contract", _write_doc(tmp / "theta.json", track_to_json(track)), "--cap", 1, "--out", tmp / "x.json", *extra]
+    return args
+
+
 def _homology(*extra):
     return lambda tmp: ["homology", "--m", 20, "--max-scale", 0.3, *extra]
 
@@ -467,6 +476,11 @@ def _convert_not_an_object(tmp):
         (_verify("--bound", "nan"), {}),
         (_verify("--bound", -1), {}),
         (_convert_not_an_object, {}),
+        (_contract("--cap", 1, "--basepoint", "nan"), {}),
+        (_contract("--cap", 1, "--basepoint", "inf"), {}),
+        (_contract("--cap", 1, "--basepoint", "-inf"), {}),
+        (_theta_contract("--basepoint", "0:nan"), {}),
+        (_theta_contract("--basepoint", "0:inf"), {}),
     ],
     ids=[
         "contract-open-path", "contract-basepoint-off-space", "contract-resolution-zero",
@@ -479,6 +493,8 @@ def _convert_not_an_object(tmp):
         "contract-circle-infinite", "contract-interval-infinite", "contract-graph-infinite-edge",
         "contract-half-turn-step", "contract-out-missing-dir", "contract-bound-nan",
         "verify-bound-nan", "verify-bound-negative", "convert-not-an-object",
+        "contract-basepoint-nan", "contract-basepoint-inf", "contract-basepoint-minus-inf",
+        "contract-graph-basepoint-nan", "contract-graph-basepoint-inf",
     ],
 )
 def test_parameter_errors_exit_two(tmp_path, make_args, env):
@@ -642,6 +658,12 @@ def contracted(tmp_path_factory):
     ("stage-cardinality", lambda c: c["stages"][0].__setitem__(3, c["stages"][0][3] + 1),
      "FAIL: stored certificate stages[0] (normalize) max cardinality does not match cells"),
     ("stages-short", lambda c: c["stages"].pop(), "FAIL: stored certificate stages row range does not match cells"),
+    ("max_gap-nan", lambda c: c.update(max_gap=math.nan), "FAIL: stored certificate gap does not match cells"),
+    ("ds-nan", lambda c: c.update(ds=math.nan), "FAIL: stored certificate ds does not match cells"),
+    ("dt-nan", lambda c: c.update(dt=math.nan), "FAIL: stored certificate dt does not match cells"),
+    ("lipschitz-nan", lambda c: c.update(lipschitz=math.nan), "FAIL: stored certificate lipschitz does not match cells"),
+    ("endpoint_drift-nan", lambda c: c.update(endpoint_drift=math.nan),
+     "FAIL: stored certificate endpoint_drift does not match cells"),
 ])
 def test_verify_checks_every_recomputable_certificate_field(tmp_path, contracted, field, change, named):
     doc = json.loads(contracted.read_text())
@@ -671,3 +693,33 @@ def test_verify_rejects_malformed_certificate_stages(tmp_path):
     assert res.returncode == 2, res.stderr
     assert res.stderr.startswith("schema error: certificate stages")
     assert res.stdout == ""
+
+
+def test_in_process_commands_keep_no_redirected_stream(tmp_path):
+    # click.echo without a file caches every sys.stdout and sys.stderr it
+    # meets for the life of the process, stream and text included
+    from contextlib import redirect_stderr, redirect_stdout
+    import gc
+    import weakref
+
+    from ranspace import cli
+
+    src, out, bad = tmp_path / "loop.json", tmp_path / "h.json", tmp_path / "bad.json"
+    write_generator_track(src)
+    bad.write_text("not json")
+    streams = []
+    for args, code in (
+        (["contract", src, "--cap", 1, "--out", out, "--resolution", 24, 64], 0),
+        (["verify", out, "--bound", 16.0], 0),
+        (["verify", bad, "--bound", 16.0], 2),
+    ):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr), pytest.raises(SystemExit) as exit_info:
+            cli.main(list(map(str, args)), standalone_mode=False)
+            sys.exit(0)
+        assert exit_info.value.code == code
+        assert (stderr if code else stdout).getvalue()
+        streams += [weakref.ref(stdout), weakref.ref(stderr)]
+        del stdout, stderr
+    gc.collect()
+    assert [ref() for ref in streams] == [None] * len(streams)

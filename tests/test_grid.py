@@ -9,7 +9,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import generator_cell, oracle_dump, oracle_pipeline_cells
+from oracles import generator_cell, oracle_dedup, oracle_dump, oracle_pipeline_cells
 from ranspace import io as rio
 from ranspace.io import dump, homotopy_to_json, space_to_json, write_homotopy
 from ranspace.moves import (
@@ -38,7 +38,7 @@ def _hex(rows):
 def test_generator_cells_match_the_object_path():
     for r, m in ((8, 16), (33, 64)):
         times = uniform_times(m)
-        want = [[dedup(C1, [C1.canon(v) for v in generator_cell(s, t)], cap=3) for t in times] for s in uniform_times(r)]
+        want = [[oracle_dedup(C1, [C1.canon(v) for v in generator_cell(s, t)], cap=3) for t in times] for s in uniform_times(r)]
         assert _hex(contract_circle_generator(1, (r, m)).cells) == _hex(want)
 
 
@@ -52,7 +52,7 @@ def test_pushforward_cells_match_the_object_path():
     for space, strand in loops:
         interp = StrandInterpolator(space, times, strand)
         want = [
-            [dedup(space, interp.many([C1.canon(v) for v in generator_cell(s, t)]), cap=3) for t in uniform_times(m)]
+            [oracle_dedup(space, interp.many([C1.canon(v) for v in generator_cell(s, t)]).tolist(), cap=3) for t in uniform_times(m)]
             for s in uniform_times(r)
         ]
         assert _hex(pushforward_contraction(space, strand, (r, m)).cells) == _hex(want)

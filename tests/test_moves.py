@@ -2,8 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import circle_point_metric, generator_cell, make_graph_point_metric, oracle_hausdorff, oracle_pipeline_stages
+from oracles import (
+    circle_point_metric,
+    generator_cell,
+    make_graph_point_metric,
+    oracle_dedup,
+    oracle_extract_strands,
+    oracle_hausdorff,
+    oracle_pipeline_stages,
+)
 from ranspace import moves
 from ranspace.errors import (
     AmbiguousBranching,
@@ -35,6 +45,7 @@ from ranspace.tracks import (
     uniform_times,
     winding_number,
 )
+from test_tracks import lattice_tracks
 
 C1 = Circle(1.0)
 
@@ -103,6 +114,26 @@ def test_extract_rejects_teleport():
     track = make_track(C1, times, pts, cap=1, kind="path")
     with pytest.raises(AmbiguousBranching):
         extract_strands(track, matching_radius=0.01)
+
+
+def _extraction(extract, track, radius):
+    """The strands extract gives, or its AmbiguousBranching message."""
+    try:
+        return repr(extract(track, radius).strands)
+    except AmbiguousBranching as exc:
+        return f"AmbiguousBranching: {exc}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(lattice_tracks(), st.sampled_from([None, 0.5, 1.0, 2.0]))
+def test_extract_strands_matches_the_oracle(case, radius):
+    """extract_strands gives the strands, or the AmbiguousBranching
+    message, of the one-pair-at-a-time oracle on lattice tracks, whose
+    distances tie often: at the default radius and at a half, one and two
+    lattice steps (a tie at the radius counts as within it)."""
+    track, step = case
+    radius = None if radius is None else radius * step
+    assert _extraction(extract_strands, track, radius) == _extraction(oracle_extract_strands, track, radius)
 
 
 # -- normalize ------------------------------------------------------------
@@ -248,7 +279,7 @@ def test_generator_matches_scalar_oracle(resolution, turns, c):
     h = contract_circle_generator(turns, resolution, space)
     for i, row in enumerate(h.cells):
         for t, cell in zip(uniform_times(m), row):
-            want = dedup(space, [space.canon(turns * v * c) for v in generator_cell(i / r, t)], cap=3)
+            want = oracle_dedup(space, [space.canon(turns * v * c) for v in generator_cell(i / r, t)], cap=3)
             # repr tells -0.0 from 0.0
             assert repr(cell) == repr(want), (i, t)
 
@@ -440,7 +471,8 @@ def _slot_point_lists(space, enc):
 
 def test_block_dedup_matches_scalar_dedup_per_cell(monkeypatch):
     """Every block is deduplicated by one dedup_many call over its slot
-    encoding, its cells equal dedup of each cell's slot points and carry
+    encoding, its cells equal the reference dedup (oracles.oracle_dedup)
+    of each cell's slot points and carry
     the block's own cap; and every stage's cells, scheduled as arrays,
     equal the per-cell oracle's dedup of each cell's points, bit for bit:
     based and rebased theta bundles, rebased circle and interval bundles,
@@ -486,7 +518,7 @@ def test_block_dedup_matches_scalar_dedup_per_cell(monkeypatch):
     # and a window per strand
     assert counts[:3] == [5, 7, 5]
     for space, cap, enc, block in blocks:
-        want = [dedup(space, pts, cap=cap) for pts in _slot_point_lists(space, enc)]
+        want = [oracle_dedup(space, pts, cap=cap) for pts in _slot_point_lists(space, enc)]
         got = [c for row in block.cells for c in row]
         assert [repr(c.points) for c in got] == [repr(c.points) for c in want]
         assert block.grid.cap == cap and all(c.cap == cap for c in got)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import circle_point_metric, make_graph_point_metric, oracle_hausdorff
+from oracles import circle_point_metric, make_graph_point_metric, oracle_dedup, oracle_hausdorff, oracle_metric
 from ranspace.errors import CapExceeded, EmptyConfiguration, InvalidPoint, SpaceMismatch
 from ranspace.ran import DEDUP_EPS, Configuration, _pad_encode, as_configurations, configuration, dedup, dedup_many, hausdorff, union
 from ranspace.space import CANON_TOL, Circle, GraphPoint, Interval, MetricGraph
@@ -104,14 +104,14 @@ def test_union_shrinks_hausdorff():
 
 
 def test_dedup_cases():
-    got = dedup(CIRCLE, [0.0, 0.0], eps=1e-9)
+    got = dedup(CIRCLE, [0.0, 0.0])
     assert got.points == (0.0,)
-    got = dedup(CIRCLE, [0.0, 1e-12, 0.5], eps=1e-9)
+    got = dedup(CIRCLE, [0.0, 1e-12, 0.5])
     assert got.points == (0.0, 0.5)
-    got = dedup(CIRCLE, [0.0, 0.3], eps=0.1)
+    got = dedup(CIRCLE, [0.0, 0.3])
     assert got.points == (0.0, 0.3)
     with pytest.raises(EmptyConfiguration):
-        dedup(CIRCLE, [], eps=1e-9)
+        dedup(CIRCLE, [])
 
 
 @st.composite
@@ -133,11 +133,13 @@ def _circle_rows(draw):
 @settings(max_examples=400, deadline=None)
 @given(_circle_rows())
 def test_dedup_circle_matches_scalar_dedup(case):
+    """dedup_many on a circle row equals the one-point-at-a-time reference
+    dedup (oracles.oracle_dedup), by repr."""
     c, row = case
     space = Circle(c)
     kept, counts = dedup_many(space, np.array([row]))
     got = tuple(kept[0, : counts[0]].tolist())
-    want = dedup(space, [p for p in row if not math.isnan(p)]).points
+    want = oracle_dedup(space, [p for p in row if not math.isnan(p)]).points
     assert repr(got) == repr(want)
 
 
@@ -212,24 +214,17 @@ def _hex(points):
 @settings(max_examples=400, deadline=None)
 @given(_dedup_cases())
 def test_dedup_many_matches_scalar_dedup(case):
+    """dedup_many on every space equals the one-point-at-a-time reference
+    dedup (oracles.oracle_dedup), bit for bit."""
     space, cells = case
     graph = isinstance(space, MetricGraph)
     kept, counts = dedup_many(space, np.array(cells, dtype=float))
     for cell, row, k in zip(cells, kept, counts.tolist()):
         points = [p for p in cell if not math.isnan(p[1] if graph else p)]
-        want = dedup(space, points).points
+        want = oracle_dedup(space, points).points
         got = [GraphPoint(int(e), t) for e, t in row[:k].tolist()] if graph else row[:k].tolist()
         assert k == len(want)
         assert _hex(got) == _hex(want)
-
-
-def _scalar_distance(space):
-    """The scalar metric distance_many must match bit for bit: the space's
-    own on circles and intervals, the oracle's on graphs, where scalar
-    distance is a one-row call of the kernel."""
-    if isinstance(space, MetricGraph):
-        return make_graph_point_metric(space.edges, space.num_vertices)
-    return space.distance
 
 
 @settings(max_examples=300, deadline=None)
@@ -241,7 +236,7 @@ def test_distance_many_matches_scalar_distance(data):
     seconds = [data.draw(st.one_of(point, near(p))) for p in firsts]
     xs, ys = ([space.canon(p) for p in ps] for ps in (firsts, seconds))
     got = space.distance_many(np.array(xs, dtype=float), np.array(ys, dtype=float)).tolist()
-    assert [float.hex(d) for d in got] == [float.hex(_scalar_distance(space)(p, q)) for p, q in zip(xs, ys)]
+    assert [float.hex(d) for d in got] == [float.hex(oracle_metric(space)(p, q)) for p, q in zip(xs, ys)]
     assert got == [space.distance(p, q) for p, q in zip(xs, ys)]
 
 
@@ -260,7 +255,7 @@ def test_distance_many_matches_scalar_distance_on_random_graph_pairs(graph):
     xs = [space.random_point(rng) for _ in range(20000)]
     ys = [space.random_point(rng) for _ in range(20000)]
     got = space.distance_many(np.array(xs), np.array(ys)).tolist()
-    metric = _scalar_distance(space)
+    metric = oracle_metric(space)
     assert [float.hex(d) for d in got] == [float.hex(metric(p, q)) for p, q in zip(xs, ys)]
 
 

@@ -1,14 +1,16 @@
 import heapq
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_geodesic
+from oracles import oracle_geodesic, oracle_metric
 from ranspace.errors import InvalidPoint
 from ranspace.ran import _pad_encode, batch_hausdorff, dedup, hausdorff
 from ranspace.space import Circle, GraphPoint, Interval, MetricGraph, distance, geodesic
+from test_ran import _raw_points, _spaces
 
 
 def oracle_graph_distance(graph, p, q):
@@ -113,8 +115,6 @@ LONG_EDGE = MetricGraph(2, ((0, 1, 3.0), (0, 1, 0.5)))
 def _geodesic_cases(draw):
     """A space, raw endpoints p and q and an array of s: q is any point,
     p itself, p's antipode on circles, or a point on p's edge on graphs."""
-    from test_ran import _raw_points, _spaces
-
     space = draw(st.one_of(_spaces(), st.just(LONG_EDGE)))
     point, _ = _raw_points(space)
     p = draw(st.one_of(point, st.sampled_from([0.0, 0.25, 0.1])) if not isinstance(space, MetricGraph) else point)
@@ -130,6 +130,9 @@ def _geodesic_cases(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(_geodesic_cases())
+# the walk along edge 0 ends at t = -1e-12 less a rounding error: past the
+# vertex that q canonicalizes to
+@example((LONG_EDGE, GraphPoint(0, 0.75), GraphPoint(1, 1e-12), [1.0]))
 def test_geodesic_many_matches_the_scalar_oracle(case):
     """geodesic_many at an array of s equals the oracle's geodesic at each
     s, and scalar geodesic (its one-row call) equals it too, with ==."""
@@ -143,11 +146,26 @@ def test_geodesic_many_matches_the_scalar_oracle(case):
     assert [geodesic(space, p, q, x) for x in s] == want
 
 
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_circle_canon_matches_canon_many(data):
+    """Scalar Circle.canon, the one scalar kernel body left, equals
+    canon_many value for value and bit for bit: points anywhere, within
+    CANON_TOL of the seam on either side, signed zeros, tiny, huge and NaN
+    coordinates."""
+    space = Circle(data.draw(st.sampled_from([1.0, 2.5, 0.3])))
+    point, _ = _raw_points(space)
+    extremes = st.sampled_from([5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300, math.nan])
+    xs = data.draw(st.lists(st.one_of(point, extremes, st.floats(-1e6, 1e6)), min_size=1, max_size=8))
+    want = [float.hex(space.canon(x)) for x in xs]
+    assert [float.hex(x) for x in space.canon_many(np.array(xs)).tolist()] == want
+
+
 @pytest.mark.parametrize("space", SPACES, ids=["circle", "interval", "graph"])
 def test_pairwise_kernel_matches_scalar(space):
     """The batch Hausdorff kernel on random configurations of 1-4 points
     agrees exactly with scalar hausdorff, and with the max-min of the
-    scalar point distance, on every space."""
+    oracle point metric, on every space."""
     rng = np.random.default_rng(2)
 
     def random_configs(count):
@@ -158,9 +176,10 @@ def test_pairwise_kernel_matches_scalar(space):
 
     configs_a, configs_b = random_configs(2000), random_configs(2000)
     batch = batch_hausdorff(space, _pad_encode(space, configs_a), _pad_encode(space, configs_b))
+    metric = oracle_metric(space)
     for got, a, b in zip(batch, configs_a, configs_b):
-        forward = max(min(space.distance(p, q) for q in b.points) for p in a.points)
-        backward = max(min(space.distance(p, q) for p in a.points) for q in b.points)
+        forward = max(min(metric(p, q) for q in b.points) for p in a.points)
+        backward = max(min(metric(p, q) for p in a.points) for q in b.points)
         assert got == hausdorff(space, a, b) == max(forward, backward)
 
 

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import OracleStrand
+from oracles import OracleStrand, oracle_branch_merge, oracle_dedup, oracle_metric
 
 from ranspace.errors import AmbiguousLift, CapExceeded, EmptyConfiguration, EndpointMismatch, InvalidPoint
-from ranspace.ran import configuration, dedup, hausdorff
+from ranspace.ran import batch_hausdorff, configuration, hausdorff
 from ranspace.space import Circle, GraphPoint, Interval, MetricGraph, geodesic
 from ranspace.tracks import (
     LOOP_TOL,
@@ -21,7 +21,9 @@ from ranspace.tracks import (
     concatenate,
     conjugate,
     detect_branch_merge,
+    _gap_blocks,
     endpoint_drift,
+    first_gap_over,
     make_track,
     nearest_sample,
     project,
@@ -112,6 +114,41 @@ def test_continuity_flags_teleport():
     assert not report.passed
 
 
+@pytest.mark.parametrize("cells", [1, 7, 40, 1 << 15])
+def test_gap_blocks_cover_the_whole_grid(cells):
+    rng = np.random.default_rng(3)
+    rows, cols = 9, 6
+    counts = rng.integers(1, 4, size=(rows, cols))
+    enc = np.where(np.arange(3) < counts[..., None], rng.uniform(0.0, 1.0, (rows, cols, 3)), np.nan)
+    blocks = list(_gap_blocks(C1, enc, cells))
+    assert [first for first, _, _ in blocks] == list(range(0, rows, max(1, cells // cols)))
+    np.testing.assert_array_equal(np.concatenate([a for _, a, _ in blocks]), batch_hausdorff(C1, enc[:, :-1], enc[:, 1:]))
+    np.testing.assert_array_equal(np.concatenate([d for _, _, d in blocks]), batch_hausdorff(C1, enc[:-1], enc[1:]))
+
+
+EVERY_COLUMN = slice(None)
+
+
+@pytest.mark.parametrize("jumps", [
+    [(64, 100, 0.25)], [(70, 300, 0.375), (63, 5, 0.125)], [(79, 511, 0.5)], [(70, EVERY_COLUMN, 0.375)], [],
+])
+def test_continuity_across_row_blocks(jumps):
+    # 80 x 512 cells make two blocks of rows, the second from row 64; the
+    # deformation steps grow with the row
+    rows, cols = 80, 512
+    enc = np.tile(np.arange(cols) / cols, (rows, 1))[..., None]
+    for row, col, shift in jumps:
+        enc[row, col, 0] = (enc[row, col, 0] + shift) % 1.0
+    grid = CellGrid(C1, 1, np.linspace(0.0, 1.0, rows) ** 2, np.linspace(0.0, 1.0, cols), enc, np.ones((rows, cols), np.intp))
+    across, down = batch_hausdorff(C1, enc[:, :-1], enc[:, 1:]), batch_hausdorff(C1, enc[:-1], enc[1:])
+    report = check_continuity(grid, 4.0)
+    assert report.max_gap == max(across.max(), down.max())
+    assert report.lipschitz == max((across / np.diff(grid.t_grid)).max(), (down / np.diff(grid.s_grid)[:, None]).max())
+    limit = 1.5 / cols
+    hits = [(int(i), int(k), way) for gaps, way in ((across, "across"), (down, "down")) for i, k in np.argwhere(gaps > limit)[:1]]
+    assert first_gap_over(grid, limit) == min(hits, default=None)
+
+
 def test_continuity_monotone_under_midpoint_refinement():
     rng = np.random.default_rng(11)
     for _ in range(5):
@@ -181,6 +218,52 @@ def test_reverse_swaps_labels_exactly():
             (m - i, p, "merge" if kind == "branch" else "branch") for i, p, kind in fwd
         )
         assert sorted(bwd) == swapped
+
+
+# spaces with a lattice of points on them and the lattice step: distances
+# between lattice points tie often, and exactly on the dyadic lattices
+LATTICES = (
+    (C1, tuple(k / 8 for k in range(8)), 1 / 8),
+    (Interval(1.0), tuple(k / 8 for k in range(9)), 1 / 8),
+    (MetricGraph(2, ((0, 1, 1.0),) * 3), None, 1 / 4),
+    (THETA, None, 1 / 4),
+)
+
+
+@st.composite
+def lattice_tracks(draw):
+    """A track of 2-9 configurations of at most n <= 4 lattice points, on a
+    circle, an interval or a theta graph (on graphs the lattice is every
+    vertex and the quarter points of each edge): either n strands walking
+    between lattice points at most a step apart, projected, or
+    configurations drawn at random.  Returns the track and the lattice
+    step."""
+    space, lattice, step = draw(st.sampled_from(LATTICES))
+    if lattice is None:
+        lattice = tuple(sorted({space.canon((e, k / 4)) for e in range(len(space.edges)) for k in range(5)}))
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        metric = oracle_metric(space)
+        walks = []
+        for _ in range(n):
+            walk = [draw(st.sampled_from(lattice))]
+            for _ in range(m):
+                walk.append(draw(st.sampled_from([q for q in lattice if metric(walk[-1], q) <= step])))
+            walks.append(walk)
+        point_lists = [list(points) for points in zip(*walks)]
+    else:
+        point_lists = [draw(st.lists(st.sampled_from(lattice), min_size=1, max_size=n)) for _ in range(m + 1)]
+    return make_track(space, uniform_times(m), point_lists, cap=n), step
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_tracks(), st.integers(1, 4), st.sampled_from([0.5, 1.0, 1.5]))
+def test_detect_branch_merge_matches_the_oracle(case, lookahead, radius):
+    """The array detection gives the one-point-at-a-time oracle's triples,
+    in its order, on lattice tracks, at radii a lattice step or half or one
+    and a half of one (a tie at the radius counts as within it)."""
+    track, step = case
+    assert detect_branch_merge(track, radius * step, lookahead) == oracle_branch_merge(track, radius * step, lookahead)
 
 
 # -- winding ------------------------------------------------------------------
@@ -344,16 +427,17 @@ MAKE_TRACK_GRAPH = MetricGraph(2, ((0, 1, 1.0), (0, 1, 1.2), (0, 1, 0.8)))
         "interval-outside", "graph-coordinate", "graph-edge-out-of-range", "graph-cap"])
 def test_make_track_matches_scalar_dedup(space, point_lists, cap, error):
     """make_track's one array dedup gives the configurations, or raises
-    the error type, of scalar dedup on each point list."""
+    the error type, of the one-point-at-a-time reference dedup
+    (oracles.oracle_dedup) on each point list."""
     times = uniform_times(len(point_lists) - 1)
     if error is None:
-        want = tuple(dedup(space, pts, cap=cap) for pts in point_lists)
+        want = tuple(oracle_dedup(space, pts, cap=cap) for pts in point_lists)
         got = make_track(space, times, point_lists, cap=cap).configs
         assert got == want
         assert [type(p) for c in got for p in c.points] == [type(p) for c in want for p in c.points]
         return
     with pytest.raises(error):
-        [dedup(space, pts, cap=cap) for pts in point_lists]
+        [oracle_dedup(space, pts, cap=cap) for pts in point_lists]
     with pytest.raises(error):
         make_track(space, times, point_lists, cap=cap)
 
