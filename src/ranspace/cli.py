@@ -138,21 +138,6 @@ def cmd_contract(input_path, mode, cap, basepoint, resolution, out, svg_dir, bou
         sys.exit(1)
 
 
-def _stored_stages(stored: dict) -> list | None:
-    """The certificate's stages as (name, first row, last row, max
-    cardinality) rows, or None when it has none."""
-    stages = stored.get("stages")
-    if stages is None:
-        return None
-    if not isinstance(stages, list) or not all(
-        isinstance(st, list) and len(st) == 4 and isinstance(st[0], str)
-        and all(type(v) is int for v in st[1:])
-        for st in stages
-    ):
-        raise SchemaError("certificate stages must be [name, first row, last row, max cardinality] lists")
-    return stages
-
-
 def _stage_mismatch(stages: list, grid: CellGrid) -> str | None:
     """The first stage whose row range or max cardinality the cells do not
     bear out; stages must chain, each starting on the row the last ended
@@ -183,10 +168,6 @@ def cmd_verify(homotopy_path, bound):
     grid = grid_from_json(doc)
     stored = certificate_from_json(doc)
     del doc  # the parsed lists outweigh the grid: free them before the kernels run
-    for key in ("max_gap", "ds", "dt", "lipschitz", "endpoint_drift"):
-        if not isinstance((stored or {}).get(key), (int, float, type(None))):
-            raise SchemaError(f"certificate {key} must be a number")
-    stages = None if stored is None else _stored_stages(stored)
     report = check_continuity(grid, bound)
     ok = True
     rows, cols = grid.counts.shape
@@ -226,7 +207,7 @@ def cmd_verify(homotopy_path, bound):
             if value is not None and not abs(value - recomputed) <= 1e-9:
                 _echo(f"FAIL: stored certificate {label} does not match cells", err=True)
                 ok = False
-        mismatch = None if stages is None else _stage_mismatch(stages, grid)
+        mismatch = None if stored.get("stages") is None else _stage_mismatch(stored["stages"], grid)
         if mismatch is not None:
             _echo(f"FAIL: stored certificate {mismatch} does not match cells", err=True)
             ok = False
@@ -240,9 +221,8 @@ def cmd_verify(homotopy_path, bound):
 @click.option("--m", type=int, required=True, help="Number of sampled configurations.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--max-scale", type=float, required=True)
-@click.option("--gap-ratio", type=float, default=5.0, show_default=True)
 @click.option("--landmarks", type=int, default=48, show_default=True, help="Farthest-point subsample size (0 = use the full cloud).")
-def cmd_homology(circumference, n, m, seed, max_scale, gap_ratio, landmarks):
+def cmd_homology(circumference, n, m, seed, max_scale, landmarks):
     """Sample configurations on the circle, run the persistence probe, and
     report the number of long-lived 1-cycles."""
     budget = int(os.environ.get("RAN_SIMPLEX_BUDGET", DEFAULT_SIMPLEX_BUDGET))
@@ -250,7 +230,7 @@ def cmd_homology(circumference, n, m, seed, max_scale, gap_ratio, landmarks):
     if landmarks and landmarks < len(cloud):
         cloud = maxmin_subsample(cloud, landmarks, seed=seed)
     pairs = rips_persistence_h1(cloud, max_scale=max_scale, budget=budget)
-    count = long_lived_h1_count(pairs, gap_ratio)
+    count = long_lived_h1_count(pairs)
     _echo(f"{'dim':>3} {'birth':>12} {'death':>12} {'persistence':>12}")
     for p in pairs:
         death = f"{p.death:.6g}" if math.isfinite(p.death) else "inf"

@@ -26,6 +26,8 @@ from .ran import _dedup_lists, _pad_encode, as_configurations, batch_hausdorff, 
 from .space import Space
 
 DEFAULT_SIMPLEX_BUDGET = 5_000_000
+# the prefix gap rule of long_lived_h1_count
+GAP_RATIO = 5.0
 
 
 @dataclass(frozen=True)
@@ -226,23 +228,21 @@ def rips_persistence_h1(cloud: MetricCloud, max_scale: float, budget: int = DEFA
     return pairs
 
 
-def long_lived_h1_count(pairs, gap_ratio: float) -> int:
+def long_lived_h1_count(pairs) -> int:
     """Number of dominant H1 classes under a prefix gap rule.
 
     Persistences are sorted descending; the count is the largest k such
-    that every one of the first k persistences exceeds gap_ratio times the
+    that every one of the first k persistences exceeds GAP_RATIO times the
     next one (next of the last pair being 0).  This is the decision rule
     separating essential classes from noise.
     """
-    if not gap_ratio > 1:
-        raise ValueError("gap_ratio must exceed 1")
     pers = sorted((p.persistence for p in pairs if p.dim == 1), reverse=True)
     if not pers:
         return 0
     count = 0
     for i, p in enumerate(pers):
         nxt = pers[i + 1] if i + 1 < len(pers) else 0.0
-        if p > gap_ratio * nxt:
+        if p > GAP_RATIO * nxt:
             count = i + 1
         else:
             break

@@ -4,10 +4,12 @@ Documents round-trip bit-exactly: floats are emitted with Python's
 shortest exact representation and loading rebuilds values without any
 renormalization that could move a bit.  ``dump`` writes exactly what
 ``json.dump(doc, fp, indent=1)`` writes, plus a newline;
-``write_homotopy`` writes those bytes from a homotopy's grid.  Reading
-goes through one decoder, ``grid_from_json``, which turns the cells of a
-document into a ``CellGrid`` of canonical points with vectorized schema
-checks; non-finite coordinates and grid values are schema errors.
+``write_homotopy`` writes those bytes from a homotopy's grid.  Both write
+cells through one row formatter, ``_rows_text``.  Reading goes through one
+decoder, ``grid_from_json``, which turns the cells of a document into a
+``CellGrid`` of canonical points with vectorized schema checks;
+non-finite coordinates and grid values are schema errors.
+``certificate_from_json`` owns the certificate's schema.
 """
 
 from __future__ import annotations
@@ -147,9 +149,29 @@ def grid_from_json(doc) -> CellGrid:
 
 
 def certificate_from_json(doc) -> dict | None:
+    """The document's certificate, or None when it has none.
+
+    A stored number may be null or absent; otherwise it is a JSON number,
+    not a boolean, and max_cardinality an integer.  stages, if stored, are
+    [name, first row, last row, max cardinality] lists of a string and
+    three integers.  Any breach is a SchemaError.
+    """
     certificate = doc.get("certificate")
-    if certificate is not None and not isinstance(certificate, dict):
+    if certificate is None:
+        return None
+    if not isinstance(certificate, dict):
         raise SchemaError("certificate must be an object")
+    for key in ("max_cardinality", "max_gap", "ds", "dt", "lipschitz", "endpoint_drift"):
+        kinds, what = (int, "an integer") if key == "max_cardinality" else ((int, float), "a number")
+        value = certificate.get(key)
+        if value is not None and (isinstance(value, bool) or not isinstance(value, kinds)):
+            raise SchemaError(f"certificate {key} must be {what}")
+    stages = certificate.get("stages")
+    if stages is not None and not (isinstance(stages, (list, tuple)) and all(
+        isinstance(st, (list, tuple)) and len(st) == 4 and isinstance(st[0], str) and all(type(v) is int for v in st[1:])
+        for st in stages
+    )):
+        raise SchemaError("certificate stages must be [name, first row, last row, max cardinality] lists")
     return certificate
 
 
@@ -200,122 +222,94 @@ def homotopy_from_json(doc) -> tuple[Homotopy, dict | None]:
 
 # -- writing ------------------------------------------------------------------
 
-# keys whose values are lists of point lists; dump writes them row by row
-_POINT_LIST_KEYS = ("cells", "configs")
+# cells write_homotopy formats at once: the strings of one chunk of rows,
+# not of the whole grid, are live at a time
+_WRITE_CELLS = 1 << 16
 
 
-def _graph_point_text(p, pad: str) -> str:
-    if type(p) is not dict or list(p) != ["edge", "t"] or type(p["edge"]) is not int or type(p["t"]) is not float:
-        raise TypeError("not a graph point")
-    return f'{{\n{pad} "edge": {p["edge"]},\n{pad} "t": {p["t"]!r}\n{pad}}}'
-
-
-def _cells_template(sizes: tuple, pad: str) -> str:
+def _cells_template(sizes: tuple, pad: str, point: str) -> str:
     """json.dumps(row, indent=1) at indent pad of a row of point lists of
-    the given sizes, with a %s field for each point's text (a float's
-    str is its repr)."""
+    the given sizes, with the text point for each point."""
     inner = pad + " "
     sep = ",\n" + inner
-    cell = {k: "[\n" + inner + " " + (sep + " ").join(["%s"] * k) + "\n" + inner + "]" for k in set(sizes)}
+    cell = {k: "[\n" + inner + " " + (sep + " ").join([point] * k) + "\n" + inner + "]" for k in set(sizes)}
     return "[\n" + inner + sep.join(map(cell.__getitem__, sizes)) + "\n" + pad + "]"
 
 
-def _point_lists_text(value, pad: str, templates: dict) -> str:
-    """json.dumps(value, indent=1), its first line at indent pad, for lists
-    nested to any depth around lists of floats or graph points; TypeError
-    on anything else.  templates caches _cells_template by (sizes, pad)."""
-    if type(value) is not list:
-        raise TypeError("not a list")
-    if not value:
-        return "[]"
-    inner = pad + " "
-    sep = ",\n" + inner
-    first = value[0]
-    if type(first) is list and first and type(first[0]) is float and all(value):
-        # a row of circle or interval cells, the hot loop: one %-format of
-        # the template for its cell sizes
-        points = tuple(chain.from_iterable(value))
-        if set(map(type, value)) != {list} or set(map(type, points)) != {float}:
-            raise TypeError("not a row of float lists")
-        key = (tuple(map(len, value)), pad)
-        template = templates.get(key)
-        if template is None:
-            template = templates[key] = _cells_template(*key)
-        return template % points
-    if type(first) is list:
-        body = sep.join([_point_lists_text(v, inner, templates) for v in value])
-    elif type(first) is dict:
-        body = sep.join([_graph_point_text(p, inner) for p in value])
-    else:
-        body = sep.join(map(float.__repr__, value))
-    return "[\n" + inner + body + "\n" + pad + "]"
+def _rows_text(sizes: list, values: np.ndarray, pad: str, templates: dict) -> str:
+    """The row formatter: json.dumps(row, indent=1) at indent pad of each
+    row of cells, joined as the rows of a list at that indent.  sizes holds
+    a tuple of cell sizes per row and values the rows' points in order,
+    finite coordinates or (edge, t) rows.  Each distinct coordinate or t
+    becomes text once per bit pattern, so that 0.0 and -0.0 keep their
+    own, and each row is one %-format of the template for its sizes,
+    cached in templates."""
+    graph, at = values.ndim == 2, pad + "  "
+    distinct, where = np.unique((values[:, 1] if graph else values).view(np.int64), return_inverse=True)
+    texts = list(map(float.__repr__, distinct.view(float).tolist()))
+    fields = map(texts.__getitem__, where.tolist())
+    point, per_point = "%s", 1
+    if graph:  # each point's edge, then its t
+        point, per_point = f'{{\n{at} "edge": %d,\n{at} "t": %s\n{at}}}', 2
+        fields = chain.from_iterable(zip(values[:, 0].astype(np.int64).tolist(), fields))
+    rows = []
+    for row in sizes:
+        if (row, point) not in templates:
+            templates[row, point] = _cells_template(row, pad, point)
+        rows.append(templates[row, point] % tuple(islice(fields, per_point * sum(row))))
+    return (",\n" + pad).join(rows)
 
 
-def _json_text(value, pad: str, templates: dict) -> str:
-    """json.dumps(value, indent=1) with its first line at indent pad."""
-    try:
-        text = _point_lists_text(value, pad, templates)
-        # finite float reprs hold no "n"; json writes nan and inf otherwise
-        if "n" not in text:
-            return text
-    except TypeError:
-        pass
+def _row_text(row, pad: str, templates: dict) -> str:
+    """json.dumps(row, indent=1) at indent pad.  The row formatter takes a
+    non-empty list of non-empty lists of finite floats, or of {"edge", "t"}
+    points in that key order, with an int edge of size below 2**53, which
+    float64 holds exactly, and a finite float t; json.dumps writes any
+    other row."""
+    if type(row) is list and row and set(map(type, row)) == {list} and all(row):
+        points = list(chain.from_iterable(row))
+        kinds, values = set(map(type, points)), None
+        if kinds == {float}:
+            values = np.array(points)
+        elif kinds == {dict} and all(map(("edge", "t").__eq__, map(tuple, points))):
+            edges, ts = [p["edge"] for p in points], [p["t"] for p in points]
+            if set(map(type, edges)) == {int} and set(map(type, ts)) == {float} and max(map(abs, edges)) < 2**53:
+                values = np.array((edges, ts)).T
+        if values is not None and np.isfinite(values).all():
+            return _rows_text([tuple(map(len, row))], values, pad, templates)
     # a JSON string holds no raw newline, so every newline starts a line
-    return json.dumps(value, indent=1).replace("\n", "\n" + pad)
+    return json.dumps(row, indent=1).replace("\n", "\n" + pad)
 
 
 def dump(doc: dict, fp: IO[str]) -> None:
     """Write json.dump(doc, fp, indent=1) and a newline, byte for byte.
 
-    The point lists under "cells" and "configs" are written one row at a
-    time: a row of float lists is one %-format of a text template made
-    once per dump for each pattern of cell sizes, other point lists join
-    float.__repr__ strings under precomputed indents, and every other key
-    goes through json.dumps.
+    Each row of "cells", and the "configs" list, which is one row, goes
+    through the row formatter; every other key goes through json.dumps.
     """
     if not isinstance(doc, dict) or not doc:
         fp.write(json.dumps(doc, indent=1) + "\n")
         return
     templates = {}
-    sep = "{\n "
-    for key, value in doc.items():
-        fp.write(sep)
-        sep = ",\n "
-        if key in _POINT_LIST_KEYS and type(value) is list and value:
-            fp.write(json.dumps(key) + ": [")
-            for i, row in enumerate(value):
-                fp.write((",\n  " if i else "\n  ") + _json_text(row, "  ", templates))
+    for i, (key, value) in enumerate(doc.items()):
+        fp.write(",\n " if i else "{\n ")
+        if key == "cells" and type(value) is list and value:
+            fp.write('"cells": [')
+            for j, row in enumerate(value):
+                fp.write((",\n  " if j else "\n  ") + _row_text(row, "  ", templates))
             fp.write("\n ]")
+        elif key == "configs":
+            fp.write('"configs": ' + _row_text(value, " ", templates))
         else:
             # {key: value} alone, less its braces: json's key coercion and indents
             fp.write(json.dumps({key: value}, indent=1)[3:-2])
     fp.write("\n}\n")
 
 
-# cells write_homotopy formats at once: the strings of one chunk of rows,
-# not of the whole grid, are live at a time
-_WRITE_CELLS = 1 << 16
-
-
-def _point_texts(values: np.ndarray) -> list:
-    """The text dump writes for each point of an array of coordinates or
-    of (edge, t) rows, made once per distinct bit pattern, so that 0.0
-    and -0.0 keep their own text."""
-    graph = values.ndim == 2
-    distinct, where = np.unique(values.view(np.int64), return_inverse=True, axis=0 if graph else None)
-    if graph:
-        # at the indent of a point in a row of cells written at indent "  "
-        texts = [_graph_point_text({"edge": int(e), "t": t}, "    ") for e, t in distinct.view(float).tolist()]
-    else:
-        texts = list(map(float.__repr__, distinct.view(float).tolist()))
-    return list(map(texts.__getitem__, where.ravel().tolist()))
-
-
 def write_homotopy(h: Homotopy, certificate: dict | None, fp: IO[str]) -> None:
     """Write dump(homotopy_to_json(h, certificate), fp), byte for byte,
-    with the cells formatted straight from h's grid, whose points are
-    finite: each distinct point becomes text once per chunk of rows, and
-    each row is one %-format of the text template for its cell sizes."""
+    with the cells of h's grid, whose points are finite, going through the
+    row formatter a chunk of rows at a time."""
     grid = h.grid
     head = {"space": space_to_json(h.space), "cap": h.cap, "s_grid": grid.s_grid.tolist(), "t_grid": grid.t_grid.tolist()}
     # the document less its closing brace, its keys as dump writes them
@@ -324,12 +318,9 @@ def write_homotopy(h: Homotopy, certificate: dict | None, fp: IO[str]) -> None:
     step = max(1, _WRITE_CELLS // grid.counts.shape[1])
     for first in range(0, len(grid.counts), step):
         counts = grid.counts[first:first + step]
-        texts = iter(_point_texts(grid.enc[first:first + step][np.arange(grid.enc.shape[2]) < counts[..., None]]))
-        for sizes in map(tuple, counts.tolist()):
-            if sizes not in templates:
-                templates[sizes] = _cells_template(sizes, "  ")
-            fp.write(sep + templates[sizes] % tuple(islice(texts, sum(sizes))))
-            sep = ",\n  "
+        values = grid.enc[first:first + step][np.arange(grid.enc.shape[2]) < counts[..., None]]
+        fp.write(sep + _rows_text(list(map(tuple, counts.tolist())), values, "  ", templates))
+        sep = ",\n  "
     fp.write("\n ]")
     if certificate is not None:
         fp.write(",\n " + json.dumps({"certificate": certificate}, indent=1)[3:-2])

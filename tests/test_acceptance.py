@@ -204,7 +204,7 @@ def test_criterion_6_homology_oracle_corroboration():
         cloud = sample_ran(C1, n=n, m=m, seed=0)
         sub = maxmin_subsample(cloud, 48, seed=0)
         pairs = rips_persistence_h1(sub, max_scale=scale)
-        got = long_lived_h1_count(pairs, gap_ratio=5.0)
+        got = long_lived_h1_count(pairs)
         assert got == want, f"n={n}: expected {want} long-lived classes, got {got}"
     report(6, "persistence probe matches the known first-homology picture", started, 120.0)
 

@@ -323,7 +323,7 @@ def test_convert_homotopy_frames(tmp_path):
 
 def test_homology_command_runs(tmp_path):
     res = run_cli("homology", "--n", 1, "--m", 60, "--seed", 0,
-                  "--max-scale", 0.3, "--gap-ratio", 5, "--landmarks", 24)
+                  "--max-scale", 0.3, "--landmarks", 24)
     assert res.returncode == 0, res.stderr
     assert "long-lived H1 classes: 1" in res.stdout
 
@@ -454,14 +454,16 @@ def _convert_not_an_object(tmp):
         (_contract("--cap", 2, "--mode", "simply-connected"), {}),
         (_homology("--n", 1), {"RAN_SIMPLEX_BUDGET": "abc"}),
         (_homology("--n", 0), {}),
-        (_homology("--n", 1, "--gap-ratio", 1), {}),
         (_homology("--n", 1, "--landmarks", -3), {}),
         (_verify_with_certificate([1, 0.0]), {}),
         (_verify_with_certificate({"max_cardinality": 1, "max_gap": "0.0"}), {}),
         (_verify_with_certificate({"max_cardinality": 1, "endpoint_drift": "0.0"}), {}),
+        (_verify_with_certificate({"max_cardinality": "3"}), {}),
+        (_verify_with_certificate({"max_cardinality": [3]}), {}),
+        (_verify_with_certificate({"max_cardinality": 1, "max_gap": True}), {}),
+        (_verify_with_certificate({"max_cardinality": 1, "ds": False}), {}),
         (_convert("--stride", 0), {}),
         (_homology("--n", 1, "--max-scale", "nan"), {}),
-        (_homology("--n", 1, "--gap-ratio", "nan"), {}),
         (_contract("--cap", 1, "--matching-radius", "nan"), {}),
         (_contract("--cap", 1, "--matching-radius", "inf"), {}),
         (_contract("--cap", 1, "--matching-radius", 0), {}),
@@ -485,9 +487,11 @@ def _convert_not_an_object(tmp):
     ids=[
         "contract-open-path", "contract-basepoint-off-space", "contract-resolution-zero",
         "contract-cap-zero", "contract-simply-connected-cap-2", "homology-budget-not-integer",
-        "homology-n-zero", "homology-gap-ratio-one", "homology-negative-landmarks",
-        "verify-certificate-list", "verify-certificate-string-gap", "verify-certificate-string-drift", "convert-stride-zero",
-        "homology-max-scale-nan", "homology-gap-ratio-nan", "contract-matching-radius-nan",
+        "homology-n-zero", "homology-negative-landmarks",
+        "verify-certificate-list", "verify-certificate-string-gap", "verify-certificate-string-drift",
+        "verify-certificate-string-cardinality", "verify-certificate-list-cardinality",
+        "verify-certificate-boolean-gap", "verify-certificate-boolean-ds", "convert-stride-zero",
+        "homology-max-scale-nan", "contract-matching-radius-nan",
         "contract-matching-radius-inf", "contract-matching-radius-zero",
         "contract-matching-radius-negative", "homology-circumference-inf",
         "contract-circle-infinite", "contract-interval-infinite", "contract-graph-infinite-edge",

@@ -190,8 +190,8 @@ def test_long_lived_count_rules():
     def mk(pers):
         return [PersistencePair(0.0, p, 1) for p in pers]
 
-    assert long_lived_h1_count([], 5.0) == 0
-    assert long_lived_h1_count(mk([0.30, 0.02, 0.01]), 5.0) == 1
-    assert long_lived_h1_count(mk([0.05, 0.04]), 5.0) == 0
-    assert long_lived_h1_count(mk([0.3]), 5.0) == 1
-    assert long_lived_h1_count([PersistencePair(0.1, math.inf, 1)], 5.0) == 1
+    assert long_lived_h1_count([]) == 0
+    assert long_lived_h1_count(mk([0.30, 0.02, 0.01])) == 1
+    assert long_lived_h1_count(mk([0.05, 0.04])) == 0
+    assert long_lived_h1_count(mk([0.3])) == 1
+    assert long_lived_h1_count([PersistencePair(0.1, math.inf, 1)]) == 1

@@ -113,6 +113,12 @@ def test_non_finite_and_mixed_rows_are_written_as_the_stdlib_writes_them():
     }
     assert _written(doc) == oracle_dump(doc)
     assert _written({}) == oracle_dump({})
+    # graph points: an edge float64 cannot hold, a negative edge, t -0.0,
+    # and a row that mixes float cells and graph cells
+    near, far = [{"edge": -3, "t": -0.0}, {"edge": 2**53 - 1, "t": 0.25}], [{"edge": 2**53 + 1, "t": 0.5}]
+    for configs in ([near], [far], [near, far]):
+        doc = {"cells": [configs, [[0.5], near], [near, [0.5]]], "configs": configs}
+        assert _written(doc) == oracle_dump(doc)
 
 
 def test_a_canonical_coordinate_reads_back_bit_for_bit():
