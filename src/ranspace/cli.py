@@ -198,6 +198,9 @@ def cmd_verify(homotopy_path, bound):
         if stored.get("max_cardinality") != report.max_cardinality:
             _echo("FAIL: stored certificate cardinality does not match cells", err=True)
             ok = False
+        if stored.get("declared_cap") not in (None, grid.cap):
+            _echo("FAIL: stored certificate declared_cap does not match cap", err=True)
+            ok = False
         for key, label, recomputed in (
             ("max_gap", "gap", report.max_gap), ("ds", "ds", report.ds), ("dt", "dt", report.dt),
             ("lipschitz", "lipschitz", report.lipschitz), ("endpoint_drift", "endpoint_drift", endpoint_drift(grid)),

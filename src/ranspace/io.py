@@ -23,7 +23,7 @@ import numpy as np
 from .errors import InvalidPoint, RanspaceError, SchemaError
 from .ran import _pad
 from .space import Circle, GraphPoint, Interval, MetricGraph, Space
-from .tracks import CellGrid, Homotopy, Track, _validate_times
+from .tracks import CellGrid, Homotopy, Track
 
 
 def space_to_json(space: Space) -> dict:
@@ -38,18 +38,25 @@ def space_to_json(space: Space) -> dict:
     }
 
 
+def _scalar(value, what: str, integer: bool = False):
+    """value if a JSON integer, or unless integer a JSON number; a boolean
+    is neither.  Else SchemaError."""
+    if type(value) not in ((int,) if integer else (int, float)):
+        raise SchemaError(f"{what} must be {'an integer' if integer else 'a number'}")
+    return value
+
+
 def space_from_json(doc) -> Space:
     try:
         kind = doc["kind"]
         if kind == "circle":
-            return Circle(float(doc["circumference"]))
+            return Circle(float(_scalar(doc["circumference"], "circumference")))
         if kind == "interval":
-            return Interval(float(doc["length"]))
+            return Interval(float(_scalar(doc["length"], "length")))
         if kind == "graph":
-            return MetricGraph(
-                int(doc["vertices"]),
-                tuple((int(u), int(v), float(l)) for u, v, l in doc["edges"]),
-            )
+            edges = tuple((_scalar(u, "edge endpoint", integer=True), _scalar(v, "edge endpoint", integer=True),
+                           float(_scalar(l, "edge length"))) for u, v, l in doc["edges"])
+            return MetricGraph(_scalar(doc["vertices"], "vertex count", integer=True), edges)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad space document: {exc}") from exc
     raise SchemaError(f"unknown space kind {doc.get('kind')!r}")
@@ -100,28 +107,22 @@ def grid_from_json(doc) -> CellGrid:
     at s = 0), as one CellGrid.
 
     Every cell must be a non-empty list of points on the document's space,
-    strictly sorted once canonical; rows must match the time grid, which
-    runs from 0 to 1 and, like the deformation grid, strictly increases.
-    The declared cap is recorded, not enforced.  Any breach is a
-    SchemaError.
+    strictly sorted once canonical, and each row as long as the time grid;
+    the grids must pass CellGrid's checks.  The declared cap, an integer,
+    is recorded, not enforced.  Any breach is a SchemaError.
     """
     try:
         space = space_from_json(doc["space"])
-        cap = int(doc["cap"])
+        cap = _scalar(doc["cap"], "cap", integer=True)
         if "cells" in doc:
             s_grid, times, rows = _numbers(doc["s_grid"], "s_grid"), doc["t_grid"], doc["cells"]
         else:
             s_grid, times, rows = np.zeros(1), doc["times"], [doc["configs"]]
         t_grid = _numbers(times, "time grid")
-        _validate_times(t_grid.tolist())
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"bad document: {exc}") from exc
     if not isinstance(rows, list) or not rows or set(map(type, rows)) != {list}:
         raise SchemaError("cells must be a non-empty list of rows")
-    if len(rows) != len(s_grid):
-        raise SchemaError("one row of cells per deformation sample")
-    if not (np.diff(s_grid) > 0).all():
-        raise SchemaError("deformation grid must be strictly increasing")
     if any(len(row) != len(t_grid) for row in rows):
         raise SchemaError("ragged homotopy grid")
     cells = [c for row in rows for c in row]
@@ -145,27 +146,28 @@ def grid_from_json(doc) -> CellGrid:
     if (paired & ~later).any():
         raise SchemaError("configuration points must be strictly sorted")
     shape = (len(rows), len(t_grid))
-    return CellGrid(space, cap, s_grid, t_grid, enc.reshape(shape + enc.shape[1:]), counts.reshape(shape))
+    try:
+        return CellGrid(space, cap, s_grid, t_grid, enc.reshape(shape + enc.shape[1:]), counts.reshape(shape))
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def certificate_from_json(doc) -> dict | None:
     """The document's certificate, or None when it has none.
 
     A stored number may be null or absent; otherwise it is a JSON number,
-    not a boolean, and max_cardinality an integer.  stages, if stored, are
-    [name, first row, last row, max cardinality] lists of a string and
-    three integers.  Any breach is a SchemaError.
+    not a boolean, and max_cardinality and declared_cap integers.  stages,
+    if stored, are [name, first row, last row, max cardinality] lists of a
+    string and three integers.  Any breach is a SchemaError.
     """
     certificate = doc.get("certificate")
     if certificate is None:
         return None
     if not isinstance(certificate, dict):
         raise SchemaError("certificate must be an object")
-    for key in ("max_cardinality", "max_gap", "ds", "dt", "lipschitz", "endpoint_drift"):
-        kinds, what = (int, "an integer") if key == "max_cardinality" else ((int, float), "a number")
-        value = certificate.get(key)
-        if value is not None and (isinstance(value, bool) or not isinstance(value, kinds)):
-            raise SchemaError(f"certificate {key} must be {what}")
+    for key in ("max_cardinality", "declared_cap", "max_gap", "ds", "dt", "lipschitz", "endpoint_drift"):
+        if certificate.get(key) is not None:
+            _scalar(certificate[key], f"certificate {key}", integer=key in ("max_cardinality", "declared_cap"))
     stages = certificate.get("stages")
     if stages is not None and not (isinstance(stages, (list, tuple)) and all(
         isinstance(st, (list, tuple)) and len(st) == 4 and isinstance(st[0], str) and all(type(v) is int for v in st[1:])
@@ -194,15 +196,15 @@ def track_from_json(doc) -> Track:
         raise SchemaError(f"bad track document: {exc}") from exc
 
 
+def _homotopy_head(h: Homotopy) -> dict:
+    """The keys of a homotopy document before its cells."""
+    return {"space": space_to_json(h.space), "cap": h.cap, "s_grid": h.grid.s_grid.tolist(), "t_grid": h.grid.t_grid.tolist()}
+
+
 def homotopy_to_json(h: Homotopy, certificate: dict | None = None) -> dict:
     grid = h.grid
-    doc = {
-        "space": space_to_json(h.space),
-        "cap": h.cap,
-        "s_grid": grid.s_grid.tolist(),
-        "t_grid": grid.t_grid.tolist(),
-        "cells": [_row_point_lists(h.space, enc, counts) for enc, counts in zip(grid.enc, grid.counts)],
-    }
+    doc = _homotopy_head(h)
+    doc["cells"] = [_row_point_lists(h.space, enc, counts) for enc, counts in zip(grid.enc, grid.counts)]
     if certificate is not None:
         doc["certificate"] = certificate
     return doc
@@ -284,8 +286,8 @@ def _row_text(row, pad: str, templates: dict) -> str:
 def dump(doc: dict, fp: IO[str]) -> None:
     """Write json.dump(doc, fp, indent=1) and a newline, byte for byte.
 
-    Each row of "cells", and the "configs" list, which is one row, goes
-    through the row formatter; every other key goes through json.dumps.
+    Each row of "cells" goes through the row formatter; every other key
+    goes through json.dumps.
     """
     if not isinstance(doc, dict) or not doc:
         fp.write(json.dumps(doc, indent=1) + "\n")
@@ -298,8 +300,6 @@ def dump(doc: dict, fp: IO[str]) -> None:
             for j, row in enumerate(value):
                 fp.write((",\n  " if j else "\n  ") + _row_text(row, "  ", templates))
             fp.write("\n ]")
-        elif key == "configs":
-            fp.write('"configs": ' + _row_text(value, " ", templates))
         else:
             # {key: value} alone, less its braces: json's key coercion and indents
             fp.write(json.dumps({key: value}, indent=1)[3:-2])
@@ -311,9 +311,8 @@ def write_homotopy(h: Homotopy, certificate: dict | None, fp: IO[str]) -> None:
     with the cells of h's grid, whose points are finite, going through the
     row formatter a chunk of rows at a time."""
     grid = h.grid
-    head = {"space": space_to_json(h.space), "cap": h.cap, "s_grid": grid.s_grid.tolist(), "t_grid": grid.t_grid.tolist()}
     # the document less its closing brace, its keys as dump writes them
-    fp.write(json.dumps(head, indent=1)[:-2] + ',\n "cells": [')
+    fp.write(json.dumps(_homotopy_head(h), indent=1)[:-2] + ',\n "cells": [')
     templates, sep = {}, "\n  "
     step = max(1, _WRITE_CELLS // grid.counts.shape[1])
     for first in range(0, len(grid.counts), step):

@@ -372,19 +372,14 @@ def _normalize_track(
 # -- staircase ----------------------------------------------------------------
 
 
-def _check_common_basepoint(bundle: StrandBundle) -> None:
-    ends = [p for s in bundle.strands for p in (s[0], s[-1])]
-    if (_distances(bundle.space, ends, ends[0]) > LOOP_TOL).any():
-        raise EndpointMismatch("staircase needs all strand endpoints to coincide")
-
-
 def staircase(bundle: StrandBundle) -> StrandBundle:
     """Schedule strand j to run inside [j/n, (j+1)/n], frozen elsewhere.
 
     At any time at most one strand is away from the shared endpoint value,
     so the projected track has at most two distinct points.
     """
-    _check_common_basepoint(bundle)
+    if not bundle.based_at(bundle.strands[0][0]):
+        raise EndpointMismatch("staircase needs all strand endpoints to coincide")
     n = bundle.n
     m = len(bundle.times) - 1
     out_times = uniform_times(n * m)

@@ -124,7 +124,7 @@ def dedup_many(space: Space, enc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         kept[kept == np.inf] = np.nan
         return kept, counts
     order = np.lexsort((x[..., 1], np.where(keep, x[..., 0], np.inf)), axis=-1)
-    x = np.where(keep[..., None], x, [0.0, np.nan])
+    x = np.where(keep[..., None], x, _padding(space, ()))
     return np.take_along_axis(x, order[..., None], axis=-2), counts
 
 

@@ -126,10 +126,10 @@ class StrandBundle:
 
 
 def project(bundle: StrandBundle) -> Track:
-    """Per-time union of strand values, deduplicated; cap = strand count."""
-    point_lists = [[s[i] for s in bundle.strands] for i in range(len(bundle.times))]
-    kind = "loop" if bundle.is_loop() else "path"
-    return make_track(bundle.space, bundle.times, point_lists, cap=bundle.n, kind=kind)
+    """Per-time union of strand values, deduplicated; cap = strand count; a
+    loop when its ends coincide (see _kind), even if strands swap ends."""
+    track = make_track(bundle.space, bundle.times, [[s[i] for s in bundle.strands] for i in range(len(bundle.times))], bundle.n)
+    return dataclasses.replace(track, kind=_kind(track.space, track.configs))
 
 
 # -- strand evaluation -------------------------------------------------------
@@ -179,7 +179,7 @@ class StrandInterpolator:
         if self.lifts is not None:
             return self.space.canon_many(np.interp(ts, self.times, self.lifts))
         out = self.enc[nearest_sample(self.times, ts)]
-        out[np.isnan(ts)] = (0.0, np.nan)
+        out[np.isnan(ts)] = _padding(self.space, ())
         return out
 
 
@@ -217,7 +217,8 @@ class CellGrid:
     Row i sits at deformation time s_grid[i] and column k at t_grid[k]; a
     track is one row at s = 0.  Points are canonical and each cell's are
     strictly sorted.  cap is the declared cap, which the grid records but
-    does not enforce, so a reader can report a cell above it.
+    does not enforce, so a reader can report a cell above it.  A time grid
+    not from 0 to 1, an s grid not increasing or a ragged grid: ValueError.
     """
 
     space: Space
@@ -226,6 +227,15 @@ class CellGrid:
     t_grid: np.ndarray
     enc: np.ndarray
     counts: np.ndarray
+
+    def __post_init__(self):
+        _validate_times(self.t_grid.tolist())
+        if len(self.s_grid) != len(self.counts):
+            raise ValueError("one row of cells per deformation sample")
+        if not (np.diff(self.s_grid) > 0).all():
+            raise ValueError("deformation grid must be strictly increasing")
+        if self.counts.shape != (len(self.s_grid), len(self.t_grid)) or self.enc.shape[:2] != self.counts.shape:
+            raise ValueError("ragged homotopy grid")
 
     @classmethod
     def of(cls, obj: Track | Homotopy) -> CellGrid:
@@ -253,10 +263,7 @@ class CellGrid:
 
     def configurations(self) -> tuple:
         """The rows of cells as Configurations of the grid's cap."""
-        rows, cols = self.counts.shape
-        flat = self.enc.reshape((rows * cols,) + self.enc.shape[2:])
-        cells = as_configurations(self.space, flat, self.counts.ravel(), self.cap)
-        return tuple(tuple(cells[i * cols:(i + 1) * cols]) for i in range(rows))
+        return tuple(map(self.row, range(len(self.counts))))
 
     def max_cardinality(self, first: int, last: int) -> int:
         """The largest cell of rows first to last: a stage's cardinality."""
@@ -380,15 +387,7 @@ class Homotopy:
 
 
 def _checked(grid: CellGrid) -> CellGrid:
-    """grid, once its shapes agree, its time grid runs from 0 to 1, its s
-    grid strictly increases and no cell exceeds its cap; else ValueError."""
-    _validate_times(grid.t_grid.tolist())
-    if len(grid.s_grid) != len(grid.counts):
-        raise ValueError("one row of cells per deformation sample")
-    if not (np.diff(grid.s_grid) > 0).all():
-        raise ValueError("deformation grid must be strictly increasing")
-    if grid.counts.shape != (len(grid.s_grid), len(grid.t_grid)) or grid.enc.shape[:2] != grid.counts.shape:
-        raise ValueError("ragged homotopy grid")
+    """grid, once no cell exceeds its cap; else ValueError."""
     biggest = int(grid.counts.max())
     if biggest > grid.cap:
         raise ValueError(f"cell of size {biggest} exceeds cap {grid.cap}")

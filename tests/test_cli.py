@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from oracles import circle_point_metric, oracle_hausdorff
+from ranspace.errors import SchemaError
 from ranspace.io import (
     dump,
     homotopy_from_json,
@@ -21,7 +22,7 @@ from ranspace.io import (
 )
 from ranspace.moves import Inclusion, contract_circle_generator, contract_pipeline
 from ranspace.space import Circle, GraphPoint, Interval, MetricGraph
-from ranspace.tracks import Homotopy, make_track, project, uniform_times
+from ranspace.tracks import Homotopy, StrandBundle, make_track, project, uniform_times
 
 C1 = Circle(1.0)
 
@@ -201,8 +202,38 @@ def test_verify_names_the_first_cell_over_the_cap(tmp_path):
     row, col = next((i, k) for i, cells in enumerate(doc["cells"]) for k, cell in enumerate(cells) if len(cell) > doc["cap"])
     res = run_cli("verify", _write_doc(tmp_path / "lowered.json", doc))
     assert res.returncode == 1
-    assert res.stderr.splitlines() == [f"FAIL: cardinality exceeds declared cap (first cell over it: row {row}, column {col})"]
+    # the certificate's declared_cap now disagrees with the lowered cap too
+    assert res.stderr.splitlines() == [f"FAIL: cardinality exceeds declared cap (first cell over it: row {row}, column {col})",
+                                       "FAIL: stored certificate declared_cap does not match cap"]
     assert res.stdout.splitlines()[-1] == "FAIL"
+
+
+def test_contract_and_verify_a_loop_whose_strands_swap_ends(tmp_path):
+    """The pairs {x, x + 1/2} over half a turn, written as the projection
+    of two strands that swap endpoints, contract and verify."""
+    times = uniform_times(64)
+    track = project(StrandBundle(C1, times, tuple(tuple(C1.canon(x + t / 2) for t in times) for x in (0.1, 0.6))))
+    out = tmp_path / "h.json"
+    res = run_cli("contract", _write_doc(tmp_path / "swap.json", track_to_json(track)), "--cap", 2,
+                  "--basepoint", 0.1, "--resolution", 16, 48, "--out", out)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("max cardinality 4 (cap 4)")
+    res = run_cli("verify", out, "--bound", 64)
+    assert res.returncode == 0, res.stderr
+
+
+def test_convert_rejects_a_cell_above_the_cap(tmp_path):
+    """verify reports a cell above the document's cap; convert, which
+    builds a Homotopy from the document, exits 2."""
+    doc = _constant_doc(C1, 0.25)
+    doc["cells"][1][2] = [0.25, 0.5, 0.75]
+    path = _write_doc(tmp_path / "over.json", doc)
+    res = run_cli("convert", path, tmp_path / "frames")
+    assert res.returncode == 2, res.stderr
+    assert res.stderr == "schema error: bad homotopy document: cell of size 3 exceeds cap 2\n"
+    with pytest.raises(SchemaError, match="cell of size 3 exceeds cap 2"):
+        homotopy_from_json(doc)
+    assert run_cli("verify", path).returncode == 1
 
 
 def test_contract_writes_the_pipeline_document(tmp_path):
@@ -462,6 +493,7 @@ def _convert_not_an_object(tmp):
         (_verify_with_certificate({"max_cardinality": [3]}), {}),
         (_verify_with_certificate({"max_cardinality": 1, "max_gap": True}), {}),
         (_verify_with_certificate({"max_cardinality": 1, "ds": False}), {}),
+        (_verify_with_certificate({"max_cardinality": 1, "declared_cap": "x"}), {}),
         (_convert("--stride", 0), {}),
         (_homology("--n", 1, "--max-scale", "nan"), {}),
         (_contract("--cap", 1, "--matching-radius", "nan"), {}),
@@ -490,7 +522,8 @@ def _convert_not_an_object(tmp):
         "homology-n-zero", "homology-negative-landmarks",
         "verify-certificate-list", "verify-certificate-string-gap", "verify-certificate-string-drift",
         "verify-certificate-string-cardinality", "verify-certificate-list-cardinality",
-        "verify-certificate-boolean-gap", "verify-certificate-boolean-ds", "convert-stride-zero",
+        "verify-certificate-boolean-gap", "verify-certificate-boolean-ds", "verify-certificate-string-declared-cap",
+        "convert-stride-zero",
         "homology-max-scale-nan", "contract-matching-radius-nan",
         "contract-matching-radius-inf", "contract-matching-radius-zero",
         "contract-matching-radius-negative", "homology-circumference-inf",
@@ -544,6 +577,14 @@ def _flat_s_grid():
     return d
 
 
+def _changed(change):
+    def doc():
+        d = _constant_doc(C1, 0.25)
+        change(d)
+        return d
+    return doc
+
+
 MALFORMED = {
     "non-numeric-point": _set_cell(["x"]),
     "list-as-circle-point": _set_cell([[0.25]]),
@@ -555,6 +596,11 @@ MALFORMED = {
     "interval-point-out-of-range": _set_cell([1.5], Interval(1.0), 0.25),
     "graph-edge-out-of-range": _set_cell([{"edge": 7, "t": 0.5}], THETA, GraphPoint(0, 0.5)),
     "graph-t-outside-unit": _set_cell([{"edge": 0, "t": 1.5}], THETA, GraphPoint(0, 0.5)),
+    "string-cap": _changed(lambda d: d.update(cap="2")),
+    "boolean-cap": _changed(lambda d: d.update(cap=True)),
+    "fractional-cap": _changed(lambda d: d.update(cap=2.5)),
+    "string-circumference": _changed(lambda d: d["space"].update(circumference="1.0")),
+    "boolean-circumference": _changed(lambda d: d["space"].update(circumference=True)),
 }
 
 
@@ -668,6 +714,7 @@ def contracted(tmp_path_factory):
     ("lipschitz-nan", lambda c: c.update(lipschitz=math.nan), "FAIL: stored certificate lipschitz does not match cells"),
     ("endpoint_drift-nan", lambda c: c.update(endpoint_drift=math.nan),
      "FAIL: stored certificate endpoint_drift does not match cells"),
+    ("declared_cap", lambda c: c.update(declared_cap=1), "FAIL: stored certificate declared_cap does not match cap"),
 ])
 def test_verify_checks_every_recomputable_certificate_field(tmp_path, contracted, field, change, named):
     doc = json.loads(contracted.read_text())

@@ -12,6 +12,7 @@ from oracles import (
     oracle_dedup,
     oracle_extract_strands,
     oracle_hausdorff,
+    oracle_pipeline_cells,
     oracle_pipeline_stages,
 )
 from ranspace import moves
@@ -402,6 +403,23 @@ def test_pipeline_theta_graph():
     bundle = StrandBundle(theta, times, strands)
     h, cert = contract_pipeline(bundle, SimplyConnected(4), b, resolution=(40, 128))
     certificate_ok(cert, 4)
+
+
+@pytest.mark.parametrize("mode, b", [(Inclusion(2), 0.1), (Inclusion(2), 0.35), (SimplyConnected(4), 0.1)],
+                         ids=["inclusion-0.1", "inclusion-0.35", "simply-connected-0.1"])
+def test_pipeline_contracts_a_bundle_whose_strands_swap_ends(mode, b):
+    """The core loop of Ran<=2(S^1), the pairs {x, x + 1/2} over half a
+    turn, as two strands that swap endpoints: no strand closes, but the
+    projection does, so the bundle contracts as a loop."""
+    times = uniform_times(64)
+    bundle = StrandBundle(C1, times, tuple(tuple(C1.canon(x + t / 2) for t in times) for x in (0.1, 0.6)))
+    assert project(bundle).kind == "loop"
+    h, cert = contract_pipeline(bundle, mode, b, resolution=(24, 64))
+    assert cert.max_cardinality == 4
+
+    def hexed(rows):
+        return [[tuple(map(float.hex, c.points)) for c in row] for row in rows]
+    assert hexed(h.cells) == hexed(oracle_pipeline_cells(bundle, mode, b, (24, 64)))
 
 
 def test_pipeline_mode_validation():

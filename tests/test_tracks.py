@@ -447,6 +447,25 @@ def test_make_track_rejects_nan_points():
         make_track(Interval(1.0), uniform_times(1), [[0.5], [0.2, math.nan]], cap=2)
 
 
+_GRID = dict(space=Circle(1.0), cap=1, s_grid=np.array([0.0, 0.5, 1.0]), t_grid=np.linspace(0.0, 1.0, 5),
+             enc=np.zeros((3, 5, 1)), counts=np.ones((3, 5), np.intp))
+
+
+@pytest.mark.parametrize("broken, message", [
+    (dict(t_grid=np.array([0.0])), "need at least two grid times"),
+    (dict(t_grid=np.linspace(0.0, 0.5, 5)), "time grid must run from 0 to 1"),
+    (dict(t_grid=np.array([0.0, 0.5, 0.25, 0.75, 1.0])), "time grid must be strictly increasing"),
+    (dict(s_grid=np.array([0.0, 1.0])), "one row of cells per deformation sample"),
+    (dict(s_grid=np.array([0.0, 0.5, 0.5])), "deformation grid must be strictly increasing"),
+    (dict(counts=np.ones((3, 4), np.intp)), "ragged homotopy grid"),
+    (dict(enc=np.zeros((3, 4, 1))), "ragged homotopy grid"),
+], ids=["one-time", "times-short-of-1", "times-decreasing", "s-grid-short", "s-grid-flat", "counts-ragged", "enc-ragged"])
+def test_cell_grid_checks_its_own_shape(broken, message):
+    CellGrid(**_GRID)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CellGrid(**{**_GRID, **broken})
+
+
 def test_homotopy_certificate_fields():
     from ranspace.moves import contract_circle_generator
 
