@@ -154,6 +154,11 @@ def _stage_mismatch(stages: list, grid: CellGrid) -> str | None:
     return None
 
 
+def _pair(row: int, col: int, way: str) -> str:
+    """The pair of cells first_gap_over names, in words."""
+    return f"row {row}, column {col} {way} to " + (f"column {col + 1}" if way == "across" else f"row {row + 1}")
+
+
 @main.command("verify")
 @click.argument("homotopy_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--bound", type=float, default=math.inf, help="Continuity modulus to enforce.")
@@ -180,10 +185,8 @@ def cmd_verify(homotopy_path, bound):
         _echo(f"FAIL: cardinality exceeds declared cap (first cell over it: row {row}, column {col})", err=True)
         ok = False
     if not report.passed:
-        row, col, way = first_gap_over(grid, bound * max(report.ds, report.dt))
-        pair = f"column {col + 1}" if way == "across" else f"row {row + 1}"
         _echo(f"FAIL: max gap {report.max_gap:.6g} exceeds bound * grid step "
-                   f"(first pair over it: row {row}, column {col} {way} to {pair})", err=True)
+              f"(first pair over it: {_pair(*first_gap_over(grid, bound * max(report.ds, report.dt)))})", err=True)
         ok = False
     last = grid.enc[-1]
     stray = np.flatnonzero((grid.counts[-1] != 1) | (batch_hausdorff(grid.space, last, last[:1, :1]) > LOOP_TOL))
@@ -196,7 +199,9 @@ def cmd_verify(homotopy_path, bound):
         ok = False
     if stored is not None:
         if stored.get("max_cardinality") != report.max_cardinality:
-            _echo("FAIL: stored certificate cardinality does not match cells", err=True)
+            row, col = np.argwhere(grid.counts == report.max_cardinality)[0]
+            _echo(f"FAIL: stored certificate cardinality does not match cells "
+                  f"(first cell at its recomputed value: row {row}, column {col})", err=True)
             ok = False
         if stored.get("declared_cap") not in (None, grid.cap):
             _echo("FAIL: stored certificate declared_cap does not match cap", err=True)
@@ -208,7 +213,9 @@ def cmd_verify(homotopy_path, bound):
             value = stored.get(key)
             # not <= rather than >, so that a NaN value fails
             if value is not None and not abs(value - recomputed) <= 1e-9:
-                _echo(f"FAIL: stored certificate {label} does not match cells", err=True)
+                where = (f" (first pair at its recomputed value: {_pair(*first_gap_over(grid, np.nextafter(recomputed, -np.inf)))})"
+                         if key == "max_gap" else "")
+                _echo(f"FAIL: stored certificate {label} does not match cells{where}", err=True)
                 ok = False
         mismatch = None if stored.get("stages") is None else _stage_mismatch(stored["stages"], grid)
         if mismatch is not None:

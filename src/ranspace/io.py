@@ -178,7 +178,7 @@ def certificate_from_json(doc) -> dict | None:
 
 
 def track_to_json(track: Track) -> dict:
-    grid = CellGrid.of(track)
+    grid = track.grid
     return {
         "space": space_to_json(track.space),
         "cap": track.cap,
@@ -189,9 +189,10 @@ def track_to_json(track: Track) -> dict:
 
 
 def track_from_json(doc) -> Track:
+    """The track of a document's one row of cells; a declared "loop" must close."""
     grid = grid_from_json(doc)
     try:
-        return Track(grid.space, tuple(grid.t_grid.tolist()), grid.row(0), doc["kind"], grid.cap)
+        return Track.from_grid(grid).declared(doc["kind"])
     except (KeyError, RanspaceError, ValueError) as exc:
         raise SchemaError(f"bad track document: {exc}") from exc
 

@@ -172,7 +172,7 @@ def extract_strands(track: Track, matching_radius: float | None = None) -> Stran
     """
     space = track.space
     n = track.cap
-    grid = CellGrid.of(track)
+    grid = track.grid
     if matching_radius is None:
         matching_radius = 2.0 * check_continuity(grid, math.inf).max_gap + 1e-9
     elif not 0 < matching_radius < math.inf:
@@ -181,12 +181,11 @@ def extract_strands(track: Track, matching_radius: float | None = None) -> Stran
     # steps[i, child, parent]: from point child of column i + 1 to point
     # parent of column i
     steps = space.distance_many(np.expand_dims(enc[1:], 2), np.expand_dims(enc[:-1], 1))
-    first = track.configs[0].points
-    positions = [j % len(first) for j in range(n)]
-    strands = [[first[p]] for p in positions]
+    columns = [_slot_points(space, cell[:k]) for cell, k in zip(grid.enc[0], grid.counts[0].tolist())]
+    positions = [j % len(columns[0]) for j in range(n)]
+    strands = [[columns[0][p]] for p in positions]
     for i, dist in enumerate(steps):
-        prev = track.configs[i].points
-        nxt = track.configs[i + 1].points
+        prev, nxt = columns[i], columns[i + 1]
         dist = dist[:len(nxt), :len(prev)]
         parent = _match_step(dist, nxt, matching_radius, track.times[i + 1])
         children = {p: [q for q, par in enumerate(parent) if par == p] for p in range(len(prev))}
@@ -299,8 +298,8 @@ def normalize(
             return _normalize_bundle(obj, b, rows, grid)
         out = obj if obj.times == grid else StrandBundle(space, grid, tuple(
             _slot_points(space, obj.interpolator(j).many(grid)) for j in range(obj.n)))
-        proj = project(out)
-        return out, Homotopy(space, (0.0, 1.0), proj.times, (proj.configs, proj.configs), out.n)
+        cells = project(out).grid
+        return out, _block(space, grid, out.n, np.repeat(cells.enc, 2, axis=0), np.repeat(cells.counts, 2, axis=0))
     if obj.kind != "loop":
         raise EndpointMismatch("normalization needs a loop")
     grid = uniform_times(m if m is not None else len(obj.times) - 1)
@@ -331,8 +330,8 @@ def _normalize_track(
     space = track.space
     n = track.cap
     m = len(grid) - 1
-    source = CellGrid.of(track)
-    sigma0 = track.configs[0].points
+    source = track.grid
+    sigma0 = _slot_points(space, source.enc[0, 0, :source.counts[0, 0]])
     # the point of the first configuration nearest b, the first on a tie
     pstar = sigma0[int(np.argmin(_distances(space, sigma0, b)))]
     s, t = _block_cells(rows, grid)

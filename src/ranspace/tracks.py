@@ -1,9 +1,11 @@
 """Discretized paths, loops, strand bundles and homotopies.
 
-A Track samples a map [0,1] -> (finite subsets of X) on a strictly
-increasing time grid with t0 = 0 and tm = 1.  A StrandBundle samples n
-coordinate paths on a shared grid; its per-time union is its projected
-track.  A Homotopy is a 2D grid of configurations whose rows are tracks.
+A Homotopy is a grid of configurations, one CellGrid, whose rows are
+tracks.  A Track samples a map [0,1] -> (finite subsets of X) on a
+strictly increasing time grid with t0 = 0 and tm = 1: it is the homotopy
+of one row at s = 0, and a loop when its first and last configurations
+coincide.  A StrandBundle samples n coordinate paths on a shared grid;
+its per-time union is its projected track.
 
 Continuity is never verified exactly (undecidable from samples); instead
 ``check_continuity`` certifies that adjacent grid cells stay within a
@@ -28,7 +30,7 @@ import numpy as np
 
 from .errors import AmbiguousLift, EndpointMismatch, SpaceMismatch
 # dedup is unused here, but perfbench/tracer.py rebinds it here
-from .ran import Configuration, _dedup_lists, _pad_encode, _padding, as_configurations, batch_hausdorff, dedup, hausdorff
+from .ran import _dedup_lists, _pad_encode, _padding, as_configurations, batch_hausdorff, dedup, hausdorff
 from .space import Circle, GraphPoint, Interval, MetricGraph, Point, Space
 
 LOOP_TOL = 1e-9
@@ -47,11 +49,6 @@ def nearest_sample(times: Sequence[float], t: np.ndarray) -> np.ndarray:
     return np.where(t - times[k - 1] <= times[k] - t, k - 1, k)
 
 
-def _kind(space: Space, configs: Sequence[Configuration]) -> str:
-    """Track kind of configs: a loop when its ends coincide, else a path."""
-    return "loop" if hausdorff(space, configs[0], configs[-1]) <= LOOP_TOL else "path"
-
-
 def _validate_times(times: Sequence[float]) -> tuple:
     times = tuple(float(t) for t in times)
     if len(times) < 2:
@@ -63,29 +60,6 @@ def _validate_times(times: Sequence[float]) -> tuple:
     return times
 
 
-@dataclass(frozen=True)
-class Track:
-    space: Space
-    times: tuple
-    configs: tuple  # of Configuration
-    kind: str  # "path" | "loop"
-    cap: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "times", _validate_times(self.times))
-        if len(self.configs) != len(self.times):
-            raise ValueError("one configuration per grid time")
-        if self.kind not in ("path", "loop"):
-            raise ValueError("kind must be 'path' or 'loop'")
-        for c in self.configs:
-            if len(c) > self.cap:
-                raise ValueError(f"configuration of size {len(c)} exceeds cap {self.cap}")
-        if self.kind == "loop":
-            gap = hausdorff(self.space, self.configs[0], self.configs[-1])
-            if gap > LOOP_TOL:
-                raise EndpointMismatch(f"loop fails to close: gap {gap}")
-
-
 def _distances(space: Space, points: Sequence[Point], to) -> np.ndarray:
     """The distance from each of points to to, one point or as many points,
     from one distance_many call on their canonical encodings."""
@@ -93,8 +67,9 @@ def _distances(space: Space, points: Sequence[Point], to) -> np.ndarray:
 
 
 def make_track(space: Space, times: Sequence[float], point_lists: Sequence[Sequence[Point]], cap: int, kind: str = "path") -> Track:
-    configs = tuple(as_configurations(space, *_dedup_lists(space, point_lists, cap), cap))
-    return Track(space, tuple(times), configs, kind, cap)
+    """The track of the deduplicated point lists; kind only checks (see
+    Track.declared)."""
+    return Track.of_row(space, cap, times, *_dedup_lists(space, point_lists, cap)).declared(kind)
 
 
 @dataclass(frozen=True)
@@ -127,9 +102,8 @@ class StrandBundle:
 
 def project(bundle: StrandBundle) -> Track:
     """Per-time union of strand values, deduplicated; cap = strand count; a
-    loop when its ends coincide (see _kind), even if strands swap ends."""
-    track = make_track(bundle.space, bundle.times, [[s[i] for s in bundle.strands] for i in range(len(bundle.times))], bundle.n)
-    return dataclasses.replace(track, kind=_kind(track.space, track.configs))
+    loop when its ends coincide, even if strands swap ends."""
+    return make_track(bundle.space, bundle.times, [[s[i] for s in bundle.strands] for i in range(len(bundle.times))], bundle.n)
 
 
 # -- strand evaluation -------------------------------------------------------
@@ -238,14 +212,6 @@ class CellGrid:
             raise ValueError("ragged homotopy grid")
 
     @classmethod
-    def of(cls, obj: Track | Homotopy) -> CellGrid:
-        """A homotopy's own grid, or a track's configurations encoded as
-        one row at s = 0."""
-        if isinstance(obj, Homotopy):
-            return obj.grid
-        return cls.encode(obj.space, obj.cap, (0.0,), obj.times, (obj.configs,))
-
-    @classmethod
     def encode(cls, space: Space, cap: int, s_grid, t_grid, rows) -> CellGrid:
         """The grid of rows of Configurations, one row per s_grid sample."""
         if any(len(row) != len(t_grid) for row in rows):
@@ -256,14 +222,6 @@ class CellGrid:
         counts = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
         return cls(space, cap, np.asarray(s_grid, dtype=float), np.asarray(t_grid, dtype=float),
                    enc.reshape(shape + enc.shape[1:]), counts.reshape(shape))
-
-    def row(self, i: int) -> tuple:
-        """Row i's cells as Configurations of the grid's cap."""
-        return tuple(as_configurations(self.space, self.enc[i], self.counts[i], self.cap))
-
-    def configurations(self) -> tuple:
-        """The rows of cells as Configurations of the grid's cap."""
-        return tuple(map(self.row, range(len(self.counts))))
 
     def max_cardinality(self, first: int, last: int) -> int:
         """The largest cell of rows first to last: a stage's cardinality."""
@@ -292,21 +250,16 @@ def _gap_blocks(space: Space, enc: np.ndarray, cells: int = 1 << 15):
 def check_continuity(obj, bound: float) -> ContinuityReport:
     """Certify that adjacent grid cells stay within bound * grid step.
 
-    Accepts a CellGrid, a Homotopy (its grid) or a Track (encoded as a
-    grid of one row).  The report passes iff the maximum adjacent-cell gap
-    is at most bound * max(ds, dt).
+    Accepts a CellGrid or a Homotopy, a Track included (its grid).  The
+    report passes iff the maximum adjacent-cell gap is at most
+    bound * max(ds, dt).
     """
-    grid = obj if isinstance(obj, CellGrid) else CellGrid.of(obj)
+    grid = obj if isinstance(obj, CellGrid) else obj.grid
     s_steps, t_steps = np.diff(grid.s_grid), np.diff(grid.t_grid)
     ds = float(s_steps.max()) if len(s_steps) else 0.0
     dt = float(t_steps.max())
     max_card = int(grid.counts.max())
-    space, enc = grid.space, grid.enc
-    # a grid encoded here is dropped before the kernels' large temporaries:
-    # its small arrays, left live, raised peak RSS by 0.7 MB over four
-    # contract-theta passes
-    del grid
-    tops = [(gaps.max(), (gaps / step).max()) for first, across, down in _gap_blocks(space, enc)
+    tops = [(gaps.max(), (gaps / step).max()) for first, across, down in _gap_blocks(grid.space, grid.enc)
             for gaps, step in ((across, t_steps), (down, s_steps[first:first + len(down), None])) if gaps.size]
     max_gap, lips = (float(np.max(column)) for column in zip(*tops))
     return ContinuityReport(max_gap, ds, dt, lips, max_card, bound, within_bound(max_gap, ds, dt, bound))
@@ -378,12 +331,58 @@ class Homotopy:
 
     @functools.cached_property
     def cells(self) -> tuple:
-        """Rows of Configuration tuples."""
-        return self.grid.configurations()
+        """Rows of Configuration tuples, of the grid's cap."""
+        grid = self.grid
+        return tuple(tuple(as_configurations(grid.space, enc, counts, grid.cap)) for enc, counts in zip(grid.enc, grid.counts))
 
     def row(self, i: int) -> Track:
-        row = self.grid.row(i)
-        return Track(self.space, self.t_grid, row, _kind(self.space, row), self.cap)
+        return Track.of_row(self.space, self.cap, self.grid.t_grid, self.grid.enc[i], self.grid.counts[i])
+
+
+class Track(Homotopy):
+    """A homotopy of one row at s = 0 on the time grid times; its configs
+    and kind are read from the grid.  from_grid refuses more rows."""
+
+    def __init__(self, space: Space, times: Sequence[float], configs, cap: int):
+        super().__init__(space, (0.0,), times, (configs,), cap)
+
+    @classmethod
+    def from_grid(cls, grid: CellGrid) -> Track:
+        if len(grid.counts) != 1:
+            raise ValueError(f"a track is one row of cells, not {len(grid.counts)}")
+        return super().from_grid(grid)
+
+    @classmethod
+    def of_row(cls, space: Space, cap: int, times, enc: np.ndarray, counts: np.ndarray) -> Track:
+        """The track of one encoded row of cells (see ran._pad), trimmed to
+        its widest cell."""
+        return cls.from_grid(CellGrid(space, cap, np.zeros(1), np.asarray(times, dtype=float),
+                                      enc[None, :, :counts.max()], counts[None]))
+
+    @functools.cached_property
+    def times(self) -> tuple:
+        return self.t_grid
+
+    @property
+    def configs(self) -> tuple:
+        return self.cells[0]
+
+    def end_gap(self) -> float:
+        """The Hausdorff distance of the first and the last cell."""
+        return float(batch_hausdorff(self.space, self.grid.enc[0, :1], self.grid.enc[0, -1:])[0])
+
+    @property
+    def kind(self) -> str:
+        return "loop" if self.end_gap() <= LOOP_TOL else "path"
+
+    def declared(self, kind: str) -> Track:
+        """self, once it is of the declared kind: a "loop" must close
+        (EndpointMismatch), a "path" may; any other kind is a ValueError."""
+        if kind not in ("path", "loop"):
+            raise ValueError("kind must be 'path' or 'loop'")
+        if kind == "loop" and self.kind != "loop":
+            raise EndpointMismatch(f"loop fails to close: gap {self.end_gap()}")
+        return self
 
 
 def _checked(grid: CellGrid) -> CellGrid:
@@ -438,7 +437,7 @@ def detect_branch_merge(track: Track, radius: float, lookahead: int):
     if radius <= 0 or lookahead < 1:
         raise ValueError("radius must be positive and lookahead at least 1")
     space = track.space
-    enc = space.canon_many(CellGrid.of(track).enc[0])
+    enc = space.canon_many(track.grid.enc[0])
     cols = len(enc)
 
     def within(k: int) -> np.ndarray:
@@ -479,44 +478,37 @@ def winding_number(circ: Circle, strand: Sequence[float]) -> int:
 
 def singleton_strand(track: Track) -> list:
     """The per-time points of a track whose configurations are singletons."""
-    if any(len(c) != 1 for c in track.configs):
+    if (track.grid.counts != 1).any():
         raise ValueError("track has non-singleton configurations")
-    return [c.points[0] for c in track.configs]
+    return list(_slot_points(track.space, track.grid.enc[0, :, 0]))
 
 
 # -- path algebra -------------------------------------------------------------
-
-
-def _junction_ok(space: Space, a: Configuration, b: Configuration):
-    gap = hausdorff(space, a, b)
-    if gap > LOOP_TOL:
-        raise EndpointMismatch(f"junction gap {gap} exceeds tolerance {LOOP_TOL}")
 
 
 def concatenate(a: Track, b: Track) -> Track:
     """Run a on [0, 1/2] and b on [1/2, 1]; junction configs must agree."""
     if a.space != b.space:
         raise SpaceMismatch("concatenating tracks over different spaces")
-    _junction_ok(a.space, a.configs[-1], b.configs[0])
+    gap = hausdorff(a.space, a.configs[-1], b.configs[0])
+    if gap > LOOP_TOL:
+        raise EndpointMismatch(f"junction gap {gap} exceeds tolerance {LOOP_TOL}")
     times = tuple(t / 2 for t in a.times) + tuple(0.5 + t / 2 for t in b.times[1:])
-    configs = a.configs + b.configs[1:]
-    return Track(a.space, times, configs, _kind(a.space, configs), max(a.cap, b.cap))
+    return Track(a.space, times, a.configs + b.configs[1:], max(a.cap, b.cap))
 
 
 def reverse(a: Track) -> Track:
-    times = tuple(1.0 - t for t in reversed(a.times))
-    return Track(a.space, times, tuple(reversed(a.configs)), a.kind, a.cap)
+    return Track.of_row(a.space, a.cap, 1.0 - a.grid.t_grid[::-1], a.grid.enc[0, ::-1], a.grid.counts[0, ::-1])
 
 
 def conjugate(gamma: Track, sigma: Track) -> Track:
     """gamma . sigma . gamma^(-1): a loop based at gamma(0)."""
     if sigma.kind != "loop":
         raise EndpointMismatch("conjugation needs a loop")
-    _junction_ok(gamma.space, gamma.configs[-1], sigma.configs[0])
     return concatenate(concatenate(gamma, sigma), reverse(gamma))
 
 
 def resample(track: Track, new_times: Sequence[float]) -> Track:
     """Carry each new time to the nearest original sample (ties earlier)."""
-    out = tuple(track.configs[k] for k in nearest_sample(track.times, np.asarray(new_times, dtype=float)).tolist())
-    return Track(track.space, tuple(new_times), out, _kind(track.space, out), track.cap)
+    k = nearest_sample(track.grid.t_grid, np.asarray(new_times, dtype=float))
+    return Track.of_row(track.space, track.cap, new_times, track.grid.enc[0, k], track.grid.counts[0, k])

@@ -197,6 +197,31 @@ def oracle_hausdorff(metric, a_points, b_points):
     return max(d_ab, d_ba)
 
 
+def oracle_kind(track):
+    """A track's kind by the reference rule: a loop when its first and last
+    configurations are within 1e-9 in the oracle Hausdorff distance."""
+    first, last = track.configs[0].points, track.configs[-1].points
+    return "loop" if oracle_hausdorff(oracle_metric(track.space), first, last) <= 1e-9 else "path"
+
+
+def oracle_reverse(track):
+    """reverse built from Configurations: the configurations last first, on
+    the times 1 - t."""
+    return Track(track.space, tuple(1.0 - t for t in reversed(track.times)), tuple(reversed(track.configs)), track.cap)
+
+
+def oracle_resample(track, new_times):
+    """resample built from Configurations: each new time carries the
+    configuration of its nearest sample, a tie to the earlier."""
+    configs = tuple(track.configs[oracle_nearest(track.times, t)] for t in new_times)
+    return Track(track.space, tuple(new_times), configs, track.cap)
+
+
+def oracle_row(h, i):
+    """Homotopy.row built from Configurations: row i's cells on the time grid."""
+    return Track(h.space, h.t_grid, h.cells[i], h.cap)
+
+
 def naive_pairs(dist, max_scale):
     """Exhaustive persistence oracle: enumerate simplices by brute force,
     reduce a dense boolean matrix, scan for pivots."""
@@ -425,7 +450,7 @@ def _normalize_track(track, b, rows, grid, matching_radius):
 
     dwell = _cells(grid, rows, lambda lam, t: track.configs[oracle_nearest(track.times, _dwell(lam, t))])
     conjugated = _deduped(space, _cells(grid, rows, conj_points), n)
-    bundle = oracle_extract_strands(Track(space, grid, tuple(conjugated[-1]), "path", n), matching_radius)
+    bundle = oracle_extract_strands(Track(space, grid, tuple(conjugated[-1]), n), matching_radius)
     strands = [OracleStrand(space, grid, s) for s in bundle.strands]
     spans = []
     for strand in bundle.strands:

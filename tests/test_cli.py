@@ -222,6 +222,40 @@ def test_contract_and_verify_a_loop_whose_strands_swap_ends(tmp_path):
     assert res.returncode == 0, res.stderr
 
 
+def _one_turn_doc(**changes):
+    """The one-turn loop at 0.1 on 32 steps, built with make_track's
+    default kind, as a track document with its keys changed."""
+    times = uniform_times(32)
+    return {**track_to_json(make_track(C1, times, [[C1.canon(0.1 + t)] for t in times], cap=1)), **changes}
+
+
+def test_contract_reads_a_closed_track_declared_a_path_as_a_loop(tmp_path):
+    """A track's kind comes from its cells: the one-turn loop declared a
+    path contracts, and its homotopy verifies."""
+    assert track_to_json(make_track(C1, uniform_times(4), [[0.1], [0.35], [0.6], [0.85], [0.1]], cap=1))["kind"] == "loop"
+    out = tmp_path / "h.json"
+    res = run_cli("contract", _write_doc(tmp_path / "loop.json", _one_turn_doc(kind="path")), "--cap", 1,
+                  "--basepoint", 0.1, "--resolution", 16, 48, "--out", out)
+    assert res.returncode == 0, res.stderr
+    res = run_cli("verify", out, "--bound", 64)
+    assert res.returncode == 0, res.stderr
+
+
+@pytest.mark.parametrize("make_doc, reason", [
+    (lambda: _one_turn_doc(kind="loop", configs=_one_turn_doc()["configs"][:-1] + [[0.6]]), "loop fails to close: gap 0.5"),
+    (lambda: _one_turn_doc(kind="ring"), "kind must be 'path' or 'loop'"),
+    (lambda: {**_constant_doc(C1, 0.25), "kind": "loop"}, "a track is one row of cells, not 3"),
+], ids=["open-loop", "ring", "homotopy"])
+def test_contract_rejects_a_document_that_is_not_a_track_of_its_kind(tmp_path, make_doc, reason):
+    """A declared loop must close, a kind is "path" or "loop", and a
+    homotopy document is no track, even with a kind."""
+    res = run_cli("contract", _write_doc(tmp_path / "doc.json", make_doc()), "--cap", 2,
+                  "--basepoint", 0.25, "--resolution", 8, 16, "--out", tmp_path / "x.json")
+    assert res.returncode == 2, res.stderr
+    assert res.stderr == f"schema error: bad track document: {reason}\n"
+    assert res.stdout == ""
+
+
 def test_convert_rejects_a_cell_above_the_cap(tmp_path):
     """verify reports a cell above the document's cap; convert, which
     builds a Homotopy from the document, exits 2."""
@@ -734,7 +768,22 @@ def test_verify_compares_a_large_stored_gap_to_1e_9(tmp_path, offset, code):
     res = run_cli("verify", _write_doc(tmp_path / "gap.json", doc))
     assert res.returncode == code, res.stderr
     assert res.stdout.splitlines() == ["cells 3x5; max cardinality 1 (cap 2); max gap 1000", "PASS" if code == 0 else "FAIL"]
-    assert res.stderr == ("" if code == 0 else "FAIL: stored certificate gap does not match cells\n")
+    # the first pair at the recomputed gap of 1000: row 0's columns 1 and 2
+    assert res.stderr == ("" if code == 0 else "FAIL: stored certificate gap does not match cells "
+                          "(first pair at its recomputed value: row 0, column 1 across to column 2)\n")
+
+
+def test_verify_names_the_first_cell_at_the_recomputed_cardinality(tmp_path):
+    """A stored max_cardinality that the cells do not bear out is reported
+    with the first cell, in row-major order, at the recomputed maximum."""
+    doc = _constant_doc(C1, 0.25)
+    doc["cells"][1][1] = doc["cells"][0][3] = [0.25, 0.5]
+    doc["certificate"] = {"max_cardinality": 1}
+    res = run_cli("verify", _write_doc(tmp_path / "card.json", doc))
+    assert res.returncode == 1, res.stderr
+    assert res.stdout.splitlines() == ["cells 3x5; max cardinality 2 (cap 2); max gap 0.25", "FAIL"]
+    assert res.stderr == ("FAIL: stored certificate cardinality does not match cells "
+                          "(first cell at its recomputed value: row 0, column 3)\n")
 
 
 def test_verify_rejects_malformed_certificate_stages(tmp_path):

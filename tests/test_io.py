@@ -12,7 +12,7 @@ from oracles import oracle_dump
 from ranspace.io import dump, grid_from_json, homotopy_from_json, homotopy_to_json, load, track_from_json, track_to_json
 from ranspace.ran import dedup
 from ranspace.space import Circle, GraphPoint, Interval, MetricGraph
-from ranspace.tracks import CellGrid, Homotopy, Track
+from ranspace.tracks import Homotopy, Track
 
 THETA = MetricGraph(2, ((0, 1, 1.0), (0, 1, 1.2), (0, 1, 0.8)))
 SPACES = {"circle": Circle(1.0), "interval": Interval(1.0), "theta": THETA}
@@ -78,7 +78,7 @@ def test_homotopy_documents_match_the_stdlib_writer_and_read_back_bit_for_bit(gr
     assert _bits(back.cells) == _bits(h.cells)
     assert back.s_grid == h.s_grid and back.t_grid == h.t_grid
     assert cert == (None if certificate is None else load(io.StringIO(oracle_dump(certificate))))
-    read, encoded = grid_from_json(load(io.StringIO(text))), CellGrid.of(h)
+    read, encoded = grid_from_json(load(io.StringIO(text))), h.grid
     assert np.array_equal(read.enc, encoded.enc, equal_nan=True)
     assert np.array_equal(read.counts, encoded.counts)
 
@@ -87,7 +87,7 @@ def test_homotopy_documents_match_the_stdlib_writer_and_read_back_bit_for_bit(gr
 @given(_grids())
 def test_track_documents_match_the_stdlib_writer_and_read_back_bit_for_bit(grid):
     space, _, t_grid, cells = grid
-    track = Track(space, t_grid, cells[0], "path", 3)
+    track = Track(space, t_grid, cells[0], 3)
     doc = track_to_json(track)
     text = _written(doc)
     assert text == oracle_dump(doc)
@@ -124,7 +124,7 @@ def test_non_finite_and_mixed_rows_are_written_as_the_stdlib_writes_them():
 def test_a_canonical_coordinate_reads_back_bit_for_bit():
     times = (0.0, 0.5, 1.0)
     for space in (Circle(1.0), Interval(1.0)):
-        doc = track_to_json(Track(space, times, (dedup(space, [0.0]),) * 3, "loop", 1))
+        doc = track_to_json(Track(space, times, (dedup(space, [0.0]),) * 3, 1))
         doc["configs"][1] = [-0.0]
         back = track_from_json(doc)
         assert back.configs[1].points[0].hex() == (-0.0).hex()

@@ -422,6 +422,17 @@ def test_pipeline_contracts_a_bundle_whose_strands_swap_ends(mode, b):
     assert hexed(h.cells) == hexed(oracle_pipeline_cells(bundle, mode, b, (24, 64)))
 
 
+def test_pipeline_contracts_a_closed_track_built_with_the_default_kind():
+    """make_track's default kind, "path", checks nothing: a closed
+    one-turn loop is a loop by its cells, and contracts."""
+    times = uniform_times(32)
+    track = make_track(C1, times, [[C1.canon(0.1 + t)] for t in times], cap=1)
+    assert track.kind == "loop"
+    h, cert = contract_pipeline(track, Inclusion(1), 0.1, resolution=(16, 48))
+    certificate_ok(cert, 3)
+    assert h.row(0).kind == "loop"
+
+
 def test_pipeline_mode_validation():
     with pytest.raises(ValueError):
         SimplyConnected(3)

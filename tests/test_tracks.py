@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import OracleStrand, oracle_branch_merge, oracle_dedup, oracle_metric
+from oracles import (
+    OracleStrand,
+    oracle_branch_merge,
+    oracle_dedup,
+    oracle_kind,
+    oracle_metric,
+    oracle_resample,
+    oracle_reverse,
+    oracle_row,
+)
 
 from ranspace.errors import AmbiguousLift, CapExceeded, EmptyConfiguration, EndpointMismatch, InvalidPoint
 from ranspace.ran import batch_hausdorff, configuration, hausdorff
@@ -330,6 +339,52 @@ def test_resample_carries_nearest():
     assert out.configs[1] in (track.configs[0], track.configs[1])
 
 
+def _grid_times(inner) -> tuple:
+    """A time grid from 0 to 1 through the distinct inner times."""
+    return (0.0, *sorted(set(inner) - {0.0, 1.0}), 1.0)
+
+
+@st.composite
+def one_row_tracks(draw):
+    """A track of one to three points a cell on the circle, the interval or
+    the theta graph, on a random time grid; its last cell is often its
+    first one moved by 0, half or twice LOOP_TOL."""
+    space = draw(st.sampled_from([C1, Interval(1.0), THETA]))
+    unit = st.floats(0.0, 1.0)
+    point = st.builds(GraphPoint, st.integers(0, 2), unit) if space is THETA else unit
+    # dyadic times, so that reverse's 1 - t is exact and stays increasing
+    times = _grid_times(draw(st.lists(st.integers(1, 63).map(lambda k: k / 64), max_size=6)))
+    point_lists = [draw(st.lists(point, min_size=1, max_size=3)) for _ in times]
+    if draw(st.booleans()):
+        d = draw(st.sampled_from([0.0, LOOP_TOL / 2, 2 * LOOP_TOL]))
+        moved = (lambda p: GraphPoint(p.edge, min(p.t + d, 1.0))) if space is THETA else (lambda p: min(p + d, 1.0))
+        point_lists[-1] = list(map(moved, point_lists[0]))
+    return make_track(space, times, point_lists, cap=3)
+
+
+def _same_grid(a: CellGrid, b: CellGrid) -> bool:
+    """Whether two grids hold the same bits: times, cells and their widths."""
+    return all(x.shape == y.shape and x.tobytes() == y.tobytes()
+               for x, y in ((a.s_grid, b.s_grid), (a.t_grid, b.t_grid), (a.enc, b.enc), (a.counts, b.counts)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_row_tracks(), st.lists(st.floats(0.0, 1.0), max_size=8))
+def test_one_row_tracks_match_the_configuration_reference(track, inner):
+    """A track's kind is the reference rule on its configurations, and
+    reverse, resample and Homotopy.row give the bits of a track built from
+    Configurations, their kinds by the same rule."""
+    assert track.kind == oracle_kind(track)
+    new_times = _grid_times(inner)
+    h = Homotopy(track.space, (0.0, 0.5, 1.0), track.times,
+                 (track.configs, track.configs[::-1], track.configs[-1:] * len(track.times)), track.cap)
+    pairs = [(reverse(track), oracle_reverse(track)), (resample(track, new_times), oracle_resample(track, new_times))]
+    for got, want in pairs + [(h.row(i), oracle_row(h, i)) for i in range(h.rows)]:
+        assert _same_grid(got.grid, want.grid)
+        assert got.times == want.times
+        assert got.kind == oracle_kind(want)
+
+
 def test_nearest_sample_ties_to_earlier():
     """resample, nearest_sample over an array and a graph
     StrandInterpolator all carry a time to its nearest sample, and an
@@ -472,7 +527,7 @@ def test_homotopy_certificate_fields():
     h = contract_circle_generator(1, resolution=(8, 16))
     report = check_continuity(h, math.inf)
     assert report.max_cardinality == 3
-    assert endpoint_drift(CellGrid.of(h)) == 0.0
+    assert endpoint_drift(h.grid) == 0.0
     assert report.max_gap > 0.0
 
 
