@@ -241,12 +241,13 @@ def cmd_homology(circumference, n, m, seed, max_scale, landmarks):
         cloud = maxmin_subsample(cloud, landmarks, seed=seed)
     pairs = rips_persistence_h1(cloud, max_scale=max_scale, budget=budget)
     count = long_lived_h1_count(pairs)
-    _echo(f"{'dim':>3} {'birth':>12} {'death':>12} {'persistence':>12}")
+    lines = [f"{'dim':>3} {'birth':>12} {'death':>12} {'persistence':>12}"]
     for p in pairs:
         death = f"{p.death:.6g}" if math.isfinite(p.death) else "inf"
         pers = f"{p.persistence:.6g}" if math.isfinite(p.persistence) else "inf"
-        _echo(f"{p.dim:>3} {p.birth:>12.6g} {death:>12} {pers:>12}")
-    _echo(f"long-lived H1 classes: {count}")
+        lines.append(f"{p.dim:>3} {p.birth:>12.6g} {death:>12} {pers:>12}")
+    lines.append(f"long-lived H1 classes: {count}")
+    _echo("\n".join(lines))
 
 
 @main.command("convert")

@@ -10,11 +10,20 @@ decoder, ``grid_from_json``, which turns the cells of a document into a
 ``CellGrid`` of canonical points with vectorized schema checks;
 non-finite coordinates and grid values are schema errors.
 ``certificate_from_json`` owns the certificate's schema.
+
+``homotopy_to_json`` builds its cell tree, and ``load`` parses a document,
+with the cyclic garbage collector paused (``_collector_paused``): these
+trees hold no reference cycles, but every collection their allocations
+trigger rescans them.  The collector's state at entry is restored on return
+and on error.  That state is process-wide: a ``gc.enable()`` or
+``gc.disable()`` another thread makes during the pause is overwritten.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+from contextlib import contextmanager
 from itertools import chain, islice
 from typing import IO
 
@@ -24,6 +33,24 @@ from .errors import InvalidPoint, RanspaceError, SchemaError
 from .ran import _pad
 from .space import Circle, GraphPoint, Interval, MetricGraph, Space
 from .tracks import CellGrid, Homotopy, Track
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, then restore the state it was in.
+
+    A document's tree of lists and dicts holds no reference cycle, but each
+    collection its allocations trigger rescans every container built so
+    far.  Wrap a whole tree build: the allocation count keeps growing while
+    the collector is paused, so a pause per row would still collect after
+    each row."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def space_to_json(space: Space) -> dict:
@@ -205,7 +232,8 @@ def _homotopy_head(h: Homotopy) -> dict:
 def homotopy_to_json(h: Homotopy, certificate: dict | None = None) -> dict:
     grid = h.grid
     doc = _homotopy_head(h)
-    doc["cells"] = [_row_point_lists(h.space, enc, counts) for enc, counts in zip(grid.enc, grid.counts)]
+    with _collector_paused():
+        doc["cells"] = [_row_point_lists(h.space, enc, counts) for enc, counts in zip(grid.enc, grid.counts)]
     if certificate is not None:
         doc["certificate"] = certificate
     return doc
@@ -245,12 +273,12 @@ def _rows_text(sizes: list, values: np.ndarray, pad: str, templates: dict) -> st
     a tuple of cell sizes per row and values the rows' points in order,
     finite coordinates or (edge, t) rows.  Each distinct coordinate or t
     becomes text once per bit pattern, so that 0.0 and -0.0 keep their
-    own, and each row is one %-format of the template for its sizes,
-    cached in templates."""
+    own, and one object-array take gives each point its text; each row is
+    one %-format of the template for its sizes, cached in templates."""
     graph, at = values.ndim == 2, pad + "  "
     distinct, where = np.unique((values[:, 1] if graph else values).view(np.int64), return_inverse=True)
-    texts = list(map(float.__repr__, distinct.view(float).tolist()))
-    fields = map(texts.__getitem__, where.tolist())
+    texts = np.array(list(map(float.__repr__, distinct.view(float).tolist())), dtype=object)
+    fields = iter(texts[where].tolist())
     point, per_point = "%s", 1
     if graph:  # each point's edge, then its t
         point, per_point = f'{{\n{at} "edge": %d,\n{at} "t": %s\n{at}}}', 2
@@ -329,7 +357,8 @@ def write_homotopy(h: Homotopy, certificate: dict | None, fp: IO[str]) -> None:
 
 def load(fp: IO[str]) -> dict:
     try:
-        doc = json.load(fp)
+        with _collector_paused():
+            doc = json.load(fp)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -486,6 +486,20 @@ def singleton_strand(track: Track) -> list:
 # -- path algebra -------------------------------------------------------------
 
 
+def _unmerged(times, sources):
+    """times, the images of a strictly increasing time grid under an
+    increasing map; ValueError naming the first two grid times whose images
+    rounding merged.  sources gives the grid in order, as (times, suffix)
+    pairs, the suffix naming where those times come from."""
+    merged = np.flatnonzero(np.diff(times) <= 0)
+    if len(merged):
+        i = merged[0]
+        names = [f"time {float(t)!r}{suffix}" for old, suffix in sources for t in old]
+        raise ValueError(f"{names[i]} and {names[i + 1]} map to {float(times[i])!r} and {float(times[i + 1])!r}: "
+                         "the new time grid would not strictly increase")
+    return times
+
+
 def concatenate(a: Track, b: Track) -> Track:
     """Run a on [0, 1/2] and b on [1/2, 1]; junction configs must agree."""
     if a.space != b.space:
@@ -494,11 +508,14 @@ def concatenate(a: Track, b: Track) -> Track:
     if gap > LOOP_TOL:
         raise EndpointMismatch(f"junction gap {gap} exceeds tolerance {LOOP_TOL}")
     times = tuple(t / 2 for t in a.times) + tuple(0.5 + t / 2 for t in b.times[1:])
+    times = _unmerged(times, ((a.times, " of the first track"), (b.times[1:], " of the second track")))
     return Track(a.space, times, a.configs + b.configs[1:], max(a.cap, b.cap))
 
 
 def reverse(a: Track) -> Track:
-    return Track.of_row(a.space, a.cap, 1.0 - a.grid.t_grid[::-1], a.grid.enc[0, ::-1], a.grid.counts[0, ::-1])
+    old = a.grid.t_grid[::-1]
+    times = _unmerged(1.0 - old, ((old, ""),))
+    return Track.of_row(a.space, a.cap, times, a.grid.enc[0, ::-1], a.grid.counts[0, ::-1])
 
 
 def conjugate(gamma: Track, sigma: Track) -> Track:

@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -648,6 +649,53 @@ def test_malformed_documents_are_schema_errors(tmp_path, command, case):
     lines = res.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("schema error: "), res.stderr
     assert res.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["verify", "convert", "contract"])
+@pytest.mark.parametrize("case", ["truncated", "array"])
+def test_documents_that_are_not_json_objects_are_schema_errors(tmp_path, command, case):
+    if command == "contract":
+        write_generator_track(tmp_path / "doc.json", m=16)
+        extra = ["--cap", 1, "--out", tmp_path / "h.json"]
+    else:
+        _write_doc(tmp_path / "doc.json", _constant_doc(C1, 0.25))
+        extra = [tmp_path / "frames"] if command == "convert" else []
+    text = (tmp_path / "doc.json").read_text()
+    path = tmp_path / "bad.json"
+    path.write_text(text[:len(text) // 2] if case == "truncated" else f"[{text}]")
+    res = run_cli(command, path, *extra)
+    assert res.returncode == 2, res.stderr
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("schema error: "), res.stderr
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_in_process_commands_leave_the_collector_as_they_found_it(tmp_path, enabled):
+    import gc
+
+    from ranspace import cli
+
+    src, out, bad = tmp_path / "loop.json", tmp_path / "h.json", tmp_path / "bad.json"
+    write_generator_track(src, m=16)
+    bad.write_text('{"space": {"kind": "circle", ')
+    prior = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for args, code in (
+            (["contract", src, "--cap", 1, "--out", out, "--resolution", 8, 16], 0),
+            (["verify", out], 0),
+            (["convert", out, tmp_path / "frames"], 0),
+            (["verify", bad], 2),
+            (["contract", bad, "--cap", 1, "--out", out], 2),
+        ):
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exit_info:
+                cli.main(list(map(str, args)), standalone_mode=False)
+                sys.exit(0)
+            assert exit_info.value.code == code, args
+            assert gc.isenabled() is enabled, args
+    finally:
+        (gc.enable if prior else gc.disable)()
 
 
 @pytest.mark.parametrize("space, point, written", [

@@ -1,14 +1,18 @@
 """The document writer against the standard library encoder, and reading
 documents back bit for bit."""
 
+import gc
 import io
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_dump
+from ranspace import io as rio
+from ranspace.errors import SchemaError
 from ranspace.io import dump, grid_from_json, homotopy_from_json, homotopy_to_json, load, track_from_json, track_to_json
 from ranspace.ran import dedup
 from ranspace.space import Circle, GraphPoint, Interval, MetricGraph
@@ -129,3 +133,38 @@ def test_a_canonical_coordinate_reads_back_bit_for_bit():
         back = track_from_json(doc)
         assert back.configs[1].points[0].hex() == (-0.0).hex()
         assert _written(track_to_json(back)) == _written(doc)
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The cyclic garbage collector switched on or off for one test, and
+    back to its prior state after it."""
+    prior = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if prior else gc.disable)()
+
+
+@pytest.mark.parametrize("text, error", [('{"cap": 1}', None), ('{"cap": [1, 2', "not valid JSON"),
+                                         ("[1, 2]", "a document must be a JSON object")])
+def test_load_leaves_the_collector_as_it_found_it(collector, text, error):
+    if error is None:
+        assert load(io.StringIO(text)) == {"cap": 1}
+    else:
+        with pytest.raises(SchemaError, match=error):
+            load(io.StringIO(text))
+    assert gc.isenabled() is collector
+
+
+def test_homotopy_to_json_leaves_the_collector_as_it_found_it(collector, monkeypatch):
+    times = (0.0, 0.5, 1.0)
+    h = Homotopy(Circle(1.0), (0.0, 1.0), times, ((dedup(Circle(1.0), [0.25]),) * 3,) * 2, 1)
+    assert homotopy_to_json(h)["cells"] == [[[0.25]] * 3] * 2
+    assert gc.isenabled() is collector
+
+    def fail(*args):
+        raise RuntimeError("row build failed")
+    monkeypatch.setattr(rio, "_row_point_lists", fail)
+    with pytest.raises(RuntimeError, match="row build failed"):
+        homotopy_to_json(h)
+    assert gc.isenabled() is collector

@@ -322,6 +322,21 @@ def test_concatenate_rejects_junction_gap():
         concatenate(a, b)
 
 
+def test_reverse_names_the_two_times_rounding_merges():
+    # 1 - 0.01 and 1 - 0.010000000000000009 are both 0.99
+    track = make_track(C1, (0.0, 0.01, 0.010000000000000009, 1.0), [[0.0]] * 4, cap=1)
+    with pytest.raises(ValueError, match=r"^time 0\.010000000000000009 and time 0\.01 map to 0\.99 and 0\.99: "):
+        reverse(track)
+
+
+def test_concatenate_names_the_two_times_rounding_merges():
+    # the second track's 1e-17 runs at 0.5 + 1e-17 / 2 == 0.5, the junction
+    a = make_track(C1, (0.0, 1.0), [[0.0]] * 2, cap=1)
+    b = make_track(C1, (0.0, 1e-17, 1.0), [[0.0]] * 3, cap=1)
+    with pytest.raises(ValueError, match=r"^time 1\.0 of the first track and time 1e-17 of the second track map to 0\.5 and 0\.5: "):
+        concatenate(a, b)
+
+
 def test_conjugate_by_constant_path_keeps_configs():
     sigma = strand_track(C1, lambda t: C1.canon(t), m=32)
     const = strand_track(C1, lambda t: 0.0, m=8, kind="path")
