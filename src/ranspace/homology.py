@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import SizeLimit
 # dedup is unused here, but perfbench/tracer.py rebinds it here
-from .ran import _dedup_lists, _pad_encode, as_configurations, batch_hausdorff, dedup
+from .ran import _dedup_lists, _pad_lists, _slot_points, batch_hausdorff, dedup
 from .space import Space
 
 DEFAULT_SIMPLEX_BUDGET = 5_000_000
@@ -32,7 +32,11 @@ GAP_RATIO = 5.0
 
 @dataclass(frozen=True)
 class MetricCloud:
-    labels: tuple  # of Configuration
+    """Labelled points at a symmetric distance matrix with a zero
+    diagonal; labels are opaque, and a sampled cloud's are its
+    configurations' point tuples."""
+
+    labels: tuple
     dist: np.ndarray
 
     def __post_init__(self):
@@ -64,27 +68,31 @@ class PersistencePair:
         return self.death - self.birth
 
 
-def cloud_from_configs(space: Space, configs) -> MetricCloud:
-    configs = tuple(configs)
-    enc = _pad_encode(space, configs)
-    m = len(configs)
+def cloud_from_configs(space: Space, cells) -> MetricCloud:
+    """The cloud of cells, each a sequence of points on space, at their
+    pairwise Hausdorff distances, labelled by the cells."""
+    cells = tuple(cells)
+    enc = _pad_lists(space, cells)
+    m = len(cells)
     iu, ju = np.triu_indices(m, k=1)
     dist = np.zeros((m, m))
     if len(iu):
         vals = batch_hausdorff(space, enc[iu], enc[ju])
         dist[iu, ju] = vals
         dist[ju, iu] = vals
-    return MetricCloud(configs, dist)
+    return MetricCloud(cells, dist)
 
 
 def sample_ran(space: Space, n: int, m: int, seed: int) -> MetricCloud:
     """m configurations of size uniform in {1..n}, points uniform on the
-    space, deterministic in the seed."""
+    space, deterministic in the seed; each labelled by its deduplicated
+    points, a tuple in canonical order."""
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
     rng = np.random.default_rng(seed)
     point_lists = [[space.random_point(rng) for _ in range(int(rng.integers(1, n + 1)))] for _ in range(m)]
-    return cloud_from_configs(space, as_configurations(space, *_dedup_lists(space, point_lists, n), n))
+    kept, counts = _dedup_lists(space, point_lists, n)
+    return cloud_from_configs(space, [_slot_points(space, cell[:k]) for cell, k in zip(kept, counts.tolist())])
 
 
 def maxmin_subsample(cloud: MetricCloud, k: int, seed: int) -> MetricCloud:

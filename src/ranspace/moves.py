@@ -48,7 +48,7 @@ from .errors import (
     UnsupportedDegree,
 )
 # dedup and hausdorff are unused here, but perfbench/tracer.py rebinds them here
-from .ran import _pad_lists, _padding, batch_hausdorff, dedup, dedup_many, hausdorff
+from .ran import _pad_lists, _padding, _slot_points, batch_hausdorff, dedup, dedup_many, hausdorff
 from .space import Circle, MetricGraph, Point, Space
 from .tracks import (
     LOOP_TOL,
@@ -58,7 +58,6 @@ from .tracks import (
     StrandInterpolator,
     Track,
     _distances,
-    _slot_points,
     check_continuity,
     circle_lift,
     endpoint_drift,

@@ -8,7 +8,9 @@ point pairs.  Everything is immutable and pure.
 Many configurations at once travel as one padded array (``_pad``), and
 two kernels run over it: ``dedup_many`` and ``batch_hausdorff``, both on
 the space's ``distance_many``.  Scalar ``hausdorff`` and ``dedup`` are
-one-row calls of them.
+one-row calls of them.  ``_pad_lists`` encodes point lists and
+``_slot_points`` is the one way back from encoded slots to points; a
+``Configuration`` is built only where a caller asks for one.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ def dedup(space: Space, points: Iterable[Point], cap: int | None = None) -> Conf
     """
     points = list(points)
     kept, counts = _dedup_lists(space, [points], len(points) if cap is None else cap)
-    return as_configurations(space, kept, counts, int(counts[0]) if cap is None else cap)[0]
+    k = int(counts[0])
+    return Configuration(_slot_points(space, kept[0, :k]), k if cap is None else cap)
 
 
 def _pad(space: Space, counts: np.ndarray, flat: np.ndarray) -> np.ndarray:
@@ -88,9 +91,12 @@ def _pad_lists(space: Space, point_lists: Sequence[Sequence[Point]]) -> np.ndarr
     return _pad(space, counts, np.fromiter(points, dtype=float))
 
 
-def _pad_encode(space: Space, configs: Sequence[Configuration]) -> np.ndarray:
-    """The padded encoding (see _pad) of configs, one row per configuration."""
-    return _pad_lists(space, [c.points for c in configs])
+def _slot_points(space: Space, values: np.ndarray) -> tuple:
+    """The points of a 1-D array of cell slots (see _pad), such as one
+    cell's first counts slots: floats, or GraphPoints on graphs."""
+    if isinstance(space, MetricGraph):
+        return tuple(map(GraphPoint, values[:, 0].astype(np.intp).tolist(), values[:, 1].tolist()))
+    return tuple(values.tolist())
 
 
 def _slot_values(space: Space, enc: np.ndarray) -> np.ndarray:
@@ -126,29 +132,6 @@ def dedup_many(space: Space, enc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.lexsort((x[..., 1], np.where(keep, x[..., 0], np.inf)), axis=-1)
     x = np.where(keep[..., None], x, _padding(space, ()))
     return np.take_along_axis(x, order[..., None], axis=-2), counts
-
-
-# kept points become Python objects a chunk of cells at a time: converting
-# a whole grid at once holds every point of it as a Python float
-_CHUNK = 256
-
-
-def as_configurations(space: Space, kept: np.ndarray, counts: np.ndarray, cap: int) -> list:
-    """The Configurations, capped at cap, of the first counts[i] points of
-    each cell i of a padded encoding, such as dedup_many's result."""
-    out = []
-    # one float object per distinct graph t, as when cells share their
-    # strands' points
-    shared = {}
-    for i in range(0, len(kept), _CHUNK):
-        chunk, sizes = kept[i:i + _CHUNK], counts[i:i + _CHUNK].tolist()
-        if isinstance(space, MetricGraph):
-            edges, ts = chunk[..., 0].astype(np.intp).tolist(), chunk[..., 1].tolist()
-            out.extend(Configuration(tuple(map(GraphPoint, e[:k], map(shared.setdefault, t[:k], t[:k]))), cap)
-                       for e, t, k in zip(edges, ts, sizes))
-        else:
-            out.extend(Configuration(tuple(pts[:k]), cap) for pts, k in zip(chunk.tolist(), sizes))
-    return out
 
 
 def _dedup_lists(space: Space, point_lists: Sequence[Sequence[Point]], cap: int) -> tuple[np.ndarray, np.ndarray]:

@@ -5,7 +5,10 @@ tracks.  A Track samples a map [0,1] -> (finite subsets of X) on a
 strictly increasing time grid with t0 = 0 and tm = 1: it is the homotopy
 of one row at s = 0, and a loop when its first and last configurations
 coincide.  A StrandBundle samples n coordinate paths on a shared grid;
-its per-time union is its projected track.
+its per-time union is its projected track.  Every operation here, the
+path algebra included, reads and builds grids; the Configuration views
+(Homotopy.cells, Track.configs) are for callers and nothing here reads
+them.
 
 Continuity is never verified exactly (undecidable from samples); instead
 ``check_continuity`` certifies that adjacent grid cells stay within a
@@ -29,9 +32,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AmbiguousLift, EndpointMismatch, SpaceMismatch
-# dedup is unused here, but perfbench/tracer.py rebinds it here
-from .ran import _dedup_lists, _pad_encode, _padding, as_configurations, batch_hausdorff, dedup, hausdorff
-from .space import Circle, GraphPoint, Interval, MetricGraph, Point, Space
+# dedup and hausdorff are unused here, but perfbench/tracer.py rebinds them here
+from .ran import Configuration, _dedup_lists, _pad_lists, _padding, _slot_points, batch_hausdorff, dedup, hausdorff
+from .space import Circle, Interval, Point, Space
 
 LOOP_TOL = 1e-9
 
@@ -157,14 +160,6 @@ class StrandInterpolator:
         return out
 
 
-def _slot_points(space: Space, values: np.ndarray) -> tuple:
-    """The points of a 1-D array of cell slots, such as a strand's values
-    from StrandInterpolator.many."""
-    if isinstance(space, MetricGraph):
-        return tuple(map(GraphPoint, values[:, 0].astype(np.intp).tolist(), values[:, 1].tolist()))
-    return tuple(values.tolist())
-
-
 # -- continuity certification -------------------------------------------------
 
 
@@ -210,18 +205,6 @@ class CellGrid:
             raise ValueError("deformation grid must be strictly increasing")
         if self.counts.shape != (len(self.s_grid), len(self.t_grid)) or self.enc.shape[:2] != self.counts.shape:
             raise ValueError("ragged homotopy grid")
-
-    @classmethod
-    def encode(cls, space: Space, cap: int, s_grid, t_grid, rows) -> CellGrid:
-        """The grid of rows of Configurations, one row per s_grid sample."""
-        if any(len(row) != len(t_grid) for row in rows):
-            raise ValueError("ragged homotopy grid")
-        cells = [c for row in rows for c in row]
-        shape = (len(rows), len(t_grid))
-        enc = _pad_encode(space, cells)
-        counts = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
-        return cls(space, cap, np.asarray(s_grid, dtype=float), np.asarray(t_grid, dtype=float),
-                   enc.reshape(shape + enc.shape[1:]), counts.reshape(shape))
 
     def max_cardinality(self, first: int, last: int) -> int:
         """The largest cell of rows first to last: a stage's cardinality."""
@@ -292,15 +275,22 @@ class Homotopy:
     cardinality and adjacent-cell gaps, and endpoint_drift how far the
     endpoint columns drift from the source row.
 
-    Homotopy(space, s_grid, t_grid, cells, cap) encodes rows of
-    Configurations; from_grid wraps a grid as is.  cells, the rows as
-    Configurations, is built on first access.
+    from_grid wraps a grid as is; the package builds every homotopy so.
+    Homotopy(space, s_grid, t_grid, cells, cap), from rows of
+    Configurations, and cells, the rows as Configurations built on first
+    access, are conveniences for callers that want Configurations.
     """
 
     grid: CellGrid
 
     def __init__(self, space: Space, s_grid: Sequence[float], t_grid: Sequence[float], cells, cap: int):
-        grid = CellGrid.encode(space, cap, tuple(s_grid), tuple(t_grid), tuple(map(tuple, cells)))
+        rows = tuple(map(tuple, cells))
+        if any(len(row) != len(t_grid) for row in rows):
+            raise ValueError("ragged homotopy grid")
+        shape = (len(rows), len(t_grid))
+        enc = _pad_lists(space, [c.points for row in rows for c in row])
+        grid = CellGrid(space, cap, np.asarray(s_grid, dtype=float), np.asarray(t_grid, dtype=float),
+                        enc.reshape(shape + enc.shape[1:]), np.array([[len(c) for c in row] for row in rows], dtype=np.intp))
         object.__setattr__(self, "grid", _checked(grid))
 
     @classmethod
@@ -333,15 +323,18 @@ class Homotopy:
     def cells(self) -> tuple:
         """Rows of Configuration tuples, of the grid's cap."""
         grid = self.grid
-        return tuple(tuple(as_configurations(grid.space, enc, counts, grid.cap)) for enc, counts in zip(grid.enc, grid.counts))
+        return tuple(tuple(Configuration(_slot_points(grid.space, cell[:k]), grid.cap) for cell, k in zip(enc, counts.tolist()))
+                     for enc, counts in zip(grid.enc, grid.counts))
 
     def row(self, i: int) -> Track:
         return Track.of_row(self.space, self.cap, self.grid.t_grid, self.grid.enc[i], self.grid.counts[i])
 
 
 class Track(Homotopy):
-    """A homotopy of one row at s = 0 on the time grid times; its configs
-    and kind are read from the grid.  from_grid refuses more rows."""
+    """A homotopy of one row at s = 0 on the time grid times; its kind is
+    read from the grid.  from_grid refuses more rows.  Track(space, times,
+    configs, cap) and configs, row 0 as Configurations, are conveniences
+    as Homotopy's are."""
 
     def __init__(self, space: Space, times: Sequence[float], configs, cap: int):
         super().__init__(space, (0.0,), times, (configs,), cap)
@@ -393,6 +386,18 @@ def _checked(grid: CellGrid) -> CellGrid:
     return grid
 
 
+def _joined(space: Space, parts: Sequence[np.ndarray], axis: int) -> np.ndarray:
+    """Grid encodings (see CellGrid) joined along their rows (axis 0) or
+    their columns (axis 1), each padded to the widest part."""
+    parts = [np.moveaxis(p, axis, 0) for p in parts]
+    enc = _padding(space, (sum(map(len, parts)), parts[0].shape[1], max(p.shape[2] for p in parts)))
+    at = 0
+    for part in parts:
+        enc[at:at + len(part), :, :part.shape[2]] = part
+        at += len(part)
+    return np.moveaxis(enc, 0, axis)
+
+
 def stack_homotopies(blocks: Sequence[Homotopy]) -> Homotopy:
     """Concatenate homotopy blocks in the deformation direction.
 
@@ -409,13 +414,8 @@ def stack_homotopies(blocks: Sequence[Homotopy]) -> Homotopy:
         seam = float(batch_hausdorff(space, prev.enc[-1], nxt.enc[0]).max())
         if seam > LOOP_TOL:
             raise EndpointMismatch(f"homotopy blocks fail to chain: seam gap {seam}")
-    parts = [grids[0].enc] + [g.enc[1:] for g in grids[1:]]
+    enc = _joined(space, [grids[0].enc] + [g.enc[1:] for g in grids[1:]], 0)
     counts = np.concatenate([grids[0].counts] + [g.counts[1:] for g in grids[1:]])
-    enc = _padding(space, counts.shape + (max(p.shape[2] for p in parts),))
-    row = 0
-    for part in parts:
-        enc[row:row + len(part), :, :part.shape[2]] = part
-        row += len(part)
     s_grid = np.asarray(uniform_times(len(counts) - 1))
     cap = max(g.cap for g in grids)
     return Homotopy.from_grid(CellGrid(space, cap, s_grid, grids[0].t_grid, enc, counts))
@@ -451,9 +451,9 @@ def detect_branch_merge(track: Track, radius: float, lookahead: int):
         near = within(k)
         branch[:cols - k] |= near.sum(axis=-1) >= 2
         merge[k:] |= near.sum(axis=-2) >= 2
+    hits = np.argwhere(alone & (branch | merge))
     out = []
-    for i, a in np.argwhere(alone & (branch | merge)).tolist():
-        p = track.configs[i].points[a]
+    for (i, a), p in zip(hits.tolist(), _slot_points(space, track.grid.enc[0][tuple(hits.T)])):
         out.extend((i, p, kind) for kind, hit in (("branch", branch), ("merge", merge)) if hit[i, a])
     return out
 
@@ -501,15 +501,17 @@ def _unmerged(times, sources):
 
 
 def concatenate(a: Track, b: Track) -> Track:
-    """Run a on [0, 1/2] and b on [1/2, 1]; junction configs must agree."""
+    """Run a on [0, 1/2] and b on [1/2, 1]; junction cells must agree."""
     if a.space != b.space:
         raise SpaceMismatch("concatenating tracks over different spaces")
-    gap = hausdorff(a.space, a.configs[-1], b.configs[0])
+    gap = float(batch_hausdorff(a.space, a.grid.enc[0, -1:], b.grid.enc[0, :1])[0])
     if gap > LOOP_TOL:
         raise EndpointMismatch(f"junction gap {gap} exceeds tolerance {LOOP_TOL}")
     times = tuple(t / 2 for t in a.times) + tuple(0.5 + t / 2 for t in b.times[1:])
     times = _unmerged(times, ((a.times, " of the first track"), (b.times[1:], " of the second track")))
-    return Track(a.space, times, a.configs + b.configs[1:], max(a.cap, b.cap))
+    enc = _joined(a.space, [a.grid.enc, b.grid.enc[:, 1:]], 1)
+    counts = np.concatenate([a.grid.counts[0], b.grid.counts[0, 1:]])
+    return Track.of_row(a.space, max(a.cap, b.cap), times, enc[0], counts)
 
 
 def reverse(a: Track) -> Track:

@@ -21,7 +21,7 @@ import numpy as np
 from ranspace.errors import AmbiguousBranching, EmptyConfiguration, InvalidPoint
 from ranspace.moves import _schedule
 from ranspace.ran import DEDUP_EPS, Configuration
-from ranspace.space import Circle, GraphPoint, Interval
+from ranspace.space import CANON_TOL, Circle, GraphPoint, Interval
 from ranspace.tracks import StrandBundle, Track, project
 
 
@@ -64,6 +64,17 @@ def make_graph_point_metric(edges, num_vertices):
         return min(cands)
 
     return metric
+
+
+def oracle_circle_canon(circumference, p):
+    """Circle.canon as a scalar body: the coordinate modulo the
+    circumference, and 0 within CANON_TOL (relative to a circumference
+    above 1) of the seam on either side."""
+    c = circumference
+    x = float(p) % c
+    if c - x < CANON_TOL * max(1.0, c) or x < CANON_TOL * max(1.0, c):
+        return 0.0
+    return x
 
 
 def circle_point_metric(circumference):
@@ -208,6 +219,13 @@ def oracle_reverse(track):
     """reverse built from Configurations: the configurations last first, on
     the times 1 - t."""
     return Track(track.space, tuple(1.0 - t for t in reversed(track.times)), tuple(reversed(track.configs)), track.cap)
+
+
+def oracle_concatenate(a, b):
+    """concatenate built from Configurations: a's configurations, then b's
+    after the junction, on the times t / 2 and 0.5 + t / 2."""
+    times = tuple(t / 2 for t in a.times) + tuple(0.5 + t / 2 for t in b.times[1:])
+    return Track(a.space, times, a.configs + b.configs[1:], max(a.cap, b.cap))
 
 
 def oracle_resample(track, new_times):

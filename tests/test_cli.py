@@ -871,3 +871,42 @@ def test_in_process_commands_keep_no_redirected_stream(tmp_path):
         del stdout, stderr
     gc.collect()
     assert [ref() for ref in streams] == [None] * len(streams)
+
+
+def test_no_command_builds_a_configuration(tmp_path, monkeypatch):
+    """contract (with and without --svg), verify, convert of a track and of
+    a homotopy, on the circle and the theta graph, and homology build no
+    Configuration: they read and draw the cell grid."""
+    from click.testing import CliRunner
+
+    from ranspace.cli import main
+    from ranspace.ran import Configuration
+
+    times = uniform_times(32)
+    b = THETA.vertex_point(0)
+    out_and_back = tuple(THETA.canon((0, 2 * t)) if t <= 0.5 else THETA.canon((1, 2 * (1 - t))) for t in times)
+    write_generator_track(tmp_path / "circle.json", m=32)
+    _write_doc(tmp_path / "theta.json", track_to_json(project(StrandBundle(THETA, times, (out_and_back, (b,) * len(times), out_and_back[::-1])))))
+    built = []
+    post_init = Configuration.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Configuration, "__post_init__", counted)
+    commands = {"homology": ["homology", "--n", 2, "--m", 60, "--max-scale", 0.3]}
+    for name, extra in (("circle", ["--cap", 1]), ("theta", ["--cap", 4, "--basepoint", "0:0.0"])):
+        src, h = tmp_path / f"{name}.json", tmp_path / f"{name}-h.json"
+        contract = ["contract", src, *extra, "--resolution", 8, 32, "--out", h]
+        commands[f"contract {name}"] = contract
+        commands[f"contract --svg {name}"] = [*contract, "--svg", tmp_path / f"{name}-contract-frames"]
+        commands[f"verify {name}"] = ["verify", h]
+        commands[f"convert {name} track"] = ["convert", src, tmp_path / f"{name}-track-frames", "--stride", 3]
+        commands[f"convert {name} homotopy"] = ["convert", h, tmp_path / f"{name}-homotopy-frames"]
+    counts = {}
+    for name, args in commands.items():
+        res = CliRunner().invoke(main, list(map(str, args)))
+        assert res.exit_code == 0, (name, res.output)
+        counts[name], built[:] = len(built), []
+    assert counts == dict.fromkeys(commands, 0)

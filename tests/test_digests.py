@@ -3,13 +3,17 @@
 The digests were recorded from the package before its duplicated frame
 writers and homotopy block builders were merged; a change that moves any
 output byte fails here.  Covered: SVG frames from ``convert`` (circle
-track with a basepoint, interval track, graph homotopy) and the
+track with a basepoint, interval track, graph track, graph homotopy,
+interval homotopy) and from ``contract --svg`` (circle homotopy), and the
 ``contract_pipeline`` document for bundles that are not based at the
 contraction target, which is the only route through bundle normalization.
+The graph track, interval homotopy and circle homotopy frames were
+recorded while frames were still drawn from ``Configuration`` objects.
 """
 
 import hashlib
 import io
+import json
 import math
 from pathlib import Path
 
@@ -19,7 +23,7 @@ from ranspace.cli import main
 from ranspace.io import dump, homotopy_to_json, track_to_json
 from ranspace.moves import Inclusion, SimplyConnected, contract_pipeline, pushforward_contraction
 from ranspace.space import Circle, Interval, MetricGraph
-from ranspace.tracks import StrandBundle, make_track, uniform_times
+from ranspace.tracks import StrandBundle, make_track, project, uniform_times
 
 C1 = Circle(1.0)
 THETA = MetricGraph(2, ((0, 1, 1.0), (0, 1, 1.2), (0, 1, 0.8)))
@@ -45,6 +49,16 @@ def convert(tmp_path: Path, doc: dict, *args) -> Path:
         dump(doc, fp)
     out = tmp_path / "frames"
     res = CliRunner().invoke(main, ["convert", str(src), str(out), *args])
+    assert res.exit_code == 0, res.output
+    return out
+
+
+def contract_frames(tmp_path: Path, track, *args) -> Path:
+    src = tmp_path / "track.json"
+    with open(src, "w") as fp:
+        dump(track_to_json(track), fp)
+    out = tmp_path / "frames"
+    res = CliRunner().invoke(main, ["contract", str(src), "--out", str(tmp_path / "h.json"), "--svg", str(out), *args])
     assert res.exit_code == 0, res.output
     return out
 
@@ -89,6 +103,43 @@ def test_svg_graph_homotopy(tmp_path):
     assert len(list(out.glob("frame_*.svg"))) == h.rows
     assert frames_digest(out) == (
         "3fcc6462035e1c77f25742b94d95959738f759a236d307cf45cb0cc6f4ff78ab"
+    )
+
+
+def test_svg_graph_track(tmp_path):
+    times = uniform_times(30)
+    b = THETA.vertex_point(0)
+    out_and_back = theta_excursion(0, 1, 30)
+    track = project(StrandBundle(THETA, times, (out_and_back, tuple(b for _ in times), theta_excursion(2, 1, 30)[::-1])))
+    out = convert(tmp_path, track_to_json(track), "--stride", "3")
+    assert len(list(out.glob("frame_*.svg"))) == 11
+    assert frames_digest(out) == (
+        "3955e51c23f5505ba35bd9b80bd418d06614ed086c9323c0f14c63cbbef574e4"
+    )
+
+
+def test_svg_interval_homotopy(tmp_path):
+    space = Interval(2.0)
+    times = uniform_times(24)
+    bump = [1 - abs(1 - 2 * t) for t in times]
+    track = make_track(space, times, [[0.5 + 0.6 * u, 1.5 - 0.4 * u] for u in bump], cap=2, kind="loop")
+    h, cert = contract_pipeline(track, Inclusion(4), 0.5, resolution=(8, 24))
+    out = convert(tmp_path, homotopy_to_json(h, cert.as_dict()), "--basepoint", "0.5")
+    assert len(list(out.glob("frame_*.svg"))) == h.rows
+    assert frames_digest(out) == (
+        "cf518a0ee619ade975e1559e7f1e8e8fe5574f04a4b34557a3425863d35cbd7e"
+    )
+
+
+def test_svg_circle_homotopy_from_contract(tmp_path):
+    times = uniform_times(32)
+    track = make_track(C1, times, [[C1.canon(0.1 + t)] for t in times], cap=1, kind="loop")
+    out = contract_frames(tmp_path, track, "--cap", "1", "--basepoint", "0.1", "--resolution", "8", "32")
+    with open(tmp_path / "h.json") as fp:
+        rows = len(json.load(fp)["s_grid"])
+    assert len(list(out.glob("frame_*.svg"))) == rows
+    assert frames_digest(out) == (
+        "49e1fbe1c9f04185e99c0e8fb9938de0452759ed297b64ceb93a2a08089298ec"
     )
 
 

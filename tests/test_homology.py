@@ -28,7 +28,7 @@ C1 = Circle(1.0)
 
 
 def singleton_cloud(coords):
-    return cloud_from_configs(C1, [configuration(C1, [c]) for c in coords])
+    return cloud_from_configs(C1, [configuration(C1, [c]).points for c in coords])
 
 
 def test_three_point_frame():

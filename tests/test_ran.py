@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import circle_point_metric, make_graph_point_metric, oracle_dedup, oracle_hausdorff, oracle_metric
 from ranspace.errors import CapExceeded, EmptyConfiguration, InvalidPoint, SpaceMismatch
-from ranspace.ran import DEDUP_EPS, Configuration, _pad_encode, as_configurations, configuration, dedup, dedup_many, hausdorff, union
+from ranspace.ran import DEDUP_EPS, Configuration, _pad_lists, _slot_points, configuration, dedup, dedup_many, hausdorff, union
 from ranspace.space import CANON_TOL, Circle, GraphPoint, Interval, MetricGraph
 
 CIRCLE = Circle(1.0)
@@ -306,6 +306,6 @@ def test_dedup_is_idempotent(case):
     space, points = case
     once = dedup(space, points)
     assert _hex(dedup(space, once.points).points) == _hex(once.points)
-    kept, counts = dedup_many(space, _pad_encode(space, [once]))
+    kept, counts = dedup_many(space, _pad_lists(space, [once.points]))
     assert counts.tolist() == [len(once)]
-    assert _hex(as_configurations(space, kept, counts, len(once))[0].points) == _hex(once.points)
+    assert _hex(_slot_points(space, kept[0, :len(once)])) == _hex(once.points)

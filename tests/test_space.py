@@ -6,10 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_geodesic, oracle_metric
+from oracles import oracle_circle_canon, oracle_geodesic, oracle_metric
 from ranspace.errors import InvalidPoint
-from ranspace.ran import _pad_encode, batch_hausdorff, dedup, hausdorff
-from ranspace.space import Circle, GraphPoint, Interval, MetricGraph, distance, geodesic
+from ranspace.ran import _pad_lists, batch_hausdorff, dedup, hausdorff
+from ranspace.space import CANON_TOL, Circle, GraphPoint, Interval, MetricGraph, distance, geodesic
 from test_ran import _raw_points, _spaces
 
 
@@ -149,15 +149,30 @@ def test_geodesic_many_matches_the_scalar_oracle(case):
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_circle_canon_matches_canon_many(data):
-    """Scalar Circle.canon, the one scalar kernel body left, equals
-    canon_many value for value and bit for bit: points anywhere, within
-    CANON_TOL of the seam on either side, signed zeros, tiny, huge and NaN
-    coordinates."""
+    """Circle.canon and canon_many equal the scalar oracle value for value
+    and bit for bit: points anywhere, within CANON_TOL of the seam on
+    either side, signed zeros, tiny, huge and NaN coordinates."""
     space = Circle(data.draw(st.sampled_from([1.0, 2.5, 0.3])))
     point, _ = _raw_points(space)
     extremes = st.sampled_from([5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300, math.nan])
     xs = data.draw(st.lists(st.one_of(point, extremes, st.floats(-1e6, 1e6)), min_size=1, max_size=8))
-    want = [float.hex(space.canon(x)) for x in xs]
+    want = [float.hex(oracle_circle_canon(space.circumference, x)) for x in xs]
+    assert [float.hex(space.canon(x)) for x in xs] == want
+    assert [float.hex(x) for x in space.canon_many(np.array(xs)).tolist()] == want
+
+
+@pytest.mark.parametrize("c", [1e-3, 0.3, 1.0, 2.5, math.pi, 1e3, 1e6])
+def test_circle_canon_is_the_scalar_oracle_bit_for_bit(c):
+    """Circle.canon, one row of canon_many, equals the scalar oracle bit
+    for bit on the seam's edge values and on random coordinates, from
+    within one turn to far outside it."""
+    tol = CANON_TOL * max(1.0, c)
+    edges = [0.0, -0.0, c, -c, c - 1e-13, 1e-13, -1e-13, 3 * c, 5e-324, -5e-324, 1e300, -1e300, math.nan, tol, c - tol]
+    rng = np.random.default_rng(17)
+    xs = edges + (rng.uniform(-4 * c, 4 * c, 6000) * np.exp(rng.uniform(-12, 12, 6000))).tolist()
+    want = [float.hex(oracle_circle_canon(c, x)) for x in xs]
+    space = Circle(c)
+    assert [float.hex(space.canon(x)) for x in xs] == want
     assert [float.hex(x) for x in space.canon_many(np.array(xs)).tolist()] == want
 
 
@@ -175,7 +190,7 @@ def test_pairwise_kernel_matches_scalar(space):
         ]
 
     configs_a, configs_b = random_configs(2000), random_configs(2000)
-    batch = batch_hausdorff(space, _pad_encode(space, configs_a), _pad_encode(space, configs_b))
+    batch = batch_hausdorff(space, _pad_lists(space, [c.points for c in configs_a]), _pad_lists(space, [c.points for c in configs_b]))
     metric = oracle_metric(space)
     for got, a, b in zip(batch, configs_a, configs_b):
         forward = max(min(metric(p, q) for q in b.points) for p in a.points)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import (
     OracleStrand,
     oracle_branch_merge,
+    oracle_concatenate,
     oracle_dedup,
     oracle_kind,
     oracle_metric,
@@ -320,6 +321,58 @@ def test_concatenate_rejects_junction_gap():
     b = strand_track(C1, lambda t: C1.canon(0.9 + 0.05 * t), m=16, kind="path")
     with pytest.raises(EndpointMismatch):
         concatenate(a, b)
+
+
+def _same_track(got, want):
+    assert got.times == want.times and got.cap == want.cap
+    assert got.configs == want.configs
+    assert np.array_equal(got.grid.counts, want.grid.counts)
+    assert np.array_equal(got.grid.enc, want.grid.enc, equal_nan=True)
+
+
+def _spread(space, at, step, m=12):
+    """A cap-3 path from the one point at(0) to the three points
+    at(-step), at(0) and at(step) spread t apart."""
+    times = uniform_times(m)
+    return make_track(space, times, [[at(-step * t), at(0.0), at(step * t)] for t in times], cap=3)
+
+
+@pytest.mark.parametrize("space, at", [
+    (C1, lambda d: C1.canon(0.4 + d)),
+    (THETA, lambda d: THETA.canon((0, 0.5 + d))),
+], ids=["circle", "theta"])
+def test_concatenate_tracks_of_different_widths(space, at):
+    """A cap-1 track then a cap-3 track, and the cap-3 track then the
+    reversed cap-1 track, join as the Configuration-built oracle does."""
+    times = uniform_times(8)
+    narrow = make_track(space, times, [[at(0.05 * (t - 1))] for t in times], cap=1)
+    wide = _spread(space, at, 0.2)
+    _same_track(concatenate(narrow, wide), oracle_concatenate(narrow, wide))
+    back = reverse(_spread(space, at, 0.2))
+    tail = make_track(space, times, [[at(0.05 * t)] for t in times], cap=1)
+    _same_track(concatenate(back, tail), oracle_concatenate(back, tail))
+
+
+def test_conjugate_on_the_theta_graph_keeps_graph_points():
+    times = uniform_times(8)
+    gamma = make_track(THETA, times, [[THETA.canon((1, 0.25 * t))] for t in times], cap=1)
+    b = THETA.canon((1, 0.25))
+    sigma = make_track(THETA, times, [[b, THETA.canon((1, 0.25 + 0.1 * (1 - abs(1 - 2 * t))))] for t in times], cap=2)
+    out = conjugate(gamma, sigma)
+    assert out.kind == "loop"
+    assert all(type(p) is GraphPoint for c in out.configs for p in c.points)
+    _same_track(out, oracle_concatenate(oracle_concatenate(gamma, sigma), oracle_reverse(gamma)))
+
+
+@pytest.mark.parametrize("offset, joins", [(3 * LOOP_TOL, False), (LOOP_TOL / 2, True)])
+def test_concatenate_junction_gap_against_loop_tol(offset, joins):
+    a = strand_track(C1, lambda t: C1.canon(0.3 * t), m=8, kind="path")
+    b = strand_track(C1, lambda t: C1.canon(0.3 + offset + 0.2 * t), m=8, kind="path")
+    if joins:
+        _same_track(concatenate(a, b), oracle_concatenate(a, b))
+    else:
+        with pytest.raises(EndpointMismatch, match="junction gap"):
+            concatenate(a, b)
 
 
 def test_reverse_names_the_two_times_rounding_merges():
