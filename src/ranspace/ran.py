@@ -66,7 +66,7 @@ def _pad(space: Space, counts: np.ndarray, flat: np.ndarray) -> np.ndarray:
     coordinate (edge 0 and a NaN t on graphs), so leading axes slice and
     fancy-index the same way on every space.
     """
-    enc = _padding(space, (len(counts), counts.max()))
+    enc = _padding(space, (len(counts), counts.max(initial=0)))
     rows = np.repeat(np.arange(len(counts)), counts)
     slots = np.arange(len(flat)) - np.repeat(np.cumsum(counts) - counts, counts)
     enc[rows, slots] = flat
@@ -105,6 +105,13 @@ def _slot_values(space: Space, enc: np.ndarray) -> np.ndarray:
     return enc[..., 1] if isinstance(space, MetricGraph) else enc
 
 
+def _slots_first(space: Space, enc: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of a padded encoding (see _pad) with its slot
+    axis leading, so each array operation on a slot runs along whole rows
+    of cells instead of a cell's few slots."""
+    return np.ascontiguousarray(np.moveaxis(enc, -2 if isinstance(space, MetricGraph) else -1, 0))
+
+
 def dedup_many(space: Space, enc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """dedup at DEDUP_EPS of every cell of a padded encoding.
 
@@ -116,15 +123,16 @@ def dedup_many(space: Space, enc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     points in order (by (edge, t) on graphs), padded as _pad pads, and
     how many each cell kept.
     """
-    graph = isinstance(space, MetricGraph)
     x = space.canon_many(enc)
-    keep = ~np.isnan(_slot_values(space, x))
-    slots = np.moveaxis(x, -2 if graph else -1, 0)
+    slots = _slots_first(space, x)
+    keep = ~np.isnan(_slot_values(space, slots))
+    # keep[:k] is final before slot k reads it, so each slot makes one call
     for k in range(1, len(slots)):
-        for j in range(k):
-            keep[..., k] &= ~keep[..., j] | (space.distance_many(slots[k], slots[j]) > DEDUP_EPS)
+        keep[k] &= (~keep[:k] | (space.distance_many(slots[k], slots[:k]) > DEDUP_EPS)).all(axis=0)
+    keep = np.moveaxis(keep, 0, -1).copy()
+    del slots  # before the sort, whose peak the slot copy would raise
     counts = keep.sum(axis=-1)
-    if not graph:
+    if not isinstance(space, MetricGraph):
         # canonical points are finite, so only dropped slots sort as inf
         kept = np.sort(np.where(keep, x, np.inf), axis=-1)
         kept[kept == np.inf] = np.nan
@@ -162,11 +170,7 @@ def batch_hausdorff(space: Space, enc_a: np.ndarray, enc_b: np.ndarray) -> np.nd
     """Hausdorff distance between corresponding cells of two padded
     encodings (see _pad) whose leading shapes broadcast, from one
     space.distance_many call on every pair of their slots."""
-    # slots lead and the cells are contiguous, so each array operation
-    # runs along whole rows of cells instead of a cell's few slots
-    axis = -2 if isinstance(space, MetricGraph) else -1
-    a = np.ascontiguousarray(np.moveaxis(enc_a, axis, 0))
-    b = np.ascontiguousarray(np.moveaxis(enc_b, axis, 0))
+    a, b = _slots_first(space, enc_a), _slots_first(space, enc_b)
     d = space.distance_many(a[:, None], b[None, :])
     # a pair is NaN exactly when one of its slots is padding; fmin skips it
     dir_ab = np.where(~np.isnan(_slot_values(space, a)), np.fmin.reduce(d, axis=1), -np.inf).max(axis=0)

@@ -62,11 +62,8 @@ def report(num, label, started, budget):
 def random_based_strand(rng, m, max_wind=2, amp=0.12):
     w = int(rng.integers(-max_wind, max_wind + 1))
     coeffs = rng.uniform(-amp, amp, 3)
-    times = uniform_times(m)
-    return tuple(
-        C1.canon(w * t + sum(a * np.sin(np.pi * (k + 1) * t) for k, a in enumerate(coeffs)))
-        for t in times
-    )
+    values = [w * t + sum(a * np.sin(np.pi * (k + 1) * t) for k, a in enumerate(coeffs)) for t in uniform_times(m)]
+    return tuple(C1.canon_many(np.array(values)).tolist())
 
 
 def random_theta_strand(rng, m):

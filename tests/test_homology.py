@@ -138,6 +138,12 @@ def test_sample_ran_deterministic_and_sized():
     assert single.dist.shape == (1, 1) and single.dist[0, 0] == 0.0
 
 
+@pytest.mark.parametrize("space", [C1, MetricGraph(2, ((0, 1, 1.0), (0, 1, 1.2), (0, 1, 0.8)))], ids=["circle", "theta"])
+def test_cloud_of_no_cells_is_empty(space):
+    cloud = cloud_from_configs(space, [])
+    assert cloud.labels == () and cloud.dist.shape == (0, 0)
+
+
 def test_sample_ran_on_graph():
     theta = MetricGraph(2, ((0, 1, 1.0), (0, 1, 1.0), (0, 1, 1.0)))
     cloud = sample_ran(theta, n=2, m=15, seed=3)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import circle_point_metric, make_graph_point_metric, oracle_dedup, oracle_hausdorff, oracle_metric
 from ranspace.errors import CapExceeded, EmptyConfiguration, InvalidPoint, SpaceMismatch
-from ranspace.ran import DEDUP_EPS, Configuration, _pad_lists, _slot_points, configuration, dedup, dedup_many, hausdorff, union
+from ranspace.ran import DEDUP_EPS, Configuration, _pad_lists, _padding, _slot_points, configuration, dedup, dedup_many, hausdorff, union
 from ranspace.space import CANON_TOL, Circle, GraphPoint, Interval, MetricGraph
 
 CIRCLE = Circle(1.0)
@@ -225,6 +225,58 @@ def test_dedup_many_matches_scalar_dedup(case):
         got = [GraphPoint(int(e), t) for e, t in row[:k].tolist()] if graph else row[:k].tolist()
         assert k == len(want)
         assert _hex(got) == _hex(want)
+
+
+@st.composite
+def _block_cases(draw):
+    """A space and an encoding shaped (rows, cols, width) as contract_pipeline
+    builds a block's: width 1-8, the leading frozen slots of each column
+    shared by every row (np.broadcast_to, then np.concatenate with the
+    moving slots), padding at any slot, and points often a step of STEPS
+    from a point drawn before them in the cell, so chains of near points
+    cross DEDUP_EPS."""
+    space = draw(_spaces())
+    point, near = _raw_points(space)
+    graph = isinstance(space, MetricGraph)
+    pad = (0.0, math.nan) if graph else math.nan
+
+    def slots(count, before):
+        cell = list(before)
+        for _ in range(count):
+            real = [p for p in cell if not math.isnan(p[1] if graph else p)]
+            chained = [st.sampled_from(real).flatmap(near)] if real else []
+            cell.append(draw(st.one_of([point, st.just(pad), *chained])))
+        return cell[len(before):]
+
+    rows, cols, width = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    frozen = draw(st.integers(0, width))
+    tail = (2,) if graph else ()
+    lead = [slots(frozen, []) for _ in range(cols)]
+    moving = [[slots(width - frozen, lead[c]) for c in range(cols)] for _ in range(rows)]
+    lead = np.array(lead, dtype=float).reshape((cols, frozen) + tail)
+    moving = np.array(moving, dtype=float).reshape((rows, cols, width - frozen) + tail)
+    return space, np.concatenate([np.broadcast_to(lead, (rows,) + lead.shape), moving], axis=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_block_cases())
+def test_dedup_many_matches_scalar_dedup_on_blocks(case):
+    """dedup_many on a block-shaped encoding equals the one-point-at-a-time
+    reference dedup (oracles.oracle_dedup) in every cell, bit for bit, pads
+    each cell after its kept points, and leaves its input as it was."""
+    space, enc = case
+    graph = isinstance(space, MetricGraph)
+    before = enc.copy()
+    kept, counts = dedup_many(space, enc)
+    assert enc.tobytes() == before.tobytes()
+    assert kept.shape == enc.shape and counts.shape == enc.shape[:2]
+    cells = enc.reshape((-1,) + enc.shape[2:])
+    for cell, row, k in zip(cells, kept.reshape(cells.shape), counts.ravel().tolist()):
+        points = [p for p in cell.tolist() if not math.isnan(p[1] if graph else p)]
+        want = oracle_dedup(space, [GraphPoint(int(e), t) for e, t in points] if graph else points).points if points else ()
+        got = [GraphPoint(int(e), t) for e, t in row[:k].tolist()] if graph else row[:k].tolist()
+        assert _hex(got) == _hex(want)
+        assert np.array_equal(row[k:], _padding(space, (len(row) - k,)), equal_nan=True)
 
 
 @settings(max_examples=300, deadline=None)

@@ -589,6 +589,11 @@ def test_cell_grid_checks_its_own_shape(broken, message):
         CellGrid(**{**_GRID, **broken})
 
 
+def test_homotopy_of_no_rows_is_a_ragged_grid():
+    with pytest.raises(ValueError, match="^ragged homotopy grid$"):
+        Homotopy(Circle(1.0), (), (0.0, 1.0), (), 1)
+
+
 def test_homotopy_certificate_fields():
     from ranspace.moves import contract_circle_generator
 
