@@ -41,7 +41,6 @@ import numpy as np
 
 from .errors import (
     AmbiguousBranching,
-    CapExceeded,
     EmptyConfiguration,
     EndpointMismatch,
     ModeViolation,
@@ -49,7 +48,7 @@ from .errors import (
 )
 # dedup and hausdorff are unused here, but perfbench/tracer.py rebinds them here
 from .ran import _pad_lists, _padding, _slot_points, batch_hausdorff, dedup, dedup_many, hausdorff
-from .space import Circle, MetricGraph, Point, Space
+from .space import Circle, Point, Space
 from .tracks import (
     LOOP_TOL,
     CellGrid,
@@ -128,9 +127,9 @@ class ContractionCertificate:
 # -- strand extraction --------------------------------------------------------
 
 
-def _match_step(dist: np.ndarray, nxt: tuple, radius: float, when: float) -> list:
-    """Parent index for every point of nxt, from the step's distance matrix
-    dist[child, parent].
+def _match_step(space: Space, dist: np.ndarray, nxt: np.ndarray, radius: float, when: float) -> list:
+    """Parent index for every point of nxt, the next cell's slots, from the
+    step's distance matrix dist[child, parent].
 
     Pairs are scanned in ascending (distance, child, parent) order; the
     first pass builds an injective matching so a point passing close to
@@ -138,7 +137,7 @@ def _match_step(dist: np.ndarray, nxt: tuple, radius: float, when: float) -> lis
     remaining points (genuine branches) to their nearest predecessor.
     """
     pairs = sorted((d, qi, pi) for qi, row in enumerate(dist.tolist()) for pi, d in enumerate(row))
-    parent = [-1] * len(nxt)
+    parent = [-1] * len(dist)
     taken = set()
     for d, qi, pi in pairs:
         if d > radius:
@@ -151,9 +150,8 @@ def _match_step(dist: np.ndarray, nxt: tuple, radius: float, when: float) -> lis
             parent[qi] = pi
     for qi, pi in enumerate(parent):
         if pi == -1:
-            raise AmbiguousBranching(
-                f"point {nxt[qi]!r} at t={when} has no predecessor within radius {radius:.3g}"
-            )
+            raise AmbiguousBranching(f"point {_slot_points(space, nxt[qi:qi + 1])[0]!r} at t={when} "
+                                     f"has no predecessor within radius {radius:.3g}")
     return parent
 
 
@@ -167,7 +165,7 @@ def extract_strands(track: Track, matching_radius: float | None = None) -> Stran
     surviving point.  Any step that cannot be matched within the radius
     raises AmbiguousBranching: such tracks admit no strand decomposition
     on this grid.  Every step's distances come from one distance_many
-    call over adjacent columns of the track's grid.
+    call over adjacent columns of the grid; strands are gathered from it.
     """
     space = track.space
     n = track.cap
@@ -177,28 +175,24 @@ def extract_strands(track: Track, matching_radius: float | None = None) -> Stran
     elif not 0 < matching_radius < math.inf:
         raise ValueError("matching radius must be finite and positive")
     enc = space.canon_many(grid.enc[0])
+    counts = grid.counts[0].tolist()
     # steps[i, child, parent]: from point child of column i + 1 to point
     # parent of column i
     steps = space.distance_many(np.expand_dims(enc[1:], 2), np.expand_dims(enc[:-1], 1))
-    columns = [_slot_points(space, cell[:k]) for cell, k in zip(grid.enc[0], grid.counts[0].tolist())]
-    positions = [j % len(columns[0]) for j in range(n)]
-    strands = [[columns[0][p]] for p in positions]
+    # positions[i][j]: the slot of column i that strand j sits on
+    positions = [[j % counts[0] for j in range(n)]]
     for i, dist in enumerate(steps):
-        prev, nxt = columns[i], columns[i + 1]
-        dist = dist[:len(nxt), :len(prev)]
-        parent = _match_step(dist, nxt, matching_radius, track.times[i + 1])
-        children = {p: [q for q, par in enumerate(parent) if par == p] for p in range(len(prev))}
+        dist = dist[:counts[i + 1], :counts[i]]
+        parent = _match_step(space, dist, grid.enc[0, i + 1], matching_radius, track.times[i + 1])
         new_positions = [0] * n
-        for p in range(len(prev)):
-            holders = [j for j in range(n) if positions[j] == p]
-            kids = children[p]
+        for p in range(counts[i]):
+            holders = [j for j in range(n) if positions[i][j] == p]
+            kids = [q for q, par in enumerate(parent) if par == p]
             if not kids:
                 tgt = int(np.argmin(dist[:, p]))
                 if dist[tgt, p] > matching_radius:
-                    raise AmbiguousBranching(
-                        f"point {prev[p]!r} at t={track.times[i]} vanishes with no "
-                        f"successor within radius {matching_radius:.3g}"
-                    )
+                    raise AmbiguousBranching(f"point {_slot_points(space, grid.enc[0, i, p:p + 1])[0]!r} at t={track.times[i]} "
+                                             f"vanishes with no successor within radius {matching_radius:.3g}")
                 for j in holders:
                     new_positions[j] = tgt
                 continue
@@ -209,10 +203,8 @@ def extract_strands(track: Track, matching_radius: float | None = None) -> Stran
                 )
             for k, j in enumerate(holders):
                 new_positions[j] = kids[k % len(kids)]
-        positions = new_positions
-        for j in range(n):
-            strands[j].append(nxt[positions[j]])
-    return StrandBundle(space, track.times, tuple(tuple(s) for s in strands))
+        positions.append(new_positions)
+    return StrandBundle.of_enc(space, track.times, grid.enc[0, np.arange(len(counts))[:, None], positions])
 
 
 # -- normalization ------------------------------------------------------------
@@ -256,19 +248,13 @@ def _block(space: Space, grid: tuple, cap: int, kept: np.ndarray, counts: np.nda
 def _slots_block(space: Space, grid: tuple, cap: int, enc: np.ndarray) -> Homotopy:
     """Block whose cells are dedup(space, pts, cap=cap) of the points in
     each cell's slots of a padded encoding, NaN slots skipped, from one
-    dedup_many call."""
+    dedup_many call; ModeViolation for a cell of more than cap points."""
     kept, counts = dedup_many(space, enc)
     if counts.min() < 1:
         raise EmptyConfiguration("a block cell has no point")
     if counts.max() > cap:
-        raise CapExceeded(f"{counts.max()} points with cap {cap}")
+        raise ModeViolation(f"observed cardinality {counts.max()} exceeds mode cap {cap}")
     return _block(space, grid, cap, kept, counts)
-
-
-def _strand_slots(space: Space, values: list) -> np.ndarray:
-    """Strand values at a block's cells, one array per strand as
-    StrandInterpolator.many gives them, as one encoding: strand j in slot j."""
-    return np.stack(values, axis=-2 if isinstance(space, MetricGraph) else -1)
 
 
 def normalize(
@@ -295,8 +281,7 @@ def normalize(
         grid = obj.times if m is None else uniform_times(m)
         if not obj.based_at(b):
             return _normalize_bundle(obj, b, rows, grid)
-        out = obj if obj.times == grid else StrandBundle(space, grid, tuple(
-            _slot_points(space, obj.interpolator(j).many(grid)) for j in range(obj.n)))
+        out = obj if obj.times == grid else StrandBundle.of_enc(space, grid, obj.read(np.asarray(grid)[None]))
         cells = project(out).grid
         return out, _block(space, grid, out.n, np.repeat(cells.enc, 2, axis=0), np.repeat(cells.counts, 2, axis=0))
     if obj.kind != "loop":
@@ -308,19 +293,15 @@ def normalize(
 def _normalize_bundle(bundle: StrandBundle, b: Point, rows: int, grid: tuple) -> tuple[StrandBundle, Homotopy]:
     """Conjugate each strand by the geodesic from b to its own basepoint."""
     space = bundle.space
-    interps = [bundle.interpolator(j) for j in range(bundle.n)]
     s, t = _block_cells(rows, grid)
-    h1 = _slots_block(space, grid, bundle.n, _strand_slots(space, [itp.many(_dwell_reads(s, t)) for itp in interps]))
+    h1 = _slots_block(space, grid, bundle.n, bundle.read(_dwell_reads(s, t)[None]))
 
     on_connector, u = _conjugation_reads(s, t)
-    values = []
-    for strand, itp in zip(bundle.strands, interps):
-        v = itp.many(u)
-        v[on_connector] = space.geodesic_many(b, strand[0], u[on_connector])
-        values.append(v)
-    h2 = _slots_block(space, grid, bundle.n, _strand_slots(space, values))
-    out = StrandBundle(space, grid, tuple(_slot_points(space, v[-1]) for v in values))
-    return out, stack_homotopies([h1, h2])
+    enc = bundle.read(u[None])
+    for j, start in enumerate(_slot_points(space, bundle.enc[0])):
+        enc[on_connector, j] = space.geodesic_many(b, start, u[on_connector])
+    h2 = _slots_block(space, grid, bundle.n, enc)
+    return StrandBundle.of_enc(space, grid, enc[-1]), stack_homotopies([h1, h2])
 
 
 def _normalize_track(
@@ -351,20 +332,17 @@ def _normalize_track(
     for k, q in enumerate(sigma0):
         enc[fan, k] = space.geodesic_many(pstar, q, 2.0 * u[fan] - 1.0)
     h2 = _slots_block(space, grid, n, enc)
-    conjugated = h2.row(-1)
-    bundle = extract_strands(conjugated, matching_radius=matching_radius)
+    bundle = extract_strands(h2.row(-1), matching_radius=matching_radius)
 
     # excursion rescheduling: stretch each strand's span away from b over
     # the whole loop, so splits and rejoins happen only at the base time
-    interps = [bundle.interpolator(j) for j in range(n)]
-    spans = []
-    for strand in bundle.strands:
-        away = np.flatnonzero(_distances(space, strand, b) > LOOP_TOL)
-        spans.append((grid[max(away[0] - 1, 0)], grid[min(away[-1] + 1, m)]) if len(away) else (0.0, 1.0))
-    values = [itp.many((1.0 - s) * t + s * (t0 + t * (t1 - t0))) for itp, (t0, t1) in zip(interps, spans)]
-    h3 = _slots_block(space, grid, n, _strand_slots(space, values))
-    out = StrandBundle(space, grid, tuple(_slot_points(space, v[-1]) for v in values))
-    return out, stack_homotopies([h1, h2, h3])
+    far = _distances(space, bundle.enc, b) > LOOP_TOL
+    spans = [(grid[max(away[0] - 1, 0)], grid[min(away[-1] + 1, m)]) if len(away) else (0.0, 1.0)
+             for away in map(np.flatnonzero, far.T)]
+    t0, t1 = np.array(spans).T[:, :, None, None]
+    enc = bundle.read((1.0 - s) * t + s * (t0 + t * (t1 - t0)))
+    h3 = _slots_block(space, grid, n, enc)
+    return StrandBundle.of_enc(space, grid, enc[-1]), stack_homotopies([h1, h2, h3])
 
 
 # -- staircase ----------------------------------------------------------------
@@ -374,20 +352,19 @@ def staircase(bundle: StrandBundle) -> StrandBundle:
     """Schedule strand j to run inside [j/n, (j+1)/n], frozen elsewhere.
 
     At any time at most one strand is away from the shared endpoint value,
-    so the projected track has at most two distinct points.
+    so the projected track has at most two distinct points.  Strand j's
+    window holds its samples 1..m-1 (read at k/m off a non-uniform grid),
+    its first point before and its last point after: one index gather.
     """
-    if not bundle.based_at(bundle.strands[0][0]):
+    if not bundle.based_at(bundle.enc[0, 0]):
         raise EndpointMismatch("staircase needs all strand endpoints to coincide")
     n = bundle.n
     m = len(bundle.times) - 1
-    out_times = uniform_times(n * m)
-    aligned = bundle.times == uniform_times(m)
-    strands = []
-    for j, strand in enumerate(bundle.strands):
-        # the strand's own window [j/n, (j+1)/n] holds its samples 1..m-1
-        inner = strand[1:m] if aligned else _slot_points(bundle.space, bundle.interpolator(j).many(np.arange(1, m) / m))
-        strands.append((strand[0],) * (j * m + 1) + tuple(inner) + (strand[-1],) * ((n - 1 - j) * m + 1))
-    return StrandBundle(bundle.space, out_times, tuple(strands))
+    enc = bundle.enc
+    if bundle.times != uniform_times(m):
+        enc = np.concatenate([enc[:1], bundle.read((np.arange(1, m) / m)[None]), enc[-1:]])
+    sample = np.clip(np.arange(n * m + 1)[:, None] - m * np.arange(n), 0, m)
+    return StrandBundle.of_enc(bundle.space, uniform_times(n * m), enc[sample, np.arange(n)])
 
 
 # -- the one-turn circle contraction ------------------------------------------
@@ -491,7 +468,7 @@ class _SubWindow:
         return self.u0 + (t - self.t0) / (self.t1 - self.t0) * (self.u1 - self.u0)
 
 
-def _lap_cuts(space: Space, strand: Sequence[Point], times: Sequence[float]) -> list:
+def _lap_cuts(space: Space, strand: np.ndarray, times: Sequence[float]) -> list:
     """Times splitting a circle strand into one-turn factors.
 
     Cut at the first crossing of each whole-turn lift level; for winding
@@ -518,7 +495,7 @@ def _schedule(space: Space, bundle: StrandBundle) -> list:
     n = bundle.n
     windows = []
     for j in range(n):
-        cuts = _lap_cuts(space, bundle.strands[j], bundle.times)
+        cuts = _lap_cuts(space, bundle.enc[:, j], bundle.times)
         k = len(cuts) - 1
         for lap in range(k):
             t0 = j / n + lap / (k * n)
@@ -527,15 +504,22 @@ def _schedule(space: Space, bundle: StrandBundle) -> list:
     return windows
 
 
-def _staircase_u(windows: list, j: int, t: np.ndarray) -> np.ndarray:
-    """Strand j's parameter at the times t on the windowed schedule: 0
-    up to its first window, 1 from the end of its last, by the first of
-    its windows holding t in between, else 1."""
-    own = [w for w in windows if w.strand == j]
-    u = np.ones_like(t)
-    for w in reversed(own):
-        u = np.where((w.t0 <= t) & (t <= w.t1), w.u(t), u)
-    return np.where(t <= own[0].t0, 0.0, np.where(t >= own[-1].t1, 1.0, u))
+def _window_reads(windows: list, n: int, t: np.ndarray) -> tuple:
+    """Strand j at the times t, from one pass over the windows: owner[j],
+    its first window holding each time (len(windows) if none); stair[j],
+    its parameter on the windowed schedule (0 before its first window, 1
+    after its last, else the owner's or 1); frozen[j], the owner's
+    parameter where there is an owner, else stair[j]."""
+    owner = np.full((n, len(t)), len(windows))
+    u = np.ones((n, len(t)))
+    for i, win in reversed(list(enumerate(windows))):
+        inside = (win.t0 <= t) & (t <= win.t1)
+        owner[win.strand, inside] = i
+        u[win.strand, inside] = win.u(t[inside])
+    first = np.array([min(w.t0 for w in windows if w.strand == j) for j in range(n)])
+    last = np.array([max(w.t1 for w in windows if w.strand == j) for j in range(n)])
+    stair = np.where(t <= first[:, None], 0.0, np.where(t >= last[:, None], 1.0, u))
+    return owner, stair, np.where(owner < len(windows), u, stair)
 
 
 def contract_pipeline(
@@ -563,36 +547,22 @@ def contract_pipeline(
     grid = uniform_times(m)
 
     bundle, h_norm = normalize(obj, b, rows=max(2, r // 6), m=m, matching_radius=matching_radius)
-    n_strands = bundle.n
-    interps = [bundle.interpolator(j) for j in range(n_strands)]
     windows = _schedule(space, bundle)
     block_rows = max(2, r // (2 + len(windows)))
 
     # staircase block: slide from the identity schedule to the windowed
     # one (one-turn splitting rides on the same reparametrization)
     s, t = _block_cells(block_rows, grid)
-    stair_u = np.array([_staircase_u(windows, j, t) for j in range(n_strands)])
-    values = [itp.many((1.0 - s) * t + s * stair_u[j]) for j, itp in enumerate(interps)]
-    h_stair = _slots_block(space, grid, n_strands, _strand_slots(space, values))
+    owner, stair_u, frozen_u = _window_reads(windows, bundle.n, t)
+    h_stair = _slots_block(space, grid, bundle.n, bundle.read((1.0 - s) * t + s * stair_u[:, None]))
+    frozen = bundle.read(frozen_u)
 
     declared = mode.declared_cap
     blocks = [h_norm, h_stair]
-
-    # owner[j, k]: index of the first window of strand j holding grid[k]
-    # (len(windows) if none does); frozen: strand j's value there, by the
-    # owner's schedule if there is one, else by the staircase schedule
-    owner = np.full((n_strands, len(grid)), len(windows))
-    frozen_u = stair_u.copy()
-    for i, win in reversed(list(enumerate(windows))):
-        inside = (win.t0 <= t) & (t <= win.t1)
-        owner[win.strand, inside] = i
-        frozen_u[win.strand, inside] = win.u(t[inside])
-    frozen = _strand_slots(space, [itp.many(u) for itp, u in zip(interps, frozen_u)])
-
     for i, win in enumerate(windows):
         inside = (win.t0 <= t) & (t <= win.t1)
         moving = _padding(space, (block_rows + 1, len(grid), 3))
-        moving[:, inside] = _pushed(interps[win.strand], s, (t[inside] - win.t0) / (win.t1 - win.t0), win.u0, win.u1)
+        moving[:, inside] = _pushed(bundle.interpolators[win.strand], s, (t[inside] - win.t0) / (win.t1 - win.t0), win.u0, win.u1)
         # every strand but the window's own as window i sees it: at b where
         # an earlier window has already contracted it
         seen = frozen.copy()
@@ -602,12 +572,7 @@ def contract_pipeline(
         blocks.append(_slots_block(space, grid, declared, np.concatenate([seen, moving], axis=2)))
 
     homotopy = stack_homotopies(blocks)
-    certificate = _certify(homotopy, declared, b, blocks)
-    if certificate.max_cardinality > declared:
-        raise ModeViolation(
-            f"observed cardinality {certificate.max_cardinality} exceeds mode cap {declared}"
-        )
-    return homotopy, certificate
+    return homotopy, _certify(homotopy, declared, b, blocks)
 
 
 def _certify(homotopy: Homotopy, declared: int, b: Point, blocks: list) -> ContractionCertificate:

@@ -31,10 +31,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AmbiguousLift, EndpointMismatch, SpaceMismatch
+from .errors import AmbiguousLift, EndpointMismatch, InvalidPoint, SpaceMismatch
 # dedup and hausdorff are unused here, but perfbench/tracer.py rebinds them here
-from .ran import Configuration, _dedup_lists, _pad_lists, _padding, _slot_points, batch_hausdorff, dedup, hausdorff
-from .space import Circle, Interval, Point, Space
+from .ran import Configuration, _dedup_lists, _pad_lists, _padding, _slot_points, batch_hausdorff, dedup, dedup_many, hausdorff
+from .space import Circle, Interval, MetricGraph, Point, Space
 
 LOOP_TOL = 1e-9
 
@@ -75,38 +75,71 @@ def make_track(space: Space, times: Sequence[float], point_lists: Sequence[Seque
     return Track.of_row(space, cap, times, *_dedup_lists(space, point_lists, cap)).declared(kind)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class StrandBundle:
+    """n strands on a time grid as one canonical array: enc[k] encodes (see
+    ran._pad) the strands at times[k], strand j in slot j, shaped (m + 1, n)
+    or (m + 1, n, 2) on graphs.  StrandBundle(space, times, strands) takes
+    n point sequences (InvalidPoint for a point off the space or NaN), and
+    strands gives them back canonical.  A bundle compares by identity."""
+
     space: Space
     times: tuple
-    strands: tuple  # n strands, each a tuple of points, one per time
+    enc: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "times", _validate_times(self.times))
-        if len(self.strands) == 0:
-            raise ValueError("a bundle needs at least one strand")
-        for s in self.strands:
-            if len(s) != len(self.times):
-                raise ValueError("each strand needs one point per grid time")
+    def __init__(self, space: Space, times: Sequence[float], strands: Sequence[Sequence[Point]]):
+        times = _validate_times(times)
+        if len(strands) == 0 or any(len(s) != len(times) for s in strands):
+            raise ValueError("a bundle needs at least one strand, each with one point per grid time")
+        try:
+            enc = np.swapaxes(np.array(strands, dtype=float), 0, 1)
+        except (TypeError, ValueError) as exc:
+            raise InvalidPoint(f"a strand does not live on {space!r}") from exc
+        if enc.shape[2:] != ((2,) if isinstance(space, MetricGraph) else ()) or not np.isfinite(enc).all():
+            raise InvalidPoint(f"a strand point is NaN or does not live on {space!r}")
+        for name, value in (("space", space), ("times", times), ("enc", np.ascontiguousarray(space.canon_many(enc)))):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def of_enc(cls, space: Space, times: Sequence[float], enc: np.ndarray) -> StrandBundle:
+        """The bundle of an encoding laid out as enc, such as a block's last
+        row of strand slots."""
+        return cls(space, times, np.swapaxes(enc, 0, 1))
 
     @property
     def n(self) -> int:
-        return len(self.strands)
+        return self.enc.shape[1]
+
+    @property
+    def strands(self) -> tuple:
+        return tuple(_slot_points(self.space, self.enc[:, j]) for j in range(self.n))
 
     def is_loop(self) -> bool:
-        return bool((_distances(self.space, [s[0] for s in self.strands], [s[-1] for s in self.strands]) <= LOOP_TOL).all())
+        return bool((self.space.distance_many(self.enc[0], self.enc[-1]) <= LOOP_TOL).all())
 
-    def based_at(self, b: Point) -> bool:
-        return bool((_distances(self.space, [p for s in self.strands for p in (s[0], s[-1])], b) <= LOOP_TOL).all())
+    def based_at(self, b) -> bool:
+        """Every strand starts and ends at b, a point or its encoding."""
+        return bool((_distances(self.space, self.enc[[0, -1]], b) <= LOOP_TOL).all())
 
-    def interpolator(self, j: int) -> "StrandInterpolator":
-        return StrandInterpolator(self.space, self.times, self.strands[j])
+    @functools.cached_property
+    def interpolators(self) -> tuple:
+        """One StrandInterpolator per strand, built on first use."""
+        return tuple(StrandInterpolator(self.space, self.times, self.enc[:, j]) for j in range(self.n))
+
+    def read(self, u) -> np.ndarray:
+        """Strand j at the parameters u[j], u's leading axis broadcast over
+        the strands, as a block's padded slot encoding: strand j in slot j,
+        shaped u.shape[1:] + (n,) (then (edge, t) on graphs)."""
+        u = np.broadcast_to(u, (self.n,) + np.shape(u)[1:])
+        return np.stack([itp.many(x) for itp, x in zip(self.interpolators, u)],
+                        axis=-2 if isinstance(self.space, MetricGraph) else -1)
 
 
 def project(bundle: StrandBundle) -> Track:
-    """Per-time union of strand values, deduplicated; cap = strand count; a
-    loop when its ends coincide, even if strands swap ends."""
-    return make_track(bundle.space, bundle.times, [[s[i] for s in bundle.strands] for i in range(len(bundle.times))], bundle.n)
+    """Per-time union of strand values, deduplicated, from one dedup_many
+    call on the bundle's encoding; cap = strand count; a loop when its ends
+    coincide, even if strands swap ends."""
+    return Track.of_row(bundle.space, bundle.n, bundle.times, *dedup_many(bundle.space, bundle.enc))
 
 
 # -- strand evaluation -------------------------------------------------------

@@ -86,6 +86,25 @@ def test_contract_ambiguous_branching_exit_three(tmp_path):
     assert res.returncode == 3
 
 
+def test_contract_cap_overrun_exits_four(tmp_path, monkeypatch):
+    """A block cell over the declared cap is a mode violation: with
+    Inclusion's declared cap lowered to its n, contract --cap 1 on the
+    one-turn loop, whose contraction needs more than one point, exits 4."""
+    from ranspace import cli
+
+    monkeypatch.setattr(Inclusion, "declared_cap", property(lambda self: self.n))
+    src = tmp_path / "loop.json"
+    write_generator_track(src, m=32)
+    stderr = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(stderr), pytest.raises(SystemExit) as exit_info:
+        cli.main(["contract", str(src), "--cap", "1", "--out", str(tmp_path / "h.json"), "--resolution", "8", "32"],
+                 standalone_mode=False)
+        sys.exit(0)
+    assert exit_info.value.code == 4
+    assert stderr.getvalue() == "mode violation: observed cardinality 2 exceeds mode cap 1\n"
+    assert not (tmp_path / "h.json").exists()
+
+
 def test_verify_round_trip_and_corruption(tmp_path):
     src = tmp_path / "loop.json"
     out = tmp_path / "h.json"

@@ -97,6 +97,63 @@ def test_project_offset_strands_stay_distinct():
     assert all(len(c) == 2 for c in track.configs)
 
 
+@pytest.mark.parametrize("space, strand", [
+    (C1, [0.0, 0.25, math.nan, 0.75, 0.0]),
+    (THETA, [GraphPoint(0, 0.0), GraphPoint(1, math.nan), GraphPoint(1, 0.5), GraphPoint(1, 0.2), GraphPoint(0, 0.0)]),
+    (Interval(1.0), [0.0, 0.5, 1.5, 0.5, 0.0]),
+    (C1, [GraphPoint(0, 0.0), GraphPoint(0, 0.5), GraphPoint(1, 0.5), GraphPoint(2, 0.5), GraphPoint(0, 0.0)]),
+    (THETA, [0.0, 0.25, 0.5, 0.75, 0.0]),
+], ids=["nan-on-circle", "nan-on-graph", "outside-interval", "graph-points-on-circle", "coordinates-on-graph"])
+def test_bundle_checks_its_points(space, strand):
+    """A bundle raises InvalidPoint when it is built from a point off its
+    space or NaN, also when every point is of the other kind, so that the
+    point array has a well-formed shape of the wrong rank."""
+    with pytest.raises(InvalidPoint):
+        StrandBundle(space, uniform_times(4), (tuple(strand),))
+
+
+@st.composite
+def _bundles(draw):
+    """A space, a dyadic time grid and n <= 5 strands on it, with points
+    written non-canonically (the circle coordinates 1.0 and -0.25, a theta
+    vertex named through another edge) and, when swap is drawn, every
+    strand ending where the next one starts."""
+    space = draw(st.sampled_from([C1, Interval(1.0), THETA]))
+    inner = draw(st.sets(st.integers(1, 63), max_size=8))
+    times = (0.0, *sorted(k / 64 for k in inner), 1.0)
+    if isinstance(space, MetricGraph):
+        named = st.sampled_from([GraphPoint(e, t) for e in range(3) for t in (0.0, 1.0)])
+        point = st.builds(GraphPoint, st.integers(0, 2), st.floats(0.0, 1.0)) | named
+    elif isinstance(space, Circle):
+        point = st.floats(0.0, 1.0) | st.sampled_from([1.0, -0.25, 0.75, 0.0])
+    else:
+        point = st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.5, 1.0])
+    strands = draw(st.lists(st.lists(point, min_size=len(times), max_size=len(times)), min_size=1, max_size=5))
+    swap = len(strands) > 1 and draw(st.booleans())
+    if swap:
+        for j, strand in enumerate(strands):
+            strand[-1] = strands[(j + 1) % len(strands)][0]
+    return space, times, strands, swap
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bundles())
+def test_project_is_make_track_of_the_per_time_points(case):
+    """project(bundle).grid holds the bits, widths included, of the grid
+    make_track builds from the per-time point lists; strands gives back
+    space.canon of every input point; a bundle whose strands swap ends
+    projects to a loop."""
+    space, times, strands, swap = case
+    bundle = StrandBundle(space, times, tuple(map(tuple, strands)))
+    want = make_track(space, times, [[s[k] for s in strands] for k in range(len(times))], cap=len(strands))
+    got = project(bundle)
+    assert _same_grid(got.grid, want.grid)
+    assert got.cap == want.cap == bundle.n
+    assert repr(bundle.strands) == repr(tuple(tuple(space.canon(p) for p in s) for s in strands))
+    if swap:
+        assert got.kind == "loop"
+
+
 # -- continuity ---------------------------------------------------------------
 
 
@@ -467,7 +524,7 @@ def test_nearest_sample_ties_to_earlier():
         m = len(times) - 1
         track = make_track(ival, times, [[k / m] for k in range(m + 1)], cap=1)
         strand = [GraphPoint(0, k / m) for k in range(m + 1)]
-        interp = StrandBundle(graph, times, (tuple(strand),)).interpolator(0)
+        interp = StrandBundle(graph, times, (tuple(strand),)).interpolators[0]
         mids = [(a + b) / 2 for a, b in zip(times, times[1:])]
         queries = sorted(set(times) | set(mids) | {float(x) for x in rng.uniform(0.0, 1.0, 20)})
         want = [min(range(m + 1), key=lambda k: (abs(t - times[k]), k)) for t in queries]
