@@ -38,7 +38,6 @@ from .moves import (
 from .ran import Configuration, configuration, dedup, hausdorff, union
 from .space import Circle, GraphPoint, Interval, MetricGraph, Space, distance, geodesic
 from .tracks import (
-    CellGrid,
     ContinuityReport,
     Homotopy,
     StrandBundle,

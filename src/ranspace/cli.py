@@ -38,7 +38,7 @@ from .moves import Inclusion, SimplyConnected, contract_pipeline
 from .ran import batch_hausdorff
 from .space import Circle, GraphPoint, MetricGraph
 from .svg import render_homotopy, render_track
-from .tracks import LOOP_TOL, CellGrid, check_continuity, endpoint_drift, first_gap_over, within_bound
+from .tracks import LOOP_TOL, Homotopy, check_continuity, endpoint_drift, first_gap_over, within_bound
 
 # (exception types, exit code, stderr label): the first row that matches decides
 EXIT_CODES = (
@@ -138,15 +138,15 @@ def cmd_contract(input_path, mode, cap, basepoint, resolution, out, svg_dir, bou
         sys.exit(1)
 
 
-def _stage_mismatch(stages: list, grid: CellGrid) -> str | None:
+def _stage_mismatch(stages: list, h: Homotopy) -> str | None:
     """The first stage whose row range or max cardinality the cells do not
     bear out; stages must chain, each starting on the row the last ended
     on, from row 0 to the last row."""
-    row, rows = 0, len(grid.counts)
+    row, rows = 0, h.rows
     for i, (name, first, last, card) in enumerate(stages):
         if first != row or not first <= last < rows:
             return f"stages[{i}] ({name}) row range"
-        if card != grid.max_cardinality(first, last):
+        if card != h.max_cardinality(first, last):
             return f"stages[{i}] ({name}) max cardinality"
         row = last
     if row != rows - 1:
@@ -170,54 +170,57 @@ def cmd_verify(homotopy_path, bound):
         doc = load(fp)
     if "cells" not in doc:
         raise SchemaError("not a homotopy document: no cells")
-    grid = grid_from_json(doc)
+    h = grid_from_json(doc)
     stored = certificate_from_json(doc)
-    del doc  # the parsed lists outweigh the grid: free them before the kernels run
-    report = check_continuity(grid, bound)
+    del doc  # the parsed lists outweigh the cell arrays: free them before the kernels run
+    report = check_continuity(h, bound)
     ok = True
-    rows, cols = grid.counts.shape
+    rows, cols = h.counts.shape
     _echo(
         f"cells {rows}x{cols}; max cardinality "
-        f"{report.max_cardinality} (cap {grid.cap}); max gap {report.max_gap:.6g}"
+        f"{report.max_cardinality} (cap {h.cap}); max gap {report.max_gap:.6g}"
     )
-    if report.max_cardinality > grid.cap:
-        row, col = np.argwhere(grid.counts > grid.cap)[0]
+    if report.max_cardinality > h.cap:
+        row, col = np.argwhere(h.counts > h.cap)[0]
         _echo(f"FAIL: cardinality exceeds declared cap (first cell over it: row {row}, column {col})", err=True)
         ok = False
     if not report.passed:
         _echo(f"FAIL: max gap {report.max_gap:.6g} exceeds bound * grid step "
-              f"(first pair over it: {_pair(*first_gap_over(grid, bound * max(report.ds, report.dt)))})", err=True)
+              f"(first pair over it: {_pair(*first_gap_over(h, bound * max(report.ds, report.dt)))})", err=True)
         ok = False
-    last = grid.enc[-1]
-    stray = np.flatnonzero((grid.counts[-1] != 1) | (batch_hausdorff(grid.space, last, last[:1, :1]) > LOOP_TOL))
+    last = h.enc[-1]
+    stray = np.flatnonzero((h.counts[-1] != 1) | (batch_hausdorff(h.space, last, last[:1, :1]) > LOOP_TOL))
     if len(stray):
         _echo(f"FAIL: last row is not one constant point (first stray cell at column {stray[0]})", err=True)
         ok = False
-    open_rows = np.flatnonzero(batch_hausdorff(grid.space, grid.enc[:, 0], grid.enc[:, -1]) > LOOP_TOL)
+    open_rows = np.flatnonzero(batch_hausdorff(h.space, h.enc[:, 0], h.enc[:, -1]) > LOOP_TOL)
     if len(open_rows):
         _echo(f"FAIL: row {open_rows[0]} is not a closed loop (its first and last cells differ)", err=True)
         ok = False
     if stored is not None:
-        if stored.get("max_cardinality") != report.max_cardinality:
-            row, col = np.argwhere(grid.counts == report.max_cardinality)[0]
+        if stored.get("max_cardinality") is None:
+            _echo("FAIL: stored certificate has no max_cardinality", err=True)
+            ok = False
+        elif stored["max_cardinality"] != report.max_cardinality:
+            row, col = np.argwhere(h.counts == report.max_cardinality)[0]
             _echo(f"FAIL: stored certificate cardinality does not match cells "
                   f"(first cell at its recomputed value: row {row}, column {col})", err=True)
             ok = False
-        if stored.get("declared_cap") not in (None, grid.cap):
+        if stored.get("declared_cap") not in (None, h.cap):
             _echo("FAIL: stored certificate declared_cap does not match cap", err=True)
             ok = False
         for key, label, recomputed in (
             ("max_gap", "gap", report.max_gap), ("ds", "ds", report.ds), ("dt", "dt", report.dt),
-            ("lipschitz", "lipschitz", report.lipschitz), ("endpoint_drift", "endpoint_drift", endpoint_drift(grid)),
+            ("lipschitz", "lipschitz", report.lipschitz), ("endpoint_drift", "endpoint_drift", endpoint_drift(h)),
         ):
             value = stored.get(key)
             # not <= rather than >, so that a NaN value fails
             if value is not None and not abs(value - recomputed) <= 1e-9:
-                where = (f" (first pair at its recomputed value: {_pair(*first_gap_over(grid, np.nextafter(recomputed, -np.inf)))})"
+                where = (f" (first pair at its recomputed value: {_pair(*first_gap_over(h, np.nextafter(recomputed, -np.inf)))})"
                          if key == "max_gap" else "")
                 _echo(f"FAIL: stored certificate {label} does not match cells{where}", err=True)
                 ok = False
-        mismatch = None if stored.get("stages") is None else _stage_mismatch(stored["stages"], grid)
+        mismatch = None if stored.get("stages") is None else _stage_mismatch(stored["stages"], h)
         if mismatch is not None:
             _echo(f"FAIL: stored certificate {mismatch} does not match cells", err=True)
             ok = False

@@ -4,12 +4,15 @@ Documents round-trip bit-exactly: floats are emitted with Python's
 shortest exact representation and loading rebuilds values without any
 renormalization that could move a bit.  ``dump`` writes exactly what
 ``json.dump(doc, fp, indent=1)`` writes, plus a newline;
-``write_homotopy`` writes those bytes from a homotopy's grid.  Both write
-cells through one row formatter, ``_rows_text``.  Reading goes through one
-decoder, ``grid_from_json``, which turns the cells of a document into a
-``CellGrid`` of canonical points with vectorized schema checks;
-non-finite coordinates and grid values are schema errors.
-``certificate_from_json`` owns the certificate's schema.
+``write_homotopy`` writes those bytes from a homotopy's cell arrays.  Both
+write cells through one row formatter, ``_rows_text``.  Reading goes
+through one decoder, ``grid_from_json``, which turns the cells of a
+document into a ``Homotopy`` of canonical points with vectorized schema
+checks; non-finite coordinates and grid values are schema errors.  The
+homotopy records the declared cap; ``track_from_json`` and
+``homotopy_from_json`` reject a cell above it, while ``verify`` reads the
+decoder's homotopy and reports such a cell.  ``certificate_from_json``
+owns the certificate's schema.
 
 ``homotopy_to_json`` builds its cell tree, and ``load`` parses a document,
 with the cyclic garbage collector paused (``_collector_paused``): these
@@ -32,7 +35,7 @@ import numpy as np
 from .errors import InvalidPoint, RanspaceError, SchemaError
 from .ran import _pad
 from .space import Circle, GraphPoint, Interval, MetricGraph, Space
-from .tracks import CellGrid, Homotopy, Track
+from .tracks import Homotopy, Track
 
 
 @contextmanager
@@ -129,13 +132,13 @@ def _canonical_points(space: Space, points: list) -> np.ndarray:
     return np.where(c == raw, raw, c)
 
 
-def grid_from_json(doc) -> CellGrid:
+def grid_from_json(doc) -> Homotopy:
     """The cells of a homotopy document, or of a track document (one row
-    at s = 0), as one CellGrid.
+    at s = 0), as one Homotopy.
 
     Every cell must be a non-empty list of points on the document's space,
     strictly sorted once canonical, and each row as long as the time grid;
-    the grids must pass CellGrid's checks.  The declared cap, an integer,
+    the grids must pass Homotopy's checks.  The declared cap, an integer,
     is recorded, not enforced.  Any breach is a SchemaError.
     """
     try:
@@ -174,7 +177,7 @@ def grid_from_json(doc) -> CellGrid:
         raise SchemaError("configuration points must be strictly sorted")
     shape = (len(rows), len(t_grid))
     try:
-        return CellGrid(space, cap, s_grid, t_grid, enc.reshape(shape + enc.shape[1:]), counts.reshape(shape))
+        return Homotopy(space, cap, s_grid, t_grid, enc.reshape(shape + enc.shape[1:]), counts.reshape(shape))
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -185,7 +188,9 @@ def certificate_from_json(doc) -> dict | None:
     A stored number may be null or absent; otherwise it is a JSON number,
     not a boolean, and max_cardinality and declared_cap integers.  stages,
     if stored, are [name, first row, last row, max cardinality] lists of a
-    string and three integers.  Any breach is a SchemaError.
+    string and three integers.  Any breach is a SchemaError.  A null or
+    absent max_cardinality reads, but verify fails such a certificate: it
+    certifies nothing about the cells' cardinality.
     """
     certificate = doc.get("certificate")
     if certificate is None:
@@ -204,36 +209,43 @@ def certificate_from_json(doc) -> dict | None:
     return certificate
 
 
+def _capped(h: Homotopy) -> Homotopy:
+    """h, once no cell exceeds its declared cap; else ValueError."""
+    biggest = h.max_cardinality(0, h.rows - 1)
+    if biggest > h.cap:
+        raise ValueError(f"cell of size {biggest} exceeds cap {h.cap}")
+    return h
+
+
 def track_to_json(track: Track) -> dict:
-    grid = track.grid
     return {
         "space": space_to_json(track.space),
         "cap": track.cap,
         "kind": track.kind,
         "times": list(track.times),
-        "configs": _row_point_lists(track.space, grid.enc[0], grid.counts[0]),
+        "configs": _row_point_lists(track.space, track.enc[0], track.counts[0]),
     }
 
 
 def track_from_json(doc) -> Track:
-    """The track of a document's one row of cells; a declared "loop" must close."""
-    grid = grid_from_json(doc)
+    """The track of a document's one row of cells, none above the cap; a
+    declared "loop" must close."""
+    h = grid_from_json(doc)
     try:
-        return Track.from_grid(grid).declared(doc["kind"])
+        return _capped(Track(h.space, h.cap, h.s_grid, h.t_grid, h.enc, h.counts)).declared(doc["kind"])
     except (KeyError, RanspaceError, ValueError) as exc:
         raise SchemaError(f"bad track document: {exc}") from exc
 
 
 def _homotopy_head(h: Homotopy) -> dict:
     """The keys of a homotopy document before its cells."""
-    return {"space": space_to_json(h.space), "cap": h.cap, "s_grid": h.grid.s_grid.tolist(), "t_grid": h.grid.t_grid.tolist()}
+    return {"space": space_to_json(h.space), "cap": h.cap, "s_grid": h.s_grid.tolist(), "t_grid": h.t_grid.tolist()}
 
 
 def homotopy_to_json(h: Homotopy, certificate: dict | None = None) -> dict:
-    grid = h.grid
     doc = _homotopy_head(h)
     with _collector_paused():
-        doc["cells"] = [_row_point_lists(h.space, enc, counts) for enc, counts in zip(grid.enc, grid.counts)]
+        doc["cells"] = [_row_point_lists(h.space, enc, counts) for enc, counts in zip(h.enc, h.counts)]
     if certificate is not None:
         doc["certificate"] = certificate
     return doc
@@ -242,11 +254,11 @@ def homotopy_to_json(h: Homotopy, certificate: dict | None = None) -> dict:
 def homotopy_from_json(doc) -> tuple[Homotopy, dict | None]:
     if "cells" not in doc:
         raise SchemaError("not a homotopy document: no cells")
-    grid = grid_from_json(doc)
+    h = grid_from_json(doc)
     certificate = certificate_from_json(doc)
     try:
-        h = Homotopy.from_grid(grid)
-    except (RanspaceError, ValueError) as exc:
+        _capped(h)
+    except ValueError as exc:
         raise SchemaError(f"bad homotopy document: {exc}") from exc
     return h, certificate
 
@@ -337,16 +349,15 @@ def dump(doc: dict, fp: IO[str]) -> None:
 
 def write_homotopy(h: Homotopy, certificate: dict | None, fp: IO[str]) -> None:
     """Write dump(homotopy_to_json(h, certificate), fp), byte for byte,
-    with the cells of h's grid, whose points are finite, going through the
-    row formatter a chunk of rows at a time."""
-    grid = h.grid
+    with the cells of h, whose points are finite, going through the row
+    formatter a chunk of rows at a time."""
     # the document less its closing brace, its keys as dump writes them
     fp.write(json.dumps(_homotopy_head(h), indent=1)[:-2] + ',\n "cells": [')
     templates, sep = {}, "\n  "
-    step = max(1, _WRITE_CELLS // grid.counts.shape[1])
-    for first in range(0, len(grid.counts), step):
-        counts = grid.counts[first:first + step]
-        values = grid.enc[first:first + step][np.arange(grid.enc.shape[2]) < counts[..., None]]
+    step = max(1, _WRITE_CELLS // h.counts.shape[1])
+    for first in range(0, h.rows, step):
+        counts = h.counts[first:first + step]
+        values = h.enc[first:first + step][np.arange(h.enc.shape[2]) < counts[..., None]]
         fp.write(sep + _rows_text(list(map(tuple, counts.tolist())), values, "  ", templates))
         sep = ",\n  "
     fp.write("\n ]")

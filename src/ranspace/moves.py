@@ -51,7 +51,6 @@ from .ran import _pad_lists, _padding, _slot_points, batch_hausdorff, dedup, ded
 from .space import Circle, Point, Space
 from .tracks import (
     LOOP_TOL,
-    CellGrid,
     Homotopy,
     StrandBundle,
     StrandInterpolator,
@@ -169,13 +168,12 @@ def extract_strands(track: Track, matching_radius: float | None = None) -> Stran
     """
     space = track.space
     n = track.cap
-    grid = track.grid
     if matching_radius is None:
-        matching_radius = 2.0 * check_continuity(grid, math.inf).max_gap + 1e-9
+        matching_radius = 2.0 * check_continuity(track, math.inf).max_gap + 1e-9
     elif not 0 < matching_radius < math.inf:
         raise ValueError("matching radius must be finite and positive")
-    enc = space.canon_many(grid.enc[0])
-    counts = grid.counts[0].tolist()
+    enc = space.canon_many(track.enc[0])
+    counts = track.counts[0].tolist()
     # steps[i, child, parent]: from point child of column i + 1 to point
     # parent of column i
     steps = space.distance_many(np.expand_dims(enc[1:], 2), np.expand_dims(enc[:-1], 1))
@@ -183,7 +181,7 @@ def extract_strands(track: Track, matching_radius: float | None = None) -> Stran
     positions = [[j % counts[0] for j in range(n)]]
     for i, dist in enumerate(steps):
         dist = dist[:counts[i + 1], :counts[i]]
-        parent = _match_step(space, dist, grid.enc[0, i + 1], matching_radius, track.times[i + 1])
+        parent = _match_step(space, dist, track.enc[0, i + 1], matching_radius, track.times[i + 1])
         new_positions = [0] * n
         for p in range(counts[i]):
             holders = [j for j in range(n) if positions[i][j] == p]
@@ -191,7 +189,7 @@ def extract_strands(track: Track, matching_radius: float | None = None) -> Stran
             if not kids:
                 tgt = int(np.argmin(dist[:, p]))
                 if dist[tgt, p] > matching_radius:
-                    raise AmbiguousBranching(f"point {_slot_points(space, grid.enc[0, i, p:p + 1])[0]!r} at t={track.times[i]} "
+                    raise AmbiguousBranching(f"point {_slot_points(space, track.enc[0, i, p:p + 1])[0]!r} at t={track.times[i]} "
                                              f"vanishes with no successor within radius {matching_radius:.3g}")
                 for j in holders:
                     new_positions[j] = tgt
@@ -204,7 +202,7 @@ def extract_strands(track: Track, matching_radius: float | None = None) -> Stran
             for k, j in enumerate(holders):
                 new_positions[j] = kids[k % len(kids)]
         positions.append(new_positions)
-    return StrandBundle.of_enc(space, track.times, grid.enc[0, np.arange(len(counts))[:, None], positions])
+    return StrandBundle.of_enc(space, track.times, track.enc[0, np.arange(len(counts))[:, None], positions])
 
 
 # -- normalization ------------------------------------------------------------
@@ -242,7 +240,7 @@ def _block(space: Space, grid: tuple, cap: int, kept: np.ndarray, counts: np.nda
     cells, shaped (rows, columns, slots) (then (edge, t) on graphs), and
     their point counts."""
     s_grid = np.asarray(uniform_times(len(counts) - 1))
-    return Homotopy.from_grid(CellGrid(space, cap, s_grid, np.asarray(grid), kept[:, :, :counts.max()], counts))
+    return Homotopy(space, cap, s_grid, np.asarray(grid), kept[:, :, :counts.max()], counts)
 
 
 def _slots_block(space: Space, grid: tuple, cap: int, enc: np.ndarray) -> Homotopy:
@@ -282,8 +280,8 @@ def normalize(
         if not obj.based_at(b):
             return _normalize_bundle(obj, b, rows, grid)
         out = obj if obj.times == grid else StrandBundle.of_enc(space, grid, obj.read(np.asarray(grid)[None]))
-        cells = project(out).grid
-        return out, _block(space, grid, out.n, np.repeat(cells.enc, 2, axis=0), np.repeat(cells.counts, 2, axis=0))
+        proj = project(out)
+        return out, _block(space, grid, out.n, np.repeat(proj.enc, 2, axis=0), np.repeat(proj.counts, 2, axis=0))
     if obj.kind != "loop":
         raise EndpointMismatch("normalization needs a loop")
     grid = uniform_times(m if m is not None else len(obj.times) - 1)
@@ -310,8 +308,7 @@ def _normalize_track(
     space = track.space
     n = track.cap
     m = len(grid) - 1
-    source = track.grid
-    sigma0 = _slot_points(space, source.enc[0, 0, :source.counts[0, 0]])
+    sigma0 = _slot_points(space, track.enc[0, 0, :track.counts[0, 0]])
     # the point of the first configuration nearest b, the first on a tie
     pstar = sigma0[int(np.argmin(_distances(space, sigma0, b)))]
     s, t = _block_cells(rows, grid)
@@ -319,13 +316,13 @@ def _normalize_track(
     # the reparametrization block reuses the input's cells without another
     # dedup: documents are only strictly sorted, not eps-separated
     reads = nearest_sample(track.times, _dwell_reads(s, t))
-    h1 = _block(space, grid, n, source.enc[0, reads], source.counts[0, reads])
+    h1 = _block(space, grid, n, track.enc[0, reads], track.counts[0, reads])
 
     # the conjugation block: loop cells read the input's cells; connector
     # cells read the path from b to pstar (one point), then from pstar out
     # to every point of the first configuration
     on_connector, u = _conjugation_reads(s, t)
-    enc = source.enc[0, nearest_sample(track.times, u)]
+    enc = track.enc[0, nearest_sample(track.times, u)]
     enc[on_connector] = _padding(space, enc.shape[2:3])
     to_pstar, fan = on_connector & (u <= 0.5), on_connector & (u > 0.5)
     enc[to_pstar, 0] = space.geodesic_many(b, pstar, 2.0 * u[to_pstar])
@@ -576,15 +573,14 @@ def contract_pipeline(
 
 
 def _certify(homotopy: Homotopy, declared: int, b: Point, blocks: list) -> ContractionCertificate:
-    grid = homotopy.grid
-    report = check_continuity(grid, math.inf)
-    target_constancy = float(batch_hausdorff(grid.space, grid.enc[-1], _pad_lists(grid.space, [[b]])).max())
+    report = check_continuity(homotopy, math.inf)
+    target_constancy = float(batch_hausdorff(homotopy.space, homotopy.enc[-1], _pad_lists(homotopy.space, [[b]])).max())
     names = ["normalize", "staircase"] + [f"contract-window-{i}" for i in range(len(blocks) - 2)]
     stages = []
     row = 0
     for name, block in zip(names, blocks):
         last = row + block.rows - 1
-        stages.append((name, row, last, grid.max_cardinality(row, last)))
+        stages.append((name, row, last, homotopy.max_cardinality(row, last)))
         row = last
     return ContractionCertificate(
         max_cardinality=report.max_cardinality,
@@ -593,7 +589,7 @@ def _certify(homotopy: Homotopy, declared: int, b: Point, blocks: list) -> Contr
         ds=report.ds,
         dt=report.dt,
         lipschitz=report.lipschitz,
-        endpoint_drift=endpoint_drift(grid),
+        endpoint_drift=endpoint_drift(homotopy),
         target_constancy=target_constancy,
         source="input loop resampled",
         target="constant basepoint configuration",

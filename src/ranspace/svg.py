@@ -4,7 +4,7 @@ homotopy row.
 Spaces are drawn schematically (circle as a ring, interval as a segment,
 graph with vertices on a ring and each edge a quadratic curve),
 configurations as filled dots, and the basepoint circled.  Frames are
-drawn from the grid (``grid.enc`` and ``grid.counts``) a row at a time;
+drawn from the cell arrays (``enc`` and ``counts``) a row at a time;
 the graph layout and edge curves are computed once per render.
 """
 
@@ -111,8 +111,7 @@ def render_track(track: Track, out_dir: str, basepoint=None, stride: int = 1) ->
     def dots(cells):
         return [f'<circle cx="{x:.2f}" cy="{y:.2f}" r="6" fill="#136"/>' for x, y in cells[0]]
 
-    grid = track.grid
-    rows = zip(grid.enc[0, ::stride, None], grid.counts[0, ::stride, None])
+    rows = zip(track.enc[0, ::stride, None], track.counts[0, ::stride, None])
     return _write_frames(track.space, out_dir, basepoint, rows, dots)
 
 
@@ -130,4 +129,4 @@ def render_homotopy(h: Homotopy, out_dir: str, basepoint=None) -> list:
             )
         return out
 
-    return _write_frames(h.space, out_dir, basepoint, zip(h.grid.enc, h.grid.counts), dots)
+    return _write_frames(h.space, out_dir, basepoint, zip(h.enc, h.counts), dots)

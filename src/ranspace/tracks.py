@@ -1,14 +1,17 @@
 """Discretized paths, loops, strand bundles and homotopies.
 
-A Homotopy is a grid of configurations, one CellGrid, whose rows are
-tracks.  A Track samples a map [0,1] -> (finite subsets of X) on a
-strictly increasing time grid with t0 = 0 and tm = 1: it is the homotopy
-of one row at s = 0, and a loop when its first and last configurations
-coincide.  A StrandBundle samples n coordinate paths on a shared grid;
-its per-time union is its projected track.  Every operation here, the
-path algebra included, reads and builds grids; the Configuration views
-(Homotopy.cells, Track.configs) are for callers and nothing here reads
-them.
+A Homotopy is its grid of configurations: the padded encoding of every
+cell and each cell's point count, whose rows are tracks.  A Track samples
+a map [0,1] -> (finite subsets of X) on a strictly increasing time grid
+with t0 = 0 and tm = 1: it is the homotopy of one row at s = 0, and a
+loop when its first and last configurations coincide.  A StrandBundle
+samples n coordinate paths on a shared grid; its per-time union is its
+projected track.  Every operation here, the path algebra included, reads
+and builds these arrays; the Configuration views (Homotopy.cells,
+Track.configs) are for callers and nothing here reads them.  A homotopy
+records its declared cap without enforcing it: the builders here never
+exceed it, and the document readers and Homotopy.of_cells check it on
+outside input.
 
 Continuity is never verified exactly (undecidable from samples); instead
 ``check_continuity`` certifies that adjacent grid cells stay within a
@@ -210,17 +213,79 @@ class ContinuityReport:
         return dataclasses.asdict(self)
 
 
+def endpoint_drift(h: Homotopy) -> float:
+    """How far h's first and last columns drift from row 0: the largest
+    Hausdorff distance of a cell there from row 0's cell."""
+    ends = h.enc[:, [0, -1]]
+    return float(batch_hausdorff(h.space, ends, ends[:1]).max())
+
+
+def _gap_blocks(space: Space, enc: np.ndarray, cells: int = 1 << 15):
+    """Hausdorff gaps of adjacent cells in blocks of rows of about `cells`
+    cells, so that no pair array spans a large grid: (first row, gaps to
+    the next column, gaps to the next row, none from the last row)."""
+    rows, cols = enc.shape[:2]
+    step = max(1, cells // cols)
+    for first in range(0, rows, step):
+        stop, down_stop = min(first + step, rows), min(first + step, rows - 1)
+        yield (first, batch_hausdorff(space, enc[first:stop, :-1], enc[first:stop, 1:]),
+               batch_hausdorff(space, enc[first:down_stop], enc[first + 1:down_stop + 1]))
+
+
+def check_continuity(h: Homotopy, bound: float) -> ContinuityReport:
+    """Certify that adjacent cells of h, a Track included, stay within
+    bound * grid step.  The report passes iff the maximum adjacent-cell
+    gap is at most bound * max(ds, dt).
+    """
+    s_steps, t_steps = np.diff(h.s_grid), np.diff(h.t_grid)
+    ds = float(s_steps.max()) if len(s_steps) else 0.0
+    dt = float(t_steps.max())
+    max_card = int(h.counts.max())
+    tops = [(gaps.max(), (gaps / step).max()) for first, across, down in _gap_blocks(h.space, h.enc)
+            for gaps, step in ((across, t_steps), (down, s_steps[first:first + len(down), None])) if gaps.size]
+    max_gap, lips = (float(np.max(column)) for column in zip(*tops))
+    return ContinuityReport(max_gap, ds, dt, lips, max_card, bound, within_bound(max_gap, ds, dt, bound))
+
+
+def within_bound(max_gap: float, ds: float, dt: float, bound: float) -> bool:
+    """The continuity criterion: max gap at most bound * max(ds, dt)."""
+    return max_gap <= bound * max(ds, dt)
+
+
+def first_gap_over(h: Homotopy, limit: float) -> tuple | None:
+    """The first adjacent pair of cells, in row-major order, whose gap
+    exceeds limit: (row, column, "across" to the next column or "down" to
+    the next row), a horizontal pair first on a tie; None if no pair does."""
+    for first, across, down in _gap_blocks(h.space, h.enc):
+        hits = [(first + int(i), int(k), way) for gaps, way in ((across, "across"), (down, "down"))
+                for i, k in np.argwhere(gaps > limit)[:1]]
+        if hits:
+            return min(hits)
+    return None
+
+
+# -- homotopies ---------------------------------------------------------------
+
+
 @dataclass(frozen=True, eq=False)
-class CellGrid:
+class Homotopy:
     """A grid of configurations as arrays: the padded encoding (see ran._pad)
     of every cell, shaped (rows, cols, width) or (rows, cols, width, 2) on
-    graphs, and each cell's point count.
+    graphs, and each cell's point count.  Rows are tracks, row 0 the
+    source, the last row the target.
 
-    Row i sits at deformation time s_grid[i] and column k at t_grid[k]; a
-    track is one row at s = 0.  Points are canonical and each cell's are
-    strictly sorted.  cap is the declared cap, which the grid records but
-    does not enforce, so a reader can report a cell above it.  A time grid
-    not from 0 to 1, an s grid not increasing or a ragged grid: ValueError.
+    Row i sits at deformation time s_grid[i] and column k at t_grid[k].
+    Points are canonical and each cell's are strictly sorted.  cap is the
+    declared cap, which the homotopy records but does not enforce, so a
+    reader can report a cell above it; the document readers and of_cells
+    check it where outside input enters.  A time grid not from 0 to 1, an
+    s grid not increasing or a ragged grid: ValueError.
+
+    check_continuity reports cardinality and adjacent-cell gaps, and
+    endpoint_drift how far the endpoint columns drift from the source row.
+    of_cells, from rows of Configurations, and cells, the rows as
+    Configurations built on first access, are conveniences for callers
+    that want Configurations.
     """
 
     space: Space
@@ -239,155 +304,58 @@ class CellGrid:
         if self.counts.shape != (len(self.s_grid), len(self.t_grid)) or self.enc.shape[:2] != self.counts.shape:
             raise ValueError("ragged homotopy grid")
 
+    @classmethod
+    def of_cells(cls, space: Space, s_grid: Sequence[float], t_grid: Sequence[float], cells, cap: int) -> Homotopy:
+        """The homotopy of rows of Configurations; ValueError for a cell
+        above cap."""
+        rows = tuple(map(tuple, cells))
+        if any(len(row) != len(t_grid) for row in rows):
+            raise ValueError("ragged homotopy grid")
+        counts = np.array([[len(c) for c in row] for row in rows], dtype=np.intp)
+        enc = _pad_lists(space, [c.points for row in rows for c in row])
+        h = cls(space, cap, np.asarray(s_grid, dtype=float), np.asarray(t_grid, dtype=float),
+                enc.reshape(counts.shape + enc.shape[1:]), counts)
+        if counts.max() > cap:
+            raise ValueError(f"cell of size {counts.max()} exceeds cap {cap}")
+        return h
+
+    @property
+    def rows(self) -> int:
+        return len(self.counts)
+
     def max_cardinality(self, first: int, last: int) -> int:
         """The largest cell of rows first to last: a stage's cardinality."""
         return int(self.counts[first:last + 1].max())
 
-
-def endpoint_drift(grid: CellGrid) -> float:
-    """How far the grid's first and last columns drift from row 0: the
-    largest Hausdorff distance of a cell there from row 0's cell."""
-    ends = grid.enc[:, [0, -1]]
-    return float(batch_hausdorff(grid.space, ends, ends[:1]).max())
-
-
-def _gap_blocks(space: Space, enc: np.ndarray, cells: int = 1 << 15):
-    """Hausdorff gaps of adjacent cells in blocks of rows of about `cells`
-    cells, so that no pair array spans a large grid: (first row, gaps to
-    the next column, gaps to the next row, none from the last row)."""
-    rows, cols = enc.shape[:2]
-    step = max(1, cells // cols)
-    for first in range(0, rows, step):
-        stop, down_stop = min(first + step, rows), min(first + step, rows - 1)
-        yield (first, batch_hausdorff(space, enc[first:stop, :-1], enc[first:stop, 1:]),
-               batch_hausdorff(space, enc[first:down_stop], enc[first + 1:down_stop + 1]))
-
-
-def check_continuity(obj, bound: float) -> ContinuityReport:
-    """Certify that adjacent grid cells stay within bound * grid step.
-
-    Accepts a CellGrid or a Homotopy, a Track included (its grid).  The
-    report passes iff the maximum adjacent-cell gap is at most
-    bound * max(ds, dt).
-    """
-    grid = obj if isinstance(obj, CellGrid) else obj.grid
-    s_steps, t_steps = np.diff(grid.s_grid), np.diff(grid.t_grid)
-    ds = float(s_steps.max()) if len(s_steps) else 0.0
-    dt = float(t_steps.max())
-    max_card = int(grid.counts.max())
-    tops = [(gaps.max(), (gaps / step).max()) for first, across, down in _gap_blocks(grid.space, grid.enc)
-            for gaps, step in ((across, t_steps), (down, s_steps[first:first + len(down), None])) if gaps.size]
-    max_gap, lips = (float(np.max(column)) for column in zip(*tops))
-    return ContinuityReport(max_gap, ds, dt, lips, max_card, bound, within_bound(max_gap, ds, dt, bound))
-
-
-def within_bound(max_gap: float, ds: float, dt: float, bound: float) -> bool:
-    """The continuity criterion: max gap at most bound * max(ds, dt)."""
-    return max_gap <= bound * max(ds, dt)
-
-
-def first_gap_over(grid: CellGrid, limit: float) -> tuple | None:
-    """The first adjacent pair of cells, in row-major order, whose gap
-    exceeds limit: (row, column, "across" to the next column or "down" to
-    the next row), a horizontal pair first on a tie; None if no pair does."""
-    for first, across, down in _gap_blocks(grid.space, grid.enc):
-        hits = [(first + int(i), int(k), way) for gaps, way in ((across, "across"), (down, "down"))
-                for i, k in np.argwhere(gaps > limit)[:1]]
-        if hits:
-            return min(hits)
-    return None
-
-
-# -- homotopies ---------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False, init=False)
-class Homotopy:
-    """Grid of configurations stored as one CellGrid: rows are tracks, row 0
-    the source, the last row the target.  check_continuity reports
-    cardinality and adjacent-cell gaps, and endpoint_drift how far the
-    endpoint columns drift from the source row.
-
-    from_grid wraps a grid as is; the package builds every homotopy so.
-    Homotopy(space, s_grid, t_grid, cells, cap), from rows of
-    Configurations, and cells, the rows as Configurations built on first
-    access, are conveniences for callers that want Configurations.
-    """
-
-    grid: CellGrid
-
-    def __init__(self, space: Space, s_grid: Sequence[float], t_grid: Sequence[float], cells, cap: int):
-        rows = tuple(map(tuple, cells))
-        if any(len(row) != len(t_grid) for row in rows):
-            raise ValueError("ragged homotopy grid")
-        shape = (len(rows), len(t_grid))
-        enc = _pad_lists(space, [c.points for row in rows for c in row])
-        grid = CellGrid(space, cap, np.asarray(s_grid, dtype=float), np.asarray(t_grid, dtype=float),
-                        enc.reshape(shape + enc.shape[1:]), np.array([[len(c) for c in row] for row in rows], dtype=np.intp))
-        object.__setattr__(self, "grid", _checked(grid))
-
-    @classmethod
-    def from_grid(cls, grid: CellGrid) -> Homotopy:
-        h = cls.__new__(cls)
-        object.__setattr__(h, "grid", _checked(grid))
-        return h
-
-    @property
-    def space(self) -> Space:
-        return self.grid.space
-
-    @property
-    def cap(self) -> int:
-        return self.grid.cap
-
-    @property
-    def s_grid(self) -> tuple:
-        return tuple(self.grid.s_grid.tolist())
-
-    @property
-    def t_grid(self) -> tuple:
-        return tuple(self.grid.t_grid.tolist())
-
-    @property
-    def rows(self) -> int:
-        return len(self.grid.counts)
-
     @functools.cached_property
     def cells(self) -> tuple:
-        """Rows of Configuration tuples, of the grid's cap."""
-        grid = self.grid
-        return tuple(tuple(Configuration(_slot_points(grid.space, cell[:k]), grid.cap) for cell, k in zip(enc, counts.tolist()))
-                     for enc, counts in zip(grid.enc, grid.counts))
+        """Rows of Configuration tuples, of the homotopy's cap."""
+        return tuple(tuple(Configuration(_slot_points(self.space, cell[:k]), self.cap) for cell, k in zip(enc, counts.tolist()))
+                     for enc, counts in zip(self.enc, self.counts))
 
     def row(self, i: int) -> Track:
-        return Track.of_row(self.space, self.cap, self.grid.t_grid, self.grid.enc[i], self.grid.counts[i])
+        return Track.of_row(self.space, self.cap, self.t_grid, self.enc[i], self.counts[i])
 
 
 class Track(Homotopy):
     """A homotopy of one row at s = 0 on the time grid times; its kind is
-    read from the grid.  from_grid refuses more rows.  Track(space, times,
-    configs, cap) and configs, row 0 as Configurations, are conveniences
-    as Homotopy's are."""
+    read from the cells, and more rows are a ValueError.  configs, row 0
+    as Configurations, is a convenience as Homotopy.cells is."""
 
-    def __init__(self, space: Space, times: Sequence[float], configs, cap: int):
-        super().__init__(space, (0.0,), times, (configs,), cap)
-
-    @classmethod
-    def from_grid(cls, grid: CellGrid) -> Track:
-        if len(grid.counts) != 1:
-            raise ValueError(f"a track is one row of cells, not {len(grid.counts)}")
-        return super().from_grid(grid)
+    def __post_init__(self):
+        super().__post_init__()
+        if self.rows != 1:
+            raise ValueError(f"a track is one row of cells, not {self.rows}")
 
     @classmethod
     def of_row(cls, space: Space, cap: int, times, enc: np.ndarray, counts: np.ndarray) -> Track:
         """The track of one encoded row of cells (see ran._pad), trimmed to
         its widest cell."""
-        return cls.from_grid(CellGrid(space, cap, np.zeros(1), np.asarray(times, dtype=float),
-                                      enc[None, :, :counts.max()], counts[None]))
+        return cls(space, cap, np.zeros(1), np.asarray(times, dtype=float), enc[None, :, :counts.max()], counts[None])
 
     @functools.cached_property
     def times(self) -> tuple:
-        return self.t_grid
+        return tuple(self.t_grid.tolist())
 
     @property
     def configs(self) -> tuple:
@@ -395,7 +363,7 @@ class Track(Homotopy):
 
     def end_gap(self) -> float:
         """The Hausdorff distance of the first and the last cell."""
-        return float(batch_hausdorff(self.space, self.grid.enc[0, :1], self.grid.enc[0, -1:])[0])
+        return float(batch_hausdorff(self.space, self.enc[0, :1], self.enc[0, -1:])[0])
 
     @property
     def kind(self) -> str:
@@ -411,16 +379,8 @@ class Track(Homotopy):
         return self
 
 
-def _checked(grid: CellGrid) -> CellGrid:
-    """grid, once no cell exceeds its cap; else ValueError."""
-    biggest = int(grid.counts.max())
-    if biggest > grid.cap:
-        raise ValueError(f"cell of size {biggest} exceeds cap {grid.cap}")
-    return grid
-
-
 def _joined(space: Space, parts: Sequence[np.ndarray], axis: int) -> np.ndarray:
-    """Grid encodings (see CellGrid) joined along their rows (axis 0) or
+    """Grid encodings (see Homotopy) joined along their rows (axis 0) or
     their columns (axis 1), each padded to the widest part."""
     parts = [np.moveaxis(p, axis, 0) for p in parts]
     enc = _padding(space, (sum(map(len, parts)), parts[0].shape[1], max(p.shape[2] for p in parts)))
@@ -439,19 +399,17 @@ def stack_homotopies(blocks: Sequence[Homotopy]) -> Homotopy:
     dropped.  The encodings are padded to the widest block.  The output s
     grid is uniform.
     """
-    grids = [b.grid for b in blocks]
-    space = grids[0].space
-    for prev, nxt in zip(grids, grids[1:]):
+    space = blocks[0].space
+    for prev, nxt in zip(blocks, blocks[1:]):
         if nxt.space != prev.space or not np.array_equal(nxt.t_grid, prev.t_grid):
             raise SpaceMismatch("homotopy blocks disagree on space or grid")
         seam = float(batch_hausdorff(space, prev.enc[-1], nxt.enc[0]).max())
         if seam > LOOP_TOL:
             raise EndpointMismatch(f"homotopy blocks fail to chain: seam gap {seam}")
-    enc = _joined(space, [grids[0].enc] + [g.enc[1:] for g in grids[1:]], 0)
-    counts = np.concatenate([grids[0].counts] + [g.counts[1:] for g in grids[1:]])
+    enc = _joined(space, [blocks[0].enc] + [h.enc[1:] for h in blocks[1:]], 0)
+    counts = np.concatenate([blocks[0].counts] + [h.counts[1:] for h in blocks[1:]])
     s_grid = np.asarray(uniform_times(len(counts) - 1))
-    cap = max(g.cap for g in grids)
-    return Homotopy.from_grid(CellGrid(space, cap, s_grid, grids[0].t_grid, enc, counts))
+    return Homotopy(space, max(h.cap for h in blocks), s_grid, blocks[0].t_grid, enc, counts)
 
 
 # -- branch and merge detection ----------------------------------------------
@@ -467,10 +425,10 @@ def detect_branch_merge(track: Track, radius: float, lookahead: int):
     merge at the same point.  Each offset k takes one distance_many call
     between the columns k apart, read both ways.
     """
-    if radius <= 0 or lookahead < 1:
+    if not radius > 0 or lookahead < 1:
         raise ValueError("radius must be positive and lookahead at least 1")
     space = track.space
-    enc = space.canon_many(track.grid.enc[0])
+    enc = space.canon_many(track.enc[0])
     cols = len(enc)
 
     def within(k: int) -> np.ndarray:
@@ -486,7 +444,7 @@ def detect_branch_merge(track: Track, radius: float, lookahead: int):
         merge[k:] |= near.sum(axis=-2) >= 2
     hits = np.argwhere(alone & (branch | merge))
     out = []
-    for (i, a), p in zip(hits.tolist(), _slot_points(space, track.grid.enc[0][tuple(hits.T)])):
+    for (i, a), p in zip(hits.tolist(), _slot_points(space, track.enc[0][tuple(hits.T)])):
         out.extend((i, p, kind) for kind, hit in (("branch", branch), ("merge", merge)) if hit[i, a])
     return out
 
@@ -511,9 +469,9 @@ def winding_number(circ: Circle, strand: Sequence[float]) -> int:
 
 def singleton_strand(track: Track) -> list:
     """The per-time points of a track whose configurations are singletons."""
-    if (track.grid.counts != 1).any():
+    if (track.counts != 1).any():
         raise ValueError("track has non-singleton configurations")
-    return list(_slot_points(track.space, track.grid.enc[0, :, 0]))
+    return list(_slot_points(track.space, track.enc[0, :, 0]))
 
 
 # -- path algebra -------------------------------------------------------------
@@ -537,20 +495,20 @@ def concatenate(a: Track, b: Track) -> Track:
     """Run a on [0, 1/2] and b on [1/2, 1]; junction cells must agree."""
     if a.space != b.space:
         raise SpaceMismatch("concatenating tracks over different spaces")
-    gap = float(batch_hausdorff(a.space, a.grid.enc[0, -1:], b.grid.enc[0, :1])[0])
+    gap = float(batch_hausdorff(a.space, a.enc[0, -1:], b.enc[0, :1])[0])
     if gap > LOOP_TOL:
         raise EndpointMismatch(f"junction gap {gap} exceeds tolerance {LOOP_TOL}")
     times = tuple(t / 2 for t in a.times) + tuple(0.5 + t / 2 for t in b.times[1:])
     times = _unmerged(times, ((a.times, " of the first track"), (b.times[1:], " of the second track")))
-    enc = _joined(a.space, [a.grid.enc, b.grid.enc[:, 1:]], 1)
-    counts = np.concatenate([a.grid.counts[0], b.grid.counts[0, 1:]])
+    enc = _joined(a.space, [a.enc, b.enc[:, 1:]], 1)
+    counts = np.concatenate([a.counts[0], b.counts[0, 1:]])
     return Track.of_row(a.space, max(a.cap, b.cap), times, enc[0], counts)
 
 
 def reverse(a: Track) -> Track:
-    old = a.grid.t_grid[::-1]
+    old = a.t_grid[::-1]
     times = _unmerged(1.0 - old, ((old, ""),))
-    return Track.of_row(a.space, a.cap, times, a.grid.enc[0, ::-1], a.grid.counts[0, ::-1])
+    return Track.of_row(a.space, a.cap, times, a.enc[0, ::-1], a.counts[0, ::-1])
 
 
 def conjugate(gamma: Track, sigma: Track) -> Track:
@@ -562,5 +520,5 @@ def conjugate(gamma: Track, sigma: Track) -> Track:
 
 def resample(track: Track, new_times: Sequence[float]) -> Track:
     """Carry each new time to the nearest original sample (ties earlier)."""
-    k = nearest_sample(track.grid.t_grid, np.asarray(new_times, dtype=float))
-    return Track.of_row(track.space, track.cap, new_times, track.grid.enc[0, k], track.grid.counts[0, k])
+    k = nearest_sample(track.t_grid, np.asarray(new_times, dtype=float))
+    return Track.of_row(track.space, track.cap, new_times, track.enc[0, k], track.counts[0, k])

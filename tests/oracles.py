@@ -218,26 +218,26 @@ def oracle_kind(track):
 def oracle_reverse(track):
     """reverse built from Configurations: the configurations last first, on
     the times 1 - t."""
-    return Track(track.space, tuple(1.0 - t for t in reversed(track.times)), tuple(reversed(track.configs)), track.cap)
+    return Track.of_cells(track.space, (0.0,), tuple(1.0 - t for t in reversed(track.times)), (tuple(reversed(track.configs)),), track.cap)
 
 
 def oracle_concatenate(a, b):
     """concatenate built from Configurations: a's configurations, then b's
     after the junction, on the times t / 2 and 0.5 + t / 2."""
     times = tuple(t / 2 for t in a.times) + tuple(0.5 + t / 2 for t in b.times[1:])
-    return Track(a.space, times, a.configs + b.configs[1:], max(a.cap, b.cap))
+    return Track.of_cells(a.space, (0.0,), times, (a.configs + b.configs[1:],), max(a.cap, b.cap))
 
 
 def oracle_resample(track, new_times):
     """resample built from Configurations: each new time carries the
     configuration of its nearest sample, a tie to the earlier."""
     configs = tuple(track.configs[oracle_nearest(track.times, t)] for t in new_times)
-    return Track(track.space, tuple(new_times), configs, track.cap)
+    return Track.of_cells(track.space, (0.0,), tuple(new_times), (configs,), track.cap)
 
 
 def oracle_row(h, i):
     """Homotopy.row built from Configurations: row i's cells on the time grid."""
-    return Track(h.space, h.t_grid, h.cells[i], h.cap)
+    return Track.of_cells(h.space, (0.0,), h.t_grid, (h.cells[i],), h.cap)
 
 
 def naive_pairs(dist, max_scale):
@@ -468,7 +468,7 @@ def _normalize_track(track, b, rows, grid, matching_radius):
 
     dwell = _cells(grid, rows, lambda lam, t: track.configs[oracle_nearest(track.times, _dwell(lam, t))])
     conjugated = _deduped(space, _cells(grid, rows, conj_points), n)
-    bundle = oracle_extract_strands(Track(space, grid, tuple(conjugated[-1]), n), matching_radius)
+    bundle = oracle_extract_strands(Track.of_cells(space, (0.0,), grid, (conjugated[-1],), n), matching_radius)
     strands = [OracleStrand(space, grid, s) for s in bundle.strands]
     spans = []
     for strand in bundle.strands:

@@ -265,10 +265,13 @@ def test_contract_reads_a_closed_track_declared_a_path_as_a_loop(tmp_path):
     (lambda: _one_turn_doc(kind="loop", configs=_one_turn_doc()["configs"][:-1] + [[0.6]]), "loop fails to close: gap 0.5"),
     (lambda: _one_turn_doc(kind="ring"), "kind must be 'path' or 'loop'"),
     (lambda: {**_constant_doc(C1, 0.25), "kind": "loop"}, "a track is one row of cells, not 3"),
-], ids=["open-loop", "ring", "homotopy"])
+    (lambda: _one_turn_doc(configs=[[0.1, 0.6] if k == 16 else c for k, c in enumerate(_one_turn_doc()["configs"])]),
+     "cell of size 2 exceeds cap 1"),
+], ids=["open-loop", "ring", "homotopy", "over-cap"])
 def test_contract_rejects_a_document_that_is_not_a_track_of_its_kind(tmp_path, make_doc, reason):
-    """A declared loop must close, a kind is "path" or "loop", and a
-    homotopy document is no track, even with a kind."""
+    """A declared loop must close, a kind is "path" or "loop", a homotopy
+    document is no track, even with a kind, and no cell may exceed the
+    document's cap."""
     res = run_cli("contract", _write_doc(tmp_path / "doc.json", make_doc()), "--cap", 2,
                   "--basepoint", 0.25, "--resolution", 8, 16, "--out", tmp_path / "x.json")
     assert res.returncode == 2, res.stderr
@@ -495,7 +498,7 @@ def _verify_with_certificate(certificate):
     def args(tmp):
         times = uniform_times(4)
         track = make_track(C1, times, [[0.0]] * len(times), cap=1, kind="loop")
-        h = Homotopy(C1, (0.0, 1.0), times, (track.configs, track.configs), 1)
+        h = Homotopy.of_cells(C1, (0.0, 1.0), times, (track.configs, track.configs), 1)
         return ["verify", _write_doc(tmp / "h.json", homotopy_to_json(h, certificate))]
     return args
 
@@ -608,7 +611,7 @@ def _constant_doc(space, point):
     """A 3x5 homotopy document constant at one point: it passes verify."""
     times = uniform_times(4)
     row = make_track(space, times, [[point]] * len(times), cap=2, kind="loop").configs
-    return homotopy_to_json(Homotopy(space, (0.0, 0.5, 1.0), times, (row,) * 3, 2))
+    return homotopy_to_json(Homotopy.of_cells(space, (0.0, 0.5, 1.0), times, (row,) * 3, 2))
 
 
 def _set_cell(value, space=C1, point=0.25):
@@ -816,6 +819,8 @@ def contracted(tmp_path_factory):
     ("endpoint_drift-nan", lambda c: c.update(endpoint_drift=math.nan),
      "FAIL: stored certificate endpoint_drift does not match cells"),
     ("declared_cap", lambda c: c.update(declared_cap=1), "FAIL: stored certificate declared_cap does not match cap"),
+    ("max_cardinality-null", lambda c: c.update(max_cardinality=None), "FAIL: stored certificate has no max_cardinality"),
+    ("max_cardinality-absent", lambda c: c.pop("max_cardinality"), "FAIL: stored certificate has no max_cardinality"),
 ])
 def test_verify_checks_every_recomputable_certificate_field(tmp_path, contracted, field, change, named):
     doc = json.loads(contracted.read_text())

@@ -1,4 +1,4 @@
-"""Homotopies stored as one CellGrid: the array-native cells against the
+"""Homotopies stored as their cell arrays: the array-native cells against the
 per-cell object path they replace, and no Configuration built on the way
 from a block to the written document."""
 
@@ -127,7 +127,7 @@ def test_a_homotopy_of_configurations_gives_them_back(case):
     """A Homotopy built from Configuration rows gives back the same cells,
     and is written byte for byte as the object path's document."""
     space, s_grid, t_grid, cells = case
-    h = Homotopy(space, s_grid, t_grid, cells, 4)
+    h = Homotopy.of_cells(space, s_grid, t_grid, cells, 4)
     assert _hex(h.cells) == _hex(cells)
     assert all(c.cap == 4 for row in h.cells for c in row)
     assert _hex([h.row(i).configs for i in range(h.rows)]) == _hex(cells)
@@ -146,7 +146,7 @@ def test_write_homotopy_matches_dump(case, certificate, chunk):
     of the standard library encoder, formatting the grid in chunks of any
     size: -0.0 on intervals, 5e-324 and 1/3 included."""
     space, s_grid, t_grid, cells = case
-    h = Homotopy(space, s_grid, t_grid, cells, 4)
+    h = Homotopy.of_cells(space, s_grid, t_grid, cells, 4)
     want = io.StringIO()
     dump(homotopy_to_json(h, certificate), want)
     doc = _old_document(space, s_grid, t_grid, cells)

@@ -550,7 +550,7 @@ def test_block_dedup_matches_scalar_dedup_per_cell(monkeypatch):
         want = [oracle_dedup(space, pts, cap=cap) for pts in _slot_point_lists(space, enc)]
         got = [c for row in block.cells for c in row]
         assert [repr(c.points) for c in got] == [repr(c.points) for c in want]
-        assert block.grid.cap == cap and all(c.cap == cap for c in got)
+        assert block.cap == cap and all(c.cap == cap for c in got)
 
 
 def test_block_rejects_a_cell_with_no_point():

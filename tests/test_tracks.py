@@ -22,7 +22,6 @@ from ranspace.ran import batch_hausdorff, configuration, hausdorff
 from ranspace.space import Circle, GraphPoint, Interval, MetricGraph, geodesic
 from ranspace.tracks import (
     LOOP_TOL,
-    CellGrid,
     Homotopy,
     StrandBundle,
     StrandInterpolator,
@@ -139,7 +138,7 @@ def _bundles(draw):
 @settings(max_examples=300, deadline=None)
 @given(_bundles())
 def test_project_is_make_track_of_the_per_time_points(case):
-    """project(bundle).grid holds the bits, widths included, of the grid
+    """project(bundle) holds the bits, widths included, of the track
     make_track builds from the per-time point lists; strands gives back
     space.canon of every input point; a bundle whose strands swap ends
     projects to a loop."""
@@ -147,7 +146,7 @@ def test_project_is_make_track_of_the_per_time_points(case):
     bundle = StrandBundle(space, times, tuple(map(tuple, strands)))
     want = make_track(space, times, [[s[k] for s in strands] for k in range(len(times))], cap=len(strands))
     got = project(bundle)
-    assert _same_grid(got.grid, want.grid)
+    assert _same_grid(got, want)
     assert got.cap == want.cap == bundle.n
     assert repr(bundle.strands) == repr(tuple(tuple(space.canon(p) for p in s) for s in strands))
     if swap:
@@ -206,14 +205,14 @@ def test_continuity_across_row_blocks(jumps):
     enc = np.tile(np.arange(cols) / cols, (rows, 1))[..., None]
     for row, col, shift in jumps:
         enc[row, col, 0] = (enc[row, col, 0] + shift) % 1.0
-    grid = CellGrid(C1, 1, np.linspace(0.0, 1.0, rows) ** 2, np.linspace(0.0, 1.0, cols), enc, np.ones((rows, cols), np.intp))
+    h = Homotopy(C1, 1, np.linspace(0.0, 1.0, rows) ** 2, np.linspace(0.0, 1.0, cols), enc, np.ones((rows, cols), np.intp))
     across, down = batch_hausdorff(C1, enc[:, :-1], enc[:, 1:]), batch_hausdorff(C1, enc[:-1], enc[1:])
-    report = check_continuity(grid, 4.0)
+    report = check_continuity(h, 4.0)
     assert report.max_gap == max(across.max(), down.max())
-    assert report.lipschitz == max((across / np.diff(grid.t_grid)).max(), (down / np.diff(grid.s_grid)[:, None]).max())
+    assert report.lipschitz == max((across / np.diff(h.t_grid)).max(), (down / np.diff(h.s_grid)[:, None]).max())
     limit = 1.5 / cols
     hits = [(int(i), int(k), way) for gaps, way in ((across, "across"), (down, "down")) for i, k in np.argwhere(gaps > limit)[:1]]
-    assert first_gap_over(grid, limit) == min(hits, default=None)
+    assert first_gap_over(h, limit) == min(hits, default=None)
 
 
 def test_continuity_monotone_under_midpoint_refinement():
@@ -247,6 +246,12 @@ def test_continuity_monotone_under_midpoint_refinement():
 def test_branch_merge_constant_empty():
     track = strand_track(C1, lambda t: 0.0)
     assert detect_branch_merge(track, radius=0.025, lookahead=1) == []
+
+
+@pytest.mark.parametrize("radius", [0.0, -0.025, math.nan])
+def test_branch_merge_rejects_a_radius_that_is_not_positive(radius):
+    with pytest.raises(ValueError, match="radius must be positive"):
+        detect_branch_merge(spreading_track(), radius=radius, lookahead=1)
 
 
 def test_branch_detected_at_spread():
@@ -383,8 +388,8 @@ def test_concatenate_rejects_junction_gap():
 def _same_track(got, want):
     assert got.times == want.times and got.cap == want.cap
     assert got.configs == want.configs
-    assert np.array_equal(got.grid.counts, want.grid.counts)
-    assert np.array_equal(got.grid.enc, want.grid.enc, equal_nan=True)
+    assert np.array_equal(got.counts, want.counts)
+    assert np.array_equal(got.enc, want.enc, equal_nan=True)
 
 
 def _spread(space, at, step, m=12):
@@ -487,8 +492,8 @@ def one_row_tracks(draw):
     return make_track(space, times, point_lists, cap=3)
 
 
-def _same_grid(a: CellGrid, b: CellGrid) -> bool:
-    """Whether two grids hold the same bits: times, cells and their widths."""
+def _same_grid(a: Homotopy, b: Homotopy) -> bool:
+    """Whether two homotopies hold the same bits: times, cells and their widths."""
     return all(x.shape == y.shape and x.tobytes() == y.tobytes()
                for x, y in ((a.s_grid, b.s_grid), (a.t_grid, b.t_grid), (a.enc, b.enc), (a.counts, b.counts)))
 
@@ -501,11 +506,11 @@ def test_one_row_tracks_match_the_configuration_reference(track, inner):
     Configurations, their kinds by the same rule."""
     assert track.kind == oracle_kind(track)
     new_times = _grid_times(inner)
-    h = Homotopy(track.space, (0.0, 0.5, 1.0), track.times,
-                 (track.configs, track.configs[::-1], track.configs[-1:] * len(track.times)), track.cap)
+    h = Homotopy.of_cells(track.space, (0.0, 0.5, 1.0), track.times,
+                          (track.configs, track.configs[::-1], track.configs[-1:] * len(track.times)), track.cap)
     pairs = [(reverse(track), oracle_reverse(track)), (resample(track, new_times), oracle_resample(track, new_times))]
     for got, want in pairs + [(h.row(i), oracle_row(h, i)) for i in range(h.rows)]:
-        assert _same_grid(got.grid, want.grid)
+        assert _same_grid(got, want)
         assert got.times == want.times
         assert got.kind == oracle_kind(want)
 
@@ -641,14 +646,25 @@ _GRID = dict(space=Circle(1.0), cap=1, s_grid=np.array([0.0, 0.5, 1.0]), t_grid=
     (dict(enc=np.zeros((3, 4, 1))), "ragged homotopy grid"),
 ], ids=["one-time", "times-short-of-1", "times-decreasing", "s-grid-short", "s-grid-flat", "counts-ragged", "enc-ragged"])
 def test_cell_grid_checks_its_own_shape(broken, message):
-    CellGrid(**_GRID)
+    Homotopy(**_GRID)
     with pytest.raises(ValueError, match=f"^{message}$"):
-        CellGrid(**{**_GRID, **broken})
+        Homotopy(**{**_GRID, **broken})
 
 
 def test_homotopy_of_no_rows_is_a_ragged_grid():
     with pytest.raises(ValueError, match="^ragged homotopy grid$"):
-        Homotopy(Circle(1.0), (), (0.0, 1.0), (), 1)
+        Homotopy.of_cells(Circle(1.0), (), (0.0, 1.0), (), 1)
+
+
+def test_of_cells_rejects_a_cell_above_its_cap():
+    """A homotopy records its cap without enforcing it; of_cells, which
+    takes outside Configurations, checks it."""
+    row = (configuration(C1, [0.25]), configuration(C1, [0.25, 0.5]), configuration(C1, [0.25]))
+    assert Homotopy.of_cells(C1, (0.0, 1.0), uniform_times(2), (row, row), 2).max_cardinality(0, 1) == 2
+    with pytest.raises(ValueError, match="^cell of size 2 exceeds cap 1$"):
+        Homotopy.of_cells(C1, (0.0, 1.0), uniform_times(2), (row, row), 1)
+    with pytest.raises(ValueError, match="^cell of size 2 exceeds cap 1$"):
+        Track.of_cells(C1, (0.0,), uniform_times(2), (row,), 1)
 
 
 def test_homotopy_certificate_fields():
@@ -657,7 +673,7 @@ def test_homotopy_certificate_fields():
     h = contract_circle_generator(1, resolution=(8, 16))
     report = check_continuity(h, math.inf)
     assert report.max_cardinality == 3
-    assert endpoint_drift(h.grid) == 0.0
+    assert endpoint_drift(h) == 0.0
     assert report.max_gap > 0.0
 
 
@@ -667,11 +683,11 @@ def test_stack_homotopies_checks_graph_seams():
     theta = MetricGraph(2, ((0, 1, 1.0), (0, 1, 1.2), (0, 1, 0.8)))
     times = uniform_times(4)
     row = tuple(configuration(theta, [GraphPoint(0, 0.25 + 0.125 * t), GraphPoint(2, 0.5)]) for t in times)
-    first = Homotopy(theta, (0.0, 1.0), times, (row, row), 2)
-    stacked = stack_homotopies([first, Homotopy(theta, (0.0, 1.0), times, (row, row), 2)])
+    first = Homotopy.of_cells(theta, (0.0, 1.0), times, (row, row), 2)
+    stacked = stack_homotopies([first, Homotopy.of_cells(theta, (0.0, 1.0), times, (row, row), 2)])
     assert stacked.rows == 3
     # edge 0 has length 1, so the t offset is the distance
     off = list(row)
     off[2] = configuration(theta, [GraphPoint(0, 0.3125 + 2 * LOOP_TOL), GraphPoint(2, 0.5)])
     with pytest.raises(EndpointMismatch):
-        stack_homotopies([first, Homotopy(theta, (0.0, 1.0), times, (tuple(off), row), 2)])
+        stack_homotopies([first, Homotopy.of_cells(theta, (0.0, 1.0), times, (tuple(off), row), 2)])
