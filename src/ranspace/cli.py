@@ -3,7 +3,8 @@ run the homology probe, and render JSON documents to SVG frames.
 
 Commands parse, call and report; EXIT_CODES alone turns an error into an
 exit code.  Exit codes: 0 success, 1 verification failure, 2 schema,
-input or size error, 3 ambiguous branching, 4 mode cap violation.
+input or size error (a simplex budget exceeded, or a MemoryError),
+3 ambiguous branching, 4 mode cap violation.
 """
 
 from __future__ import annotations
@@ -16,11 +17,15 @@ import click
 import numpy as np
 
 from .errors import AmbiguousBranching, ModeViolation, RanspaceError, SchemaError, SizeLimit
+# maxmin_subsample and sample_ran are unused here, but perfbench/tracer.py rebinds them here
 from .homology import (
     DEFAULT_SIMPLEX_BUDGET,
+    cloud_from_configs,
+    landmark_cloud,
     long_lived_h1_count,
     maxmin_subsample,
     rips_persistence_h1,
+    sample_configs,
     sample_ran,
 )
 # dump and homotopy_to_json are unused here, but perfbench/tracer.py rebinds them here
@@ -45,7 +50,7 @@ EXIT_CODES = (
     (AmbiguousBranching, 3, "ambiguous branching"),
     (ModeViolation, 4, "mode violation"),
     (SchemaError, 2, "schema error"),
-    (SizeLimit, 2, "size limit"),
+    ((SizeLimit, MemoryError), 2, "size limit"),
     ((RanspaceError, ValueError, OSError), 2, "input error"),
 )
 
@@ -97,9 +102,9 @@ def main():
     """Loop contraction and homology tooling for configuration spaces.
 
     Exit codes: 0 success; 1 verification or continuity-bound failure;
-    2 schema, parameter, file or size-budget error; 3 ambiguous branching
-    (no strand decomposition at the matching radius); 4 cardinality cap
-    violation.
+    2 schema, parameter, file or size-budget error, or out of memory;
+    3 ambiguous branching (no strand decomposition at the matching
+    radius); 4 cardinality cap violation.
     """
 
 
@@ -239,9 +244,9 @@ def cmd_homology(circumference, n, m, seed, max_scale, landmarks):
     """Sample configurations on the circle, run the persistence probe, and
     report the number of long-lived 1-cycles."""
     budget = int(os.environ.get("RAN_SIMPLEX_BUDGET", DEFAULT_SIMPLEX_BUDGET))
-    cloud = sample_ran(Circle(circumference), n=n, m=m, seed=seed)
-    if landmarks and landmarks < len(cloud):
-        cloud = maxmin_subsample(cloud, landmarks, seed=seed)
+    space = Circle(circumference)
+    cells = sample_configs(space, n=n, m=m, seed=seed)
+    cloud = landmark_cloud(space, cells, landmarks, seed=seed) if landmarks else cloud_from_configs(space, cells)
     pairs = rips_persistence_h1(cloud, max_scale=max_scale, budget=budget)
     count = long_lived_h1_count(pairs)
     lines = [f"{'dim':>3} {'birth':>12} {'death':>12} {'persistence':>12}"]

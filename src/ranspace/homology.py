@@ -10,7 +10,9 @@ matrix, not an embedding.
 
 Distance-matrix assembly and the filtration are vectorized; the reduction
 itself is single-threaded and fully deterministic (simplices ordered by
-filtration value, dimension, then vertex tuple).
+filtration value, dimension, then vertex tuple).  Farthest-point landmarks
+of sampled cells (``landmark_cloud``) compute only the distance rows the
+selection reads, so a large sample never needs its full matrix.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from .ran import _dedup_lists, _pad_lists, _slot_points, batch_hausdorff, dedup
 from .space import Space
 
 DEFAULT_SIMPLEX_BUDGET = 5_000_000
+# cell pairs one cloud_from_configs block hands batch_hausdorff, at most
+_CLOUD_PAIRS = 1 << 15
 # the prefix gap rule of long_lived_h1_count
 GAP_RATIO = 5.0
 
@@ -70,29 +74,56 @@ class PersistencePair:
 
 def cloud_from_configs(space: Space, cells) -> MetricCloud:
     """The cloud of cells, each a sequence of points on space, at their
-    pairwise Hausdorff distances, labelled by the cells."""
+    pairwise Hausdorff distances, labelled by the cells.
+
+    The upper triangle is filled in blocks of rows of at most _CLOUD_PAIRS
+    pairs (one row if it is longer), so that neither the pair indices nor
+    batch_hausdorff's temporaries grow with the square of the cell count.
+    """
     cells = tuple(cells)
     enc = _pad_lists(space, cells)
     m = len(cells)
-    iu, ju = np.triu_indices(m, k=1)
     dist = np.zeros((m, m))
-    if len(iu):
+    step = max(1, _CLOUD_PAIRS // max(m, 1))
+    for first in range(0, m - 1, step):
+        iu, ju = np.nonzero(np.arange(m) > np.arange(first, min(first + step, m))[:, None])
+        iu += first
         vals = batch_hausdorff(space, enc[iu], enc[ju])
         dist[iu, ju] = vals
         dist[ju, iu] = vals
     return MetricCloud(cells, dist)
 
 
-def sample_ran(space: Space, n: int, m: int, seed: int) -> MetricCloud:
+def sample_configs(space: Space, n: int, m: int, seed: int) -> tuple:
     """m configurations of size uniform in {1..n}, points uniform on the
-    space, deterministic in the seed; each labelled by its deduplicated
-    points, a tuple in canonical order."""
+    space, deterministic in the seed; each its deduplicated points, a
+    tuple in canonical order."""
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
     rng = np.random.default_rng(seed)
     point_lists = [[space.random_point(rng) for _ in range(int(rng.integers(1, n + 1)))] for _ in range(m)]
     kept, counts = _dedup_lists(space, point_lists, n)
-    return cloud_from_configs(space, [_slot_points(space, cell[:k]) for cell, k in zip(kept, counts.tolist())])
+    return tuple(_slot_points(space, cell[:k]) for cell, k in zip(kept, counts.tolist()))
+
+
+def sample_ran(space: Space, n: int, m: int, seed: int) -> MetricCloud:
+    """The cloud of sample_configs(space, n, m, seed), each configuration
+    labelled by its points."""
+    return cloud_from_configs(space, sample_configs(space, n, m, seed))
+
+
+def _farthest_points(row, m: int, k: int, seed: int) -> list:
+    """Farthest-point (maxmin) selection of k of m points, in index
+    order: the first uniform in the seed, each next one farthest from
+    those chosen.  row(i) is point i's distances to all m points, 0.0 at
+    i; it is read once for each chosen point but the last."""
+    rng = np.random.default_rng(seed)
+    chosen = [int(rng.integers(m))]
+    mind = np.full(m, np.inf)
+    while len(chosen) < k:
+        np.minimum(mind, row(chosen[-1]), out=mind)
+        chosen.append(int(np.argmax(mind)))
+    return sorted(chosen)
 
 
 def maxmin_subsample(cloud: MetricCloud, k: int, seed: int) -> MetricCloud:
@@ -102,16 +133,36 @@ def maxmin_subsample(cloud: MetricCloud, k: int, seed: int) -> MetricCloud:
         raise ValueError("need at least one landmark")
     if k >= m:
         return cloud
-    rng = np.random.default_rng(seed)
-    chosen = [int(rng.integers(m))]
-    mind = cloud.dist[chosen[0]].copy()
-    while len(chosen) < k:
-        nxt = int(np.argmax(mind))
-        chosen.append(nxt)
-        np.minimum(mind, cloud.dist[nxt], out=mind)
-    chosen.sort()
-    idx = np.asarray(chosen)
-    return MetricCloud(tuple(cloud.labels[i] for i in chosen), cloud.dist[np.ix_(idx, idx)])
+    idx = np.asarray(_farthest_points(lambda i: cloud.dist[i], m, k, seed))
+    return MetricCloud(tuple(cloud.labels[i] for i in idx.tolist()), cloud.dist[np.ix_(idx, idx)])
+
+
+def landmark_cloud(space: Space, cells, k: int, seed: int) -> MetricCloud:
+    """maxmin_subsample(cloud_from_configs(space, cells), k, seed), bit for
+    bit, without the full distance matrix: each landmark's distances to
+    all cells are one batch_hausdorff row, computed when the selection
+    reads it, and the landmarks' own cloud is built from their cells.
+
+    That is (k - 1) * len(cells) pairs plus the landmarks' own, and memory
+    linear in len(cells) plus one cloud_from_configs block.  The rows
+    match the matrix's because batch_hausdorff works pair by pair and is
+    symmetric bit for bit; a row's self-distance is set to the diagonal's
+    0.0.
+    """
+    cells = tuple(cells)
+    m = len(cells)
+    if k < 1:
+        raise ValueError("need at least one landmark")
+    if k >= m:
+        return cloud_from_configs(space, cells)
+    enc = _pad_lists(space, cells)
+
+    def row(i):
+        d = batch_hausdorff(space, enc[i : i + 1], enc)
+        d[i] = 0.0
+        return d
+
+    return cloud_from_configs(space, [cells[i] for i in _farthest_points(row, m, k, seed)])
 
 
 def count_simplices(cloud: MetricCloud, max_scale: float) -> int:
@@ -157,6 +208,16 @@ def _filtration(cloud: MetricCloud, max_scale: float):
     return edge_value, np.column_stack((iu, ju)), tri_value[order], faces
 
 
+def _cofaces(tri_faces: np.ndarray) -> np.ndarray:
+    """The triangles of tri_faces (face edge ranks, one row per triangle)
+    listed by face edge, then triangle: np.argsort(tri_faces.ravel(),
+    kind="stable") // 3, from one plain sort of the keys face * T +
+    triangle, which are unique since a triangle's faces differ."""
+    t = len(tri_faces)
+    keys = tri_faces * t + np.arange(t)[:, None]
+    return np.sort(keys.ravel()) % max(t, 1)
+
+
 def rips_persistence_h1(cloud: MetricCloud, max_scale: float, budget: int = DEFAULT_SIMPLEX_BUDGET):
     """Persistence pairs in dimensions 0 and 1 of the Rips filtration.
 
@@ -169,7 +230,7 @@ def rips_persistence_h1(cloud: MetricCloud, max_scale: float, budget: int = DEFA
     boundary-matrix reduction of the same total order.  Unpaired creators
     are reported with death +inf.  Raises SizeLimit when the implied
     simplex count exceeds the budget: the caller is expected to subsample
-    (see maxmin_subsample).
+    (see landmark_cloud).
     """
     if not max_scale > 0:
         raise ValueError("max_scale must be positive")
@@ -200,9 +261,8 @@ def rips_persistence_h1(cloud: MetricCloud, max_scale: float, budget: int = DEFA
     # coboundary of edge r: the triangles cof[start[r]:start[r + 1]], ascending;
     # as a column it is a bitmask with triangle t at bit top - t, so its
     # pivot, the earliest triangle, is the highest set bit
-    faces = tri_faces.ravel()
-    cof = np.argsort(faces, kind="stable") // 3
-    start = np.concatenate(([0], np.cumsum(np.bincount(faces, minlength=len(edge_value))))).tolist()
+    cof = _cofaces(tri_faces)
+    start = np.concatenate(([0], np.cumsum(np.bincount(tri_faces.ravel(), minlength=len(edge_value))))).tolist()
     top = len(tri_value) - 1
 
     def coboundary(r):

@@ -229,7 +229,10 @@ def track_to_json(track: Track) -> dict:
 
 def track_from_json(doc) -> Track:
     """The track of a document's one row of cells, none above the cap; a
-    declared "loop" must close."""
+    declared "loop" must close.  A document with cells or s_grid is a
+    homotopy, even with one row and a kind, and no track."""
+    if "cells" in doc or "s_grid" in doc:
+        raise SchemaError("bad track document: cells and s_grid belong to homotopy documents")
     h = grid_from_json(doc)
     try:
         return _capped(Track(h.space, h.cap, h.s_grid, h.t_grid, h.enc, h.counts)).declared(doc["kind"])

@@ -264,10 +264,12 @@ def test_contract_reads_a_closed_track_declared_a_path_as_a_loop(tmp_path):
 @pytest.mark.parametrize("make_doc, reason", [
     (lambda: _one_turn_doc(kind="loop", configs=_one_turn_doc()["configs"][:-1] + [[0.6]]), "loop fails to close: gap 0.5"),
     (lambda: _one_turn_doc(kind="ring"), "kind must be 'path' or 'loop'"),
-    (lambda: {**_constant_doc(C1, 0.25), "kind": "loop"}, "a track is one row of cells, not 3"),
+    (lambda: {**_constant_doc(C1, 0.25), "kind": "loop"}, "cells and s_grid belong to homotopy documents"),
+    (lambda: {**homotopy_to_json(track_from_json(_one_turn_doc())), "kind": "loop"},
+     "cells and s_grid belong to homotopy documents"),
     (lambda: _one_turn_doc(configs=[[0.1, 0.6] if k == 16 else c for k, c in enumerate(_one_turn_doc()["configs"])]),
      "cell of size 2 exceeds cap 1"),
-], ids=["open-loop", "ring", "homotopy", "over-cap"])
+], ids=["open-loop", "ring", "homotopy", "one-row-homotopy", "over-cap"])
 def test_contract_rejects_a_document_that_is_not_a_track_of_its_kind(tmp_path, make_doc, reason):
     """A declared loop must close, a kind is "path" or "loop", a homotopy
     document is no track, even with a kind, and no cell may exceed the
@@ -425,6 +427,48 @@ def test_homology_size_limit_exit_two(tmp_path):
         capture_output=True, text=True, env=env,
     )
     assert res.returncode == 2
+
+
+def test_homology_out_of_memory_exits_two(monkeypatch):
+    """A MemoryError is a size limit: exit 2 and one stderr line, no
+    traceback."""
+    from ranspace import cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.98 GiB for an array with shape (20000, 20000)")
+
+    monkeypatch.setattr(cli, "landmark_cloud", exhausted)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr), pytest.raises(SystemExit) as exit_info:
+        cli.main(["homology", "--n", "2", "--m", "30", "--max-scale", "0.2", "--landmarks", "10"], standalone_mode=False)
+        sys.exit(0)
+    assert exit_info.value.code == 2
+    assert stderr.getvalue() == "size limit: Unable to allocate 2.98 GiB for an array with shape (20000, 20000)\n"
+    assert stdout.getvalue() == ""
+
+
+def _limit_address_space():
+    """Run in the child before exec: cap its address space at 2 GB."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+
+
+@pytest.mark.parametrize("extra, code", [((), 0), (("--landmarks", "0"), 2)], ids=["landmarks", "full-cloud"])
+def test_homology_of_a_large_sample_under_a_memory_limit(extra, code):
+    """m = 20000 under a 2 GB address-space limit: the landmarks need
+    memory in K * m, not m * m, and run; the full 20000 x 20000 matrix
+    (3.2 GB) cannot be allocated, which is a size limit, exit 2."""
+    res = subprocess.run(
+        [sys.executable, "-m", "ranspace.cli", "homology", "--n", "2", "--m", "20000", "--max-scale", "0.2", *extra],
+        capture_output=True, text=True, preexec_fn=_limit_address_space,
+    )
+    assert res.returncode == code, res.stderr
+    if code:
+        assert res.stderr.startswith("size limit: ") and len(res.stderr.splitlines()) == 1, res.stderr
+        assert res.stdout == ""
+    else:
+        assert res.stdout.splitlines()[-1].startswith("long-lived H1 classes: ")
 
 
 def test_contract_bound_failure_exit_one(tmp_path):

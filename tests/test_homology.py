@@ -3,21 +3,28 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import naive_pairs
+from oracles import naive_pairs, oracle_hausdorff, oracle_metric
+from ranspace import homology
 from ranspace.errors import SizeLimit
 from ranspace.homology import (
     MetricCloud,
     PersistencePair,
+    _cofaces,
+    _filtration,
     cloud_from_configs,
     count_simplices,
+    landmark_cloud,
     long_lived_h1_count,
     maxmin_subsample,
     rips_persistence_h1,
+    sample_configs,
     sample_ran,
 )
 from ranspace.ran import configuration
-from ranspace.space import Circle, MetricGraph
+from ranspace.space import Circle, Interval, MetricGraph
 
 
 def as_tuples(pairs):
@@ -201,3 +208,71 @@ def test_long_lived_count_rules():
     assert long_lived_h1_count(mk([0.05, 0.04])) == 0
     assert long_lived_h1_count(mk([0.3])) == 1
     assert long_lived_h1_count([PersistencePair(0.1, math.inf, 1)]) == 1
+
+
+THETA = MetricGraph(2, ((0, 1, 1.0), (0, 1, 1.2), (0, 1, 0.8)))
+
+
+@st.composite
+def _sampled_cells(draw):
+    """(space, cells): cells drawn with repetition from a small sample of
+    configurations of at most 4 points, so duplicate cells are common."""
+    space = draw(st.sampled_from([C1, Interval(1.0), THETA]))
+    pool = sample_configs(space, n=draw(st.integers(1, 4)), m=draw(st.integers(1, 12)), seed=draw(st.integers(0, 2**16)))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=30))
+    return space, tuple(pool[i] for i in picks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sampled_cells(), st.data())
+def test_landmark_cloud_is_maxmin_subsample_of_the_full_cloud(case, data):
+    """The landmark rows computed on demand select the landmarks and give
+    the distances that the full matrix does, bit for bit: k = 1, k < m and
+    k >= m, with duplicate cells, on the circle, the interval and the
+    theta graph."""
+    space, cells = case
+    m = len(cells)
+    k = data.draw(st.sampled_from([1, m, m + 1]) | st.integers(1, m))
+    seed = data.draw(st.integers(0, 2**16))
+    got = landmark_cloud(space, cells, k, seed)
+    want = maxmin_subsample(cloud_from_configs(space, cells), k, seed)
+    assert got.labels == want.labels
+    assert np.array_equal(got.dist.view(np.int64), want.dist.view(np.int64))
+
+
+def test_landmark_cloud_of_a_sample_is_maxmin_subsample_of_sample_ran():
+    for space, n, m, k in ((C1, 2, 250, 48), (THETA, 3, 80, 20)):
+        got = landmark_cloud(space, sample_configs(space, n, m, seed=3), k, seed=3)
+        want = maxmin_subsample(sample_ran(space, n, m, seed=3), k, seed=3)
+        assert got.labels == want.labels
+        assert np.array_equal(got.dist.view(np.int64), want.dist.view(np.int64))
+    with pytest.raises(ValueError, match="at least one landmark"):
+        landmark_cloud(C1, sample_configs(C1, 1, 5, seed=0), 0, seed=0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sampled_cells(), st.data())
+def test_blocked_cloud_matches_the_oracle_pair_by_pair(case, data):
+    """cloud_from_configs in blocks of a few pairs (several blocks, the last
+    one ragged) gives each pair the oracle Hausdorff distance exactly."""
+    space, cells = case
+    m = len(cells)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "_CLOUD_PAIRS", data.draw(st.integers(1, 4 * m)))
+        dist = cloud_from_configs(space, cells).dist
+    metric = oracle_metric(space)
+    for i, j in combinations(range(m), 2):
+        assert dist[i, j] == dist[j, i] == oracle_hausdorff(metric, cells[i], cells[j])
+    assert not np.diag(dist).any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 40), st.floats(1e-6, 0.5), st.integers(0, 2**16))
+@example(1, 0.3, 0)
+@example(2, 0.5, 0)
+def test_coboundary_key_sort_is_the_stable_argsort(m, scale, seed):
+    """One plain sort of face * T + triangle lists each edge's cofaces in
+    the order of the stable argsort of the faces, also at T = 0 (as with
+    two points) and m = 1."""
+    tri_faces = _filtration(sample_ran(C1, n=3, m=m, seed=seed), scale)[3]
+    assert np.array_equal(_cofaces(tri_faces), np.argsort(tri_faces.ravel(), kind="stable") // 3)
