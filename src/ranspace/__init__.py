@@ -24,7 +24,6 @@ from .homology import (
     sample_ran,
 )
 from .moves import (
-    ContractionCertificate,
     Inclusion,
     PipelineMode,
     SimplyConnected,
@@ -39,9 +38,11 @@ from .ran import Configuration, configuration, dedup, hausdorff, union
 from .space import Circle, GraphPoint, Interval, MetricGraph, Space, distance, geodesic
 from .tracks import (
     ContinuityReport,
+    ContractionCertificate,
     Homotopy,
     StrandBundle,
     Track,
+    certify,
     check_continuity,
     concatenate,
     conjugate,

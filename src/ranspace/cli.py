@@ -43,7 +43,8 @@ from .moves import Inclusion, SimplyConnected, contract_pipeline
 from .ran import batch_hausdorff
 from .space import Circle, GraphPoint, MetricGraph
 from .svg import render_homotopy, render_track
-from .tracks import LOOP_TOL, Homotopy, check_continuity, endpoint_drift, first_gap_over, within_bound
+# check_continuity is unused here, but perfbench/tracer.py rebinds it here
+from .tracks import LOOP_TOL, certify, check_continuity, first_gap_over, runs_from_0_to_1, within_bound
 
 # (exception types, exit code, stderr label): the first row that matches decides
 EXIT_CODES = (
@@ -143,20 +144,16 @@ def cmd_contract(input_path, mode, cap, basepoint, resolution, out, svg_dir, bou
         sys.exit(1)
 
 
-def _stage_mismatch(stages: list, h: Homotopy) -> str | None:
-    """The first stage whose row range or max cardinality the cells do not
-    bear out; stages must chain, each starting on the row the last ended
-    on, from row 0 to the last row."""
-    row, rows = 0, h.rows
-    for i, (name, first, last, card) in enumerate(stages):
+def _stage_mismatch(stages: list, rows: int) -> str | None:
+    """The first stage that breaks the chain of row ranges: stages must
+    chain, each starting on the row the last ended on, from row 0 to the
+    last of the rows."""
+    row = 0
+    for i, (name, first, last, _) in enumerate(stages):
         if first != row or not first <= last < rows:
             return f"stages[{i}] ({name}) row range"
-        if card != h.max_cardinality(first, last):
-            return f"stages[{i}] ({name}) max cardinality"
         row = last
-    if row != rows - 1:
-        return "stages row range"
-    return None
+    return None if row == rows - 1 else "stages row range"
 
 
 def _pair(row: int, col: int, way: str) -> str:
@@ -168,8 +165,9 @@ def _pair(row: int, col: int, way: str) -> str:
 @click.argument("homotopy_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--bound", type=float, default=math.inf, help="Continuity modulus to enforce.")
 def cmd_verify(homotopy_path, bound):
-    """Recompute a homotopy certificate from its cells and check it; every
-    row must be a closed loop and the last row one constant point."""
+    """Recompute a homotopy certificate from its cells with tracks.certify
+    and check it; every row must be a closed loop, the last row one
+    constant point, and the s grid must run from 0 to 1."""
     _check_bound(bound)
     with open(homotopy_path) as fp:
         doc = load(fp)
@@ -178,59 +176,51 @@ def cmd_verify(homotopy_path, bound):
     h = grid_from_json(doc)
     stored = certificate_from_json(doc)
     del doc  # the parsed lists outweigh the cell arrays: free them before the kernels run
-    report = check_continuity(h, bound)
-    ok = True
-    rows, cols = h.counts.shape
-    _echo(
-        f"cells {rows}x{cols}; max cardinality "
-        f"{report.max_cardinality} (cap {h.cap}); max gap {report.max_gap:.6g}"
-    )
-    if report.max_cardinality > h.cap:
+    stages = None if stored is None else stored.get("stages")
+    unchained = None if stages is None else _stage_mismatch(stages, h.rows)
+    cert = certify(h, [] if unchained else [stage[:3] for stage in stages or []])
+    _echo(f"cells {h.rows}x{len(h.t_grid)}; max cardinality {cert.max_cardinality} (cap {h.cap}); max gap {cert.max_gap:.6g}")
+    fails = []
+    if cert.max_cardinality > h.cap:
         row, col = np.argwhere(h.counts > h.cap)[0]
-        _echo(f"FAIL: cardinality exceeds declared cap (first cell over it: row {row}, column {col})", err=True)
-        ok = False
-    if not report.passed:
-        _echo(f"FAIL: max gap {report.max_gap:.6g} exceeds bound * grid step "
-              f"(first pair over it: {_pair(*first_gap_over(h, bound * max(report.ds, report.dt)))})", err=True)
-        ok = False
+        fails.append(f"cardinality exceeds declared cap (first cell over it: row {row}, column {col})")
+    if not within_bound(cert.max_gap, cert.ds, cert.dt, bound):
+        fails.append(f"max gap {cert.max_gap:.6g} exceeds bound * grid step "
+                     f"(first pair over it: {_pair(*first_gap_over(h, bound * max(cert.ds, cert.dt)))})")
     last = h.enc[-1]
     stray = np.flatnonzero((h.counts[-1] != 1) | (batch_hausdorff(h.space, last, last[:1, :1]) > LOOP_TOL))
     if len(stray):
-        _echo(f"FAIL: last row is not one constant point (first stray cell at column {stray[0]})", err=True)
-        ok = False
+        fails.append(f"last row is not one constant point (first stray cell at column {stray[0]})")
     open_rows = np.flatnonzero(batch_hausdorff(h.space, h.enc[:, 0], h.enc[:, -1]) > LOOP_TOL)
     if len(open_rows):
-        _echo(f"FAIL: row {open_rows[0]} is not a closed loop (its first and last cells differ)", err=True)
-        ok = False
+        fails.append(f"row {open_rows[0]} is not a closed loop (its first and last cells differ)")
     if stored is not None:
         if stored.get("max_cardinality") is None:
-            _echo("FAIL: stored certificate has no max_cardinality", err=True)
-            ok = False
-        elif stored["max_cardinality"] != report.max_cardinality:
-            row, col = np.argwhere(h.counts == report.max_cardinality)[0]
-            _echo(f"FAIL: stored certificate cardinality does not match cells "
-                  f"(first cell at its recomputed value: row {row}, column {col})", err=True)
-            ok = False
-        if stored.get("declared_cap") not in (None, h.cap):
-            _echo("FAIL: stored certificate declared_cap does not match cap", err=True)
-            ok = False
-        for key, label, recomputed in (
-            ("max_gap", "gap", report.max_gap), ("ds", "ds", report.ds), ("dt", "dt", report.dt),
-            ("lipschitz", "lipschitz", report.lipschitz), ("endpoint_drift", "endpoint_drift", endpoint_drift(h)),
-        ):
+            fails.append("stored certificate has no max_cardinality")
+        elif stored["max_cardinality"] != cert.max_cardinality:
+            row, col = np.argwhere(h.counts == cert.max_cardinality)[0]
+            fails.append(f"stored certificate cardinality does not match cells "
+                         f"(first cell at its recomputed value: row {row}, column {col})")
+        if stored.get("declared_cap") not in (None, cert.declared_cap):
+            fails.append("stored certificate declared_cap does not match cap")
+        # every float certify recomputes (target_constancy needs the
+        # basepoint and reads None); not <= rather than >, so a NaN fails
+        for key, recomputed in cert.as_dict().items():
             value = stored.get(key)
-            # not <= rather than >, so that a NaN value fails
-            if value is not None and not abs(value - recomputed) <= 1e-9:
+            if type(recomputed) is float and value is not None and not abs(value - recomputed) <= 1e-9:
                 where = (f" (first pair at its recomputed value: {_pair(*first_gap_over(h, np.nextafter(recomputed, -np.inf)))})"
                          if key == "max_gap" else "")
-                _echo(f"FAIL: stored certificate {label} does not match cells{where}", err=True)
-                ok = False
-        mismatch = None if stored.get("stages") is None else _stage_mismatch(stored["stages"], h)
+                fails.append(f"stored certificate {'gap' if key == 'max_gap' else key} does not match cells{where}")
+        mismatch = unchained or next((f"stages[{i}] ({name}) max cardinality"
+                                      for i, (name, _, _, card) in enumerate(cert.stages) if stages[i][3] != card), None)
         if mismatch is not None:
-            _echo(f"FAIL: stored certificate {mismatch} does not match cells", err=True)
-            ok = False
-    _echo("PASS" if ok else "FAIL")
-    sys.exit(0 if ok else 1)
+            fails.append(f"stored certificate {mismatch} does not match cells")
+    if h.rows > 1 and not runs_from_0_to_1(h.s_grid):
+        fails.append("deformation grid runs from {!r} to {!r}, not from 0 to 1".format(*h.s_grid[[0, -1]].tolist()))
+    for line in fails:
+        _echo(f"FAIL: {line}", err=True)
+    _echo("FAIL" if fails else "PASS")
+    sys.exit(1 if fails else 0)
 
 
 @main.command("homology")
@@ -265,6 +255,8 @@ def cmd_homology(circumference, n, m, seed, max_scale, landmarks):
 @click.option("--basepoint", default=None, help="Mark this point in every frame.")
 def cmd_convert(input_path, out_dir, stride, basepoint):
     """Render a track or homotopy JSON document to SVG frames."""
+    if stride < 1:
+        raise ValueError("stride must be positive")
     with open(input_path) as fp:
         doc = load(fp)
     if "cells" in doc:

@@ -11,8 +11,9 @@ document into a ``Homotopy`` of canonical points with vectorized schema
 checks; non-finite coordinates and grid values are schema errors.  The
 homotopy records the declared cap; ``track_from_json`` and
 ``homotopy_from_json`` reject a cell above it, while ``verify`` reads the
-decoder's homotopy and reports such a cell.  ``certificate_from_json``
-owns the certificate's schema.
+decoder's homotopy and reports such a cell.  ``tracks`` owns the
+certificate; ``certificate_from_json`` types a stored one by the fields
+of ``tracks.ContractionCertificate``.
 
 ``homotopy_to_json`` builds its cell tree, and ``load`` parses a document,
 with the cyclic garbage collector paused (``_collector_paused``): these
@@ -24,6 +25,7 @@ and on error.  That state is process-wide: a ``gc.enable()`` or
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 from contextlib import contextmanager
@@ -35,7 +37,7 @@ import numpy as np
 from .errors import InvalidPoint, RanspaceError, SchemaError
 from .ran import _pad
 from .space import Circle, GraphPoint, Interval, MetricGraph, Space
-from .tracks import Homotopy, Track
+from .tracks import ContractionCertificate, Homotopy, Track
 
 
 @contextmanager
@@ -68,11 +70,14 @@ def space_to_json(space: Space) -> dict:
     }
 
 
-def _scalar(value, what: str, integer: bool = False):
-    """value if a JSON integer, or unless integer a JSON number; a boolean
-    is neither.  Else SchemaError."""
-    if type(value) not in ((int,) if integer else (int, float)):
-        raise SchemaError(f"{what} must be {'an integer' if integer else 'a number'}")
+# each scalar kind an annotation names: the types it loads as (a boolean is none), and its name
+_SCALARS = {"int": ((int,), "an integer"), "float": ((int, float), "a number"), "str": ((str,), "a string")}
+
+
+def _scalar(value, what: str, kind: str = "float"):
+    """value if a JSON scalar of the kind, one of _SCALARS; else SchemaError."""
+    if type(value) not in _SCALARS[kind][0]:
+        raise SchemaError(f"{what} must be {_SCALARS[kind][1]}")
     return value
 
 
@@ -84,9 +89,9 @@ def space_from_json(doc) -> Space:
         if kind == "interval":
             return Interval(float(_scalar(doc["length"], "length")))
         if kind == "graph":
-            edges = tuple((_scalar(u, "edge endpoint", integer=True), _scalar(v, "edge endpoint", integer=True),
+            edges = tuple((_scalar(u, "edge endpoint", "int"), _scalar(v, "edge endpoint", "int"),
                            float(_scalar(l, "edge length"))) for u, v, l in doc["edges"])
-            return MetricGraph(_scalar(doc["vertices"], "vertex count", integer=True), edges)
+            return MetricGraph(_scalar(doc["vertices"], "vertex count", "int"), edges)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad space document: {exc}") from exc
     raise SchemaError(f"unknown space kind {doc.get('kind')!r}")
@@ -143,7 +148,7 @@ def grid_from_json(doc) -> Homotopy:
     """
     try:
         space = space_from_json(doc["space"])
-        cap = _scalar(doc["cap"], "cap", integer=True)
+        cap = _scalar(doc["cap"], "cap", "int")
         if "cells" in doc:
             s_grid, times, rows = _numbers(doc["s_grid"], "s_grid"), doc["t_grid"], doc["cells"]
         else:
@@ -185,21 +190,22 @@ def grid_from_json(doc) -> Homotopy:
 def certificate_from_json(doc) -> dict | None:
     """The document's certificate, or None when it has none.
 
-    A stored number may be null or absent; otherwise it is a JSON number,
-    not a boolean, and max_cardinality and declared_cap integers.  stages,
-    if stored, are [name, first row, last row, max cardinality] lists of a
-    string and three integers.  Any breach is a SchemaError.  A null or
-    absent max_cardinality reads, but verify fails such a certificate: it
-    certifies nothing about the cells' cardinality.
+    A stored field of ContractionCertificate may be null or absent;
+    otherwise it is a JSON scalar of the kind its annotation names (see
+    _SCALARS), and stages are [name, first row, last row, max cardinality]
+    lists of a string and three integers.  Any breach is a SchemaError.  A
+    null or absent max_cardinality reads, but verify fails such a
+    certificate: it certifies nothing about the cells' cardinality.
     """
     certificate = doc.get("certificate")
     if certificate is None:
         return None
     if not isinstance(certificate, dict):
         raise SchemaError("certificate must be an object")
-    for key in ("max_cardinality", "declared_cap", "max_gap", "ds", "dt", "lipschitz", "endpoint_drift"):
-        if certificate.get(key) is not None:
-            _scalar(certificate[key], f"certificate {key}", integer=key in ("max_cardinality", "declared_cap"))
+    for field in dataclasses.fields(ContractionCertificate):
+        kind = field.type.removesuffix(" | None")
+        if kind in _SCALARS and certificate.get(field.name) is not None:
+            _scalar(certificate[field.name], f"certificate {field.name}", kind)
     stages = certificate.get("stages")
     if stages is not None and not (isinstance(stages, (list, tuple)) and all(
         isinstance(st, (list, tuple)) and len(st) == 4 and isinstance(st[0], str) and all(type(v) is int for v in st[1:])

@@ -19,7 +19,8 @@ The pieces, bottom up:
   arbitrary based loop, contracting the loop's singleton track.
 * ``contract_pipeline``: the composite normalize -> staircase (with
   multi-turn circle strands split into one-turn factors) -> sequential
-  per-window pushforward contractions, with a machine-checked certificate.
+  per-window pushforward contractions, with the certificate
+  ``tracks.certify`` reads from the stacked grid.
 
 During a per-window contraction every other strand is frozen at the
 basepoint, so the frozen strands contribute the single point b and the
@@ -32,7 +33,6 @@ may be evaluated concurrently without changing any value.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -47,7 +47,7 @@ from .errors import (
     UnsupportedDegree,
 )
 # dedup and hausdorff are unused here, but perfbench/tracer.py rebinds them here
-from .ran import _pad_lists, _padding, _slot_points, batch_hausdorff, dedup, dedup_many, hausdorff
+from .ran import _padding, _slot_points, dedup, dedup_many, hausdorff
 from .space import Circle, Point, Space
 from .tracks import (
     LOOP_TOL,
@@ -55,10 +55,11 @@ from .tracks import (
     StrandBundle,
     StrandInterpolator,
     Track,
+    ContractionCertificate,
     _distances,
+    certify,
     check_continuity,
     circle_lift,
-    endpoint_drift,
     nearest_sample,
     project,
     stack_homotopies,
@@ -69,7 +70,7 @@ from .tracks import (
 # the circle the one-turn contraction is drawn on, in unit parameter
 _UNIT = Circle(1.0)
 
-# -- modes and certificates ---------------------------------------------------
+# -- modes --------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -103,24 +104,6 @@ class SimplyConnected:
 
 
 PipelineMode = Union[Inclusion, SimplyConnected]
-
-
-@dataclass(frozen=True)
-class ContractionCertificate:
-    max_cardinality: int
-    declared_cap: int
-    max_gap: float
-    ds: float
-    dt: float
-    lipschitz: float
-    endpoint_drift: float
-    target_constancy: float
-    source: str
-    target: str
-    stages: tuple  # of (name, first row, last row, stage max cardinality)
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 # -- strand extraction --------------------------------------------------------
@@ -569,29 +552,7 @@ def contract_pipeline(
         blocks.append(_slots_block(space, grid, declared, np.concatenate([seen, moving], axis=2)))
 
     homotopy = stack_homotopies(blocks)
-    return homotopy, _certify(homotopy, declared, b, blocks)
+    names = ["normalize", "staircase"] + [f"contract-window-{i}" for i in range(len(windows))]
+    rows = np.cumsum([0] + [block.rows - 1 for block in blocks]).tolist()
+    return homotopy, certify(homotopy, zip(names, rows, rows[1:]), b)
 
-
-def _certify(homotopy: Homotopy, declared: int, b: Point, blocks: list) -> ContractionCertificate:
-    report = check_continuity(homotopy, math.inf)
-    target_constancy = float(batch_hausdorff(homotopy.space, homotopy.enc[-1], _pad_lists(homotopy.space, [[b]])).max())
-    names = ["normalize", "staircase"] + [f"contract-window-{i}" for i in range(len(blocks) - 2)]
-    stages = []
-    row = 0
-    for name, block in zip(names, blocks):
-        last = row + block.rows - 1
-        stages.append((name, row, last, homotopy.max_cardinality(row, last)))
-        row = last
-    return ContractionCertificate(
-        max_cardinality=report.max_cardinality,
-        declared_cap=declared,
-        max_gap=report.max_gap,
-        ds=report.ds,
-        dt=report.dt,
-        lipschitz=report.lipschitz,
-        endpoint_drift=endpoint_drift(homotopy),
-        target_constancy=target_constancy,
-        source="input loop resampled",
-        target="constant basepoint configuration",
-        stages=tuple(stages),
-    )

@@ -104,9 +104,7 @@ def _write_frames(space: Space, out_dir: str, basepoint, rows, dots) -> list:
 
 
 def render_track(track: Track, out_dir: str, basepoint=None, stride: int = 1) -> list:
-    """One frame per sampled time (honoring the stride)."""
-    if stride < 1:
-        raise ValueError("stride must be positive")
+    """One frame for every stride-th sampled time; stride must be positive."""
 
     def dots(cells):
         return [f'<circle cx="{x:.2f}" cy="{y:.2f}" r="6" fill="#136"/>' for x, y in cells[0]]

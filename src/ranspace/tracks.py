@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -55,11 +56,16 @@ def nearest_sample(times: Sequence[float], t: np.ndarray) -> np.ndarray:
     return np.where(t - times[k - 1] <= times[k] - t, k - 1, k)
 
 
+def runs_from_0_to_1(times) -> bool:
+    """A grid's first time is 0 and its last 1, each within 1e-12."""
+    return abs(times[0]) <= 1e-12 and abs(times[-1] - 1.0) <= 1e-12
+
+
 def _validate_times(times: Sequence[float]) -> tuple:
     times = tuple(float(t) for t in times)
     if len(times) < 2:
         raise ValueError("need at least two grid times")
-    if abs(times[0]) > 1e-12 or abs(times[-1] - 1.0) > 1e-12:
+    if not runs_from_0_to_1(times):
         raise ValueError("time grid must run from 0 to 1")
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("time grid must be strictly increasing")
@@ -218,6 +224,41 @@ def endpoint_drift(h: Homotopy) -> float:
     Hausdorff distance of a cell there from row 0's cell."""
     ends = h.enc[:, [0, -1]]
     return float(batch_hausdorff(h.space, ends, ends[:1]).max())
+
+
+@dataclass(frozen=True)
+class ContractionCertificate:
+    """What a contraction claims of its grid; io types a stored one by these annotations."""
+
+    max_cardinality: int
+    declared_cap: int
+    max_gap: float
+    ds: float
+    dt: float
+    lipschitz: float
+    endpoint_drift: float
+    target_constancy: float | None
+    source: str
+    target: str
+    stages: tuple  # of (name, first row, last row, stage max cardinality)
+
+    def as_dict(self) -> dict:
+        return dataclasses.asdict(self)
+
+
+def certify(h: Homotopy, stages: Sequence[tuple], b: Point | None = None) -> ContractionCertificate:
+    """The certificate of h, from its cells: check_continuity at no bound,
+    endpoint_drift, h's cap as the declared cap, and each (name, first
+    row, last row) stage with the largest cell of its rows.  Its
+    target_constancy is the largest distance of a last-row cell from {b},
+    None without b."""
+    report = check_continuity(h, math.inf)
+    constancy = None if b is None else float(batch_hausdorff(h.space, h.enc[-1], _pad_lists(h.space, [[b]])).max())
+    return ContractionCertificate(
+        report.max_cardinality, h.cap, report.max_gap, report.ds, report.dt, report.lipschitz, endpoint_drift(h),
+        constancy, "input loop resampled", "constant basepoint configuration",
+        tuple((name, first, last, h.max_cardinality(first, last)) for name, first, last in stages),
+    )
 
 
 def _gap_blocks(space: Space, enc: np.ndarray, cells: int = 1 << 15):

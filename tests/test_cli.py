@@ -1,5 +1,6 @@
 """End-to-end CLI checks: exit codes, round trips, determinism, SVG."""
 
+import dataclasses
 import io
 import json
 import math
@@ -23,7 +24,7 @@ from ranspace.io import (
 )
 from ranspace.moves import Inclusion, contract_circle_generator, contract_pipeline
 from ranspace.space import Circle, GraphPoint, Interval, MetricGraph
-from ranspace.tracks import Homotopy, StrandBundle, make_track, project, uniform_times
+from ranspace.tracks import ContractionCertificate, Homotopy, StrandBundle, make_track, project, uniform_times
 
 C1 = Circle(1.0)
 
@@ -570,6 +571,10 @@ def _convert(*extra):
     return args
 
 
+def _convert_homotopy(*extra):
+    return lambda tmp: ["convert", _verify_with_certificate(None)(tmp)[1], tmp / "frames", *extra]
+
+
 def _convert_not_an_object(tmp):
     src = tmp / "number.json"
     src.write_text("5")
@@ -595,7 +600,13 @@ def _convert_not_an_object(tmp):
         (_verify_with_certificate({"max_cardinality": 1, "max_gap": True}), {}),
         (_verify_with_certificate({"max_cardinality": 1, "ds": False}), {}),
         (_verify_with_certificate({"max_cardinality": 1, "declared_cap": "x"}), {}),
+        (_verify_with_certificate({"max_cardinality": 1, "target_constancy": "abc"}), {}),
+        (_verify_with_certificate({"max_cardinality": 1, "target_constancy": [1]}), {}),
+        (_verify_with_certificate({"max_cardinality": 1, "source": 5}), {}),
+        (_verify_with_certificate({"max_cardinality": 1, "target": True}), {}),
         (_convert("--stride", 0), {}),
+        (_convert_homotopy("--stride", 0), {}),
+        (_convert_homotopy("--stride", -1), {}),
         (_homology("--n", 1, "--max-scale", "nan"), {}),
         (_contract("--cap", 1, "--matching-radius", "nan"), {}),
         (_contract("--cap", 1, "--matching-radius", "inf"), {}),
@@ -624,7 +635,9 @@ def _convert_not_an_object(tmp):
         "verify-certificate-list", "verify-certificate-string-gap", "verify-certificate-string-drift",
         "verify-certificate-string-cardinality", "verify-certificate-list-cardinality",
         "verify-certificate-boolean-gap", "verify-certificate-boolean-ds", "verify-certificate-string-declared-cap",
-        "convert-stride-zero",
+        "verify-certificate-string-constancy", "verify-certificate-list-constancy", "verify-certificate-number-source",
+        "verify-certificate-boolean-target",
+        "convert-stride-zero", "convert-homotopy-stride-zero", "convert-homotopy-stride-negative",
         "homology-max-scale-nan", "contract-matching-radius-nan",
         "contract-matching-radius-inf", "contract-matching-radius-zero",
         "contract-matching-radius-negative", "homology-circumference-inf",
@@ -845,7 +858,8 @@ def contracted(tmp_path_factory):
     return tmp / "h.json"
 
 
-@pytest.mark.parametrize("field, change, named", [
+# one mutation of a contract output's certificate per case: (field, change, the first FAIL line it names)
+CERTIFICATE_MUTATIONS = [
     ("ds", lambda c: c.update(ds=2 * c["ds"]), "FAIL: stored certificate ds does not match cells"),
     ("dt", lambda c: c.update(dt=c["dt"] / 2), "FAIL: stored certificate dt does not match cells"),
     ("lipschitz", lambda c: c.update(lipschitz=c["lipschitz"] + 1.0), "FAIL: stored certificate lipschitz does not match cells"),
@@ -865,7 +879,22 @@ def contracted(tmp_path_factory):
     ("declared_cap", lambda c: c.update(declared_cap=1), "FAIL: stored certificate declared_cap does not match cap"),
     ("max_cardinality-null", lambda c: c.update(max_cardinality=None), "FAIL: stored certificate has no max_cardinality"),
     ("max_cardinality-absent", lambda c: c.pop("max_cardinality"), "FAIL: stored certificate has no max_cardinality"),
-])
+    ("max_gap", lambda c: c.update(max_gap=c["max_gap"] + 1e-6), "FAIL: stored certificate gap does not match cells"),
+    ("max_cardinality", lambda c: c.update(max_cardinality=c["max_cardinality"] + 1),
+     "FAIL: stored certificate cardinality does not match cells"),
+]
+
+
+def test_every_numeric_certificate_field_has_a_mutation_case():
+    """verify recomputes every number of the certificate but
+    target_constancy, which needs the basepoint the document does not
+    store: a numeric field added to ContractionCertificate needs a case."""
+    numeric = {f.name for f in dataclasses.fields(ContractionCertificate) if f.type.removesuffix(" | None") in ("int", "float")}
+    assert "target_constancy" in numeric
+    assert numeric - {"target_constancy"} <= {field for field, _, _ in CERTIFICATE_MUTATIONS}
+
+
+@pytest.mark.parametrize("field, change, named", CERTIFICATE_MUTATIONS)
 def test_verify_checks_every_recomputable_certificate_field(tmp_path, contracted, field, change, named):
     doc = json.loads(contracted.read_text())
     change(doc["certificate"])
@@ -873,6 +902,22 @@ def test_verify_checks_every_recomputable_certificate_field(tmp_path, contracted
     assert res.returncode == 1, res.stderr
     assert res.stderr.startswith(named), res.stderr
     assert res.stdout.splitlines()[-1] == "FAIL"
+
+
+@pytest.mark.parametrize("scale, code", [(1.0, 0), (1.0 + 1e-13, 0), (16000.0, 1), (1.0 + 1e-9, 1)],
+                         ids=["unit", "within-1e-12", "stretched", "off-by-1e-9"])
+def test_verify_fails_an_s_grid_that_does_not_run_from_0_to_1(tmp_path, contracted, scale, code):
+    """A stretched s grid stretches ds, and with it the continuity limit:
+    at [0, 1000, ...] the 16x32 output reads PASS at --bound 0.001 unless
+    the grid itself is checked, within the 1e-12 of the time grid."""
+    doc = json.loads(contracted.read_text())
+    del doc["certificate"]
+    doc["s_grid"] = [s * scale for s in doc["s_grid"]]
+    assert scale < 2 or doc["s_grid"][1] == 1000.0
+    res = run_cli("verify", _write_doc(tmp_path / "stretched.json", doc), "--bound", 0.001 if scale > 2 else 32)
+    assert res.returncode == code, res.stderr
+    assert res.stderr == ("" if code == 0 else f"FAIL: deformation grid runs from 0.0 to {doc['s_grid'][-1]!r}, not from 0 to 1\n")
+    assert res.stdout.splitlines()[-1] == ("PASS" if code == 0 else "FAIL")
 
 
 @pytest.mark.parametrize("offset, code", [(0.0, 0), (1e-7, 1)])

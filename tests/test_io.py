@@ -1,6 +1,7 @@
 """The document writer against the standard library encoder, and reading
 documents back bit for bit."""
 
+import dataclasses
 import gc
 import io
 import math
@@ -13,10 +14,19 @@ from hypothesis import strategies as st
 from oracles import oracle_dump
 from ranspace import io as rio
 from ranspace.errors import SchemaError
-from ranspace.io import dump, grid_from_json, homotopy_from_json, homotopy_to_json, load, track_from_json, track_to_json
+from ranspace.io import (
+    certificate_from_json,
+    dump,
+    grid_from_json,
+    homotopy_from_json,
+    homotopy_to_json,
+    load,
+    track_from_json,
+    track_to_json,
+)
 from ranspace.ran import dedup
 from ranspace.space import Circle, GraphPoint, Interval, MetricGraph
-from ranspace.tracks import Homotopy, Track
+from ranspace.tracks import ContractionCertificate, Homotopy, Track
 
 THETA = MetricGraph(2, ((0, 1, 1.0), (0, 1, 1.2), (0, 1, 0.8)))
 SPACES = {"circle": Circle(1.0), "interval": Interval(1.0), "theta": THETA}
@@ -123,6 +133,18 @@ def test_non_finite_and_mixed_rows_are_written_as_the_stdlib_writes_them():
     for configs in ([near], [far], [near, far]):
         doc = {"cells": [configs, [[0.5], near], [near, [0.5]]], "configs": configs}
         assert _written(doc) == oracle_dump(doc)
+
+
+def test_the_certificate_schema_types_every_field_by_its_annotation():
+    """certificate_from_json reads each field's JSON kind from
+    ContractionCertificate's annotations; stages has its own rule."""
+    fields = dataclasses.fields(ContractionCertificate)
+    assert [f.name for f in fields if f.type.removesuffix(" | None") not in rio._SCALARS] == ["stages"]
+    for f in (f for f in fields if f.name != "stages"):
+        wrong = 5 if f.type == "str" else "5"
+        with pytest.raises(SchemaError, match=f"^certificate {f.name} must be "):
+            certificate_from_json({"certificate": {f.name: wrong}})
+        assert certificate_from_json({"certificate": {f.name: None}}) == {f.name: None}
 
 
 def test_a_canonical_coordinate_reads_back_bit_for_bit():

@@ -38,6 +38,7 @@ from ranspace.ran import configuration, dedup, hausdorff
 from ranspace.space import Circle, Interval, MetricGraph
 from ranspace.tracks import (
     StrandBundle,
+    certify,
     check_continuity,
     detect_branch_merge,
     make_track,
@@ -447,6 +448,16 @@ def test_pipeline_certificate_serializes():
     d = cert.as_dict()
     assert d["declared_cap"] == 3
     assert d["stages"][0][0] == "normalize"
+
+
+def test_pipeline_certificate_is_certify_of_its_grid():
+    """contract writes what verify recomputes: the certificate is
+    tracks.certify of the stacked grid, its stage ranges and b, and the
+    grid carries the mode's declared cap."""
+    for obj, mode, b in ((generator_track(), Inclusion(1), 0.0), (generator_track(base=0.1), Inclusion(2), 0.1)):
+        h, cert = contract_pipeline(obj, mode, b, resolution=(24, 64))
+        assert h.cap == mode.declared_cap == cert.declared_cap
+        assert certify(h, [stage[:3] for stage in cert.stages], b) == cert
 
 
 def test_pipeline_interval_loops():

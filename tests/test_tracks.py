@@ -26,6 +26,7 @@ from ranspace.tracks import (
     StrandBundle,
     StrandInterpolator,
     Track,
+    certify,
     check_continuity,
     concatenate,
     conjugate,
@@ -675,6 +676,21 @@ def test_homotopy_certificate_fields():
     assert report.max_cardinality == 3
     assert endpoint_drift(h) == 0.0
     assert report.max_gap > 0.0
+
+
+def test_certify_reads_every_field_from_the_cells():
+    """certify's numbers are check_continuity's, endpoint_drift, h's cap
+    and each stage's largest cell; target_constancy is the largest
+    distance of a last-row cell from {b}, None without b."""
+    one, two = configuration(C1, [0.25]), configuration(C1, [0.25, 0.5])
+    h = Homotopy.of_cells(C1, (0.0, 0.5, 1.0), uniform_times(2), ((one, two, one), (one, one, one), (one, one, one)), 3)
+    cert = certify(h, [("a", 0, 1), ("b", 1, 2)], 0.0)
+    report = check_continuity(h, math.inf)
+    assert (cert.max_cardinality, cert.max_gap, cert.ds, cert.dt, cert.lipschitz) == (
+        report.max_cardinality, report.max_gap, report.ds, report.dt, report.lipschitz)
+    assert (cert.declared_cap, cert.endpoint_drift, cert.target_constancy) == (3, endpoint_drift(h), 0.25)
+    assert cert.stages == (("a", 0, 1, 2), ("b", 1, 2, 1))
+    assert certify(h, []).target_constancy is None and certify(h, []).stages == ()
 
 
 def test_stack_homotopies_checks_graph_seams():
