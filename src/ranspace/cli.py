@@ -20,7 +20,6 @@ from .errors import AmbiguousBranching, ModeViolation, RanspaceError, SchemaErro
 # maxmin_subsample and sample_ran are unused here, but perfbench/tracer.py rebinds them here
 from .homology import (
     DEFAULT_SIMPLEX_BUDGET,
-    cloud_from_configs,
     landmark_cloud,
     long_lived_h1_count,
     maxmin_subsample,
@@ -104,8 +103,8 @@ def main():
 
     Exit codes: 0 success; 1 verification or continuity-bound failure;
     2 schema, parameter, file or size-budget error, or out of memory;
-    3 ambiguous branching (no strand decomposition at the matching
-    radius); 4 cardinality cap violation.
+    3 ambiguous branching (a branching point carries fewer strands than
+    it has successors); 4 cardinality cap violation.
     """
 
 
@@ -118,8 +117,7 @@ def main():
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 @click.option("--svg", "svg_dir", type=click.Path(file_okay=False), default=None, help="Also write one SVG frame per homotopy row.")
 @click.option("--bound", type=float, default=math.inf, help="Continuity modulus the certificate must pass (default: report only).")
-@click.option("--matching-radius", type=float, default=None, help="Strand matching radius override.")
-def cmd_contract(input_path, mode, cap, basepoint, resolution, out, svg_dir, bound, matching_radius):
+def cmd_contract(input_path, mode, cap, basepoint, resolution, out, svg_dir, bound):
     """Contract the loop in INPUT_PATH to its basepoint and write the
     homotopy with its certificate."""
     _check_bound(bound)
@@ -127,9 +125,7 @@ def cmd_contract(input_path, mode, cap, basepoint, resolution, out, svg_dir, bou
         track = track_from_json(load(fp))
     pipeline_mode = Inclusion(cap) if mode == "inclusion" else SimplyConnected(cap)
     b = _parse_basepoint(track.space, basepoint)
-    homotopy, cert = contract_pipeline(
-        track, pipeline_mode, b, resolution=tuple(resolution), matching_radius=matching_radius
-    )
+    homotopy, cert = contract_pipeline(track, pipeline_mode, b, resolution=tuple(resolution))
     with open(out, "w") as fp:
         write_homotopy(homotopy, cert.as_dict(), fp)
     if svg_dir is not None:
@@ -203,6 +199,12 @@ def cmd_verify(homotopy_path, bound):
                          f"(first cell at its recomputed value: row {row}, column {col})")
         if stored.get("declared_cap") not in (None, cert.declared_cap):
             fails.append("stored certificate declared_cap does not match cap")
+        # a check_continuity certificate: its verdict at its own bound
+        if stored.get("passed") is not None:
+            if stored.get("bound") is None:
+                fails.append("stored certificate passed has no bound")
+            elif stored["passed"] != within_bound(cert.max_gap, cert.ds, cert.dt, stored["bound"]):
+                fails.append(f"stored certificate passed does not match the cells' gap at its bound {stored['bound']}")
         # every float certify recomputes (target_constancy needs the
         # basepoint and reads None); not <= rather than >, so a NaN fails
         for key, recomputed in cert.as_dict().items():
@@ -236,7 +238,7 @@ def cmd_homology(circumference, n, m, seed, max_scale, landmarks):
     budget = int(os.environ.get("RAN_SIMPLEX_BUDGET", DEFAULT_SIMPLEX_BUDGET))
     space = Circle(circumference)
     cells = sample_configs(space, n=n, m=m, seed=seed)
-    cloud = landmark_cloud(space, cells, landmarks, seed=seed) if landmarks else cloud_from_configs(space, cells)
+    cloud = landmark_cloud(space, cells, landmarks or len(cells), seed=seed)
     pairs = rips_persistence_h1(cloud, max_scale=max_scale, budget=budget)
     count = long_lived_h1_count(pairs)
     lines = [f"{'dim':>3} {'birth':>12} {'death':>12} {'persistence':>12}"]

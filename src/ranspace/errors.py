@@ -30,8 +30,8 @@ class AmbiguousLift(RanspaceError):
 
 
 class AmbiguousBranching(RanspaceError):
-    """Configurations between consecutive times cannot be matched within
-    the matching radius, so no strand decomposition exists on the grid."""
+    """A branching point carries fewer strands than it has successors, so
+    no strand decomposition exists on the grid."""
 
 
 class UnsupportedDegree(RanspaceError):

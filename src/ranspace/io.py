@@ -13,7 +13,7 @@ homotopy records the declared cap; ``track_from_json`` and
 ``homotopy_from_json`` reject a cell above it, while ``verify`` reads the
 decoder's homotopy and reports such a cell.  ``tracks`` owns the
 certificate; ``certificate_from_json`` types a stored one by the fields
-of ``tracks.ContractionCertificate``.
+of ``tracks.ContractionCertificate`` and ``tracks.ContinuityReport``.
 
 ``homotopy_to_json`` builds its cell tree, and ``load`` parses a document,
 with the cyclic garbage collector paused (``_collector_paused``): these
@@ -37,7 +37,7 @@ import numpy as np
 from .errors import InvalidPoint, RanspaceError, SchemaError
 from .ran import _pad
 from .space import Circle, GraphPoint, Interval, MetricGraph, Space
-from .tracks import ContractionCertificate, Homotopy, Track
+from .tracks import ContinuityReport, ContractionCertificate, Homotopy, Track
 
 
 @contextmanager
@@ -70,8 +70,9 @@ def space_to_json(space: Space) -> dict:
     }
 
 
-# each scalar kind an annotation names: the types it loads as (a boolean is none), and its name
-_SCALARS = {"int": ((int,), "an integer"), "float": ((int, float), "a number"), "str": ((str,), "a string")}
+# each scalar kind an annotation names: the types it loads as (a boolean is only a bool), and its name
+_SCALARS = {"int": ((int,), "an integer"), "float": ((int, float), "a number"), "str": ((str,), "a string"),
+            "bool": ((bool,), "a boolean")}
 
 
 def _scalar(value, what: str, kind: str = "float"):
@@ -190,10 +191,11 @@ def grid_from_json(doc) -> Homotopy:
 def certificate_from_json(doc) -> dict | None:
     """The document's certificate, or None when it has none.
 
-    A stored field of ContractionCertificate may be null or absent;
-    otherwise it is a JSON scalar of the kind its annotation names (see
-    _SCALARS), and stages are [name, first row, last row, max cardinality]
-    lists of a string and three integers.  Any breach is a SchemaError.  A
+    A stored field of ContractionCertificate or ContinuityReport (whose
+    bound and passed a check_continuity certificate carries) may be null
+    or absent; otherwise it is a JSON scalar of the kind its annotation
+    names (see _SCALARS), and stages are [name, first row, last row, max
+    cardinality] lists of a string and three integers.  Any breach is a SchemaError.  A
     null or absent max_cardinality reads, but verify fails such a
     certificate: it certifies nothing about the cells' cardinality.
     """
@@ -202,7 +204,7 @@ def certificate_from_json(doc) -> dict | None:
         return None
     if not isinstance(certificate, dict):
         raise SchemaError("certificate must be an object")
-    for field in dataclasses.fields(ContractionCertificate):
+    for field in (*dataclasses.fields(ContractionCertificate), *dataclasses.fields(ContinuityReport)):
         kind = field.type.removesuffix(" | None")
         if kind in _SCALARS and certificate.get(field.name) is not None:
             _scalar(certificate[field.name], f"certificate {field.name}", kind)

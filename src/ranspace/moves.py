@@ -4,7 +4,9 @@ The pieces, bottom up:
 
 * ``extract_strands``: factor a configuration track through coordinate
   strands by greedy nearest matching between consecutive grid times,
-  failing with AmbiguousBranching when no matching fits the radius.
+  within a radius derived from the track's largest step; fails with
+  AmbiguousBranching only where a branching point carries fewer strands
+  than it has successors.
 * ``normalize``: conjugate a loop onto a chosen basepoint, factor it into
   strands based there, and reschedule each strand so excursions away from
   the basepoint span the whole loop; returns the bundle and the homotopy
@@ -109,14 +111,14 @@ PipelineMode = Union[Inclusion, SimplyConnected]
 # -- strand extraction --------------------------------------------------------
 
 
-def _match_step(space: Space, dist: np.ndarray, nxt: np.ndarray, radius: float, when: float) -> list:
-    """Parent index for every point of nxt, the next cell's slots, from the
-    step's distance matrix dist[child, parent].
+def _match_step(dist: np.ndarray, radius: float) -> list:
+    """Parent index for every child of a step, from the step's distance
+    matrix dist[child, parent].
 
     Pairs are scanned in ascending (distance, child, parent) order; the
-    first pass builds an injective matching so a point passing close to
-    another cannot steal its successor, and a second pass attaches the
-    remaining points (genuine branches) to their nearest predecessor.
+    first pass builds an injective matching within the radius, so a point
+    passing close to another cannot steal its successor, and a second pass
+    attaches each remaining child (a genuine branch) to its nearest parent.
     """
     pairs = sorted((d, qi, pi) for qi, row in enumerate(dist.tolist()) for pi, d in enumerate(row))
     parent = [-1] * len(dist)
@@ -128,33 +130,30 @@ def _match_step(space: Space, dist: np.ndarray, nxt: np.ndarray, radius: float, 
             parent[qi] = pi
             taken.add(pi)
     for d, qi, pi in pairs:
-        if parent[qi] == -1 and d <= radius:
+        if parent[qi] == -1:
             parent[qi] = pi
-    for qi, pi in enumerate(parent):
-        if pi == -1:
-            raise AmbiguousBranching(f"point {_slot_points(space, nxt[qi:qi + 1])[0]!r} at t={when} "
-                                     f"has no predecessor within radius {radius:.3g}")
     return parent
 
 
-def extract_strands(track: Track, matching_radius: float | None = None) -> StrandBundle:
+def extract_strands(track: Track) -> StrandBundle:
     """Factor a track through coordinate strands on its own grid.
 
     Strands are seeded round robin over the first configuration.  At each
-    step the next configuration is matched to the previous one; strands
-    sitting on a predecessor are distributed round robin over its
-    successors, and strands on a vanishing point follow it to the nearest
-    surviving point.  Any step that cannot be matched within the radius
-    raises AmbiguousBranching: such tracks admit no strand decomposition
-    on this grid.  Every step's distances come from one distance_many
-    call over adjacent columns of the grid; strands are gathered from it.
+    step the next configuration is matched to the previous one: first
+    injectively, within four times the track's largest adjacent gap, so a
+    split that coincides with a merge cannot pair points a jump apart;
+    then each remaining child goes to its nearest parent, which is within
+    the largest gap.  Strands sitting on a predecessor are distributed
+    round robin over its successors, and strands on a vanishing point
+    follow it to the nearest surviving point.  A branching point that
+    carries fewer strands than it has successors raises AmbiguousBranching:
+    such tracks admit no strand decomposition on this grid.  Every step's
+    distances come from one distance_many call over adjacent columns of
+    the grid; strands are gathered from it.
     """
     space = track.space
     n = track.cap
-    if matching_radius is None:
-        matching_radius = 2.0 * check_continuity(track, math.inf).max_gap + 1e-9
-    elif not 0 < matching_radius < math.inf:
-        raise ValueError("matching radius must be finite and positive")
+    radius = 4.0 * check_continuity(track, math.inf).max_gap + 1e-9
     enc = space.canon_many(track.enc[0])
     counts = track.counts[0].tolist()
     # steps[i, child, parent]: from point child of column i + 1 to point
@@ -164,18 +163,14 @@ def extract_strands(track: Track, matching_radius: float | None = None) -> Stran
     positions = [[j % counts[0] for j in range(n)]]
     for i, dist in enumerate(steps):
         dist = dist[:counts[i + 1], :counts[i]]
-        parent = _match_step(space, dist, track.enc[0, i + 1], matching_radius, track.times[i + 1])
+        parent = _match_step(dist, radius)
         new_positions = [0] * n
         for p in range(counts[i]):
             holders = [j for j in range(n) if positions[i][j] == p]
             kids = [q for q, par in enumerate(parent) if par == p]
             if not kids:
-                tgt = int(np.argmin(dist[:, p]))
-                if dist[tgt, p] > matching_radius:
-                    raise AmbiguousBranching(f"point {_slot_points(space, track.enc[0, i, p:p + 1])[0]!r} at t={track.times[i]} "
-                                             f"vanishes with no successor within radius {matching_radius:.3g}")
                 for j in holders:
-                    new_positions[j] = tgt
+                    new_positions[j] = int(np.argmin(dist[:, p]))
                 continue
             if len(holders) < len(kids):
                 raise AmbiguousBranching(
@@ -238,13 +233,7 @@ def _slots_block(space: Space, grid: tuple, cap: int, enc: np.ndarray) -> Homoto
     return _block(space, grid, cap, kept, counts)
 
 
-def normalize(
-    obj: Union[Track, StrandBundle],
-    b: Point,
-    rows: int = 8,
-    m: int | None = None,
-    matching_radius: float | None = None,
-) -> tuple[StrandBundle, Homotopy]:
+def normalize(obj: Union[Track, StrandBundle], b: Point, rows: int = 8, m: int | None = None) -> tuple[StrandBundle, Homotopy]:
     """Rebase a loop at b and factor it through based strands.
 
     Returns the strand bundle (every strand starting and ending at b) and
@@ -258,7 +247,7 @@ def normalize(
     b = space.canon(b)
     if isinstance(obj, StrandBundle):
         if not obj.is_loop():
-            return normalize(project(obj), b, rows=rows, m=m, matching_radius=matching_radius)
+            return normalize(project(obj), b, rows=rows, m=m)
         grid = obj.times if m is None else uniform_times(m)
         if not obj.based_at(b):
             return _normalize_bundle(obj, b, rows, grid)
@@ -268,7 +257,7 @@ def normalize(
     if obj.kind != "loop":
         raise EndpointMismatch("normalization needs a loop")
     grid = uniform_times(m if m is not None else len(obj.times) - 1)
-    return _normalize_track(obj, b, rows, grid, matching_radius)
+    return _normalize_track(obj, b, rows, grid)
 
 
 def _normalize_bundle(bundle: StrandBundle, b: Point, rows: int, grid: tuple) -> tuple[StrandBundle, Homotopy]:
@@ -285,9 +274,7 @@ def _normalize_bundle(bundle: StrandBundle, b: Point, rows: int, grid: tuple) ->
     return StrandBundle.of_enc(space, grid, enc[-1]), stack_homotopies([h1, h2])
 
 
-def _normalize_track(
-    track: Track, b: Point, rows: int, grid: tuple, matching_radius: float | None
-) -> tuple[StrandBundle, Homotopy]:
+def _normalize_track(track: Track, b: Point, rows: int, grid: tuple) -> tuple[StrandBundle, Homotopy]:
     space = track.space
     n = track.cap
     m = len(grid) - 1
@@ -312,7 +299,7 @@ def _normalize_track(
     for k, q in enumerate(sigma0):
         enc[fan, k] = space.geodesic_many(pstar, q, 2.0 * u[fan] - 1.0)
     h2 = _slots_block(space, grid, n, enc)
-    bundle = extract_strands(h2.row(-1), matching_radius=matching_radius)
+    bundle = extract_strands(h2.row(-1))
 
     # excursion rescheduling: stretch each strand's span away from b over
     # the whole loop, so splits and rejoins happen only at the base time
@@ -507,7 +494,6 @@ def contract_pipeline(
     mode: PipelineMode,
     b: Point,
     resolution: tuple = (48, 128),
-    matching_radius: float | None = None,
 ) -> tuple[Homotopy, ContractionCertificate]:
     """Contract a loop to the constant {b} under the mode's cardinality cap.
 
@@ -526,7 +512,7 @@ def contract_pipeline(
         raise ValueError(f"input cap {input_cap} inconsistent with mode cap {n}")
     grid = uniform_times(m)
 
-    bundle, h_norm = normalize(obj, b, rows=max(2, r // 6), m=m, matching_radius=matching_radius)
+    bundle, h_norm = normalize(obj, b, rows=max(2, r // 6), m=m)
     windows = _schedule(space, bundle)
     block_rows = max(2, r // (2 + len(windows)))
 

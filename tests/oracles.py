@@ -116,7 +116,7 @@ def oracle_dedup(space, points, cap=None):
     return Configuration(tuple(kept), len(kept) if cap is None else cap)
 
 
-def _oracle_match_step(dist, prev, nxt, radius, when):
+def _oracle_match_step(dist, prev, nxt, radius):
     pairs = sorted((dist(q, p), qi, pi) for qi, q in enumerate(nxt) for pi, p in enumerate(prev))
     parent = [-1] * len(nxt)
     taken = set()
@@ -127,20 +127,18 @@ def _oracle_match_step(dist, prev, nxt, radius, when):
             parent[qi] = pi
             taken.add(pi)
     for d, qi, pi in pairs:
-        if parent[qi] == -1 and d <= radius:
+        if parent[qi] == -1:
             parent[qi] = pi
-    for qi, pi in enumerate(parent):
-        if pi == -1:
-            raise AmbiguousBranching(f"point {nxt[qi]!r} at t={when} has no predecessor within radius {radius:.3g}")
     return parent
 
 
-def oracle_extract_strands(track, matching_radius=None):
+def oracle_extract_strands(track):
     """extract_strands one step and one point pair at a time, the radius
-    (by default twice the largest adjacent Hausdorff gap, plus 1e-9) and
-    every distance from the oracle metric: the same greedy matching, ties
-    to the lower (child, parent) index pair, the same round-robin strand
-    moves and the same AmbiguousBranching messages."""
+    (four times the largest adjacent Hausdorff gap, plus 1e-9) and every
+    distance from the oracle metric: the same greedy matching, injective
+    within the radius and then each leftover child to its nearest parent,
+    ties to the lower (child, parent) index pair, the same round-robin
+    strand moves and the same AmbiguousBranching message."""
     space, n = track.space, track.cap
     metric = oracle_metric(space)
 
@@ -148,13 +146,12 @@ def oracle_extract_strands(track, matching_radius=None):
         return metric(space.canon(p), space.canon(q))
 
     configs = [c.points for c in track.configs]
-    if matching_radius is None:
-        matching_radius = 2.0 * max(oracle_hausdorff(dist, a, b) for a, b in zip(configs, configs[1:])) + 1e-9
+    radius = 4.0 * max(oracle_hausdorff(dist, a, b) for a, b in zip(configs, configs[1:])) + 1e-9
     positions = [j % len(configs[0]) for j in range(n)]
     strands = [[configs[0][p]] for p in positions]
     for i in range(len(configs) - 1):
         prev, nxt = configs[i], configs[i + 1]
-        parent = _oracle_match_step(dist, prev, nxt, matching_radius, track.times[i + 1])
+        parent = _oracle_match_step(dist, prev, nxt, radius)
         new_positions = [0] * n
         for p in range(len(prev)):
             holders = [j for j in range(n) if positions[j] == p]
@@ -162,11 +159,6 @@ def oracle_extract_strands(track, matching_radius=None):
             if not kids:
                 dists = [dist(prev[p], q) for q in nxt]
                 tgt = min(range(len(nxt)), key=lambda k: (dists[k], k))
-                if dists[tgt] > matching_radius:
-                    raise AmbiguousBranching(
-                        f"point {prev[p]!r} at t={track.times[i]} vanishes with no "
-                        f"successor within radius {matching_radius:.3g}"
-                    )
                 for j in holders:
                     new_positions[j] = tgt
                 continue
@@ -452,7 +444,7 @@ def _normalize_bundle(bundle, b, rows, grid):
     return _last_row_bundle(space, grid, values), dwell + _deduped(space, values, n)[1:]
 
 
-def _normalize_track(track, b, rows, grid, matching_radius):
+def _normalize_track(track, b, rows, grid):
     space, n, m = track.space, track.cap, len(grid) - 1
     metric = oracle_metric(space)
     sigma0 = track.configs[0].points
@@ -468,7 +460,7 @@ def _normalize_track(track, b, rows, grid, matching_radius):
 
     dwell = _cells(grid, rows, lambda lam, t: track.configs[oracle_nearest(track.times, _dwell(lam, t))])
     conjugated = _deduped(space, _cells(grid, rows, conj_points), n)
-    bundle = oracle_extract_strands(Track.of_cells(space, (0.0,), grid, (conjugated[-1],), n), matching_radius)
+    bundle = oracle_extract_strands(Track.of_cells(space, (0.0,), grid, (conjugated[-1],), n))
     strands = [OracleStrand(space, grid, s) for s in bundle.strands]
     spans = []
     for strand in bundle.strands:
@@ -480,12 +472,12 @@ def _normalize_track(track, b, rows, grid, matching_radius):
     return _last_row_bundle(space, grid, values), rows_out
 
 
-def _normalize(obj, b, rows, grid, matching_radius):
+def _normalize(obj, b, rows, grid):
     """normalize's bundle and the rows of its homotopy."""
     if not isinstance(obj, StrandBundle):
-        return _normalize_track(obj, b, rows, grid, matching_radius)
+        return _normalize_track(obj, b, rows, grid)
     if not obj.is_loop():
-        return _normalize(project(obj), b, rows, grid, matching_radius)
+        return _normalize(project(obj), b, rows, grid)
     if not obj.based_at(b):
         return _normalize_bundle(obj, b, rows, grid)
     if obj.times != grid:
@@ -495,7 +487,7 @@ def _normalize(obj, b, rows, grid, matching_radius):
     return obj, [proj, proj]
 
 
-def oracle_pipeline_stages(obj, mode, b, resolution, matching_radius=None):
+def oracle_pipeline_stages(obj, mode, b, resolution):
     """contract_pipeline's cells stage by stage, as (name, rows of
     Configurations), every cell built on its own as dedup of the points
     its schedule reads: normalize, the staircase, then each window with
@@ -505,7 +497,7 @@ def oracle_pipeline_stages(obj, mode, b, resolution, matching_radius=None):
     space = obj.space
     b = space.canon(b)
     grid = _uniform(m)
-    bundle, normalized = _normalize(obj, b, max(2, r // 6), grid, matching_radius)
+    bundle, normalized = _normalize(obj, b, max(2, r // 6), grid)
     n = bundle.n
     strands = [OracleStrand(space, bundle.times, s) for s in bundle.strands]
     windows = _schedule(space, bundle)
@@ -534,8 +526,8 @@ def oracle_pipeline_stages(obj, mode, b, resolution, matching_radius=None):
     return stages
 
 
-def oracle_pipeline_cells(obj, mode, b, resolution, matching_radius=None):
+def oracle_pipeline_cells(obj, mode, b, resolution):
     """contract_pipeline's rows of cells: the stages of
     oracle_pipeline_stages stacked, each seam row kept once."""
-    stages = oracle_pipeline_stages(obj, mode, b, resolution, matching_radius)
+    stages = oracle_pipeline_stages(obj, mode, b, resolution)
     return stages[0][1] + [row for _, rows in stages[1:] for row in rows[1:]]

@@ -24,7 +24,16 @@ from ranspace.io import (
 )
 from ranspace.moves import Inclusion, contract_circle_generator, contract_pipeline
 from ranspace.space import Circle, GraphPoint, Interval, MetricGraph
-from ranspace.tracks import ContractionCertificate, Homotopy, StrandBundle, make_track, project, uniform_times
+from ranspace.tracks import (
+    ContractionCertificate,
+    Homotopy,
+    StrandBundle,
+    check_continuity,
+    make_track,
+    project,
+    uniform_times,
+)
+from test_moves import short_branch_track
 
 C1 = Circle(1.0)
 
@@ -75,16 +84,22 @@ def test_contract_schema_error_exit_two(tmp_path):
 
 
 def test_contract_ambiguous_branching_exit_three(tmp_path):
-    times = uniform_times(64)
-    # teleporting loop: no strand decomposition at this radius
-    pts = [[0.0] if t < 0.3 or t > 0.7 else [0.45] for t in times]
-    track = make_track(C1, times, pts, cap=1, kind="loop")
-    src = tmp_path / "teleport.json"
+    src = tmp_path / "branch.json"
     with open(src, "w") as fp:
-        dump(track_to_json(track), fp)
-    res = run_cli("contract", src, "--cap", 1, "--out", tmp_path / "x.json",
-                  "--matching-radius", 0.01)
+        dump(track_to_json(short_branch_track()), fp)
+    res = run_cli("contract", src, "--cap", 3, "--out", tmp_path / "x.json")
     assert res.returncode == 3
+    assert res.stderr == "ambiguous branching: branch at t=0.40625 needs 2 strands but only 1 ride the branching point\n"
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_contract_has_no_matching_radius_option(tmp_path):
+    """The strand matching radius is derived from the track, not an input."""
+    src = tmp_path / "loop.json"
+    write_generator_track(src, m=16)
+    res = run_cli("contract", src, "--cap", 1, "--out", tmp_path / "x.json", "--matching-radius", 0.1)
+    assert res.returncode == 2
+    assert "No such option" in res.stderr and "--matching-radius" in res.stderr
 
 
 def test_contract_cap_overrun_exits_four(tmp_path, monkeypatch):
@@ -604,14 +619,13 @@ def _convert_not_an_object(tmp):
         (_verify_with_certificate({"max_cardinality": 1, "target_constancy": [1]}), {}),
         (_verify_with_certificate({"max_cardinality": 1, "source": 5}), {}),
         (_verify_with_certificate({"max_cardinality": 1, "target": True}), {}),
+        (_verify_with_certificate({"max_cardinality": 2, "passed": False, "bound": "x"}), {}),
+        (_verify_with_certificate({"max_cardinality": 1, "passed": "x", "bound": 4.0}), {}),
+        (_verify_with_certificate({"max_cardinality": 1, "passed": 1, "bound": 4.0}), {}),
         (_convert("--stride", 0), {}),
         (_convert_homotopy("--stride", 0), {}),
         (_convert_homotopy("--stride", -1), {}),
         (_homology("--n", 1, "--max-scale", "nan"), {}),
-        (_contract("--cap", 1, "--matching-radius", "nan"), {}),
-        (_contract("--cap", 1, "--matching-radius", "inf"), {}),
-        (_contract("--cap", 1, "--matching-radius", 0), {}),
-        (_contract("--cap", 1, "--matching-radius", -1), {}),
         (_homology("--n", 1, "--circumference", "inf"), {}),
         (_infinite_size(Circle(1.25), 0.5), {}),
         (_infinite_size(Interval(1.25), 0.5), {}),
@@ -636,11 +650,10 @@ def _convert_not_an_object(tmp):
         "verify-certificate-string-cardinality", "verify-certificate-list-cardinality",
         "verify-certificate-boolean-gap", "verify-certificate-boolean-ds", "verify-certificate-string-declared-cap",
         "verify-certificate-string-constancy", "verify-certificate-list-constancy", "verify-certificate-number-source",
-        "verify-certificate-boolean-target",
+        "verify-certificate-boolean-target", "verify-certificate-string-bound", "verify-certificate-string-passed",
+        "verify-certificate-number-passed",
         "convert-stride-zero", "convert-homotopy-stride-zero", "convert-homotopy-stride-negative",
-        "homology-max-scale-nan", "contract-matching-radius-nan",
-        "contract-matching-radius-inf", "contract-matching-radius-zero",
-        "contract-matching-radius-negative", "homology-circumference-inf",
+        "homology-max-scale-nan", "homology-circumference-inf",
         "contract-circle-infinite", "contract-interval-infinite", "contract-graph-infinite-edge",
         "contract-half-turn-step", "contract-out-missing-dir", "contract-bound-nan",
         "verify-bound-nan", "verify-bound-negative", "convert-not-an-object",
@@ -902,6 +915,33 @@ def test_verify_checks_every_recomputable_certificate_field(tmp_path, contracted
     assert res.returncode == 1, res.stderr
     assert res.stderr.startswith(named), res.stderr
     assert res.stdout.splitlines()[-1] == "FAIL"
+
+
+@pytest.mark.parametrize(
+    "change, named",
+    [
+        (lambda c: None, None),
+        (lambda c: c.update(bound=None, passed=None), None),
+        (lambda c: c.update(passed=False), "FAIL: stored certificate passed does not match the cells' gap at its bound 4.0"),
+        (lambda c: c.update(bound=0.5), "FAIL: stored certificate passed does not match the cells' gap at its bound 0.5"),
+        (lambda c: c.pop("bound"), "FAIL: stored certificate passed has no bound"),
+        (lambda c: c.update(bound=None), "FAIL: stored certificate passed has no bound"),
+    ],
+    ids=["as-written", "no-verdict", "passed-flipped", "bound-lowered", "bound-absent", "bound-null"],
+)
+def test_verify_checks_a_continuity_report_verdict(tmp_path, change, named):
+    """A check_continuity report stored as the certificate (as certify-512
+    writes it) passes verify as written; its passed must be the recomputed
+    gap's verdict at its stored bound, and a passed needs a bound."""
+    h = contract_circle_generator(1, (16, 32))
+    report = check_continuity(h, 4.0)
+    assert report.passed and not check_continuity(h, 0.5).passed
+    doc = homotopy_to_json(h, report.as_dict())
+    change(doc["certificate"])
+    res = run_cli("verify", _write_doc(tmp_path / "report.json", doc))
+    assert res.returncode == (0 if named is None else 1), res.stderr
+    assert res.stderr == ("" if named is None else named + "\n")
+    assert res.stdout.splitlines()[-1] == ("PASS" if named is None else "FAIL")
 
 
 @pytest.mark.parametrize("scale, code", [(1.0, 0), (1.0 + 1e-13, 0), (16000.0, 1), (1.0 + 1e-9, 1)],

@@ -26,7 +26,7 @@ from ranspace.io import (
 )
 from ranspace.ran import dedup
 from ranspace.space import Circle, GraphPoint, Interval, MetricGraph
-from ranspace.tracks import ContractionCertificate, Homotopy, Track
+from ranspace.tracks import ContinuityReport, ContractionCertificate, Homotopy, Track
 
 THETA = MetricGraph(2, ((0, 1, 1.0), (0, 1, 1.2), (0, 1, 0.8)))
 SPACES = {"circle": Circle(1.0), "interval": Interval(1.0), "theta": THETA}
@@ -136,9 +136,11 @@ def test_non_finite_and_mixed_rows_are_written_as_the_stdlib_writes_them():
 
 
 def test_the_certificate_schema_types_every_field_by_its_annotation():
-    """certificate_from_json reads each field's JSON kind from
-    ContractionCertificate's annotations; stages has its own rule."""
-    fields = dataclasses.fields(ContractionCertificate)
+    """certificate_from_json reads each field's JSON kind from the
+    annotations of ContractionCertificate and ContinuityReport (a
+    check_continuity certificate's bound and passed); stages has its own
+    rule."""
+    fields = dataclasses.fields(ContractionCertificate) + dataclasses.fields(ContinuityReport)
     assert [f.name for f in fields if f.type.removesuffix(" | None") not in rio._SCALARS] == ["stages"]
     for f in (f for f in fields if f.name != "stages"):
         wrong = 5 if f.type == "str" else "5"

@@ -47,6 +47,7 @@ from ranspace.tracks import (
     uniform_times,
     winding_number,
 )
+import test_acceptance
 from test_tracks import lattice_tracks
 
 C1 = Circle(1.0)
@@ -110,32 +111,70 @@ def test_extract_handles_crossing_strands():
     assert project(bundle).configs == track.configs
 
 
+def short_branch_track():
+    """Cap-3 loop on 8 steps: {0.1, 0.5} for three samples, then 0.5 splits
+    into 0.48 and 0.52 (and 0.1 moves to 0.12) for three, then back.  The
+    strands seeded round robin put one strand on 0.5, so the split has two
+    successors and only one strand to give them."""
+    pts = [[0.1, 0.5]] * 3 + [[0.12, 0.48, 0.52]] * 3 + [[0.1, 0.5]] * 3
+    return make_track(C1, uniform_times(8), pts, cap=3, kind="loop")
+
+
 def test_extract_rejects_teleport():
-    times = uniform_times(64)
-    pts = [[0.0] if t < 0.5 else [0.4] for t in times]
-    track = make_track(C1, times, pts, cap=1, kind="path")
-    with pytest.raises(AmbiguousBranching):
-        extract_strands(track, matching_radius=0.01)
+    """A branching point with fewer strands than successors has no strand
+    decomposition on the grid: the one AmbiguousBranching case left."""
+    with pytest.raises(AmbiguousBranching, match=r"^branch at t=0\.25 needs 2 strands but only 1 ride the branching point$"):
+        extract_strands(short_branch_track())
 
 
-def _extraction(extract, track, radius):
+def test_extract_bounds_a_split_that_meets_a_merge():
+    """0.1 splits into 0.09 and 0.11 on the step where 0.6 and 0.64 merge
+    into 0.62 (cap 4, 8 steps).  With no radius on the injective pass the
+    second child of 0.1 would take 0.64 as its parent, a strand jump of
+    about 0.45 against a track step of 0.02; the derived radius keeps
+    every strand step within the track's largest step."""
+    pts = [[0.1, 0.6, 0.64]] * 4 + [[0.09, 0.11, 0.62]] * 5
+    track = make_track(C1, uniform_times(8), pts, cap=4)
+    bundle = extract_strands(track)
+    assert project(bundle).configs == track.configs
+    gap = check_continuity(track, math.inf).max_gap
+    assert max(C1.distance(p, q) for strand in bundle.strands for p, q in zip(strand, strand[1:])) <= gap
+
+
+@pytest.mark.parametrize(
+    "n, mode",
+    [(4, SimplyConnected(4)), (5, SimplyConnected(5)), (2, Inclusion(2))],
+    ids=["n4-simply-connected", "n5-simply-connected", "n2-inclusion"],
+)
+def test_pipeline_contracts_projected_circle_loops(n, mode):
+    """Raw tracks that project based circle bundles of n strands (m = 96,
+    one generator per seed 1000-1039) all contract within the mode's cap at
+    resolution (48, 96): strand extraction finds a decomposition for each."""
+    base = dedup(C1, [0.0])
+    for seed in range(1000, 1040):
+        rng = np.random.default_rng(seed)
+        track = project(StrandBundle(C1, uniform_times(96), tuple(test_acceptance.random_based_strand(rng, 96) for _ in range(n))))
+        h, cert = contract_pipeline(track, mode, 0.0, resolution=(48, 96))
+        assert cert.max_cardinality <= mode.declared_cap
+        assert max(hausdorff(C1, c, base) for c in h.cells[-1]) <= 1e-9
+
+
+def _extraction(extract, track):
     """The strands extract gives, or its AmbiguousBranching message."""
     try:
-        return repr(extract(track, radius).strands)
+        return repr(extract(track).strands)
     except AmbiguousBranching as exc:
         return f"AmbiguousBranching: {exc}"
 
 
 @settings(max_examples=400, deadline=None)
-@given(lattice_tracks(), st.sampled_from([None, 0.5, 1.0, 2.0]))
-def test_extract_strands_matches_the_oracle(case, radius):
+@given(lattice_tracks())
+def test_extract_strands_matches_the_oracle(case):
     """extract_strands gives the strands, or the AmbiguousBranching
     message, of the one-pair-at-a-time oracle on lattice tracks, whose
-    distances tie often: at the default radius and at a half, one and two
-    lattice steps (a tie at the radius counts as within it)."""
-    track, step = case
-    radius = None if radius is None else radius * step
-    assert _extraction(extract_strands, track, radius) == _extraction(oracle_extract_strands, track, radius)
+    distances tie often."""
+    track, _ = case
+    assert _extraction(extract_strands, track) == _extraction(oracle_extract_strands, track)
 
 
 # -- normalize ------------------------------------------------------------
@@ -484,14 +523,10 @@ def test_pipeline_bound_stable_under_refinement():
     assert 0.5 <= ratio <= 2.0
 
 
-@pytest.mark.parametrize(
-    "resolution, radius",
-    [((0, 16), None), ((-3, 16), None), ((8, 0), None), ((8, 16), math.nan)],
-    ids=["rows-zero", "rows-negative", "columns-zero", "matching-radius-nan"],
-)
-def test_pipeline_rejects_bad_parameters(resolution, radius):
+@pytest.mark.parametrize("resolution", [(0, 16), (-3, 16), (8, 0)], ids=["rows-zero", "rows-negative", "columns-zero"])
+def test_pipeline_rejects_bad_parameters(resolution):
     with pytest.raises(ValueError):
-        contract_pipeline(generator_track(m=16), Inclusion(1), 0.0, resolution=resolution, matching_radius=radius)
+        contract_pipeline(generator_track(m=16), Inclusion(1), 0.0, resolution=resolution)
 
 
 def _hex_rows(rows):
