@@ -236,6 +236,8 @@ def cmd_homology(circumference, n, m, seed, max_scale, landmarks):
     """Sample configurations on the circle, run the persistence probe, and
     report the number of long-lived 1-cycles."""
     budget = int(os.environ.get("RAN_SIMPLEX_BUDGET", DEFAULT_SIMPLEX_BUDGET))
+    if m * n > budget:  # the sample's points alone: checked before they are drawn
+        raise SizeLimit(f"a sample of {m} configurations of up to {n} points exceeds budget {budget}")
     space = Circle(circumference)
     cells = sample_configs(space, n=n, m=m, seed=seed)
     cloud = landmark_cloud(space, cells, landmarks or len(cells), seed=seed)
@@ -253,7 +255,7 @@ def cmd_homology(circumference, n, m, seed, max_scale, landmarks):
 @main.command("convert")
 @click.argument("input_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("out_dir", type=click.Path(file_okay=False))
-@click.option("--stride", type=int, default=1, show_default=True, help="Keep every stride-th track frame.")
+@click.option("--stride", type=int, default=1, show_default=True, help="Keep every stride-th frame: track sample or homotopy row.")
 @click.option("--basepoint", default=None, help="Mark this point in every frame.")
 def cmd_convert(input_path, out_dir, stride, basepoint):
     """Render a track or homotopy JSON document to SVG frames."""
@@ -264,7 +266,7 @@ def cmd_convert(input_path, out_dir, stride, basepoint):
     if "cells" in doc:
         homotopy, _ = homotopy_from_json(doc)
         b = _parse_basepoint(homotopy.space, basepoint) if basepoint else None
-        written = render_homotopy(homotopy, out_dir, basepoint=b)
+        written = render_homotopy(homotopy, out_dir, basepoint=b, stride=stride)
     else:
         track = track_from_json(doc)
         b = _parse_basepoint(track.space, basepoint) if basepoint else None

@@ -165,13 +165,25 @@ def landmark_cloud(space: Space, cells, k: int, seed: int) -> MetricCloud:
     return cloud_from_configs(space, [cells[i] for i in _farthest_points(row, m, k, seed)])
 
 
+def _triangle_blocks(cloud: MetricCloud, max_scale: float):
+    """The one triangle enumeration of the Rips graph at max_scale: its
+    edges (iu, ju), i < j, in lexicographic order, and an iterator over
+    blocks of them, (first, both), where row r of both is the AND of the
+    upper adjacency rows of i and j of edge first + r, so that its bit k
+    is set when (i, j, k) is a triangle (k > j).  A block holds at most
+    _CLOUD_PAIRS edge-vertex bits (one edge if m is larger)."""
+    up = np.triu(cloud.dist <= max_scale, k=1)
+    iu, ju = np.nonzero(up)
+    step = max(1, _CLOUD_PAIRS // max(len(up), 1))
+    blocks = ((first, up[iu[first : first + step]] & up[ju[first : first + step]]) for first in range(0, len(iu), step))
+    return iu, ju, blocks
+
+
 def count_simplices(cloud: MetricCloud, max_scale: float) -> int:
-    m = len(cloud)
-    adj = (cloud.dist <= max_scale) & ~np.eye(m, dtype=bool)
-    n_edges = int(adj.sum()) // 2
-    a = adj.astype(np.float64)
-    n_tris = int(round(np.einsum("ij,jk,ik->", a, a, a))) // 6
-    return m + n_edges + n_tris
+    """The vertices, edges and triangles of the Rips 2-skeleton at
+    max_scale, counted without listing a triangle."""
+    iu, _, blocks = _triangle_blocks(cloud, max_scale)
+    return len(cloud) + len(iu) + sum(int(np.count_nonzero(both)) for _, both in blocks)
 
 
 def _filtration(cloud: MetricCloud, max_scale: float):
@@ -186,21 +198,19 @@ def _filtration(cloud: MetricCloud, max_scale: float):
     """
     m = len(cloud)
     d = cloud.dist
-    adj = (d <= max_scale) & ~np.eye(m, dtype=bool)
-    # np.nonzero yields (i, j) and, per vertex, (j, k) in lexicographic
+    # edges and, edge by edge, their triangles come in lexicographic
     # order, so a stable sort on the value alone gives the full order
-    iu, ju = np.nonzero(np.triu(adj, k=1))
+    iu, ju, blocks = _triangle_blocks(cloud, max_scale)
+    tris = [np.zeros((3, 0), dtype=np.intp)]
+    for first, both in blocks:
+        r, k = np.divmod(np.flatnonzero(both), m)
+        tris.append(np.stack((iu[first + r], ju[first + r], k)))
+    i, j, k = np.concatenate(tris, axis=1)
     edge_value = d[iu, ju]
     order = np.argsort(edge_value, kind="stable")
     iu, ju, edge_value = iu[order], ju[order], edge_value[order]
     rank = np.zeros((m, m), dtype=np.intp)
     rank[iu, ju] = np.arange(len(iu))
-    tris = [np.zeros((0, 3), dtype=np.intp)]
-    for i in range(m):
-        nb = np.flatnonzero(adj[i, i + 1 :]) + i + 1
-        a, b = np.nonzero(np.triu(adj[np.ix_(nb, nb)], k=1))
-        tris.append(np.column_stack((np.full(len(a), i), nb[a], nb[b])))
-    i, j, k = np.concatenate(tris).T
     tri_value = np.maximum(np.maximum(d[i, j], d[i, k]), d[j, k])
     order = np.argsort(tri_value, kind="stable")
     i, j, k = i[order], j[order], k[order]

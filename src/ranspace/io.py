@@ -195,16 +195,21 @@ def certificate_from_json(doc) -> dict | None:
     bound and passed a check_continuity certificate carries) may be null
     or absent; otherwise it is a JSON scalar of the kind its annotation
     names (see _SCALARS), and stages are [name, first row, last row, max
-    cardinality] lists of a string and three integers.  Any breach is a SchemaError.  A
-    null or absent max_cardinality reads, but verify fails such a
-    certificate: it certifies nothing about the cells' cardinality.
+    cardinality] lists of a string and three integers; a key that neither
+    class names is refused.  Any breach is a SchemaError.  A null or
+    absent max_cardinality reads, but verify fails such a certificate: it
+    certifies nothing about the cells' cardinality.
     """
     certificate = doc.get("certificate")
     if certificate is None:
         return None
     if not isinstance(certificate, dict):
         raise SchemaError("certificate must be an object")
-    for field in (*dataclasses.fields(ContractionCertificate), *dataclasses.fields(ContinuityReport)):
+    fields = {field.name: field for field in (*dataclasses.fields(ContractionCertificate), *dataclasses.fields(ContinuityReport))}
+    unnamed = next((key for key in certificate if key not in fields), None)
+    if unnamed is not None:
+        raise SchemaError(f"certificate key {unnamed!r} is no certificate field")
+    for field in fields.values():
         kind = field.type.removesuffix(" | None")
         if kind in _SCALARS and certificate.get(field.name) is not None:
             _scalar(certificate[field.name], f"certificate {field.name}", kind)
@@ -215,14 +220,6 @@ def certificate_from_json(doc) -> dict | None:
     )):
         raise SchemaError("certificate stages must be [name, first row, last row, max cardinality] lists")
     return certificate
-
-
-def _capped(h: Homotopy) -> Homotopy:
-    """h, once no cell exceeds its declared cap; else ValueError."""
-    biggest = h.max_cardinality(0, h.rows - 1)
-    if biggest > h.cap:
-        raise ValueError(f"cell of size {biggest} exceeds cap {h.cap}")
-    return h
 
 
 def track_to_json(track: Track) -> dict:
@@ -243,7 +240,7 @@ def track_from_json(doc) -> Track:
         raise SchemaError("bad track document: cells and s_grid belong to homotopy documents")
     h = grid_from_json(doc)
     try:
-        return _capped(Track(h.space, h.cap, h.s_grid, h.t_grid, h.enc, h.counts)).declared(doc["kind"])
+        return Track(h.space, h.cap, h.s_grid, h.t_grid, h.enc, h.counts).capped().declared(doc["kind"])
     except (KeyError, RanspaceError, ValueError) as exc:
         raise SchemaError(f"bad track document: {exc}") from exc
 
@@ -268,7 +265,7 @@ def homotopy_from_json(doc) -> tuple[Homotopy, dict | None]:
     h = grid_from_json(doc)
     certificate = certificate_from_json(doc)
     try:
-        _capped(h)
+        h.capped()
     except ValueError as exc:
         raise SchemaError(f"bad homotopy document: {exc}") from exc
     return h, certificate

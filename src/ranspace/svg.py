@@ -113,8 +113,9 @@ def render_track(track: Track, out_dir: str, basepoint=None, stride: int = 1) ->
     return _write_frames(track.space, out_dir, basepoint, rows, dots)
 
 
-def render_homotopy(h: Homotopy, out_dir: str, basepoint=None) -> list:
-    """One frame per deformation row, configurations overlaid per frame."""
+def render_homotopy(h: Homotopy, out_dir: str, basepoint=None, stride: int = 1) -> list:
+    """One frame for every stride-th deformation row, configurations
+    overlaid per frame; stride must be positive."""
 
     def dots(cells):
         out = []
@@ -127,4 +128,4 @@ def render_homotopy(h: Homotopy, out_dir: str, basepoint=None) -> list:
             )
         return out
 
-    return _write_frames(h.space, out_dir, basepoint, zip(h.enc, h.counts), dots)
+    return _write_frames(h.space, out_dir, basepoint, zip(h.enc[::stride], h.counts[::stride]), dots)

@@ -10,8 +10,8 @@ projected track.  Every operation here, the path algebra included, reads
 and builds these arrays; the Configuration views (Homotopy.cells,
 Track.configs) are for callers and nothing here reads them.  A homotopy
 records its declared cap without enforcing it: the builders here never
-exceed it, and the document readers and Homotopy.of_cells check it on
-outside input.
+exceed it, and Homotopy.capped checks it on outside input (the document
+readers and Homotopy.of_cells).
 
 Continuity is never verified exactly (undecidable from samples); instead
 ``check_continuity`` certifies that adjacent grid cells stay within a
@@ -318,9 +318,10 @@ class Homotopy:
     Row i sits at deformation time s_grid[i] and column k at t_grid[k].
     Points are canonical and each cell's are strictly sorted.  cap is the
     declared cap, which the homotopy records but does not enforce, so a
-    reader can report a cell above it; the document readers and of_cells
-    check it where outside input enters.  A time grid not from 0 to 1, an
-    s grid not increasing or a ragged grid: ValueError.
+    reader can report a cell above it; capped is the check that the
+    document readers and of_cells run where outside input enters.  A time
+    grid not from 0 to 1, an s grid not increasing or a ragged grid:
+    ValueError.
 
     check_continuity reports cardinality and adjacent-cell gaps, and
     endpoint_drift how far the endpoint columns drift from the source row.
@@ -354,11 +355,8 @@ class Homotopy:
             raise ValueError("ragged homotopy grid")
         counts = np.array([[len(c) for c in row] for row in rows], dtype=np.intp)
         enc = _pad_lists(space, [c.points for row in rows for c in row])
-        h = cls(space, cap, np.asarray(s_grid, dtype=float), np.asarray(t_grid, dtype=float),
-                enc.reshape(counts.shape + enc.shape[1:]), counts)
-        if counts.max() > cap:
-            raise ValueError(f"cell of size {counts.max()} exceeds cap {cap}")
-        return h
+        return cls(space, cap, np.asarray(s_grid, dtype=float), np.asarray(t_grid, dtype=float),
+                   enc.reshape(counts.shape + enc.shape[1:]), counts).capped()
 
     @property
     def rows(self) -> int:
@@ -367,6 +365,13 @@ class Homotopy:
     def max_cardinality(self, first: int, last: int) -> int:
         """The largest cell of rows first to last: a stage's cardinality."""
         return int(self.counts[first:last + 1].max())
+
+    def capped(self) -> Homotopy:
+        """self, once no cell exceeds the declared cap; else ValueError."""
+        biggest = self.max_cardinality(0, self.rows - 1)
+        if biggest > self.cap:
+            raise ValueError(f"cell of size {biggest} exceeds cap {self.cap}")
+        return self
 
     @functools.cached_property
     def cells(self) -> tuple:

@@ -424,7 +424,13 @@ def test_convert_homotopy_frames(tmp_path):
     assert res.returncode == 0
     with open(out) as fp:
         homotopy, _ = homotopy_from_json(load(fp))
-    assert len(list((tmp_path / "hframes").glob("frame_*.svg"))) == homotopy.rows
+    every = sorted((tmp_path / "hframes").glob("frame_*.svg"))
+    assert len(every) == homotopy.rows == 13
+    # --stride 4 keeps rows 0, 4, 8 and 12, each frame the bytes of its row's frame at stride 1
+    res = run_cli("convert", out, tmp_path / "kept", "--basepoint", "0.0", "--stride", 4)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == f"wrote 4 frames to {tmp_path / 'kept'}\n"
+    assert [f.read_bytes() for f in sorted((tmp_path / "kept").glob("frame_*.svg"))] == [f.read_bytes() for f in every[::4]]
 
 
 def test_homology_command_runs(tmp_path):
@@ -443,6 +449,36 @@ def test_homology_size_limit_exit_two(tmp_path):
         capture_output=True, text=True, env=env,
     )
     assert res.returncode == 2
+
+
+def test_homology_simplices_over_the_budget_exit_two(tmp_path):
+    """A sample whose m * n points fit the budget but whose Rips simplices
+    do not is refused by the simplex count, exit 2."""
+    import os
+    env = dict(os.environ, RAN_SIMPLEX_BUDGET="40")
+    res = subprocess.run(
+        [sys.executable, "-m", "ranspace.cli", "homology", "--n", "1", "--m", "40",
+         "--max-scale", "0.3", "--landmarks", "0"],
+        capture_output=True, text=True, env=env,
+    )
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("size limit: ") and res.stderr.endswith(" simplices exceed budget 40\n"), res.stderr
+    assert res.stdout == ""
+
+
+def test_homology_refuses_a_sample_it_cannot_draw():
+    """m * n over the simplex budget exits 2 before a point is drawn; run
+    under a timeout and a 2 GB address-space limit, since drawing the
+    sample would not end."""
+    import os
+    env = {k: v for k, v in os.environ.items() if k != "RAN_SIMPLEX_BUDGET"}
+    res = subprocess.run(
+        [sys.executable, "-m", "ranspace.cli", "homology", "--n", "99999999999", "--m", "3", "--max-scale", "0.3"],
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=_limit_address_space,
+    )
+    assert res.returncode == 2, res.stderr
+    assert res.stderr == "size limit: a sample of 3 configurations of up to 99999999999 points exceeds budget 5000000\n"
+    assert res.stdout == ""
 
 
 def test_homology_out_of_memory_exits_two(monkeypatch):
@@ -993,6 +1029,20 @@ def test_verify_rejects_malformed_certificate_stages(tmp_path):
     res = run_cli("verify", _write_doc(tmp_path / "stages.json", doc))
     assert res.returncode == 2, res.stderr
     assert res.stderr.startswith("schema error: certificate stages")
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("key", ["pi1_trivial", "Max_gap"])
+@pytest.mark.parametrize("command", ["verify", "convert"])
+def test_a_certificate_key_no_certificate_names_is_a_schema_error(tmp_path, contracted, command, key):
+    """A key that neither ContractionCertificate nor ContinuityReport names
+    exits 2, whatever its value: a contract output with "pi1_trivial":
+    "yes" added to its certificate does not read PASS."""
+    doc = json.loads(contracted.read_text())
+    doc["certificate"][key] = "yes"
+    res = run_cli(command, _write_doc(tmp_path / "extra.json", doc), *([tmp_path / "frames"] if command == "convert" else []))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr == f"schema error: certificate key {key!r} is no certificate field\n"
     assert res.stdout == ""
 
 

@@ -177,9 +177,15 @@ def test_maxmin_subsample_deterministic_and_spread():
     assert off_diag.min() > 0.01
 
 
-def test_size_limit():
+def test_size_limit(monkeypatch):
+    """Over its budget, rips_persistence_h1 raises SizeLimit from the count
+    alone, without listing a simplex."""
+    def listed(*args):
+        raise AssertionError("_filtration called over budget")
+
+    monkeypatch.setattr(homology, "_filtration", listed)
     cloud = singleton_cloud(np.linspace(0, 0.9, 20))
-    with pytest.raises(SizeLimit):
+    with pytest.raises(SizeLimit, match=f"^{count_simplices(cloud, 0.45)} simplices exceed budget 10$"):
         rips_persistence_h1(cloud, max_scale=0.45, budget=10)
 
 
@@ -276,3 +282,41 @@ def test_coboundary_key_sort_is_the_stable_argsort(m, scale, seed):
     two points) and m = 1."""
     tri_faces = _filtration(sample_ran(C1, n=3, m=m, seed=seed), scale)[3]
     assert np.array_equal(_cofaces(tri_faces), np.argsort(tri_faces.ravel(), kind="stable") // 3)
+
+
+@st.composite
+def _rips_cases(draw):
+    """(cloud, scale): a sampled cloud of 0 to 40 cells on the circle, at
+    a scale below its smallest distance, above its largest, or between."""
+    m = draw(st.integers(0, 40))
+    cloud = cloud_from_configs(C1, sample_configs(C1, n=draw(st.integers(1, 3)), m=m, seed=draw(st.integers(0, 2**16))) if m else ())
+    off = cloud.dist[~np.eye(m, dtype=bool)]
+    low, high = (off.min(), off.max()) if len(off) else (0.5, 0.5)
+    scale = draw(st.sampled_from([np.nextafter(low, 0.0), low, high, high + 1.0]) | st.floats(1e-6, 0.5))
+    return cloud, float(scale)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rips_cases(), st.data())
+def test_count_simplices_counts_what_the_filtration_lists(case, data):
+    """count_simplices is the vertices plus the edges and triangles that
+    _filtration lists, in blocks of any size, and those are the Rips
+    simplices: every edge and triangle at most the scale, once each, in
+    (value, vertex tuple) order."""
+    cloud, scale = case
+    m = len(cloud)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "_CLOUD_PAIRS", data.draw(st.integers(1, 4 * m + 4) | st.just(homology._CLOUD_PAIRS)))
+        total = count_simplices(cloud, scale)
+        edge_value, edge_ends, tri_value, tri_faces = _filtration(cloud, scale)
+    assert total == m + len(edge_value) + len(tri_value)
+    d = cloud.dist
+    edges = [(i, j) for i, j in combinations(range(m), 2) if d[i, j] <= scale]
+    tris = [(i, j, k) for i, j, k in combinations(range(m), 3) if max(d[i, j], d[i, k], d[j, k]) <= scale]
+    assert sorted(map(tuple, edge_ends.tolist())) == edges
+    ends = edge_ends[tri_faces]  # (triangle, face, end): faces (i, j), (i, k), (j, k)
+    i, j, k = ends[:, 0, 0], ends[:, 0, 1], ends[:, 2, 1]
+    assert np.array_equal(ends, np.stack([np.column_stack(face) for face in ((i, j), (i, k), (j, k))], axis=1))
+    assert sorted(zip(i.tolist(), j.tolist(), k.tolist())) == tris
+    assert np.array_equal(np.lexsort((k, j, i, tri_value)), np.arange(len(tri_value)))
+    assert np.array_equal(np.lexsort((edge_ends[:, 1], edge_ends[:, 0], edge_value)), np.arange(len(edge_value)))
