@@ -34,8 +34,8 @@ from .moves import (
     pushforward_contraction,
     staircase,
 )
-from .ran import Configuration, configuration, dedup, hausdorff, union
-from .space import Circle, GraphPoint, Interval, MetricGraph, Space, distance, geodesic
+from .ran import Configuration, dedup, hausdorff, union
+from .space import Circle, GraphPoint, Interval, MetricGraph, Space
 from .tracks import (
     ContinuityReport,
     ContractionCertificate,

@@ -70,7 +70,8 @@ class _Commands(click.Group):
         except Exception as exc:
             for types, code, label in EXIT_CODES:
                 if isinstance(exc, types):
-                    _echo(f"{label}: {exc}", err=True)
+                    # a bare MemoryError() has no text; its type name is the message
+                    _echo(f"{label}: {str(exc) or type(exc).__name__}", err=True)
                     sys.exit(code)
             raise
 

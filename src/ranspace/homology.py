@@ -8,8 +8,9 @@ boundary-matrix reduction).  Z/2 coefficients suffice to separate the
 cases checked here, and the Rips filtration only needs the distance
 matrix, not an embedding.
 
-Distance-matrix assembly and the filtration are vectorized; the reduction
-itself is single-threaded and fully deterministic (simplices ordered by
+Distance-matrix assembly and the filtration are vectorized, their
+temporaries bounded by the blocks of ``ran.blocks``; the reduction itself
+is single-threaded and fully deterministic (simplices ordered by
 filtration value, dimension, then vertex tuple).  Farthest-point landmarks
 of sampled cells (``landmark_cloud``) compute only the distance rows the
 selection reads, so a large sample never needs its full matrix.
@@ -24,12 +25,10 @@ import numpy as np
 
 from .errors import SizeLimit
 # dedup is unused here, but perfbench/tracer.py rebinds it here
-from .ran import _dedup_lists, _pad_lists, _slot_points, batch_hausdorff, dedup
+from .ran import _dedup_lists, _pad_lists, _slot_points, batch_hausdorff, blocks, dedup
 from .space import Space
 
 DEFAULT_SIMPLEX_BUDGET = 5_000_000
-# cell pairs one cloud_from_configs block hands batch_hausdorff, at most
-_CLOUD_PAIRS = 1 << 15
 # the prefix gap rule of long_lived_h1_count
 GAP_RATIO = 5.0
 
@@ -76,17 +75,16 @@ def cloud_from_configs(space: Space, cells) -> MetricCloud:
     """The cloud of cells, each a sequence of points on space, at their
     pairwise Hausdorff distances, labelled by the cells.
 
-    The upper triangle is filled in blocks of rows of at most _CLOUD_PAIRS
-    pairs (one row if it is longer), so that neither the pair indices nor
-    batch_hausdorff's temporaries grow with the square of the cell count.
+    The upper triangle is filled in the row blocks of ran.blocks, m
+    cells wide, so that neither the pair indices nor batch_hausdorff's
+    temporaries grow with the square of the cell count.
     """
     cells = tuple(cells)
     enc = _pad_lists(space, cells)
     m = len(cells)
     dist = np.zeros((m, m))
-    step = max(1, _CLOUD_PAIRS // max(m, 1))
-    for first in range(0, m - 1, step):
-        iu, ju = np.nonzero(np.arange(m) > np.arange(first, min(first + step, m))[:, None])
+    for first, stop in blocks(m - 1, m):
+        iu, ju = np.nonzero(np.arange(m) > np.arange(first, stop)[:, None])
         iu += first
         vals = batch_hausdorff(space, enc[iu], enc[ju])
         dist[iu, ju] = vals
@@ -170,20 +168,18 @@ def _triangle_blocks(cloud: MetricCloud, max_scale: float):
     edges (iu, ju), i < j, in lexicographic order, and an iterator over
     blocks of them, (first, both), where row r of both is the AND of the
     upper adjacency rows of i and j of edge first + r, so that its bit k
-    is set when (i, j, k) is a triangle (k > j).  A block holds at most
-    _CLOUD_PAIRS edge-vertex bits (one edge if m is larger)."""
+    is set when (i, j, k) is a triangle (k > j).  The blocks are those
+    of ran.blocks over the edges, m bits wide."""
     up = np.triu(cloud.dist <= max_scale, k=1)
     iu, ju = np.nonzero(up)
-    step = max(1, _CLOUD_PAIRS // max(len(up), 1))
-    blocks = ((first, up[iu[first : first + step]] & up[ju[first : first + step]]) for first in range(0, len(iu), step))
-    return iu, ju, blocks
+    return iu, ju, ((first, up[iu[first:stop]] & up[ju[first:stop]]) for first, stop in blocks(len(iu), len(up)))
 
 
 def count_simplices(cloud: MetricCloud, max_scale: float) -> int:
     """The vertices, edges and triangles of the Rips 2-skeleton at
     max_scale, counted without listing a triangle."""
-    iu, _, blocks = _triangle_blocks(cloud, max_scale)
-    return len(cloud) + len(iu) + sum(int(np.count_nonzero(both)) for _, both in blocks)
+    iu, _, edge_blocks = _triangle_blocks(cloud, max_scale)
+    return len(cloud) + len(iu) + sum(int(np.count_nonzero(both)) for _, both in edge_blocks)
 
 
 def _filtration(cloud: MetricCloud, max_scale: float):
@@ -200,9 +196,9 @@ def _filtration(cloud: MetricCloud, max_scale: float):
     d = cloud.dist
     # edges and, edge by edge, their triangles come in lexicographic
     # order, so a stable sort on the value alone gives the full order
-    iu, ju, blocks = _triangle_blocks(cloud, max_scale)
+    iu, ju, edge_blocks = _triangle_blocks(cloud, max_scale)
     tris = [np.zeros((3, 0), dtype=np.intp)]
-    for first, both in blocks:
+    for first, both in edge_blocks:
         r, k = np.divmod(np.flatnonzero(both), m)
         tris.append(np.stack((iu[first + r], ju[first + r], k)))
     i, j, k = np.concatenate(tris, axis=1)

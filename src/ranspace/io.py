@@ -4,7 +4,8 @@ Documents round-trip bit-exactly: floats are emitted with Python's
 shortest exact representation and loading rebuilds values without any
 renormalization that could move a bit.  ``dump`` writes exactly what
 ``json.dump(doc, fp, indent=1)`` writes, plus a newline;
-``write_homotopy`` writes those bytes from a homotopy's cell arrays.  Both
+``write_homotopy`` writes those bytes from a homotopy's cell arrays, one
+row block of ``ran.blocks`` at a time.  Both
 write cells through one row formatter, ``_rows_text``.  Reading goes
 through one decoder, ``grid_from_json``, which turns the cells of a
 document into a ``Homotopy`` of canonical points with vectorized schema
@@ -35,7 +36,7 @@ from typing import IO
 import numpy as np
 
 from .errors import InvalidPoint, RanspaceError, SchemaError
-from .ran import _pad
+from .ran import _pad, blocks
 from .space import Circle, GraphPoint, Interval, MetricGraph, Space
 from .tracks import ContinuityReport, ContractionCertificate, Homotopy, Track
 
@@ -273,11 +274,6 @@ def homotopy_from_json(doc) -> tuple[Homotopy, dict | None]:
 
 # -- writing ------------------------------------------------------------------
 
-# cells write_homotopy formats at once: the strings of one chunk of rows,
-# not of the whole grid, are live at a time
-_WRITE_CELLS = 1 << 16
-
-
 def _cells_template(sizes: tuple, pad: str, point: str) -> str:
     """json.dumps(row, indent=1) at indent pad of a row of point lists of
     the given sizes, with the text point for each point."""
@@ -358,14 +354,14 @@ def dump(doc: dict, fp: IO[str]) -> None:
 def write_homotopy(h: Homotopy, certificate: dict | None, fp: IO[str]) -> None:
     """Write dump(homotopy_to_json(h, certificate), fp), byte for byte,
     with the cells of h, whose points are finite, going through the row
-    formatter a chunk of rows at a time."""
+    formatter one row block of ran.blocks at a time, so that the strings of
+    one block, not of the whole grid, are live at once."""
     # the document less its closing brace, its keys as dump writes them
     fp.write(json.dumps(_homotopy_head(h), indent=1)[:-2] + ',\n "cells": [')
     templates, sep = {}, "\n  "
-    step = max(1, _WRITE_CELLS // h.counts.shape[1])
-    for first in range(0, h.rows, step):
-        counts = h.counts[first:first + step]
-        values = h.enc[first:first + step][np.arange(h.enc.shape[2]) < counts[..., None]]
+    for first, stop in blocks(h.rows, h.counts.shape[1]):
+        counts = h.counts[first:stop]
+        values = h.enc[first:stop][np.arange(h.enc.shape[2]) < counts[..., None]]
         fp.write(sep + _rows_text(list(map(tuple, counts.tolist())), values, "  ", templates))
         sep = ",\n  "
     fp.write("\n ]")

@@ -11,6 +11,10 @@ the space's ``distance_many``.  Scalar ``hausdorff`` and ``dedup`` are
 one-row calls of them.  ``_pad_lists`` encodes point lists and
 ``_slot_points`` is the one way back from encoded slots to points; a
 ``Configuration`` is built only where a caller asks for one.
+
+``blocks`` is the one block rule of every kernel that bounds its
+temporaries: the continuity gaps, the Hausdorff cloud, the Rips triangle
+rows and the homotopy writer.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from .errors import CapExceeded, EmptyConfiguration, InvalidPoint, SpaceMismatch
 from .space import GraphPoint, MetricGraph, Point, Space
 
 DEDUP_EPS = 1e-9
+# cells a block of a bounded kernel holds, at most (see blocks)
+BLOCK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -55,6 +61,15 @@ def dedup(space: Space, points: Iterable[Point], cap: int | None = None) -> Conf
     kept, counts = _dedup_lists(space, [points], len(points) if cap is None else cap)
     k = int(counts[0])
     return Configuration(_slot_points(space, kept[0, :k]), k if cap is None else cap)
+
+
+def blocks(n: int, width: int) -> list:
+    """Consecutive (first, stop) ranges that cover range(n), each of
+    max(1, BLOCK_CELLS // max(width, 1)) items but the last, which may
+    hold fewer: items of width cells each, BLOCK_CELLS cells a block (one
+    item if it is wider)."""
+    step = max(1, BLOCK_CELLS // max(width, 1))
+    return [(first, min(first + step, n)) for first in range(0, n, step)]
 
 
 def _pad(space: Space, counts: np.ndarray, flat: np.ndarray) -> np.ndarray:
@@ -159,11 +174,6 @@ def _dedup_lists(space: Space, point_lists: Sequence[Sequence[Point]], cap: int)
     if counts.max() > cap:
         raise CapExceeded(f"{counts.max()} points with cap {cap}")
     return kept, counts
-
-
-def configuration(space: Space, points: Iterable[Point], cap: int | None = None) -> Configuration:
-    """Build a configuration from raw points, deduplicating at DEDUP_EPS."""
-    return dedup(space, points, cap=cap)
 
 
 def batch_hausdorff(space: Space, enc_a: np.ndarray, enc_b: np.ndarray) -> np.ndarray:

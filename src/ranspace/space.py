@@ -2,8 +2,10 @@
 
 Points are plain floats (circle and interval coordinates) or ``GraphPoint``
 pairs ``(edge, t)`` with ``t`` in ``[0, 1]`` measured from the edge's first
-endpoint.  All operations are pure and all space objects are immutable, so
-everything here is safe for unrestricted concurrent use.
+endpoint.  All operations are pure and all space objects are immutable (a
+graph's derived tables are cached properties, built on first use, and the
+same whoever builds them), so everything here is safe for unrestricted
+concurrent use.
 
 Determinism contracts:
 
@@ -16,9 +18,10 @@ Determinism contracts:
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -138,12 +141,13 @@ class MetricGraph:
     """Connected multigraph with finite positive edge lengths.
 
     Edges are (u, v, length) triples; parallel edges and self loops are
-    allowed.  Shortest paths are computed once per source vertex and cached.
+    allowed.  The derived tables (the all-pairs shortest paths, the edge
+    endpoints and the edge arrays) are cached properties, each built on
+    its first use.
     """
 
     num_vertices: int
     edges: tuple  # of (u, v, length)
-    _cache: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
 
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple((int(u), int(v), float(l)) for u, v, l in self.edges))
@@ -154,7 +158,9 @@ class MetricGraph:
                 raise ValueError(f"edge endpoint out of range: {(u, v, l)}")
             if not 0 < l < math.inf:
                 raise ValueError("edge lengths must be finite and strictly positive")
-        if not np.isfinite(self._paths_from(0)[0]).all():
+        # too few edges to connect the vertices is refused before the
+        # single-source check allocates anything num_vertices long
+        if len(self.edges) < self.num_vertices - 1 or not np.isfinite(self._paths_from(0)[0]).all():
             raise ValueError("metric graph must be connected")
 
     # -- vertex-level shortest paths ------------------------------------
@@ -165,8 +171,6 @@ class MetricGraph:
         Settling on first pop yields, among shortest paths, the one whose
         edge-index sequence is lexicographically minimal.
         """
-        if source in self._cache:
-            return self._cache[source]
         dist = [np.inf] * self.num_vertices
         route = [None] * self.num_vertices
         heap = [(0.0, (), source)]
@@ -181,17 +185,17 @@ class MetricGraph:
                     heapq.heappush(heap, (d + l, seq + (idx,), v))
                 if v == w and route[u] is None:
                     heapq.heappush(heap, (d + l, seq + (idx,), u))
-        self._cache[source] = (dist, route)
         return dist, route
 
+    @functools.cached_property
+    def _all_pairs(self) -> tuple:
+        """The vertex distance matrix and, by source, each vertex's
+        lexicographic route (see _paths_from)."""
+        paths = [self._paths_from(s) for s in range(self.num_vertices)]
+        return np.array([dist for dist, _ in paths], dtype=float), [route for _, route in paths]
+
     def vertex_distance_matrix(self) -> np.ndarray:
-        key = "matrix"
-        if key not in self._cache:
-            m = np.zeros((self.num_vertices, self.num_vertices))
-            for s in range(self.num_vertices):
-                m[s, :] = self._paths_from(s)[0]
-            self._cache[key] = m
-        return self._cache[key]
+        return self._all_pairs[0]
 
     def vertex_point(self, v: int) -> GraphPoint:
         """Canonical (edge, endpoint) representative of a vertex."""
@@ -219,23 +223,24 @@ class MetricGraph:
         bad = (t < -CANON_TOL) | (t > 1 + CANON_TOL)
         if bad.any():
             raise InvalidPoint(f"edge parameter {t[bad][0]} outside [0, 1]")
-        if "ends" not in self._cache:
-            # ends[i]: the canonical points of edge i's first and second endpoint
-            self._cache["ends"] = np.array([[self.vertex_point(u), self.vertex_point(v)] for u, v, _ in self.edges], dtype=float)
-        ends = self._cache["ends"][e.astype(np.intp)]
+        ends = self._ends[e.astype(np.intp)]
         at_v = np.where((t > 1 - CANON_TOL)[..., None], ends[..., 1, :], p)
         return np.where((t < CANON_TOL)[..., None], ends[..., 0, :], at_v)
 
+    @functools.cached_property
+    def _ends(self) -> np.ndarray:
+        """ends[i]: the canonical points of edge i's first and second endpoint."""
+        return np.array([[self.vertex_point(u), self.vertex_point(v)] for u, v, _ in self.edges], dtype=float)
+
+    @functools.cached_property
     def edge_arrays(self) -> tuple:
         """Each edge's length, first endpoint and second endpoint, as arrays
         indexed by edge."""
-        if "edge_arrays" not in self._cache:
-            self._cache["edge_arrays"] = (
-                np.array([l for _, _, l in self.edges]),
-                np.array([u for u, _, _ in self.edges], dtype=np.intp),
-                np.array([v for _, v, _ in self.edges], dtype=np.intp),
-            )
-        return self._cache["edge_arrays"]
+        return (
+            np.array([l for _, _, l in self.edges]),
+            np.array([u for u, _, _ in self.edges], dtype=np.intp),
+            np.array([v for _, v, _ in self.edges], dtype=np.intp),
+        )
 
     def _endpoint_legs(self, p: GraphPoint):
         u, v, l = self.edges[p.edge]
@@ -251,7 +256,7 @@ class MetricGraph:
         bit for bit.  Each operand's edges, lengths and legs are computed
         at its own shape; only the vertex gathers and the sums broadcast.
         A NaN t gives NaN; its edge must still index an edge."""
-        lengths, us, vs = self.edge_arrays()
+        lengths, us, vs = self.edge_arrays
         dmat = self.vertex_distance_matrix()
         nv = len(dmat)
         ex, tx = x[..., 0].astype(np.intp), x[..., 1]
@@ -292,7 +297,7 @@ class MetricGraph:
                     u, v, _ = self.edges[p.edge]
                     segs.append((p.edge, p.t, 0.0 if a == u else 1.0))
                     w = a
-                    for idx in self._paths_from(a)[1][b]:
+                    for idx in self._all_pairs[1][a][b]:
                         eu, ev, _ = self.edges[idx]
                         if eu == w:
                             segs.append((idx, 0.0, 1.0))
@@ -338,19 +343,9 @@ class MetricGraph:
         return out
 
     def random_point(self, rng: np.random.Generator) -> GraphPoint:
-        lengths = np.array([l for _, _, l in self.edges])
+        lengths = self.edge_arrays[0]
         edge = int(rng.choice(len(self.edges), p=lengths / lengths.sum()))
         return self.canon(GraphPoint(edge, float(rng.uniform(0.0, 1.0))))
 
 
 Space = Union[Circle, Interval, MetricGraph]
-
-
-def distance(space: Space, p: Point, q: Point) -> float:
-    """Geodesic metric of the space, at the point level."""
-    return space.distance(p, q)
-
-
-def geodesic(space: Space, p: Point, q: Point, s: float) -> Point:
-    """Constant-speed geodesic from p (s=0) to q (s=1)."""
-    return space.geodesic(p, q, s)

@@ -21,8 +21,8 @@ because the neighborhood quantifiers of the continuous definitions are not
 decidable from samples.
 
 All values are immutable and operations pure.  Grid-cell work (continuity
-checks) is a max-reduction, so any parallel schedule yields the identical
-report.
+checks) is a max-reduction over the row blocks of ``ran.blocks``, so any
+parallel schedule yields the identical report.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import AmbiguousLift, EndpointMismatch, InvalidPoint, SpaceMismatch
 # dedup and hausdorff are unused here, but perfbench/tracer.py rebinds them here
-from .ran import Configuration, _dedup_lists, _pad_lists, _padding, _slot_points, batch_hausdorff, dedup, dedup_many, hausdorff
+from .ran import Configuration, _dedup_lists, _pad_lists, _padding, _slot_points, batch_hausdorff, blocks, dedup, dedup_many, hausdorff
 from .space import Circle, Interval, MetricGraph, Point, Space
 
 LOOP_TOL = 1e-9
@@ -261,14 +261,13 @@ def certify(h: Homotopy, stages: Sequence[tuple], b: Point | None = None) -> Con
     )
 
 
-def _gap_blocks(space: Space, enc: np.ndarray, cells: int = 1 << 15):
-    """Hausdorff gaps of adjacent cells in blocks of rows of about `cells`
-    cells, so that no pair array spans a large grid: (first row, gaps to
-    the next column, gaps to the next row, none from the last row)."""
+def _gap_blocks(space: Space, enc: np.ndarray):
+    """Hausdorff gaps of adjacent cells in the row blocks of ran.blocks, so
+    that no pair array spans a large grid: (first row, gaps to the next
+    column, gaps to the next row, none from the last row)."""
     rows, cols = enc.shape[:2]
-    step = max(1, cells // cols)
-    for first in range(0, rows, step):
-        stop, down_stop = min(first + step, rows), min(first + step, rows - 1)
+    for first, stop in blocks(rows, cols):
+        down_stop = min(stop, rows - 1)
         yield (first, batch_hausdorff(space, enc[first:stop, :-1], enc[first:stop, 1:]),
                batch_hausdorff(space, enc[first:down_stop], enc[first + 1:down_stop + 1]))
 

@@ -34,7 +34,7 @@ from ranspace.moves import (
     contract_pipeline,
     staircase,
 )
-from ranspace.ran import configuration, dedup, hausdorff
+from ranspace.ran import dedup, hausdorff
 from ranspace.space import Circle, MetricGraph
 from ranspace.tracks import (
     StrandBundle,
@@ -102,7 +102,7 @@ def test_criterion_1_hausdorff_oracle_equivalence():
     graph_metric = make_graph_point_metric(FIVE_EDGE.edges, FIVE_EDGE.num_vertices)
     for space, metric in ((C1, circle_metric), (FIVE_EDGE, graph_metric)):
         configs = [
-            configuration(space, [space.random_point(rng) for _ in range(int(rng.integers(1, 5)))])
+            dedup(space, [space.random_point(rng) for _ in range(int(rng.integers(1, 5)))])
             for _ in range(60)
         ]
         for _ in range(1000):

@@ -499,6 +499,46 @@ def test_homology_out_of_memory_exits_two(monkeypatch):
     assert stdout.getvalue() == ""
 
 
+def test_a_memory_error_without_text_names_its_type(monkeypatch):
+    """A bare MemoryError() has no text: its size limit line names the
+    type instead of ending at the label."""
+    from ranspace import cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "landmark_cloud", exhausted)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr), pytest.raises(SystemExit) as exit_info:
+        cli.main(["homology", "--n", "2", "--m", "30", "--max-scale", "0.2", "--landmarks", "10"], standalone_mode=False)
+        sys.exit(0)
+    assert exit_info.value.code == 2
+    assert stderr.getvalue() == "size limit: MemoryError\n"
+    assert stdout.getvalue() == ""
+
+
+@pytest.mark.parametrize("command", ["contract", "convert"])
+def test_a_graph_with_too_few_edges_is_refused_before_it_allocates(tmp_path, command):
+    """A track on a graph of 300000000 vertices and one edge cannot be
+    connected, and is refused from its edge count (exit 2) before the
+    connectivity search allocates two lists a vertex long, about 4.8 GB.
+    Run under a 2 GB address-space limit, so that the allocation cannot
+    exhaust the machine."""
+    graph = MetricGraph(2, ((0, 1, 1.0),))
+    times = uniform_times(4)
+    doc = track_to_json(make_track(graph, times, [[graph.canon((0, 0.5))] for _ in times], cap=1, kind="loop"))
+    doc["space"]["vertices"] = 300_000_000
+    src = _write_doc(tmp_path / "huge.json", doc)
+    args = ("--cap", 1, "--out", tmp_path / "h.json") if command == "contract" else (tmp_path / "frames",)
+    res = subprocess.run(
+        [sys.executable, "-m", "ranspace.cli", command, str(src), *map(str, args)],
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space,
+    )
+    assert res.returncode == 2, res.stderr
+    assert res.stderr == "schema error: bad space document: metric graph must be connected\n"
+    assert res.stdout == ""
+
+
 def _limit_address_space():
     """Run in the child before exec: cap its address space at 2 GB."""
     import resource

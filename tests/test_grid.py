@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import generator_cell, oracle_dedup, oracle_dump, oracle_pipeline_cells
-from ranspace import io as rio
+from ranspace import ran
 from ranspace.io import dump, homotopy_to_json, space_to_json, write_homotopy
 from ranspace.moves import (
     Inclusion,
@@ -154,7 +154,7 @@ def test_write_homotopy_matches_dump(case, certificate, chunk):
         doc["certificate"] = certificate
     assert want.getvalue() == oracle_dump(doc)
     got = io.StringIO()
-    with mock.patch.object(rio, "_WRITE_CELLS", chunk or rio._WRITE_CELLS):
+    with mock.patch.object(ran, "BLOCK_CELLS", chunk or ran.BLOCK_CELLS):
         write_homotopy(h, certificate, got)
     assert got.getvalue() == want.getvalue()
 
@@ -163,7 +163,7 @@ def test_write_homotopy_matches_dump_past_one_chunk():
     """A generator grid of more cells than the writer formats at once, and
     a theta pipeline homotopy, are written as dump writes them."""
     h = contract_circle_generator(1, (300, 256))
-    assert h.rows * len(h.t_grid) > rio._WRITE_CELLS
+    assert h.rows * len(h.t_grid) > ran.BLOCK_CELLS
     theta, bundle = out_and_back_theta_bundle()
     h_theta, cert = contract_pipeline(bundle, SimplyConnected(4), theta.vertex_point(1), resolution=(24, 48))
     for homotopy, certificate in ((h, check_continuity(h, 4.0).as_dict()), (h_theta, cert.as_dict())):

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import naive_pairs, oracle_hausdorff, oracle_metric
-from ranspace import homology
+from ranspace import homology, ran
 from ranspace.errors import SizeLimit
 from ranspace.homology import (
     MetricCloud,
@@ -23,7 +23,7 @@ from ranspace.homology import (
     sample_configs,
     sample_ran,
 )
-from ranspace.ran import configuration
+from ranspace.ran import dedup
 from ranspace.space import Circle, Interval, MetricGraph
 
 
@@ -35,7 +35,7 @@ C1 = Circle(1.0)
 
 
 def singleton_cloud(coords):
-    return cloud_from_configs(C1, [configuration(C1, [c]).points for c in coords])
+    return cloud_from_configs(C1, [dedup(C1, [c]).points for c in coords])
 
 
 def test_three_point_frame():
@@ -264,7 +264,7 @@ def test_blocked_cloud_matches_the_oracle_pair_by_pair(case, data):
     space, cells = case
     m = len(cells)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(homology, "_CLOUD_PAIRS", data.draw(st.integers(1, 4 * m)))
+        mp.setattr(ran, "BLOCK_CELLS", data.draw(st.integers(1, 4 * m)))
         dist = cloud_from_configs(space, cells).dist
     metric = oracle_metric(space)
     for i, j in combinations(range(m), 2):
@@ -306,7 +306,7 @@ def test_count_simplices_counts_what_the_filtration_lists(case, data):
     cloud, scale = case
     m = len(cloud)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(homology, "_CLOUD_PAIRS", data.draw(st.integers(1, 4 * m + 4) | st.just(homology._CLOUD_PAIRS)))
+        mp.setattr(ran, "BLOCK_CELLS", data.draw(st.integers(1, 4 * m + 4) | st.just(ran.BLOCK_CELLS)))
         total = count_simplices(cloud, scale)
         edge_value, edge_ends, tri_value, tri_faces = _filtration(cloud, scale)
     assert total == m + len(edge_value) + len(tri_value)

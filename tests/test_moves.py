@@ -34,7 +34,7 @@ from ranspace.moves import (
     pushforward_contraction,
     staircase,
 )
-from ranspace.ran import configuration, dedup, hausdorff
+from ranspace.ran import dedup, hausdorff
 from ranspace.space import Circle, Interval, MetricGraph
 from ranspace.tracks import (
     StrandBundle,

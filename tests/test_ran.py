@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import circle_point_metric, make_graph_point_metric, oracle_dedup, oracle_hausdorff, oracle_metric
+from ranspace import ran
 from ranspace.errors import CapExceeded, EmptyConfiguration, InvalidPoint, SpaceMismatch
-from ranspace.ran import DEDUP_EPS, Configuration, _pad_lists, _padding, _slot_points, configuration, dedup, dedup_many, hausdorff, union
+from ranspace.ran import DEDUP_EPS, Configuration, _pad_lists, _padding, _slot_points, blocks, dedup, dedup_many, hausdorff, union
 from ranspace.space import CANON_TOL, Circle, GraphPoint, Interval, MetricGraph
 
 CIRCLE = Circle(1.0)
@@ -15,16 +16,16 @@ GRAPH = MetricGraph(4, ((0, 1, 1.0), (1, 2, 0.5), (2, 3, 0.75), (3, 0, 1.25), (0
 
 
 def test_hausdorff_identity():
-    a = configuration(CIRCLE, [0.0, 0.5], cap=2)
+    a = dedup(CIRCLE, [0.0, 0.5], cap=2)
     assert hausdorff(CIRCLE, a, a) == 0.0
 
 
 def test_hausdorff_hand_cases():
-    a = configuration(CIRCLE, [0.0])
-    b = configuration(CIRCLE, [0.0, 0.5])
+    a = dedup(CIRCLE, [0.0])
+    b = dedup(CIRCLE, [0.0, 0.5])
     assert hausdorff(CIRCLE, a, b) == pytest.approx(0.5)
-    c = configuration(CIRCLE, [0.0, 0.5])
-    d = configuration(CIRCLE, [0.25, 0.75])
+    c = dedup(CIRCLE, [0.0, 0.5])
+    d = dedup(CIRCLE, [0.25, 0.75])
     assert hausdorff(CIRCLE, c, d) == pytest.approx(0.25)
 
 
@@ -32,8 +33,8 @@ def test_hausdorff_matches_bruteforce_oracle_circle():
     rng = np.random.default_rng(3)
     metric = circle_point_metric(1.0)
     for _ in range(300):
-        a = configuration(CIRCLE, rng.uniform(0, 1, rng.integers(1, 5)))
-        b = configuration(CIRCLE, rng.uniform(0, 1, rng.integers(1, 5)))
+        a = dedup(CIRCLE, rng.uniform(0, 1, rng.integers(1, 5)))
+        b = dedup(CIRCLE, rng.uniform(0, 1, rng.integers(1, 5)))
         assert hausdorff(CIRCLE, a, b) == oracle_hausdorff(metric, a.points, b.points)
 
 
@@ -41,14 +42,14 @@ def test_hausdorff_matches_bruteforce_oracle_graph():
     rng = np.random.default_rng(4)
     metric = make_graph_point_metric(GRAPH.edges, GRAPH.num_vertices)
     for _ in range(60):
-        a = configuration(GRAPH, [GRAPH.random_point(rng) for _ in range(int(rng.integers(1, 4)))])
-        b = configuration(GRAPH, [GRAPH.random_point(rng) for _ in range(int(rng.integers(1, 4)))])
+        a = dedup(GRAPH, [GRAPH.random_point(rng) for _ in range(int(rng.integers(1, 4)))])
+        b = dedup(GRAPH, [GRAPH.random_point(rng) for _ in range(int(rng.integers(1, 4)))])
         assert hausdorff(GRAPH, a, b) == oracle_hausdorff(metric, a.points, b.points)
 
 
 def test_hausdorff_metric_axioms():
     rng = np.random.default_rng(5)
-    configs = [configuration(CIRCLE, rng.uniform(0, 1, rng.integers(1, 5))) for _ in range(30)]
+    configs = [dedup(CIRCLE, rng.uniform(0, 1, rng.integers(1, 5))) for _ in range(30)]
     for a in configs:
         for b in configs:
             assert hausdorff(CIRCLE, a, b) == hausdorff(CIRCLE, b, a)
@@ -58,23 +59,23 @@ def test_hausdorff_metric_axioms():
 
 
 def test_hausdorff_space_mismatch():
-    a = configuration(GRAPH, [GraphPoint(0, 0.5)])
-    b = configuration(GRAPH, [GraphPoint(1, 0.25)])
+    a = dedup(GRAPH, [GraphPoint(0, 0.5)])
+    b = dedup(GRAPH, [GraphPoint(1, 0.25)])
     with pytest.raises(SpaceMismatch):
         hausdorff(CIRCLE, a, b)
 
 
 def test_union_diagonal_is_inclusion():
-    a = configuration(CIRCLE, [0.1, 0.6], cap=2)
+    a = dedup(CIRCLE, [0.1, 0.6], cap=2)
     assert union(CIRCLE, a, a, cap=2).points == a.points
 
 
 def test_union_disjoint_and_cap():
-    a = configuration(CIRCLE, [0.0])
-    b = configuration(CIRCLE, [0.5])
+    a = dedup(CIRCLE, [0.0])
+    b = dedup(CIRCLE, [0.5])
     got = union(CIRCLE, a, b, cap=2)
     assert got.points == (0.0, 0.5)
-    c = configuration(CIRCLE, [0.25, 0.5])
+    c = dedup(CIRCLE, [0.25, 0.5])
     with pytest.raises(CapExceeded):
         union(CIRCLE, a, c, cap=2)
 
@@ -82,9 +83,9 @@ def test_union_disjoint_and_cap():
 def test_union_commutative_associative_idempotent():
     rng = np.random.default_rng(6)
     for _ in range(50):
-        a = configuration(CIRCLE, rng.uniform(0, 1, 2))
-        b = configuration(CIRCLE, rng.uniform(0, 1, 2))
-        c = configuration(CIRCLE, rng.uniform(0, 1, 2))
+        a = dedup(CIRCLE, rng.uniform(0, 1, 2))
+        b = dedup(CIRCLE, rng.uniform(0, 1, 2))
+        c = dedup(CIRCLE, rng.uniform(0, 1, 2))
         ab = union(CIRCLE, a, b, cap=99)
         ba = union(CIRCLE, b, a, cap=99)
         assert ab.points == ba.points
@@ -97,8 +98,8 @@ def test_union_commutative_associative_idempotent():
 def test_union_shrinks_hausdorff():
     rng = np.random.default_rng(7)
     for _ in range(100):
-        a = configuration(CIRCLE, rng.uniform(0, 1, 3))
-        b = configuration(CIRCLE, rng.uniform(0, 1, 3))
+        a = dedup(CIRCLE, rng.uniform(0, 1, 3))
+        b = dedup(CIRCLE, rng.uniform(0, 1, 3))
         merged = union(CIRCLE, a, b, cap=99)
         assert hausdorff(CIRCLE, a, merged) <= hausdorff(CIRCLE, a, b) + 1e-12
 
@@ -320,7 +321,7 @@ def test_dedup_many_keeps_vertex_points_once():
 
 
 def test_configuration_sorted_and_capped():
-    c = configuration(CIRCLE, [0.7, 0.2, 0.7], cap=3)
+    c = dedup(CIRCLE, [0.7, 0.2, 0.7], cap=3)
     assert c.points == (0.2, 0.7)
     with pytest.raises(CapExceeded):
         Configuration((0.1, 0.2), cap=1)
@@ -361,3 +362,20 @@ def test_dedup_is_idempotent(case):
     kept, counts = dedup_many(space, _pad_lists(space, [once.points]))
     assert counts.tolist() == [len(once)]
     assert _hex(_slot_points(space, kept[0, :len(once)])) == _hex(once.points)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 300), st.integers(0, 100), st.integers(1, 64))
+def test_blocks_cover_the_range_by_the_block_rule(n, width, cells):
+    """blocks(n, width) is consecutive ranges that cover range(n) exactly,
+    each of max(1, BLOCK_CELLS // max(width, 1)) items but the last, which
+    holds at most that many."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ran, "BLOCK_CELLS", cells)
+        got = blocks(n, width)
+    step = max(1, cells // max(width, 1))
+    sizes = [stop - first for first, stop in got]
+    # nonempty ranges that list range(n) in order are consecutive
+    assert [i for first, stop in got for i in range(first, stop)] == list(range(n))
+    assert all(0 < size <= step for size in sizes)
+    assert all(size == step for size in sizes[:-1])

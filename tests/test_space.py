@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import math
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import oracle_circle_canon, oracle_geodesic, oracle_metric
 from ranspace.errors import InvalidPoint
 from ranspace.ran import _pad_lists, batch_hausdorff, dedup, hausdorff
-from ranspace.space import CANON_TOL, Circle, GraphPoint, Interval, MetricGraph, distance, geodesic
+from ranspace.space import CANON_TOL, Circle, GraphPoint, Interval, MetricGraph
 from test_ran import _raw_points, _spaces
 
 
@@ -54,15 +55,15 @@ SPACES = [Circle(1.0), Interval(2.0), FIVE_EDGE]
 
 def test_circle_arc_metric():
     c = Circle(1.0)
-    assert distance(c, 0.1, 0.9) == pytest.approx(0.2, abs=1e-15)
-    assert distance(c, 0.3, 0.3) == 0.0
+    assert c.distance(0.1, 0.9) == pytest.approx(0.2, abs=1e-15)
+    assert c.distance(0.3, 0.3) == 0.0
 
 
 def test_triangle_graph_vertices_unit_apart():
     p = TRIANGLE.vertex_point(0)
     q = TRIANGLE.vertex_point(1)
-    assert distance(TRIANGLE, p, q) == pytest.approx(1.0, abs=1e-12)
-    assert distance(TRIANGLE, p, q) == pytest.approx(oracle_graph_distance(TRIANGLE, p, q), abs=1e-12)
+    assert TRIANGLE.distance(p, q) == pytest.approx(1.0, abs=1e-12)
+    assert TRIANGLE.distance(p, q) == pytest.approx(oracle_graph_distance(TRIANGLE, p, q), abs=1e-12)
 
 
 def test_graph_distance_matches_dijkstra_oracle():
@@ -70,15 +71,15 @@ def test_graph_distance_matches_dijkstra_oracle():
     for _ in range(200):
         p = FIVE_EDGE.random_point(rng)
         q = FIVE_EDGE.random_point(rng)
-        assert distance(FIVE_EDGE, p, q) == pytest.approx(oracle_graph_distance(FIVE_EDGE, p, q), abs=1e-9)
+        assert FIVE_EDGE.distance(p, q) == pytest.approx(oracle_graph_distance(FIVE_EDGE, p, q), abs=1e-9)
 
 
 def test_geodesic_endpoints_and_midpoint():
     c = Circle(1.0)
-    assert geodesic(c, 0.0, 0.4, 0.5) == pytest.approx(0.2)
-    assert geodesic(c, 0.7, 0.7, 0.3) == pytest.approx(0.7)
+    assert c.geodesic(0.0, 0.4, 0.5) == pytest.approx(0.2)
+    assert c.geodesic(0.7, 0.7, 0.3) == pytest.approx(0.7)
     # antipodal tie resolves toward increasing coordinate
-    assert geodesic(c, 0.0, 0.5, 0.5) == pytest.approx(0.25)
+    assert c.geodesic(0.0, 0.5, 0.5) == pytest.approx(0.25)
 
 
 @pytest.mark.parametrize("space", SPACES, ids=["circle", "interval", "graph"])
@@ -86,12 +87,12 @@ def test_metric_axioms_on_random_triples(space):
     rng = np.random.default_rng(0)
     for _ in range(1000):
         p, q, r = (space.random_point(rng) for _ in range(3))
-        dpq = distance(space, p, q)
+        dpq = space.distance(p, q)
         assert dpq >= 0.0
-        assert dpq == distance(space, q, p)
-        assert dpq <= distance(space, p, r) + distance(space, r, q) + 1e-12
+        assert dpq == space.distance(q, p)
+        assert dpq <= space.distance(p, r) + space.distance(r, q) + 1e-12
     p = space.random_point(rng)
-    assert distance(space, p, p) == 0.0
+    assert space.distance(p, p) == 0.0
 
 
 @pytest.mark.parametrize("space", SPACES, ids=["circle", "interval", "graph"])
@@ -100,11 +101,11 @@ def test_geodesic_consistency(space):
     for _ in range(100):
         p, q = space.random_point(rng), space.random_point(rng)
         s, t = rng.uniform(0, 1, 2)
-        d = distance(space, p, q)
-        a = geodesic(space, p, q, s)
-        b = geodesic(space, p, q, t)
-        assert distance(space, a, b) == pytest.approx(abs(s - t) * d, abs=1e-9)
-        assert distance(space, p, a) == pytest.approx(s * d, abs=1e-9)
+        d = space.distance(p, q)
+        a = space.geodesic(p, q, s)
+        b = space.geodesic(p, q, t)
+        assert space.distance(a, b) == pytest.approx(abs(s - t) * d, abs=1e-9)
+        assert space.distance(p, a) == pytest.approx(s * d, abs=1e-9)
 
 
 # edge 0's ends are nearer each other through both vertices and edge 1
@@ -143,7 +144,7 @@ def test_geodesic_many_matches_the_scalar_oracle(case):
         assert got == [[w.edge, w.t] for w in want]
     else:
         assert got == want
-    assert [geodesic(space, p, q, x) for x in s] == want
+    assert [space.geodesic(p, q, x) for x in s] == want
 
 
 @settings(max_examples=400, deadline=None)
@@ -210,6 +211,20 @@ def test_invalid_points_rejected():
 def test_graph_requires_connectivity():
     with pytest.raises(ValueError):
         MetricGraph(4, ((0, 1, 1.0), (2, 3, 1.0)))
+
+
+def test_a_metric_graph_is_its_vertex_count_and_edges():
+    """The graph's derived tables are cached properties, not fields: the
+    constructor takes no third argument, and a graph whose tables are
+    built still equals and hashes as a fresh one."""
+    assert [f.name for f in dataclasses.fields(MetricGraph)] == ["num_vertices", "edges"]
+    with pytest.raises(TypeError):
+        MetricGraph(2, ((0, 1, 1.0),), {"matrix": np.zeros((2, 2))})
+    built = MetricGraph(2, ((0, 1, 1.0), (0, 1, 1.2), (0, 1, 0.8)))
+    built.vertex_distance_matrix()
+    built.canon_many(np.array([[1.0, 0.0]]))
+    fresh = MetricGraph(2, ((0, 1, 1.0), (0, 1, 1.2), (0, 1, 0.8)))
+    assert built == fresh and hash(built) == hash(fresh)
 
 
 def test_vertex_canonicalization_is_stable():

@@ -17,9 +17,10 @@ from oracles import (
     oracle_row,
 )
 
+from ranspace import ran
 from ranspace.errors import AmbiguousLift, CapExceeded, EmptyConfiguration, EndpointMismatch, InvalidPoint
-from ranspace.ran import batch_hausdorff, configuration, hausdorff
-from ranspace.space import Circle, GraphPoint, Interval, MetricGraph, geodesic
+from ranspace.ran import batch_hausdorff, dedup, hausdorff
+from ranspace.space import Circle, GraphPoint, Interval, MetricGraph
 from ranspace.tracks import (
     LOOP_TOL,
     Homotopy,
@@ -182,12 +183,13 @@ def test_continuity_flags_teleport():
 
 
 @pytest.mark.parametrize("cells", [1, 7, 40, 1 << 15])
-def test_gap_blocks_cover_the_whole_grid(cells):
+def test_gap_blocks_cover_the_whole_grid(cells, monkeypatch):
     rng = np.random.default_rng(3)
     rows, cols = 9, 6
     counts = rng.integers(1, 4, size=(rows, cols))
     enc = np.where(np.arange(3) < counts[..., None], rng.uniform(0.0, 1.0, (rows, cols, 3)), np.nan)
-    blocks = list(_gap_blocks(C1, enc, cells))
+    monkeypatch.setattr(ran, "BLOCK_CELLS", cells)
+    blocks = list(_gap_blocks(C1, enc))
     assert [first for first, _, _ in blocks] == list(range(0, rows, max(1, cells // cols)))
     np.testing.assert_array_equal(np.concatenate([a for _, a, _ in blocks]), batch_hausdorff(C1, enc[:, :-1], enc[:, 1:]))
     np.testing.assert_array_equal(np.concatenate([d for _, _, d in blocks]), batch_hausdorff(C1, enc[:-1], enc[1:]))
@@ -232,7 +234,7 @@ def test_continuity_monotone_under_midpoint_refinement():
             a = coarse.configs[i].points[0]
             b = coarse.configs[i + 1].points[0]
             fine_times += [coarse.times[i], (coarse.times[i] + coarse.times[i + 1]) / 2]
-            fine_pts += [[a], [geodesic(C1, a, b, 0.5)]]
+            fine_pts += [[a], [C1.geodesic(a, b, 0.5)]]
         fine_times.append(1.0)
         fine_pts.append([coarse.configs[-1].points[0]])
         fine = make_track(C1, fine_times, fine_pts, cap=1, kind="path")
@@ -660,7 +662,7 @@ def test_homotopy_of_no_rows_is_a_ragged_grid():
 def test_of_cells_rejects_a_cell_above_its_cap():
     """A homotopy records its cap without enforcing it; of_cells, which
     takes outside Configurations, checks it."""
-    row = (configuration(C1, [0.25]), configuration(C1, [0.25, 0.5]), configuration(C1, [0.25]))
+    row = (dedup(C1, [0.25]), dedup(C1, [0.25, 0.5]), dedup(C1, [0.25]))
     assert Homotopy.of_cells(C1, (0.0, 1.0), uniform_times(2), (row, row), 2).max_cardinality(0, 1) == 2
     with pytest.raises(ValueError, match="^cell of size 2 exceeds cap 1$"):
         Homotopy.of_cells(C1, (0.0, 1.0), uniform_times(2), (row, row), 1)
@@ -682,7 +684,7 @@ def test_certify_reads_every_field_from_the_cells():
     """certify's numbers are check_continuity's, endpoint_drift, h's cap
     and each stage's largest cell; target_constancy is the largest
     distance of a last-row cell from {b}, None without b."""
-    one, two = configuration(C1, [0.25]), configuration(C1, [0.25, 0.5])
+    one, two = dedup(C1, [0.25]), dedup(C1, [0.25, 0.5])
     h = Homotopy.of_cells(C1, (0.0, 0.5, 1.0), uniform_times(2), ((one, two, one), (one, one, one), (one, one, one)), 3)
     cert = certify(h, [("a", 0, 1), ("b", 1, 2)], 0.0)
     report = check_continuity(h, math.inf)
@@ -698,12 +700,12 @@ def test_stack_homotopies_checks_graph_seams():
     is 2 * LOOP_TOL off."""
     theta = MetricGraph(2, ((0, 1, 1.0), (0, 1, 1.2), (0, 1, 0.8)))
     times = uniform_times(4)
-    row = tuple(configuration(theta, [GraphPoint(0, 0.25 + 0.125 * t), GraphPoint(2, 0.5)]) for t in times)
+    row = tuple(dedup(theta, [GraphPoint(0, 0.25 + 0.125 * t), GraphPoint(2, 0.5)]) for t in times)
     first = Homotopy.of_cells(theta, (0.0, 1.0), times, (row, row), 2)
     stacked = stack_homotopies([first, Homotopy.of_cells(theta, (0.0, 1.0), times, (row, row), 2)])
     assert stacked.rows == 3
     # edge 0 has length 1, so the t offset is the distance
     off = list(row)
-    off[2] = configuration(theta, [GraphPoint(0, 0.3125 + 2 * LOOP_TOL), GraphPoint(2, 0.5)])
+    off[2] = dedup(theta, [GraphPoint(0, 0.3125 + 2 * LOOP_TOL), GraphPoint(2, 0.5)])
     with pytest.raises(EndpointMismatch):
         stack_homotopies([first, Homotopy.of_cells(theta, (0.0, 1.0), times, (tuple(off), row), 2)])
