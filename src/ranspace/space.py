@@ -39,6 +39,17 @@ class GraphPoint(NamedTuple):
 Point = Union[float, GraphPoint]
 
 
+def _remainder(x: np.ndarray, c: float) -> np.ndarray:
+    """np.remainder(x, c) for c > 0, bit for bit, without its divmod (2-4x
+    fmod's cost, 10-20x on NaN): fmod is exact, so a negative remainder
+    takes c and the rest +0.0, which turns -0.0 into 0.0.  c as np.float64
+    keeps the product a scalar op on 0-d input, not a ufunc call."""
+    c = np.float64(c)
+    r = np.fmod(x, c)
+    r += c * (r < 0)
+    return r
+
+
 @dataclass(frozen=True)
 class Circle:
     """Circle of a given circumference, coordinates taken modulo it."""
@@ -57,7 +68,7 @@ class Circle:
     def canon_many(self, x: np.ndarray) -> np.ndarray:
         """canon over an array of coordinates, value for value; NaN stays NaN."""
         c = self.circumference
-        x = np.remainder(x, c)
+        x = _remainder(x, c)
         # values within canonical tolerance of the seam map to 0, by an
         # in-place multiply: np.where would double the cost of canon, a
         # one-value call

@@ -38,7 +38,7 @@ import numpy as np
 from .errors import AmbiguousLift, EndpointMismatch, InvalidPoint, SpaceMismatch
 # dedup and hausdorff are unused here, but perfbench/tracer.py rebinds them here
 from .ran import Configuration, _dedup_lists, _pad_lists, _padding, _slot_points, batch_hausdorff, blocks, dedup, dedup_many, hausdorff
-from .space import Circle, Interval, MetricGraph, Point, Space
+from .space import Circle, Interval, MetricGraph, Point, Space, _remainder
 
 LOOP_TOL = 1e-9
 
@@ -163,7 +163,7 @@ def circle_lift(circ: Circle, points: Sequence[float]) -> np.ndarray:
     """
     c = circ.circumference
     x = circ.canon_many(np.asarray(points, dtype=float))
-    raw = np.remainder(x[1:] - x[:-1], c)
+    raw = _remainder(x[1:] - x[:-1], c)
     arc = np.minimum(raw, c - raw)
     if (arc >= c / 2.0 - 1e-15 * c).any():
         raise AmbiguousLift(f"step of arc length {arc[arc >= c / 2.0 - 1e-15 * c][0]} with circumference {c}")

@@ -77,6 +77,21 @@ def oracle_circle_canon(circumference, p):
     return x
 
 
+def oracle_circle_lift(circumference, points):
+    """circle_lift as a scalar body: the first canonical point, then each
+    step's Python % turned into the signed shorter arc, as a running sum;
+    None where a step's arc reaches half the circumference."""
+    c = circumference
+    xs = [oracle_circle_canon(c, p) for p in points]
+    lift = [xs[0]]
+    for a, b in zip(xs, xs[1:]):
+        raw = (b - a) % c
+        if min(raw, c - raw) >= c / 2.0 - 1e-15 * c:
+            return None
+        lift.append(lift[-1] + (raw if raw <= c / 2.0 else raw - c))
+    return lift
+
+
 def circle_point_metric(circumference):
     def metric(p, q):
         raw = abs(p - q)

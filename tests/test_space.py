@@ -82,6 +82,33 @@ def test_geodesic_endpoints_and_midpoint():
     assert c.geodesic(0.0, 0.5, 0.5) == pytest.approx(0.25)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_circle_canon_many_on_the_shapes_the_kernels_pass(data):
+    """canon_many equals the scalar oracle element by element, bit for bit,
+    on a 3-D NaN-padded encoding, a read-only broadcast view of one of its
+    rows (as dedup_many gets for frozen window slots), a transposed slice
+    and 0-d arrays: NaN slots stay NaN, -0.0 becomes 0.0, and the argument
+    is not written to."""
+    c = data.draw(st.sampled_from([1e-3, 0.3, 1.0, 2.5, math.pi, 1e3]))
+    tol = CANON_TOL * max(1.0, c)
+    edges = st.sampled_from([0.0, -0.0, c, -c, tol, -tol, c - tol, c + tol, 5e-324, -5e-324, 1e300, -1e300])
+    value = st.one_of(edges, st.floats(-4 * c, 4 * c), st.floats(allow_nan=False, allow_infinity=False))
+    shape = data.draw(st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 6)))
+    enc = np.array(data.draw(st.lists(value, min_size=math.prod(shape), max_size=math.prod(shape)))).reshape(shape)
+    enc[..., shape[-1] - data.draw(st.integers(0, shape[-1])):] = math.nan
+    zero_d = [np.array(x) for x in data.draw(st.lists(st.one_of(value, st.just(math.nan)), min_size=1, max_size=4))]
+    space = Circle(c)
+    for x in [enc, np.broadcast_to(enc[-1], shape), enc.transpose(2, 0, 1)[::2, :, ::-1], *zero_d]:
+        before = x.tobytes()
+        got = np.asarray(space.canon_many(x))
+        assert got.shape == x.shape
+        assert [float.hex(v) for v in got.ravel().tolist()] == [float.hex(oracle_circle_canon(c, v)) for v in x.ravel().tolist()]
+        assert (np.isnan(got) == np.isnan(x)).all()
+        assert not np.signbit(got[got == 0.0]).any()
+        assert x.tobytes() == before
+
+
 @pytest.mark.parametrize("space", SPACES, ids=["circle", "interval", "graph"])
 def test_metric_axioms_on_random_triples(space):
     rng = np.random.default_rng(0)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import (
     OracleStrand,
     oracle_branch_merge,
+    oracle_circle_lift,
     oracle_concatenate,
     oracle_dedup,
     oracle_kind,
@@ -29,6 +30,7 @@ from ranspace.tracks import (
     Track,
     certify,
     check_continuity,
+    circle_lift,
     concatenate,
     conjugate,
     detect_branch_merge,
@@ -355,6 +357,25 @@ def test_winding_cases():
 def test_winding_ambiguous_lift():
     with pytest.raises(AmbiguousLift):
         winding_number(C1, [0.0, 0.5, 0.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_circle_lift_is_the_scalar_oracle_bit_for_bit(data):
+    """circle_lift equals the running-sum oracle bit for bit on random
+    strands of several circumferences, zero steps and steps near half a
+    turn included, and raises AmbiguousLift on the same strands."""
+    c = data.draw(st.sampled_from([1e-3, 0.3, 1.0, 2.5, math.pi, 1e3]))
+    step = st.one_of(st.sampled_from([0.0, -0.0, c / 2.0, -c / 2.0, c, -c]), st.floats(-0.6 * c, 0.6 * c))
+    points = [data.draw(st.floats(-4 * c, 4 * c))]
+    for s in data.draw(st.lists(step, max_size=30)):
+        points.append(points[-1] + s)
+    want = oracle_circle_lift(c, points)
+    if want is None:
+        with pytest.raises(AmbiguousLift):
+            circle_lift(Circle(c), points)
+    else:
+        assert [float.hex(x) for x in circle_lift(Circle(c), points).tolist()] == [float.hex(x) for x in want]
 
 
 def test_winding_adds_under_concatenation():
