@@ -17,6 +17,7 @@ from .errors import (
 )
 from .homology import (
     MetricCloud,
+    PersistenceDiagram,
     PersistencePair,
     long_lived_h1_count,
     maxmin_subsample,

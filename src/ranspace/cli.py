@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+from itertools import chain
 
 import click
 import numpy as np
@@ -20,6 +21,7 @@ from .errors import AmbiguousBranching, ModeViolation, RanspaceError, SchemaErro
 # maxmin_subsample and sample_ran are unused here, but perfbench/tracer.py rebinds them here
 from .homology import (
     DEFAULT_SIMPLEX_BUDGET,
+    PersistenceDiagram,
     landmark_cloud,
     long_lived_h1_count,
     maxmin_subsample,
@@ -39,7 +41,7 @@ from .io import (
     write_homotopy,
 )
 from .moves import Inclusion, SimplyConnected, contract_pipeline
-from .ran import batch_hausdorff
+from .ran import batch_hausdorff, blocks
 from .space import Circle, GraphPoint, MetricGraph
 from .svg import render_homotopy, render_track
 # check_continuity is unused here, but perfbench/tracer.py rebinds it here
@@ -55,10 +57,10 @@ EXIT_CODES = (
 )
 
 
-def _echo(message: str, err: bool = False) -> None:
+def _echo(message: str, err: bool = False, nl: bool = True) -> None:
     # click.echo with no file caches each sys.stdout or sys.stderr it meets
     # with the stream itself as the value, so it never frees a redirected one
-    click.echo(message, file=sys.stderr if err else sys.stdout)
+    click.echo(message, file=sys.stderr if err else sys.stdout, nl=nl)
 
 
 class _Commands(click.Group):
@@ -226,6 +228,18 @@ def cmd_verify(homotopy_path, bound):
     sys.exit(1 if fails else 0)
 
 
+# one homology table row: dim, birth, death and persistence ('%12.6g' % inf is '         inf')
+_PAIR_ROW = "%3d %12.6g %12.6g %12.6g\n"
+
+
+def _pair_rows(diagram: PersistenceDiagram):
+    """The homology table's pair rows, one string for each block of
+    ran.blocks over the pairs, four values a row."""
+    columns = (diagram.dim, diagram.birth, diagram.death, diagram.death - diagram.birth)
+    for first, stop in blocks(len(diagram), len(columns)):
+        yield _PAIR_ROW * (stop - first) % tuple(chain.from_iterable(zip(*(c[first:stop].tolist() for c in columns))))
+
+
 @main.command("homology")
 @click.option("--circumference", type=float, default=1.0, show_default=True)
 @click.option("--n", type=int, required=True, help="Configuration size cap.")
@@ -242,15 +256,12 @@ def cmd_homology(circumference, n, m, seed, max_scale, landmarks):
     space = Circle(circumference)
     cells = sample_configs(space, n=n, m=m, seed=seed)
     cloud = landmark_cloud(space, cells, landmarks or len(cells), seed=seed)
-    pairs = rips_persistence_h1(cloud, max_scale=max_scale, budget=budget)
-    count = long_lived_h1_count(pairs)
-    lines = [f"{'dim':>3} {'birth':>12} {'death':>12} {'persistence':>12}"]
-    for p in pairs:
-        death = f"{p.death:.6g}" if math.isfinite(p.death) else "inf"
-        pers = f"{p.persistence:.6g}" if math.isfinite(p.persistence) else "inf"
-        lines.append(f"{p.dim:>3} {p.birth:>12.6g} {death:>12} {pers:>12}")
-    lines.append(f"long-lived H1 classes: {count}")
-    _echo("\n".join(lines))
+    diagram = rips_persistence_h1(cloud, max_scale=max_scale, budget=budget)
+    count = long_lived_h1_count(diagram)
+    _echo(f"{'dim':>3} {'birth':>12} {'death':>12} {'persistence':>12}")
+    for rows in _pair_rows(diagram):
+        _echo(rows, nl=False)
+    _echo(f"long-lived H1 classes: {count}")
 
 
 @main.command("convert")

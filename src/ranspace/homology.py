@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import SizeLimit
 # dedup is unused here, but perfbench/tracer.py rebinds it here
-from .ran import _dedup_lists, _pad_lists, _slot_points, batch_hausdorff, blocks, dedup
+from .ran import _pad, _pad_lists, _slot_points, batch_hausdorff, blocks, dedup, dedup_many
 from .space import Space
 
 DEFAULT_SIMPLEX_BUDGET = 5_000_000
@@ -71,6 +71,38 @@ class PersistencePair:
         return self.death - self.birth
 
 
+@dataclass(frozen=True, eq=False)
+class PersistenceDiagram:
+    """Persistence pairs as three arrays, each pair's dimension, birth and
+    death, in table order: one stable sort by (dim, birth, death) of the
+    order given, so pairs that compare equal (0.0 and -0.0 among them)
+    keep it.  len() is the pair count; iterating gives the pairs as
+    PersistencePair views, and of_pairs builds a diagram from them."""
+
+    dim: np.ndarray
+    birth: np.ndarray
+    death: np.ndarray
+
+    def __post_init__(self):
+        dim = np.asarray(self.dim, dtype=np.intp)
+        birth, death = np.asarray(self.birth, dtype=float), np.asarray(self.death, dtype=float)
+        order = np.lexsort((death, birth, dim))
+        object.__setattr__(self, "dim", dim[order])
+        object.__setattr__(self, "birth", birth[order])
+        object.__setattr__(self, "death", death[order])
+
+    @classmethod
+    def of_pairs(cls, pairs) -> PersistenceDiagram:
+        pairs = tuple(pairs)
+        return cls([p.dim for p in pairs], [p.birth for p in pairs], [p.death for p in pairs])
+
+    def __len__(self):
+        return len(self.dim)
+
+    def __iter__(self):
+        return map(PersistencePair, self.birth.tolist(), self.death.tolist(), self.dim.tolist())
+
+
 def cloud_from_configs(space: Space, cells) -> MetricCloud:
     """The cloud of cells, each a sequence of points on space, at their
     pairwise Hausdorff distances, labelled by the cells.
@@ -95,12 +127,18 @@ def cloud_from_configs(space: Space, cells) -> MetricCloud:
 def sample_configs(space: Space, n: int, m: int, seed: int) -> tuple:
     """m configurations of size uniform in {1..n}, points uniform on the
     space, deterministic in the seed; each its deduplicated points, a
-    tuple in canonical order."""
+    tuple in canonical order.
+
+    Each configuration draws its size, then its points in one
+    random_points call; the draws are canonicalized once, by the one
+    dedup_many call on the padded sample, since canon is elementwise and
+    idempotent."""
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
     rng = np.random.default_rng(seed)
-    point_lists = [[space.random_point(rng) for _ in range(int(rng.integers(1, n + 1)))] for _ in range(m)]
-    kept, counts = _dedup_lists(space, point_lists, n)
+    draws = [space.random_points(rng, int(rng.integers(1, n + 1))) for _ in range(m)]
+    counts = np.fromiter(map(len, draws), dtype=np.intp, count=m)
+    kept, counts = dedup_many(space, _pad(space, counts, np.concatenate(draws)))
     return tuple(_slot_points(space, cell[:k]) for cell, k in zip(kept, counts.tolist()))
 
 
@@ -205,12 +243,14 @@ def _filtration(cloud: MetricCloud, max_scale: float):
     edge_value = d[iu, ju]
     order = np.argsort(edge_value, kind="stable")
     iu, ju, edge_value = iu[order], ju[order], edge_value[order]
-    rank = np.zeros((m, m), dtype=np.intp)
+    # int32 ranks halve the m x m table; the faces go back to intp, since
+    # _cofaces's keys face * T + triangle overflow int32
+    rank = np.zeros((m, m), dtype=np.int32 if len(iu) <= np.iinfo(np.int32).max else np.intp)
     rank[iu, ju] = np.arange(len(iu))
     tri_value = np.maximum(np.maximum(d[i, j], d[i, k]), d[j, k])
     order = np.argsort(tri_value, kind="stable")
     i, j, k = i[order], j[order], k[order]
-    faces = np.column_stack((rank[i, j], rank[i, k], rank[j, k]))
+    faces = np.column_stack((rank[i, j], rank[i, k], rank[j, k])).astype(np.intp)
     return edge_value, np.column_stack((iu, ju)), tri_value[order], faces
 
 
@@ -224,8 +264,8 @@ def _cofaces(tri_faces: np.ndarray) -> np.ndarray:
     return np.sort(keys.ravel()) % max(t, 1)
 
 
-def rips_persistence_h1(cloud: MetricCloud, max_scale: float, budget: int = DEFAULT_SIMPLEX_BUDGET):
-    """Persistence pairs in dimensions 0 and 1 of the Rips filtration.
+def rips_persistence_h1(cloud: MetricCloud, max_scale: float, budget: int = DEFAULT_SIMPLEX_BUDGET) -> PersistenceDiagram:
+    """The persistence diagram in dimensions 0 and 1 of the Rips filtration.
 
     H0 comes from union-find over the edges in filtration order: an edge
     joining two components kills the younger root (the larger vertex
@@ -245,7 +285,7 @@ def rips_persistence_h1(cloud: MetricCloud, max_scale: float, budget: int = DEFA
         raise SizeLimit(f"{total} simplices exceed budget {budget}")
     edge_value, edge_ends, tri_value, tri_faces = _filtration(cloud, max_scale)
     edge_value, tri_value = edge_value.tolist(), tri_value.tolist()
-    pairs = []
+    h0_death, h1_birth, h1_death = [], [], []
 
     root = list(range(len(cloud)))
 
@@ -261,8 +301,8 @@ def rips_persistence_h1(cloud: MetricCloud, max_scale: float, budget: int = DEFA
         if ri != rj:
             root[max(ri, rj)] = min(ri, rj)
             negative[r] = 1
-            pairs.append(PersistencePair(0.0, edge_value[r], 0))
-    pairs.extend(PersistencePair(0.0, math.inf, 0) for v, parent in enumerate(root) if parent == v)
+            h0_death.append(edge_value[r])
+    h0_death.extend(math.inf for v, parent in enumerate(root) if parent == v)
 
     # coboundary of edge r: the triangles cof[start[r]:start[r + 1]], ascending;
     # as a column it is a bitmask with triangle t at bit top - t, so its
@@ -293,16 +333,17 @@ def rips_persistence_h1(cloud: MetricCloud, max_scale: float, budget: int = DEFA
             else:
                 low = None
             reduced[r] = col
+        h1_birth.append(edge_value[r])
         if low is None:
-            pairs.append(PersistencePair(edge_value[r], math.inf, 1))
+            h1_death.append(math.inf)
         else:
             owner[low] = r
-            pairs.append(PersistencePair(edge_value[r], tri_value[low], 1))
-    pairs.sort(key=lambda p: (p.dim, p.birth, p.death))
-    return pairs
+            h1_death.append(tri_value[low])
+    h0 = len(h0_death)
+    return PersistenceDiagram(np.repeat([0, 1], [h0, len(h1_birth)]), [0.0] * h0 + h1_birth, h0_death + h1_death)
 
 
-def long_lived_h1_count(pairs) -> int:
+def long_lived_h1_count(diagram: PersistenceDiagram) -> int:
     """Number of dominant H1 classes under a prefix gap rule.
 
     Persistences are sorted descending; the count is the largest k such
@@ -310,14 +351,7 @@ def long_lived_h1_count(pairs) -> int:
     next one (next of the last pair being 0).  This is the decision rule
     separating essential classes from noise.
     """
-    pers = sorted((p.persistence for p in pairs if p.dim == 1), reverse=True)
-    if not pers:
-        return 0
-    count = 0
-    for i, p in enumerate(pers):
-        nxt = pers[i + 1] if i + 1 < len(pers) else 0.0
-        if p > GAP_RATIO * nxt:
-            count = i + 1
-        else:
-            break
-    return count
+    h1 = diagram.dim == 1
+    pers = np.sort(diagram.death[h1] - diagram.birth[h1])[::-1]
+    dominant = pers > GAP_RATIO * np.append(pers[1:], 0.0)
+    return len(pers) if dominant.all() else int(np.argmin(dominant))

@@ -99,8 +99,13 @@ class Circle:
             return self.canon_many(a + s * forward)
         return self.canon_many(a - s * (c - forward))
 
+    def random_points(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        """k raw uniform draws in [0, circumference), one array; canon_many
+        makes them points."""
+        return rng.uniform(0.0, self.circumference, size=k)
+
     def random_point(self, rng: np.random.Generator) -> float:
-        return self.canon(rng.uniform(0.0, self.circumference))
+        return self.canon(*self.random_points(rng, 1).tolist())
 
 
 @dataclass(frozen=True)
@@ -143,8 +148,13 @@ class Interval:
         a, b = self.canon(p), self.canon(q)
         return a + s * (b - a)
 
+    def random_points(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        """k raw uniform draws in [0, length), one array; canon_many makes
+        them points."""
+        return rng.uniform(0.0, self.length, size=k)
+
     def random_point(self, rng: np.random.Generator) -> float:
-        return float(rng.uniform(0.0, self.length))
+        return self.canon(*self.random_points(rng, 1).tolist())
 
 
 @dataclass(frozen=True)
@@ -353,10 +363,21 @@ class MetricGraph:
             acc += seg_len
         return out
 
-    def random_point(self, rng: np.random.Generator) -> GraphPoint:
+    def random_points(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        """k raw draws as (edge, t) rows, the edge by length and t uniform in
+        [0, 1); canon_many makes them points.  Each point draws its edge,
+        then its t, as k one-point calls would: a vectorized choice would
+        draw in another order."""
         lengths = self.edge_arrays[0]
-        edge = int(rng.choice(len(self.edges), p=lengths / lengths.sum()))
-        return self.canon(GraphPoint(edge, float(rng.uniform(0.0, 1.0))))
+        weights = lengths / lengths.sum()
+        out = np.empty((k, 2))
+        for row in out:
+            row[0] = rng.choice(len(self.edges), p=weights)
+            row[1] = rng.uniform(0.0, 1.0)
+        return out
+
+    def random_point(self, rng: np.random.Generator) -> GraphPoint:
+        return self.canon(*self.random_points(rng, 1).tolist())
 
 
 Space = Union[Circle, Interval, MetricGraph]

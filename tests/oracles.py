@@ -20,7 +20,7 @@ import numpy as np
 
 from ranspace.errors import AmbiguousBranching, EmptyConfiguration, InvalidPoint
 from ranspace.moves import _schedule
-from ranspace.ran import DEDUP_EPS, Configuration
+from ranspace.ran import DEDUP_EPS, Configuration, _dedup_lists, _slot_points
 from ranspace.space import CANON_TOL, Circle, GraphPoint, Interval
 from ranspace.tracks import StrandBundle, Track, project
 
@@ -293,6 +293,27 @@ def naive_pairs(dist, max_scale):
         if low(j) == -1 and j not in victims and j not in killed and sims[j][1] <= 1:
             pairs.append((sims[j][0], math.inf, sims[j][1]))
     return sorted(pairs)
+
+
+def oracle_sample_configs(space, n, m, seed):
+    """homology.sample_configs drawing point by point: each configuration
+    draws its size, then each point through space.random_point, which
+    canonicalizes it; then _dedup_lists dedups all the point lists."""
+    rng = np.random.default_rng(seed)
+    point_lists = [[space.random_point(rng) for _ in range(int(rng.integers(1, n + 1)))] for _ in range(m)]
+    kept, counts = _dedup_lists(space, point_lists, n)
+    return tuple(_slot_points(space, cell[:k]) for cell, k in zip(kept, counts.tolist()))
+
+
+def oracle_homology_table(pairs):
+    """The homology table's pair rows from PersistencePairs, one f-string
+    per value, with an infinite death or persistence written as inf."""
+    lines = []
+    for p in pairs:
+        death = f"{p.death:.6g}" if math.isfinite(p.death) else "inf"
+        pers = f"{p.persistence:.6g}" if math.isfinite(p.persistence) else "inf"
+        lines.append(f"{p.dim:>3} {p.birth:>12.6g} {death:>12} {pers:>12}\n")
+    return "".join(lines)
 
 
 def _tent(u):

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_pairs, oracle_hausdorff, oracle_metric
+from oracles import naive_pairs, oracle_hausdorff, oracle_homology_table, oracle_metric, oracle_sample_configs
 from ranspace import homology, ran
+from ranspace.cli import _pair_rows
 from ranspace.errors import SizeLimit
 from ranspace.homology import (
     MetricCloud,
+    PersistenceDiagram,
     PersistencePair,
     _cofaces,
     _filtration,
@@ -207,16 +209,79 @@ def test_count_simplices_matches_enumeration():
 
 def test_long_lived_count_rules():
     def mk(pers):
-        return [PersistencePair(0.0, p, 1) for p in pers]
+        return PersistenceDiagram.of_pairs(PersistencePair(0.0, p, 1) for p in pers)
 
-    assert long_lived_h1_count([]) == 0
+    assert long_lived_h1_count(mk([])) == 0
     assert long_lived_h1_count(mk([0.30, 0.02, 0.01])) == 1
     assert long_lived_h1_count(mk([0.05, 0.04])) == 0
     assert long_lived_h1_count(mk([0.3])) == 1
-    assert long_lived_h1_count([PersistencePair(0.1, math.inf, 1)]) == 1
+    assert long_lived_h1_count(PersistenceDiagram.of_pairs([PersistencePair(0.1, math.inf, 1)])) == 1
 
 
 THETA = MetricGraph(2, ((0, 1, 1.0), (0, 1, 1.2), (0, 1, 0.8)))
+
+
+def _cell_hex(cells):
+    return [[(p.edge, p.t.hex()) if isinstance(p, tuple) else p.hex() for p in cell] for cell in cells]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([C1, Circle(2.7), Circle(0.05), Interval(1.0), THETA]), st.integers(1, 5), st.integers(1, 60), st.integers(0, 2**32 - 1))
+@example(C1, 5, 60, 0)
+@example(THETA, 5, 60, 0)
+def test_sample_configs_draws_as_the_point_by_point_oracle(space, n, m, seed):
+    """One random_points call per configuration draws the values that
+    one random_point call per point does, in the same seeded order, and
+    one canonicalization of the whole sample keeps the same cells: equal
+    cell for cell by float.hex (graph points by edge and t)."""
+    assert _cell_hex(sample_configs(space, n, m, seed)) == _cell_hex(oracle_sample_configs(space, n, m, seed))
+
+
+def _tied_grid_cloud(seed, m):
+    pts = np.array([(x, y) for x in range(4) for y in range(4)])[np.random.default_rng(seed).integers(0, 16, m)]
+    return MetricCloud(tuple(range(m)), np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2).astype(float))
+
+
+# (cloud, scale): tied integer distances with duplicate points; one point;
+# a path whose every edge kills an H0 class; eight circle points with an
+# essential H1 class (death inf); signed zeros off the diagonal, an H0
+# death at 0.0 listed before a tied one at -0.0, which a sort that told
+# them apart would swap; random points, whose values need all six digits
+_ZEROS = np.array([[0.0, 0.0, 1.0, 2.0, 2.0],
+                   [0.0, 0.0, 1.0, 2.0, 2.0],
+                   [1.0, 1.0, 0.0, 1.0, 1.0],
+                   [2.0, 2.0, 1.0, 0.0, -0.0],
+                   [2.0, 2.0, 1.0, -0.0, 0.0]])
+_TABLE_CASES = {
+    "tied": lambda: (_tied_grid_cloud(5, 9), 2.0),
+    "single": lambda: (singleton_cloud([0.0]), 1.0),
+    "every-edge-kills": lambda: (singleton_cloud([0.0, 0.1, 0.2, 0.3]), 0.15),
+    "essential-h1": lambda: (singleton_cloud([i / 8 for i in range(8)]), 0.3),
+    "signed-zero": lambda: (MetricCloud(tuple("abcde"), _ZEROS), 1.5),
+    "six-digit": lambda: (singleton_cloud(np.random.default_rng(0).uniform(0, 1, 9)), 0.4),
+}
+
+
+@pytest.mark.parametrize("block_cells", [ran.BLOCK_CELLS, 4, 12])
+@pytest.mark.parametrize("case", list(_TABLE_CASES))
+def test_pair_rows_print_the_f_string_table(case, block_cells, monkeypatch):
+    """The homology table's rows, printed per block from the diagram's
+    arrays, are the f-string table of its pairs byte for byte, in one
+    block or in several; len() counts the pairs, and the pairs are the
+    naive reduction's."""
+    cloud, scale = _TABLE_CASES[case]()
+    monkeypatch.setattr(ran, "BLOCK_CELLS", block_cells)
+    diagram = rips_persistence_h1(cloud, scale)
+    pairs = list(diagram)
+    assert "".join(_pair_rows(diagram)) == oracle_homology_table(pairs)
+    assert len(diagram) == len(pairs)
+    assert as_tuples(diagram) == naive_pairs(cloud.dist, scale)
+    if case == "essential-h1":
+        assert any(p.dim == 1 and p.death == math.inf for p in pairs)
+    if case == "every-edge-kills":
+        assert [p.dim for p in pairs] == [0] * 4
+    if case == "signed-zero":
+        assert [p.death.hex() for p in pairs[:2]] == [(0.0).hex(), (-0.0).hex()]
 
 
 @st.composite
