@@ -1,6 +1,8 @@
 """Loop contraction machinery on spaces of finite subsets of a metric
 space, with an independent persistent-homology probe."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     AmbiguousBranching,
     AmbiguousLift,
@@ -32,10 +34,8 @@ from .moves import (
     contract_pipeline,
     extract_strands,
     normalize,
-    pushforward_contraction,
-    staircase,
 )
-from .ran import Configuration, dedup, hausdorff, union
+from .ran import Configuration, dedup, hausdorff
 from .space import Circle, GraphPoint, Interval, MetricGraph, Space
 from .tracks import (
     ContinuityReport,
@@ -45,16 +45,13 @@ from .tracks import (
     Track,
     certify,
     check_continuity,
-    concatenate,
-    conjugate,
-    detect_branch_merge,
     make_track,
     project,
-    resample,
-    reverse,
     uniform_times,
     winding_number,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imported names; importing them binds the submodules here too, which
+# a star import must not copy
+__all__ = sorted(name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType))
 __version__ = "0.1.0"

@@ -77,7 +77,7 @@ class PersistenceDiagram:
     death, in table order: one stable sort by (dim, birth, death) of the
     order given, so pairs that compare equal (0.0 and -0.0 among them)
     keep it.  len() is the pair count; iterating gives the pairs as
-    PersistencePair views, and of_pairs builds a diagram from them."""
+    PersistencePair views."""
 
     dim: np.ndarray
     birth: np.ndarray
@@ -90,11 +90,6 @@ class PersistenceDiagram:
         object.__setattr__(self, "dim", dim[order])
         object.__setattr__(self, "birth", birth[order])
         object.__setattr__(self, "death", death[order])
-
-    @classmethod
-    def of_pairs(cls, pairs) -> PersistenceDiagram:
-        pairs = tuple(pairs)
-        return cls([p.dim for p in pairs], [p.birth for p in pairs], [p.death for p in pairs])
 
     def __len__(self):
         return len(self.dim)
@@ -312,8 +307,10 @@ def rips_persistence_h1(cloud: MetricCloud, max_scale: float, budget: int = DEFA
     top = len(tri_value) - 1
 
     def coboundary(r):
-        bits = np.zeros(top + 1, dtype=bool)
-        bits[top - cof[start[r] : start[r + 1]]] = True
+        # packed only up to the earliest coface, the column's highest bit
+        tris = top - cof[start[r] : start[r + 1]]
+        bits = np.zeros(tris[0] + 1, dtype=bool)
+        bits[tris] = True
         return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
     owner = {}  # pivot triangle -> edge whose reduced column has it

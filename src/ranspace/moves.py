@@ -11,16 +11,14 @@ The pieces, bottom up:
   strands based there, and reschedule each strand so excursions away from
   the basepoint span the whole loop; returns the bundle and the homotopy
   from the input loop to the bundle's projection.
-* ``staircase``: reparametrize strand j to be active only on the window
-  [j/n, (j+1)/n] and frozen at its endpoints elsewhere, so the projected
-  track never shows more than two distinct points.
 * ``contract_circle_generator``: an explicit grid homotopy contracting the
   one-turn circle loop to its basepoint through configurations of at most
-  three points, based throughout.
-* ``pushforward_contraction``: map that contraction pointwise through an
-  arbitrary based loop, contracting the loop's singleton track.
-* ``contract_pipeline``: the composite normalize -> staircase (with
-  multi-turn circle strands split into one-turn factors) -> sequential
+  three points, based throughout; ``_pushed`` maps it pointwise through a
+  strand.
+* ``contract_pipeline``: the composite normalize -> staircase (strand j's
+  windows inside [j/n, (j+1)/n], multi-turn circle strands split into
+  one-turn factors: at most one strand is away from b at a time, so the
+  stage's last row holds at most two points per cell) -> sequential
   per-window pushforward contractions, with the certificate
   ``tracks.certify`` reads from the stacked grid.
 
@@ -312,28 +310,6 @@ def _normalize_track(track: Track, b: Point, rows: int, grid: tuple) -> tuple[St
     return StrandBundle.of_enc(space, grid, enc[-1]), stack_homotopies([h1, h2, h3])
 
 
-# -- staircase ----------------------------------------------------------------
-
-
-def staircase(bundle: StrandBundle) -> StrandBundle:
-    """Schedule strand j to run inside [j/n, (j+1)/n], frozen elsewhere.
-
-    At any time at most one strand is away from the shared endpoint value,
-    so the projected track has at most two distinct points.  Strand j's
-    window holds its samples 1..m-1 (read at k/m off a non-uniform grid),
-    its first point before and its last point after: one index gather.
-    """
-    if not bundle.based_at(bundle.enc[0, 0]):
-        raise EndpointMismatch("staircase needs all strand endpoints to coincide")
-    n = bundle.n
-    m = len(bundle.times) - 1
-    enc = bundle.enc
-    if bundle.times != uniform_times(m):
-        enc = np.concatenate([enc[:1], bundle.read((np.arange(1, m) / m)[None]), enc[-1:]])
-    sample = np.clip(np.arange(n * m + 1)[:, None] - m * np.arange(n), 0, m)
-    return StrandBundle.of_enc(bundle.space, uniform_times(n * m), enc[sample, np.arange(n)])
-
-
 # -- the one-turn circle contraction ------------------------------------------
 
 
@@ -396,26 +372,6 @@ def contract_circle_generator(
     grid = uniform_times(m)
     s, t = _block_cells(r, grid)
     return _slots_block(space, grid, 3, turns * _generator_points(s, t) * space.circumference)
-
-
-def pushforward_contraction(
-    space: Space,
-    strand: Sequence[Point],
-    resolution: tuple = (64, 128),
-) -> Homotopy:
-    """Map the one-turn contraction pointwise through a based loop.
-
-    The loop, read as a map from the unit-parameter circle into the space,
-    sends every contraction cell to a configuration inside its own image,
-    yielding a null-homotopy of the loop's singleton track onto its
-    basepoint.
-    """
-    if space.distance(strand[0], strand[-1]) > LOOP_TOL:
-        raise EndpointMismatch("pushforward needs a closed strand")
-    interp = StrandInterpolator(space, uniform_times(len(strand) - 1), strand)
-    r, m = resolution
-    grid = uniform_times(m)
-    return _slots_block(space, grid, 3, _pushed(interp, *_block_cells(r, grid)))
 
 
 # -- the full pipeline --------------------------------------------------------

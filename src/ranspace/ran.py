@@ -197,11 +197,3 @@ def hausdorff(space: Space, a: Configuration, b: Configuration) -> float:
         raise SpaceMismatch(f"configuration does not live on {space!r}") from exc
     return float(batch_hausdorff(space, enc[:1], enc[1:])[0])
 
-
-def union(space: Space, a: Configuration, b: Configuration, cap: int) -> Configuration:
-    """Set union of configurations; fails when the cap would be exceeded.
-
-    The cap failure is the cardinality bookkeeping signal used throughout
-    the contraction pipelines.
-    """
-    return dedup(space, [*a.points, *b.points], cap=cap)

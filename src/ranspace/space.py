@@ -104,9 +104,6 @@ class Circle:
         makes them points."""
         return rng.uniform(0.0, self.circumference, size=k)
 
-    def random_point(self, rng: np.random.Generator) -> float:
-        return self.canon(*self.random_points(rng, 1).tolist())
-
 
 @dataclass(frozen=True)
 class Interval:
@@ -152,9 +149,6 @@ class Interval:
         """k raw uniform draws in [0, length), one array; canon_many makes
         them points."""
         return rng.uniform(0.0, self.length, size=k)
-
-    def random_point(self, rng: np.random.Generator) -> float:
-        return self.canon(*self.random_points(rng, 1).tolist())
 
 
 @dataclass(frozen=True)
@@ -375,9 +369,6 @@ class MetricGraph:
             row[0] = rng.choice(len(self.edges), p=weights)
             row[1] = rng.uniform(0.0, 1.0)
         return out
-
-    def random_point(self, rng: np.random.Generator) -> GraphPoint:
-        return self.canon(*self.random_points(rng, 1).tolist())
 
 
 Space = Union[Circle, Interval, MetricGraph]

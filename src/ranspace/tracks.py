@@ -6,19 +6,15 @@ a map [0,1] -> (finite subsets of X) on a strictly increasing time grid
 with t0 = 0 and tm = 1: it is the homotopy of one row at s = 0, and a
 loop when its first and last configurations coincide.  A StrandBundle
 samples n coordinate paths on a shared grid; its per-time union is its
-projected track.  Every operation here, the path algebra included, reads
-and builds these arrays; the Configuration views (Homotopy.cells,
-Track.configs) are for callers and nothing here reads them.  A homotopy
-records its declared cap without enforcing it: the builders here never
-exceed it, and Homotopy.capped checks it on outside input (the document
-readers and Homotopy.of_cells).
+projected track.  Every operation here reads and builds these arrays;
+the Configuration views (Homotopy.cells, Track.configs) are for callers
+and nothing here reads them.  A homotopy records its declared cap without
+enforcing it: the builders here never exceed it, and Homotopy.capped
+checks it on outside input (the document readers and Homotopy.of_cells).
 
 Continuity is never verified exactly (undecidable from samples); instead
 ``check_continuity`` certifies that adjacent grid cells stay within a
-caller-supplied modulus.  Branch and merge detection uses a discrete
-surrogate with a fixed radius and lookahead window, both caller-supplied,
-because the neighborhood quantifiers of the continuous definitions are not
-decidable from samples.
+caller-supplied modulus.
 
 All values are immutable and operations pure.  Grid-cell work (continuity
 checks) is a max-reduction over the row blocks of ``ran.blocks``, so any
@@ -424,16 +420,15 @@ class Track(Homotopy):
         return self
 
 
-def _joined(space: Space, parts: Sequence[np.ndarray], axis: int) -> np.ndarray:
-    """Grid encodings (see Homotopy) joined along their rows (axis 0) or
-    their columns (axis 1), each padded to the widest part."""
-    parts = [np.moveaxis(p, axis, 0) for p in parts]
+def _joined(space: Space, parts: Sequence[np.ndarray]) -> np.ndarray:
+    """Grid encodings (see Homotopy) joined along their rows, each padded
+    to the widest part."""
     enc = _padding(space, (sum(map(len, parts)), parts[0].shape[1], max(p.shape[2] for p in parts)))
     at = 0
     for part in parts:
         enc[at:at + len(part), :, :part.shape[2]] = part
         at += len(part)
-    return np.moveaxis(enc, 0, axis)
+    return enc
 
 
 def stack_homotopies(blocks: Sequence[Homotopy]) -> Homotopy:
@@ -451,47 +446,10 @@ def stack_homotopies(blocks: Sequence[Homotopy]) -> Homotopy:
         seam = float(batch_hausdorff(space, prev.enc[-1], nxt.enc[0]).max())
         if seam > LOOP_TOL:
             raise EndpointMismatch(f"homotopy blocks fail to chain: seam gap {seam}")
-    enc = _joined(space, [blocks[0].enc] + [h.enc[1:] for h in blocks[1:]], 0)
+    enc = _joined(space, [blocks[0].enc] + [h.enc[1:] for h in blocks[1:]])
     counts = np.concatenate([blocks[0].counts] + [h.counts[1:] for h in blocks[1:]])
     s_grid = np.asarray(uniform_times(len(counts) - 1))
     return Homotopy(space, max(h.cap for h in blocks), s_grid, blocks[0].t_grid, enc, counts)
-
-
-# -- branch and merge detection ----------------------------------------------
-
-
-def detect_branch_merge(track: Track, radius: float, lookahead: int):
-    """Discrete surrogate for branch and merge points.
-
-    A point p of config(t_i) is a branch when its radius ball holds exactly
-    one point of config(t_i) but at least two points of config(t_{i+k}) for
-    some k <= lookahead; a merge symmetrically with t_{i-k}.  Returns
-    (time index, point, kind) triples in grid order, a branch before a
-    merge at the same point.  Each offset k takes one distance_many call
-    between the columns k apart, read both ways.
-    """
-    if not radius > 0 or lookahead < 1:
-        raise ValueError("radius must be positive and lookahead at least 1")
-    space = track.space
-    enc = space.canon_many(track.enc[0])
-    cols = len(enc)
-
-    def within(k: int) -> np.ndarray:
-        # [i, a, b]: point a of column i within radius of point b of column
-        # i + k; a NaN padding slot is within no radius
-        return space.distance_many(np.expand_dims(enc[:cols - k], 2), np.expand_dims(enc[k:], 1)) <= radius
-
-    alone = within(0).sum(axis=-1) == 1
-    branch, merge = np.zeros_like(alone), np.zeros_like(alone)
-    for k in range(1, min(lookahead, cols - 1) + 1):
-        near = within(k)
-        branch[:cols - k] |= near.sum(axis=-1) >= 2
-        merge[k:] |= near.sum(axis=-2) >= 2
-    hits = np.argwhere(alone & (branch | merge))
-    out = []
-    for (i, a), p in zip(hits.tolist(), _slot_points(space, track.enc[0][tuple(hits.T)])):
-        out.extend((i, p, kind) for kind, hit in (("branch", branch), ("merge", merge)) if hit[i, a])
-    return out
 
 
 # -- winding numbers ----------------------------------------------------------
@@ -510,60 +468,3 @@ def winding_number(circ: Circle, strand: Sequence[float]) -> int:
     if abs(w - round(w)) > 1e-6:
         raise ValueError(f"strand does not close into a loop: winding {w}")
     return int(round(w))
-
-
-def singleton_strand(track: Track) -> list:
-    """The per-time points of a track whose configurations are singletons."""
-    if (track.counts != 1).any():
-        raise ValueError("track has non-singleton configurations")
-    return list(_slot_points(track.space, track.enc[0, :, 0]))
-
-
-# -- path algebra -------------------------------------------------------------
-
-
-def _unmerged(times, sources):
-    """times, the images of a strictly increasing time grid under an
-    increasing map; ValueError naming the first two grid times whose images
-    rounding merged.  sources gives the grid in order, as (times, suffix)
-    pairs, the suffix naming where those times come from."""
-    merged = np.flatnonzero(np.diff(times) <= 0)
-    if len(merged):
-        i = merged[0]
-        names = [f"time {float(t)!r}{suffix}" for old, suffix in sources for t in old]
-        raise ValueError(f"{names[i]} and {names[i + 1]} map to {float(times[i])!r} and {float(times[i + 1])!r}: "
-                         "the new time grid would not strictly increase")
-    return times
-
-
-def concatenate(a: Track, b: Track) -> Track:
-    """Run a on [0, 1/2] and b on [1/2, 1]; junction cells must agree."""
-    if a.space != b.space:
-        raise SpaceMismatch("concatenating tracks over different spaces")
-    gap = float(batch_hausdorff(a.space, a.enc[0, -1:], b.enc[0, :1])[0])
-    if gap > LOOP_TOL:
-        raise EndpointMismatch(f"junction gap {gap} exceeds tolerance {LOOP_TOL}")
-    times = tuple(t / 2 for t in a.times) + tuple(0.5 + t / 2 for t in b.times[1:])
-    times = _unmerged(times, ((a.times, " of the first track"), (b.times[1:], " of the second track")))
-    enc = _joined(a.space, [a.enc, b.enc[:, 1:]], 1)
-    counts = np.concatenate([a.counts[0], b.counts[0, 1:]])
-    return Track.of_row(a.space, max(a.cap, b.cap), times, enc[0], counts)
-
-
-def reverse(a: Track) -> Track:
-    old = a.t_grid[::-1]
-    times = _unmerged(1.0 - old, ((old, ""),))
-    return Track.of_row(a.space, a.cap, times, a.enc[0, ::-1], a.counts[0, ::-1])
-
-
-def conjugate(gamma: Track, sigma: Track) -> Track:
-    """gamma . sigma . gamma^(-1): a loop based at gamma(0)."""
-    if sigma.kind != "loop":
-        raise EndpointMismatch("conjugation needs a loop")
-    return concatenate(concatenate(gamma, sigma), reverse(gamma))
-
-
-def resample(track: Track, new_times: Sequence[float]) -> Track:
-    """Carry each new time to the nearest original sample (ties earlier)."""
-    k = nearest_sample(track.t_grid, np.asarray(new_times, dtype=float))
-    return Track.of_row(track.space, track.cap, new_times, track.enc[0, k], track.counts[0, k])

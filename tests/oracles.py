@@ -8,6 +8,12 @@ schedules at the end evaluate one cell at a time what the package
 evaluates as arrays; they take the package's canonical points, graph
 routes and window schedule as given, since those are not what the array
 evaluation changes.
+
+Besides the oracles, this module keeps the array code that only tests
+call, built on the package's kernels: the reference staircase schedule,
+the pushforward of the one-turn contraction through a loop, the branch
+and merge detector, the path algebra (concatenate, reverse, conjugate,
+resample), singleton_strand and random_point.
 """
 
 import functools
@@ -18,11 +24,11 @@ from itertools import combinations
 
 import numpy as np
 
-from ranspace.errors import AmbiguousBranching, EmptyConfiguration, InvalidPoint
-from ranspace.moves import _schedule
-from ranspace.ran import DEDUP_EPS, Configuration, _dedup_lists, _slot_points
+from ranspace.errors import AmbiguousBranching, EmptyConfiguration, EndpointMismatch, InvalidPoint, SpaceMismatch
+from ranspace.moves import _block_cells, _pushed, _schedule, _slots_block
+from ranspace.ran import DEDUP_EPS, Configuration, _dedup_lists, _slot_points, batch_hausdorff
 from ranspace.space import CANON_TOL, Circle, GraphPoint, Interval
-from ranspace.tracks import StrandBundle, Track, project
+from ranspace.tracks import LOOP_TOL, StrandBundle, StrandInterpolator, Track, _joined, nearest_sample, project, uniform_times
 
 
 def oracle_vertex_table(edges, num_vertices):
@@ -209,6 +215,40 @@ def oracle_branch_merge(track, radius, lookahead):
     return out
 
 
+def detect_branch_merge(track, radius, lookahead):
+    """Discrete surrogate for branch and merge points, on the track's arrays.
+
+    A point p of config(t_i) is a branch when its radius ball holds exactly
+    one point of config(t_i) but at least two points of config(t_{i+k}) for
+    some k <= lookahead; a merge symmetrically with t_{i-k}.  Returns
+    (time index, point, kind) triples in grid order, a branch before a
+    merge at the same point.  Each offset k takes one distance_many call
+    between the columns k apart, read both ways.
+    """
+    if not radius > 0 or lookahead < 1:
+        raise ValueError("radius must be positive and lookahead at least 1")
+    space = track.space
+    enc = space.canon_many(track.enc[0])
+    cols = len(enc)
+
+    def within(k):
+        # [i, a, b]: point a of column i within radius of point b of column
+        # i + k; a NaN padding slot is within no radius
+        return space.distance_many(np.expand_dims(enc[:cols - k], 2), np.expand_dims(enc[k:], 1)) <= radius
+
+    alone = within(0).sum(axis=-1) == 1
+    branch, merge = np.zeros_like(alone), np.zeros_like(alone)
+    for k in range(1, min(lookahead, cols - 1) + 1):
+        near = within(k)
+        branch[:cols - k] |= near.sum(axis=-1) >= 2
+        merge[k:] |= near.sum(axis=-2) >= 2
+    hits = np.argwhere(alone & (branch | merge))
+    out = []
+    for (i, a), p in zip(hits.tolist(), _slot_points(space, track.enc[0][tuple(hits.T)])):
+        out.extend((i, p, kind) for kind, hit in (("branch", branch), ("merge", merge)) if hit[i, a])
+    return out
+
+
 def oracle_hausdorff(metric, a_points, b_points):
     d_ab = max(min(metric(p, q) for q in b_points) for p in a_points)
     d_ba = max(min(metric(p, q) for p in a_points) for q in b_points)
@@ -240,6 +280,64 @@ def oracle_resample(track, new_times):
     configuration of its nearest sample, a tie to the earlier."""
     configs = tuple(track.configs[oracle_nearest(track.times, t)] for t in new_times)
     return Track.of_cells(track.space, (0.0,), tuple(new_times), (configs,), track.cap)
+
+
+# -- the path algebra on the track's arrays ------------------------------------
+
+
+def _unmerged(times, sources):
+    """times, the images of a strictly increasing time grid under an
+    increasing map; ValueError naming the first two grid times whose images
+    rounding merged.  sources gives the grid in order, as (times, suffix)
+    pairs, the suffix naming where those times come from."""
+    merged = np.flatnonzero(np.diff(times) <= 0)
+    if len(merged):
+        i = merged[0]
+        names = [f"time {float(t)!r}{suffix}" for old, suffix in sources for t in old]
+        raise ValueError(f"{names[i]} and {names[i + 1]} map to {float(times[i])!r} and {float(times[i + 1])!r}: "
+                         "the new time grid would not strictly increase")
+    return times
+
+
+def concatenate(a, b):
+    """Run a on [0, 1/2] and b on [1/2, 1]; junction cells must agree."""
+    if a.space != b.space:
+        raise SpaceMismatch("concatenating tracks over different spaces")
+    gap = float(batch_hausdorff(a.space, a.enc[0, -1:], b.enc[0, :1])[0])
+    if gap > LOOP_TOL:
+        raise EndpointMismatch(f"junction gap {gap} exceeds tolerance {LOOP_TOL}")
+    times = tuple(t / 2 for t in a.times) + tuple(0.5 + t / 2 for t in b.times[1:])
+    times = _unmerged(times, ((a.times, " of the first track"), (b.times[1:], " of the second track")))
+    # the two rows' cells joined as the rows of one grid, each padded to the widest
+    enc = _joined(a.space, [a.enc[0][:, None], b.enc[0, 1:][:, None]])[:, 0]
+    counts = np.concatenate([a.counts[0], b.counts[0, 1:]])
+    return Track.of_row(a.space, max(a.cap, b.cap), times, enc, counts)
+
+
+def reverse(a):
+    old = a.t_grid[::-1]
+    times = _unmerged(1.0 - old, ((old, ""),))
+    return Track.of_row(a.space, a.cap, times, a.enc[0, ::-1], a.counts[0, ::-1])
+
+
+def conjugate(gamma, sigma):
+    """gamma . sigma . gamma^(-1): a loop based at gamma(0)."""
+    if sigma.kind != "loop":
+        raise EndpointMismatch("conjugation needs a loop")
+    return concatenate(concatenate(gamma, sigma), reverse(gamma))
+
+
+def resample(track, new_times):
+    """Carry each new time to the nearest original sample (ties earlier)."""
+    k = nearest_sample(track.t_grid, np.asarray(new_times, dtype=float))
+    return Track.of_row(track.space, track.cap, new_times, track.enc[0, k], track.counts[0, k])
+
+
+def singleton_strand(track):
+    """The per-time points of a track whose configurations are singletons."""
+    if (track.counts != 1).any():
+        raise ValueError("track has non-singleton configurations")
+    return list(_slot_points(track.space, track.enc[0, :, 0]))
 
 
 def oracle_row(h, i):
@@ -295,12 +393,18 @@ def naive_pairs(dist, max_scale):
     return sorted(pairs)
 
 
+def random_point(space, rng):
+    """One uniform point of space: the canon of a one-point random_points
+    draw, so it consumes the generator as that draw does."""
+    return space.canon(*space.random_points(rng, 1).tolist())
+
+
 def oracle_sample_configs(space, n, m, seed):
     """homology.sample_configs drawing point by point: each configuration
-    draws its size, then each point through space.random_point, which
+    draws its size, then each point through random_point, which
     canonicalizes it; then _dedup_lists dedups all the point lists."""
     rng = np.random.default_rng(seed)
-    point_lists = [[space.random_point(rng) for _ in range(int(rng.integers(1, n + 1)))] for _ in range(m)]
+    point_lists = [[random_point(space, rng) for _ in range(int(rng.integers(1, n + 1)))] for _ in range(m)]
     kept, counts = _dedup_lists(space, point_lists, n)
     return tuple(_slot_points(space, cell[:k]) for cell, k in zip(kept, counts.tolist()))
 
@@ -348,6 +452,38 @@ def generator_cell(s, t):
         return (0.0,)
     v = (1.0 - sig) / 2.0
     return (v * _tent(2.0 * t - 1.0), -v * _tent(2.0 * t - 1.0))
+
+
+def pushforward_contraction(space, strand, resolution=(64, 128)):
+    """The one-turn contraction mapped pointwise through a based loop: a
+    null-homotopy of the loop's singleton track onto its basepoint, built
+    from the package's own block kernels (_pushed, _slots_block)."""
+    if space.distance(strand[0], strand[-1]) > LOOP_TOL:
+        raise EndpointMismatch("pushforward needs a closed strand")
+    interp = StrandInterpolator(space, uniform_times(len(strand) - 1), strand)
+    r, m = resolution
+    grid = uniform_times(m)
+    return _slots_block(space, grid, 3, _pushed(interp, *_block_cells(r, grid)))
+
+
+def staircase(bundle):
+    """The reference staircase schedule: strand j runs inside [j/n, (j+1)/n]
+    and is frozen elsewhere.
+
+    At any time at most one strand is away from the shared endpoint value,
+    so the projected track has at most two distinct points.  Strand j's
+    window holds its samples 1..m-1 (read at k/m off a non-uniform grid),
+    its first point before and its last point after: one index gather.
+    """
+    if not bundle.based_at(bundle.enc[0, 0]):
+        raise EndpointMismatch("staircase needs all strand endpoints to coincide")
+    n = bundle.n
+    m = len(bundle.times) - 1
+    enc = bundle.enc
+    if bundle.times != uniform_times(m):
+        enc = np.concatenate([enc[:1], bundle.read((np.arange(1, m) / m)[None]), enc[-1:]])
+    sample = np.clip(np.arange(n * m + 1)[:, None] - m * np.arange(n), 0, m)
+    return StrandBundle.of_enc(bundle.space, uniform_times(n * m), enc[sample, np.arange(n)])
 
 
 def oracle_dump(doc):

@@ -15,9 +15,14 @@ import pytest
 
 from oracles import (
     circle_point_metric,
+    detect_branch_merge,
     make_graph_point_metric,
     naive_pairs,
     oracle_hausdorff,
+    random_point,
+    reverse,
+    singleton_strand,
+    staircase,
 )
 from ranspace.errors import ModeViolation
 from ranspace.homology import (
@@ -32,18 +37,14 @@ from ranspace.moves import (
     SimplyConnected,
     contract_circle_generator,
     contract_pipeline,
-    staircase,
 )
 from ranspace.ran import dedup, hausdorff
 from ranspace.space import Circle, MetricGraph
 from ranspace.tracks import (
     StrandBundle,
     check_continuity,
-    detect_branch_merge,
     make_track,
     project,
-    reverse,
-    singleton_strand,
     uniform_times,
     winding_number,
 )
@@ -102,7 +103,7 @@ def test_criterion_1_hausdorff_oracle_equivalence():
     graph_metric = make_graph_point_metric(FIVE_EDGE.edges, FIVE_EDGE.num_vertices)
     for space, metric in ((C1, circle_metric), (FIVE_EDGE, graph_metric)):
         configs = [
-            dedup(space, [space.random_point(rng) for _ in range(int(rng.integers(1, 5)))])
+            dedup(space, [random_point(space, rng) for _ in range(int(rng.integers(1, 5)))])
             for _ in range(60)
         ]
         for _ in range(1000):
@@ -115,16 +116,26 @@ def test_criterion_1_hausdorff_oracle_equivalence():
 
 
 def test_criterion_2_staircase_factors_through_pairs():
+    """On each bundle, the reference staircase schedule and the staircase
+    stage contract_pipeline writes: the stage's last row, read from the
+    certificate's stage row ranges, has at most two points at every
+    column."""
     started = time.monotonic()
     rng = np.random.default_rng(102)
     violations = 0
+    worst_stage = 0
     for i in range(100):
         n = 2 + i % 5
         strands = tuple(random_based_strand(rng, 1024) for _ in range(n))
-        out = staircase(StrandBundle(C1, uniform_times(1024), strands))
+        bundle = StrandBundle(C1, uniform_times(1024), strands)
+        out = staircase(bundle)
         counts = projected_cardinalities_circle(out)
         violations += int((counts > 2).sum())
+        h, cert = contract_pipeline(bundle, Inclusion(n), 0.0)
+        (last,) = [last for name, _, last, _ in cert.stages if name == "staircase"]
+        worst_stage = max(worst_stage, int(h.counts[last].max()))
     assert violations == 0
+    assert worst_stage <= 2
     report(2, "staircase projections stay within two points", started, 10.0)
 
 

@@ -19,9 +19,10 @@ from pathlib import Path
 
 from click.testing import CliRunner
 
+from oracles import pushforward_contraction
 from ranspace.cli import main
 from ranspace.io import dump, homotopy_to_json, track_to_json
-from ranspace.moves import Inclusion, SimplyConnected, contract_pipeline, pushforward_contraction
+from ranspace.moves import Inclusion, SimplyConnected, contract_pipeline
 from ranspace.space import Circle, Interval, MetricGraph
 from ranspace.tracks import StrandBundle, make_track, project, uniform_times
 

@@ -9,7 +9,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import generator_cell, oracle_dedup, oracle_dump, oracle_pipeline_cells
+from oracles import generator_cell, oracle_dedup, oracle_dump, oracle_pipeline_cells, pushforward_contraction
 from ranspace import ran
 from ranspace.io import dump, homotopy_to_json, space_to_json, write_homotopy
 from ranspace.moves import (
@@ -17,7 +17,6 @@ from ranspace.moves import (
     SimplyConnected,
     contract_circle_generator,
     contract_pipeline,
-    pushforward_contraction,
 )
 from ranspace.ran import Configuration, dedup
 from ranspace.space import Circle, GraphPoint, Interval, MetricGraph

@@ -207,15 +207,21 @@ def test_count_simplices_matches_enumeration():
     assert count_simplices(cloud, scale) == m + edges + tris
 
 
+def _diagram_of_pairs(pairs):
+    """The PersistenceDiagram of PersistencePairs."""
+    pairs = tuple(pairs)
+    return PersistenceDiagram([p.dim for p in pairs], [p.birth for p in pairs], [p.death for p in pairs])
+
+
 def test_long_lived_count_rules():
     def mk(pers):
-        return PersistenceDiagram.of_pairs(PersistencePair(0.0, p, 1) for p in pers)
+        return _diagram_of_pairs(PersistencePair(0.0, p, 1) for p in pers)
 
     assert long_lived_h1_count(mk([])) == 0
     assert long_lived_h1_count(mk([0.30, 0.02, 0.01])) == 1
     assert long_lived_h1_count(mk([0.05, 0.04])) == 0
     assert long_lived_h1_count(mk([0.3])) == 1
-    assert long_lived_h1_count(PersistenceDiagram.of_pairs([PersistencePair(0.1, math.inf, 1)])) == 1
+    assert long_lived_h1_count(_diagram_of_pairs([PersistencePair(0.1, math.inf, 1)])) == 1
 
 
 THETA = MetricGraph(2, ((0, 1, 1.0), (0, 1, 1.2), (0, 1, 0.8)))
@@ -231,9 +237,9 @@ def _cell_hex(cells):
 @example(THETA, 5, 60, 0)
 def test_sample_configs_draws_as_the_point_by_point_oracle(space, n, m, seed):
     """One random_points call per configuration draws the values that
-    one random_point call per point does, in the same seeded order, and
-    one canonicalization of the whole sample keeps the same cells: equal
-    cell for cell by float.hex (graph points by edge and t)."""
+    one random_point(space, rng) call per point does, in the same seeded
+    order, and one canonicalization of the whole sample keeps the same
+    cells: equal cell for cell by float.hex (graph points by edge and t)."""
     assert _cell_hex(sample_configs(space, n, m, seed)) == _cell_hex(oracle_sample_configs(space, n, m, seed))
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     circle_point_metric,
+    detect_branch_merge,
     generator_cell,
     make_graph_point_metric,
     oracle_dedup,
@@ -14,6 +15,9 @@ from oracles import (
     oracle_hausdorff,
     oracle_pipeline_cells,
     oracle_pipeline_stages,
+    pushforward_contraction,
+    singleton_strand,
+    staircase,
 )
 from ranspace import moves
 from ranspace.errors import (
@@ -31,8 +35,6 @@ from ranspace.moves import (
     contract_pipeline,
     extract_strands,
     normalize,
-    pushforward_contraction,
-    staircase,
 )
 from ranspace.ran import dedup, hausdorff
 from ranspace.space import Circle, Interval, MetricGraph
@@ -40,10 +42,8 @@ from ranspace.tracks import (
     StrandBundle,
     certify,
     check_continuity,
-    detect_branch_merge,
     make_track,
     project,
-    singleton_strand,
     uniform_times,
     winding_number,
 )

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import circle_point_metric, make_graph_point_metric, oracle_dedup, oracle_hausdorff, oracle_metric
+from oracles import circle_point_metric, make_graph_point_metric, oracle_dedup, oracle_hausdorff, oracle_metric, random_point
 from ranspace import ran
 from ranspace.errors import CapExceeded, EmptyConfiguration, InvalidPoint, SpaceMismatch
-from ranspace.ran import DEDUP_EPS, Configuration, _pad_lists, _padding, _slot_points, blocks, dedup, dedup_many, hausdorff, union
+from ranspace.ran import DEDUP_EPS, Configuration, _pad_lists, _padding, _slot_points, blocks, dedup, dedup_many, hausdorff
 from ranspace.space import CANON_TOL, Circle, GraphPoint, Interval, MetricGraph
 
 CIRCLE = Circle(1.0)
@@ -42,8 +42,8 @@ def test_hausdorff_matches_bruteforce_oracle_graph():
     rng = np.random.default_rng(4)
     metric = make_graph_point_metric(GRAPH.edges, GRAPH.num_vertices)
     for _ in range(60):
-        a = dedup(GRAPH, [GRAPH.random_point(rng) for _ in range(int(rng.integers(1, 4)))])
-        b = dedup(GRAPH, [GRAPH.random_point(rng) for _ in range(int(rng.integers(1, 4)))])
+        a = dedup(GRAPH, [random_point(GRAPH, rng) for _ in range(int(rng.integers(1, 4)))])
+        b = dedup(GRAPH, [random_point(GRAPH, rng) for _ in range(int(rng.integers(1, 4)))])
         assert hausdorff(GRAPH, a, b) == oracle_hausdorff(metric, a.points, b.points)
 
 
@@ -63,6 +63,12 @@ def test_hausdorff_space_mismatch():
     b = dedup(GRAPH, [GraphPoint(1, 0.25)])
     with pytest.raises(SpaceMismatch):
         hausdorff(CIRCLE, a, b)
+
+
+def union(space, a, b, cap):
+    """Set union of configurations: dedup of both point lists at the
+    union's cap, so CapExceeded when the cap would be exceeded."""
+    return dedup(space, [*a.points, *b.points], cap=cap)
 
 
 def test_union_diagonal_is_inclusion():
@@ -305,8 +311,8 @@ def test_distance_many_matches_scalar_distance_on_random_graph_pairs(graph):
         space = MetricGraph(2, tuple((0, 1, l) for l in rng.uniform(0.3, 2.0, 3)))
     else:
         space = MetricGraph(4, tuple((u, v, l) for (u, v), l in zip(K4_EDGES, rng.uniform(0.3, 2.0, 6))))
-    xs = [space.random_point(rng) for _ in range(20000)]
-    ys = [space.random_point(rng) for _ in range(20000)]
+    xs = [random_point(space, rng) for _ in range(20000)]
+    ys = [random_point(space, rng) for _ in range(20000)]
     got = space.distance_many(np.array(xs), np.array(ys)).tolist()
     metric = oracle_metric(space)
     assert [float.hex(d) for d in got] == [float.hex(metric(p, q)) for p, q in zip(xs, ys)]

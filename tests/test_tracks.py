@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from oracles import (
     OracleStrand,
+    concatenate,
+    conjugate,
+    detect_branch_merge,
     oracle_branch_merge,
     oracle_circle_lift,
     oracle_concatenate,
@@ -16,6 +19,9 @@ from oracles import (
     oracle_resample,
     oracle_reverse,
     oracle_row,
+    resample,
+    reverse,
+    singleton_strand,
 )
 
 from ranspace import ran
@@ -31,18 +37,12 @@ from ranspace.tracks import (
     certify,
     check_continuity,
     circle_lift,
-    concatenate,
-    conjugate,
-    detect_branch_merge,
     _gap_blocks,
     endpoint_drift,
     first_gap_over,
     make_track,
     nearest_sample,
     project,
-    resample,
-    reverse,
-    singleton_strand,
     stack_homotopies,
     uniform_times,
     winding_number,
