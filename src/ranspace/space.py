@@ -156,9 +156,9 @@ class MetricGraph:
     """Connected multigraph with finite positive edge lengths.
 
     Edges are (u, v, length) triples; parallel edges and self loops are
-    allowed.  The derived tables (the all-pairs shortest paths, the edge
-    endpoints and the edge arrays) are cached properties, each built on
-    its first use.
+    allowed.  The derived tables (the incidence list, the vertex distance
+    matrix, the edge endpoints and the edge arrays) are cached properties,
+    each built on its first use.
     """
 
     num_vertices: int
@@ -180,6 +180,16 @@ class MetricGraph:
 
     # -- vertex-level shortest paths ------------------------------------
 
+    @functools.cached_property
+    def _incidence(self) -> list:
+        """incidence[v]: (edge index, far end, length) of each edge at v, in
+        edge order."""
+        incidence = [[] for _ in range(self.num_vertices)]
+        for idx, (u, v, l) in enumerate(self.edges):
+            incidence[u].append((idx, v, l))
+            incidence[v].append((idx, u, l))
+        return incidence
+
     def _paths_from(self, source: int):
         """Dijkstra keyed by (distance, edge index sequence).
 
@@ -195,31 +205,26 @@ class MetricGraph:
                 continue
             dist[w] = d
             route[w] = seq
-            for idx, (u, v, l) in enumerate(self.edges):
-                if u == w and route[v] is None:
-                    heapq.heappush(heap, (d + l, seq + (idx,), v))
-                if v == w and route[u] is None:
-                    heapq.heappush(heap, (d + l, seq + (idx,), u))
+            for idx, far, l in self._incidence[w]:
+                if route[far] is None:
+                    heapq.heappush(heap, (d + l, seq + (idx,), far))
         return dist, route
 
     @functools.cached_property
-    def _all_pairs(self) -> tuple:
-        """The vertex distance matrix and, by source, each vertex's
-        lexicographic route (see _paths_from)."""
-        paths = [self._paths_from(s) for s in range(self.num_vertices)]
-        return np.array([dist for dist, _ in paths], dtype=float), [route for _, route in paths]
+    def _all_pairs(self) -> np.ndarray:
+        """The vertex distance matrix, one _paths_from per source."""
+        return np.array([self._paths_from(s)[0] for s in range(self.num_vertices)], dtype=float)
 
     def vertex_distance_matrix(self) -> np.ndarray:
-        return self._all_pairs[0]
+        return self._all_pairs
 
     def vertex_point(self, v: int) -> GraphPoint:
-        """Canonical (edge, endpoint) representative of a vertex."""
-        for idx, (u, w, _) in enumerate(self.edges):
-            if u == v:
-                return GraphPoint(idx, 0.0)
-            if w == v:
-                return GraphPoint(idx, 1.0)
-        raise InvalidPoint(f"isolated vertex {v}")
+        """Canonical (edge, endpoint) representative of a vertex: its first
+        edge, at the end that is v."""
+        if not 0 <= v < self.num_vertices or not self._incidence[v]:
+            raise InvalidPoint(f"{v} is not a vertex with an edge")
+        idx = self._incidence[v][0][0]
+        return GraphPoint(idx, 0.0 if self.edges[idx][0] == v else 1.0)
 
     # -- points ----------------------------------------------------------
 
@@ -296,35 +301,28 @@ class MetricGraph:
 
         Candidates are scanned in a fixed order and replaced only on strict
         improvement, which together with lexicographic vertex legs makes the
-        chosen route deterministic.
+        chosen route deterministic.  Only the winning vertex leg is searched.
         """
         dmat = self.vertex_distance_matrix()
-        best_len = np.inf
-        best = None
+        best_len, ends = np.inf, None
         if p.edge == q.edge:
             best_len = abs(p.t - q.t) * self.edges[p.edge][2]
-            best = [(p.edge, p.t, q.t)]
         for a, leg_a in self._endpoint_legs(p):
             for b, leg_b in self._endpoint_legs(q):
                 total = leg_a + dmat[a, b] + leg_b
                 if total < best_len - CANON_TOL:
-                    segs = []
-                    u, v, _ = self.edges[p.edge]
-                    segs.append((p.edge, p.t, 0.0 if a == u else 1.0))
-                    w = a
-                    for idx in self._all_pairs[1][a][b]:
-                        eu, ev, _ = self.edges[idx]
-                        if eu == w:
-                            segs.append((idx, 0.0, 1.0))
-                            w = ev
-                        else:
-                            segs.append((idx, 1.0, 0.0))
-                            w = eu
-                    u, v, _ = self.edges[q.edge]
-                    segs.append((q.edge, 0.0 if b == u else 1.0, q.t))
-                    best_len = total
-                    best = segs
-        return best, best_len
+                    best_len, ends = total, (a, b)
+        if ends is None:
+            return [(p.edge, p.t, q.t)], best_len
+        a, b = ends
+        segs = [(p.edge, p.t, 0.0 if a == self.edges[p.edge][0] else 1.0)]
+        w = a
+        for idx in self._paths_from(a)[1][b]:
+            eu, ev, _ = self.edges[idx]
+            segs.append((idx, 0.0, 1.0) if eu == w else (idx, 1.0, 0.0))
+            w = ev if eu == w else eu
+        segs.append((q.edge, 0.0 if b == self.edges[q.edge][0] else 1.0, q.t))
+        return segs, best_len
 
     def geodesic(self, p: Point, q: Point, s: float) -> GraphPoint:
         edge, t = self.geodesic_many(p, q, np.array([s]))[0].tolist()

@@ -11,6 +11,7 @@ the graph layout and edge curves are computed once per render.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from pathlib import Path
 
 from .space import Circle, Interval, MetricGraph, Space
@@ -30,11 +31,12 @@ def _header() -> str:
 def _graph_curves(space: MetricGraph, layout: list) -> list:
     """Each edge's quadratic curve as (start, control point, end); parallel
     edges fan out."""
-    curves = []
-    for idx, (u, v, _) in enumerate(space.edges):
-        siblings = [i for i, (a, b, _) in enumerate(space.edges) if {a, b} == {u, v}]
-        rank = siblings.index(idx)
-        offset = (rank - (len(siblings) - 1) / 2.0) * 60.0
+    pairs = [frozenset((u, v)) for u, v, _ in space.edges]
+    siblings, ranks, curves = Counter(pairs), Counter(), []
+    for (u, v, _), pair in zip(space.edges, pairs):
+        rank = ranks[pair]
+        ranks[pair] += 1
+        offset = (rank - (siblings[pair] - 1) / 2.0) * 60.0
         (x0, y0), (x1, y1) = layout[u], layout[v]
         length = math.hypot(x1 - x0, y1 - y0)
         if u == v or length < 1e-9:

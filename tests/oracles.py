@@ -5,9 +5,11 @@ detection, the one-turn contraction and the boundary-matrix reduction
 share no code with the package: they are rebuilt from scratch, one point
 at a time, so that agreement is meaningful.  The per-cell pipeline
 schedules at the end evaluate one cell at a time what the package
-evaluates as arrays; they take the package's canonical points, graph
-routes and window schedule as given, since those are not what the array
-evaluation changes.
+evaluates as arrays; they take the package's canonical points and window
+schedule as given, since those are not what the array evaluation
+changes.  Graph routes come from oracle_route, a Dijkstra that scans
+every edge at each settled vertex and builds the route of every vertex
+pair.
 
 Besides the oracles, this module keeps the array code that only tests
 call, built on the package's kernels: the reference staircase schedule,
@@ -70,6 +72,75 @@ def make_graph_point_metric(edges, num_vertices):
         return min(cands)
 
     return metric
+
+
+def oracle_paths_from(graph, source):
+    """Dijkstra keyed by (distance, edge index sequence), every edge scanned
+    at each settled vertex: among shortest paths, the one whose edge-index
+    sequence is lexicographically minimal."""
+    dist = [np.inf] * graph.num_vertices
+    route = [None] * graph.num_vertices
+    heap = [(0.0, (), source)]
+    while heap:
+        d, seq, w = heapq.heappop(heap)
+        if route[w] is not None:
+            continue
+        dist[w] = d
+        route[w] = seq
+        for idx, (u, v, l) in enumerate(graph.edges):
+            if u == w and route[v] is None:
+                heapq.heappush(heap, (d + l, seq + (idx,), v))
+            if v == w and route[u] is None:
+                heapq.heappush(heap, (d + l, seq + (idx,), u))
+    return dist, route
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_all_paths(graph):
+    return [oracle_paths_from(graph, s) for s in range(graph.num_vertices)]
+
+
+def oracle_vertex_point(graph, v):
+    """A vertex as (edge, endpoint) on the first edge that has it as an end."""
+    for idx, (u, w, _) in enumerate(graph.edges):
+        if u == v:
+            return GraphPoint(idx, 0.0)
+        if w == v:
+            return GraphPoint(idx, 1.0)
+    raise InvalidPoint(f"isolated vertex {v}")
+
+
+def oracle_route(graph, p, q):
+    """The segment list ((edge, t0, t1), ...) of a shortest route from p to
+    q and its length: the same edge, then each endpoint pair in order,
+    replaced only on a strict improvement, each vertex leg the
+    lexicographic route of oracle_paths_from."""
+    paths = _oracle_all_paths(graph)
+    best_len = np.inf
+    best = None
+    if p.edge == q.edge:
+        best_len = abs(p.t - q.t) * graph.edges[p.edge][2]
+        best = [(p.edge, p.t, q.t)]
+    pu, pv, pl = graph.edges[p.edge]
+    qu, qv, ql = graph.edges[q.edge]
+    for a, leg_a in ((pu, p.t * pl), (pv, (1.0 - p.t) * pl)):
+        for b, leg_b in ((qu, q.t * ql), (qv, (1.0 - q.t) * ql)):
+            total = leg_a + paths[a][0][b] + leg_b
+            if total < best_len - CANON_TOL:
+                segs = [(p.edge, p.t, 0.0 if a == pu else 1.0)]
+                w = a
+                for idx in paths[a][1][b]:
+                    eu, ev, _ = graph.edges[idx]
+                    if eu == w:
+                        segs.append((idx, 0.0, 1.0))
+                        w = ev
+                    else:
+                        segs.append((idx, 1.0, 0.0))
+                        w = eu
+                segs.append((q.edge, 0.0 if b == qu else 1.0, q.t))
+                best_len = total
+                best = segs
+    return best, best_len
 
 
 def oracle_circle_canon(circumference, p):
@@ -502,8 +573,7 @@ _UNIT = Circle(1.0)
 def oracle_geodesic(space, p, q, s):
     """The geodesic from p (s = 0) to q (s = 1) at one s: circle ties at
     antipodes go the way of increasing coordinate, graph geodesics walk
-    the space's own route to the first segment reaching s times its
-    length."""
+    oracle_route to the first segment reaching s times its length."""
     if isinstance(space, Circle):
         c = space.circumference
         a, b = space.canon(p), space.canon(q)
@@ -517,7 +587,7 @@ def oracle_geodesic(space, p, q, s):
     p, q = space.canon(p), space.canon(q)
     if p == q:
         return p
-    segs, total = space._route(p, q)
+    segs, total = oracle_route(space, p, q)
     target = s * total
     acc = 0.0
     for edge, t0, t1 in segs:

@@ -37,6 +37,7 @@ from ranspace.moves import (
     SimplyConnected,
     contract_circle_generator,
     contract_pipeline,
+    extract_strands,
 )
 from ranspace.ran import dedup, hausdorff
 from ranspace.space import Circle, MetricGraph
@@ -218,6 +219,9 @@ def test_criterion_6_homology_oracle_corroboration():
 
 
 def test_criterion_7_branch_merge_symmetry():
+    """On each split track, the reference branch and merge detector and the
+    branching logic contract runs: extract_strands of the reversed track
+    gives the reversed strands of the track."""
     started = time.monotonic()
     rng = np.random.default_rng(107)
     m = 64
@@ -242,7 +246,9 @@ def test_criterion_7_branch_merge_symmetry():
             (m - i, p, "merge" if kind == "branch" else "branch") for i, p, kind in fwd
         )
         assert sorted(bwd) == swapped
-    report(7, "branch and merge labels swap exactly under reversal", started, 5.0)
+        strands = extract_strands(track).strands
+        assert sorted(extract_strands(reverse(track)).strands) == sorted(s[::-1] for s in strands)
+    report(7, "branch and merge labels swap and strands reverse exactly under reversal", started, 5.0)
 
 
 def test_criterion_8_persistence_reduction_oracle():

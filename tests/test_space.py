@@ -7,7 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_circle_canon, oracle_geodesic, oracle_metric, random_point
+from oracles import (
+    oracle_circle_canon,
+    oracle_geodesic,
+    oracle_metric,
+    oracle_paths_from,
+    oracle_route,
+    oracle_vertex_point,
+    random_point,
+)
 from ranspace.errors import InvalidPoint
 from ranspace.ran import _pad_lists, batch_hausdorff, dedup, hausdorff
 from ranspace.space import CANON_TOL, Circle, GraphPoint, Interval, MetricGraph
@@ -233,6 +241,56 @@ def test_invalid_points_rejected():
         Circle(1.0).canon(GraphPoint(0, 0.5))
     with pytest.raises(InvalidPoint):
         FIVE_EDGE.canon(GraphPoint(99, 0.5))
+
+
+@st.composite
+def _tied_multigraphs(draw):
+    """A connected multigraph of 2-9 vertices with integer edge lengths, so
+    that shortest paths tie: a random spanning tree plus extra edges that
+    may be parallel or self loops, each edge's ends in random order, the
+    edge list shuffled."""
+    n = draw(st.integers(2, 9))
+    lengths = st.integers(1, 3).map(float)
+    edges = [(draw(st.integers(0, v - 1)), v, draw(lengths)) for v in range(1, n)]
+    vertex = st.integers(0, n - 1)
+    edges += draw(st.lists(st.tuples(vertex, vertex, lengths), max_size=2 * n))
+    edges = [(v, u, l) if draw(st.booleans()) else (u, v, l) for u, v, l in edges]
+    return MetricGraph(n, tuple(draw(st.permutations(edges))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_graph_tables_match_the_edge_scanning_oracle(data):
+    """On graphs whose paths tie, the incidence-list search gives the
+    oracle's distances (bit for bit) and lexicographic routes from every
+    source, the same vertex points and edge ends, and the same route
+    segments between points on edges and at vertices."""
+    graph = data.draw(_tied_multigraphs())
+    dmat = graph.vertex_distance_matrix()
+    for source in range(graph.num_vertices):
+        dist, route = oracle_paths_from(graph, source)
+        got_dist, got_route = graph._paths_from(source)
+        assert [float.hex(d) for d in got_dist] == [float.hex(d) for d in dist]
+        assert [float.hex(d) for d in dmat[source].tolist()] == [float.hex(d) for d in dist]
+        assert got_route == route
+    points = [oracle_vertex_point(graph, v) for v in range(graph.num_vertices)]
+    assert [graph.vertex_point(v) for v in range(graph.num_vertices)] == points
+    ends = [[points[u], points[v]] for u, v, _ in graph.edges]
+    assert graph._ends.tolist() == [[list(a), list(b)] for a, b in ends]
+    t = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+    point = st.builds(GraphPoint, st.integers(0, len(graph.edges) - 1), t).map(graph.canon)
+    for p, q in data.draw(st.lists(st.tuples(point, point), min_size=1, max_size=8)):
+        segs, total = graph._route(p, q)
+        want_segs, want_total = oracle_route(graph, p, q)
+        assert segs == want_segs and float.hex(total) == float.hex(want_total)
+
+
+@pytest.mark.parametrize("v", [-1, 4], ids=["negative", "num-vertices"])
+def test_vertex_point_rejects_a_vertex_out_of_range(v):
+    """vertex_point raises InvalidPoint outside range(num_vertices); -1
+    does not wrap round to the last vertex."""
+    with pytest.raises(InvalidPoint):
+        FIVE_EDGE.vertex_point(v)
 
 
 def test_graph_requires_connectivity():
