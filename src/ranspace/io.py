@@ -30,7 +30,7 @@ import dataclasses
 import gc
 import json
 from contextlib import contextmanager
-from itertools import chain, islice
+from itertools import chain
 from typing import IO
 
 import numpy as np
@@ -228,7 +228,7 @@ def track_to_json(track: Track) -> dict:
         "space": space_to_json(track.space),
         "cap": track.cap,
         "kind": track.kind,
-        "times": list(track.times),
+        "times": track.t_grid.tolist(),
         "configs": _row_point_lists(track.space, track.enc[0], track.counts[0]),
     }
 
@@ -289,22 +289,20 @@ def _rows_text(sizes: list, values: np.ndarray, pad: str, templates: dict) -> st
     a tuple of cell sizes per row and values the rows' points in order,
     finite coordinates or (edge, t) rows.  Each distinct coordinate or t
     becomes text once per bit pattern, so that 0.0 and -0.0 keep their
-    own, and one object-array take gives each point its text; each row is
-    one %-format of the template for its sizes, cached in templates."""
+    own, and one object-array take gives each point its text; the rows'
+    templates for their sizes, cached in templates, are joined and filled
+    by one %-format."""
     graph, at = values.ndim == 2, pad + "  "
     distinct, where = np.unique((values[:, 1] if graph else values).view(np.int64), return_inverse=True)
     texts = np.array(list(map(float.__repr__, distinct.view(float).tolist())), dtype=object)
-    fields = iter(texts[where].tolist())
-    point, per_point = "%s", 1
+    fields, point = texts[where].tolist(), "%s"
     if graph:  # each point's edge, then its t
-        point, per_point = f'{{\n{at} "edge": %d,\n{at} "t": %s\n{at}}}', 2
+        point = f'{{\n{at} "edge": %d,\n{at} "t": %s\n{at}}}'
         fields = chain.from_iterable(zip(values[:, 0].astype(np.int64).tolist(), fields))
-    rows = []
     for row in sizes:
         if (row, point) not in templates:
             templates[row, point] = _cells_template(row, pad, point)
-        rows.append(templates[row, point] % tuple(islice(fields, per_point * sum(row))))
-    return (",\n" + pad).join(rows)
+    return (",\n" + pad).join([templates[row, point] for row in sizes]) % tuple(fields)
 
 
 def _row_text(row, pad: str, templates: dict) -> str:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -184,10 +184,10 @@ def extract_strands(track: Track) -> StrandBundle:
 # -- normalization ------------------------------------------------------------
 
 
-def _block_cells(rows: int, grid: tuple) -> tuple:
+def _block_cells(rows: int, grid: np.ndarray) -> tuple:
     """The cells (s, t) of a block of rows + 1 rows on the time grid, as a
     column of s and a row of t that broadcast to the block's shape."""
-    return np.asarray(uniform_times(rows))[:, None], np.asarray(grid)
+    return uniform_times(rows)[:, None], grid
 
 
 def _dwell_reads(lam, t) -> np.ndarray:
@@ -211,15 +211,14 @@ def _conjugation_reads(s, t) -> tuple:
     return np.broadcast_to(early | late, u.shape), u
 
 
-def _block(space: Space, grid: tuple, cap: int, kept: np.ndarray, counts: np.ndarray) -> Homotopy:
+def _block(space: Space, grid: np.ndarray, cap: int, kept: np.ndarray, counts: np.ndarray) -> Homotopy:
     """Homotopy block on the time grid from the padded encoding of its
     cells, shaped (rows, columns, slots) (then (edge, t) on graphs), and
     their point counts."""
-    s_grid = np.asarray(uniform_times(len(counts) - 1))
-    return Homotopy(space, cap, s_grid, np.asarray(grid), kept[:, :, :counts.max()], counts)
+    return Homotopy(space, cap, uniform_times(len(counts) - 1), grid, kept[:, :, :counts.max()], counts)
 
 
-def _slots_block(space: Space, grid: tuple, cap: int, enc: np.ndarray) -> Homotopy:
+def _slots_block(space: Space, grid: np.ndarray, cap: int, enc: np.ndarray) -> Homotopy:
     """Block whose cells are dedup(space, pts, cap=cap) of the points in
     each cell's slots of a padded encoding, NaN slots skipped, from one
     dedup_many call; ModeViolation for a cell of more than cap points."""
@@ -249,7 +248,7 @@ def normalize(obj: Union[Track, StrandBundle], b: Point, rows: int = 8, m: int |
         grid = obj.times if m is None else uniform_times(m)
         if not obj.based_at(b):
             return _normalize_bundle(obj, b, rows, grid)
-        out = obj if obj.times == grid else StrandBundle.of_enc(space, grid, obj.read(np.asarray(grid)[None]))
+        out = obj if np.array_equal(obj.times, grid) else StrandBundle.of_enc(space, grid, obj.read(grid[None]))
         proj = project(out)
         return out, _block(space, grid, out.n, np.repeat(proj.enc, 2, axis=0), np.repeat(proj.counts, 2, axis=0))
     if obj.kind != "loop":
@@ -258,7 +257,7 @@ def normalize(obj: Union[Track, StrandBundle], b: Point, rows: int = 8, m: int |
     return _normalize_track(obj, b, rows, grid)
 
 
-def _normalize_bundle(bundle: StrandBundle, b: Point, rows: int, grid: tuple) -> tuple[StrandBundle, Homotopy]:
+def _normalize_bundle(bundle: StrandBundle, b: Point, rows: int, grid: np.ndarray) -> tuple[StrandBundle, Homotopy]:
     """Conjugate each strand by the geodesic from b to its own basepoint."""
     space = bundle.space
     s, t = _block_cells(rows, grid)
@@ -272,7 +271,7 @@ def _normalize_bundle(bundle: StrandBundle, b: Point, rows: int, grid: tuple) ->
     return StrandBundle.of_enc(space, grid, enc[-1]), stack_homotopies([h1, h2])
 
 
-def _normalize_track(track: Track, b: Point, rows: int, grid: tuple) -> tuple[StrandBundle, Homotopy]:
+def _normalize_track(track: Track, b: Point, rows: int, grid: np.ndarray) -> tuple[StrandBundle, Homotopy]:
     space = track.space
     n = track.cap
     m = len(grid) - 1
@@ -391,7 +390,7 @@ class _SubWindow:
         return self.u0 + (t - self.t0) / (self.t1 - self.t0) * (self.u1 - self.u0)
 
 
-def _lap_cuts(space: Space, strand: np.ndarray, times: Sequence[float]) -> list:
+def _lap_cuts(space: Space, strand: np.ndarray, times: np.ndarray) -> list:
     """Times splitting a circle strand into one-turn factors.
 
     Cut at the first crossing of each whole-turn lift level; for winding
@@ -402,7 +401,7 @@ def _lap_cuts(space: Space, strand: np.ndarray, times: Sequence[float]) -> list:
     w = winding_number(space, strand)
     if abs(w) < 2:
         return [0.0, 1.0]
-    lifts, times = circle_lift(space, strand), np.asarray(times)
+    lifts = circle_lift(space, strand)
     lo, hi = lifts[:-1], lifts[1:]
     cuts = [0.0]
     for i in range(1, abs(w)):

@@ -166,8 +166,8 @@ class MetricGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple((int(u), int(v), float(l)) for u, v, l in self.edges))
-        if self.num_vertices < 1:
-            raise ValueError("need at least one vertex")
+        if type(self.num_vertices) is not int or self.num_vertices < 1 or not self.edges:
+            raise ValueError("need an int count of at least one vertex, and an edge for the points to lie on")
         for u, v, l in self.edges:
             if not 0 <= u < self.num_vertices or not 0 <= v < self.num_vertices:
                 raise ValueError(f"edge endpoint out of range: {(u, v, l)}")

@@ -4,7 +4,8 @@ A Homotopy is its grid of configurations: the padded encoding of every
 cell and each cell's point count, whose rows are tracks.  A Track samples
 a map [0,1] -> (finite subsets of X) on a strictly increasing time grid
 with t0 = 0 and tm = 1: it is the homotopy of one row at s = 0, and a
-loop when its first and last configurations coincide.  A StrandBundle
+loop when its first and last configurations coincide.  Every grid, of
+times or of deformation samples, is a 1-D float64 array.  A StrandBundle
 samples n coordinate paths on a shared grid; its per-time union is its
 projected track.  Every operation here reads and builds these arrays;
 the Configuration views (Homotopy.cells, Track.configs) are for callers
@@ -39,8 +40,10 @@ from .space import Circle, Interval, MetricGraph, Point, Space, _remainder
 LOOP_TOL = 1e-9
 
 
-def uniform_times(m: int) -> tuple:
-    return tuple(i / m for i in range(m + 1))
+def uniform_times(m: int) -> np.ndarray:
+    if m < 1:
+        raise ValueError(f"a uniform grid needs at least one step, not {m}")
+    return np.arange(m + 1) / m
 
 
 def nearest_sample(times: Sequence[float], t: np.ndarray) -> np.ndarray:
@@ -57,13 +60,16 @@ def runs_from_0_to_1(times) -> bool:
     return abs(times[0]) <= 1e-12 and abs(times[-1] - 1.0) <= 1e-12
 
 
-def _validate_times(times: Sequence[float]) -> tuple:
-    times = tuple(float(t) for t in times)
+def _validate_times(times) -> np.ndarray:
+    """A copy of times, any numbers, as a 1-D float64 grid from 0 to 1 that strictly increases; else ValueError."""
+    times = np.array(times if hasattr(times, "__len__") else list(times), dtype=float)
+    if times.ndim != 1:
+        raise ValueError("a time grid is one-dimensional")
     if len(times) < 2:
         raise ValueError("need at least two grid times")
     if not runs_from_0_to_1(times):
         raise ValueError("time grid must run from 0 to 1")
-    if any(b <= a for a, b in zip(times, times[1:])):
+    if not (times[1:] > times[:-1]).all():  # a NaN compares false; no inf - inf is taken
         raise ValueError("time grid must be strictly increasing")
     return times
 
@@ -82,14 +88,15 @@ def make_track(space: Space, times: Sequence[float], point_lists: Sequence[Seque
 
 @dataclass(frozen=True, eq=False, init=False)
 class StrandBundle:
-    """n strands on a time grid as one canonical array: enc[k] encodes (see
-    ran._pad) the strands at times[k], strand j in slot j, shaped (m + 1, n)
-    or (m + 1, n, 2) on graphs.  StrandBundle(space, times, strands) takes
-    n point sequences (InvalidPoint for a point off the space or NaN), and
-    strands gives them back canonical.  A bundle compares by identity."""
+    """n strands on a time grid, a float64 array, as one canonical array:
+    enc[k] encodes (see ran._pad) the strands at times[k], strand j in slot
+    j, shaped (m + 1, n) or (m + 1, n, 2) on graphs.  StrandBundle(space,
+    times, strands) takes n point sequences (InvalidPoint for a point off
+    the space or NaN), and strands gives them back canonical.  A bundle
+    compares by identity."""
 
     space: Space
-    times: tuple
+    times: np.ndarray
     enc: np.ndarray
 
     def __init__(self, space: Space, times: Sequence[float], strands: Sequence[Sequence[Point]]):
@@ -175,9 +182,9 @@ class StrandInterpolator:
     slack to any continuity bound.
     """
 
-    def __init__(self, space: Space, times: Sequence[float], points: Sequence[Point]):
+    def __init__(self, space: Space, times: np.ndarray, points: Sequence[Point]):
         self.space = space
-        self.times = np.asarray(times, dtype=float)
+        self.times = times
         self.lifts = None
         if isinstance(space, Circle):
             self.lifts = circle_lift(space, points)
@@ -333,7 +340,7 @@ class Homotopy:
     counts: np.ndarray
 
     def __post_init__(self):
-        _validate_times(self.t_grid.tolist())
+        _validate_times(self.t_grid)
         if len(self.s_grid) != len(self.counts):
             raise ValueError("one row of cells per deformation sample")
         if not (np.diff(self.s_grid) > 0).all():
@@ -391,12 +398,12 @@ class Track(Homotopy):
     @classmethod
     def of_row(cls, space: Space, cap: int, times, enc: np.ndarray, counts: np.ndarray) -> Track:
         """The track of one encoded row of cells (see ran._pad), trimmed to
-        its widest cell."""
-        return cls(space, cap, np.zeros(1), np.asarray(times, dtype=float), enc[None, :, :counts.max()], counts[None])
+        its widest cell, on its own copy of times."""
+        return cls(space, cap, np.zeros(1), np.array(times, dtype=float), enc[None, :, :counts.max()], counts[None])
 
-    @functools.cached_property
-    def times(self) -> tuple:
-        return tuple(self.t_grid.tolist())
+    @property
+    def times(self) -> np.ndarray:
+        return self.t_grid
 
     @property
     def configs(self) -> tuple:
@@ -448,8 +455,7 @@ def stack_homotopies(blocks: Sequence[Homotopy]) -> Homotopy:
             raise EndpointMismatch(f"homotopy blocks fail to chain: seam gap {seam}")
     enc = _joined(space, [blocks[0].enc] + [h.enc[1:] for h in blocks[1:]])
     counts = np.concatenate([blocks[0].counts] + [h.counts[1:] for h in blocks[1:]])
-    s_grid = np.asarray(uniform_times(len(counts) - 1))
-    return Homotopy(space, max(h.cap for h in blocks), s_grid, blocks[0].t_grid, enc, counts)
+    return Homotopy(space, max(h.cap for h in blocks), uniform_times(len(counts) - 1), blocks[0].t_grid, enc, counts)
 
 
 # -- winding numbers ----------------------------------------------------------

@@ -551,7 +551,7 @@ def staircase(bundle):
     n = bundle.n
     m = len(bundle.times) - 1
     enc = bundle.enc
-    if bundle.times != uniform_times(m):
+    if not np.array_equal(bundle.times, uniform_times(m)):
         enc = np.concatenate([enc[:1], bundle.read((np.arange(1, m) / m)[None]), enc[-1:]])
     sample = np.clip(np.arange(n * m + 1)[:, None] - m * np.arange(n), 0, m)
     return StrandBundle.of_enc(bundle.space, uniform_times(n * m), enc[sample, np.arange(n)])
@@ -722,7 +722,7 @@ def _normalize(obj, b, rows, grid):
         return _normalize(project(obj), b, rows, grid)
     if not obj.based_at(b):
         return _normalize_bundle(obj, b, rows, grid)
-    if obj.times != grid:
+    if not np.array_equal(obj.times, grid):
         strands = [OracleStrand(obj.space, obj.times, s) for s in obj.strands]
         obj = StrandBundle(obj.space, grid, tuple(tuple(st.at(t) for t in grid) for st in strands))
     proj = [oracle_dedup(obj.space, [s[k] for s in obj.strands], cap=obj.n) for k in range(len(grid))]

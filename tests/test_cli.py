@@ -336,7 +336,7 @@ def test_load_save_identity(tmp_path):
     track = write_generator_track(src)
     with open(src) as fp:
         loaded = track_from_json(load(fp))
-    assert loaded.times == track.times
+    assert loaded.times.tolist() == track.times.tolist()
     assert loaded.configs == track.configs
     # a second save is byte-identical
     again = tmp_path / "again.json"
@@ -536,6 +536,20 @@ def test_a_graph_with_too_few_edges_is_refused_before_it_allocates(tmp_path, com
     )
     assert res.returncode == 2, res.stderr
     assert res.stderr == "schema error: bad space document: metric graph must be connected\n"
+    assert res.stdout == ""
+
+
+def test_an_edgeless_graph_is_a_bad_space_document(tmp_path):
+    """A graph's points lie on its edges: a document of one vertex and no
+    edge is refused as a space (exit 2), not at its first point."""
+    graph = MetricGraph(1, ((0, 0, 1.0),))
+    times = uniform_times(4)
+    doc = track_to_json(make_track(graph, times, [[graph.canon((0, 0.5))] for _ in times], cap=1, kind="loop"))
+    doc["space"]["edges"] = []
+    res = run_cli("convert", _write_doc(tmp_path / "edgeless.json", doc), tmp_path / "frames")
+    assert res.returncode == 2, res.stderr
+    assert res.stderr == ("schema error: bad space document: "
+                          "need an int count of at least one vertex, and an edge for the points to lie on\n")
     assert res.stdout == ""
 
 
@@ -888,7 +902,7 @@ def _all_cells(value):
     def doc():
         d = _constant_doc(C1, 0.25)
         d["cells"] = [[value] * 5 for _ in range(4)]
-        d["s_grid"] = uniform_times(3)
+        d["s_grid"] = uniform_times(3).tolist()
         return d
     return doc
 

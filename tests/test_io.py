@@ -111,7 +111,7 @@ def test_track_documents_match_the_stdlib_writer_and_read_back_bit_for_bit(grid)
     assert text == oracle_dump(doc)
     back = track_from_json(load(io.StringIO(text)))
     assert _bits([back.configs]) == _bits([track.configs])
-    assert back.times == track.times
+    assert np.array_equal(back.times, track.times)
 
 
 @settings(max_examples=200, deadline=None)

@@ -251,7 +251,7 @@ def test_staircase_single_strand_is_identity():
     bundle = StrandBundle(C1, times, (tuple(C1.canon(t) for t in times),))
     out = staircase(bundle)
     assert out.strands == bundle.strands
-    assert out.times == bundle.times
+    assert np.array_equal(out.times, bundle.times)
 
 
 def test_staircase_two_strand_schedule():
@@ -259,7 +259,7 @@ def test_staircase_two_strand_schedule():
     gen = tuple(C1.canon(t) for t in times)
     const = tuple(0.0 for _ in times)
     out = staircase(StrandBundle(C1, times, (gen, const)))
-    i = out.times.index(0.25)
+    i = out.times.tolist().index(0.25)
     # active strand halfway through its window, the other frozen at base
     assert out.strands[0][i] == pytest.approx(0.5)
     assert out.strands[1][i] == 0.0
@@ -337,6 +337,12 @@ def test_generator_contraction_rejects_other_degrees():
         contract_circle_generator(2)
     with pytest.raises(UnsupportedDegree):
         contract_circle_generator(0)
+
+
+@pytest.mark.parametrize("resolution", [(0, 4), (4, 0)])
+def test_generator_contraction_needs_a_step_each_way(resolution):
+    with pytest.raises(ValueError, match="^a uniform grid needs at least one step, not 0$"):
+        contract_circle_generator(1, resolution)
 
 
 def test_generator_contraction_scales_with_circumference():

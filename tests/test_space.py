@@ -298,6 +298,23 @@ def test_graph_requires_connectivity():
         MetricGraph(4, ((0, 1, 1.0), (2, 3, 1.0)))
 
 
+@pytest.mark.parametrize("vertices, edges", [
+    (1, ()), (True, ((0, 0, 1.0),)), (2.5, ((0, 1, 1.0),)), (2.0, ((0, 1, 1.0),)),
+], ids=["no-edge", "bool-count", "fractional-count", "float-count"])
+def test_graph_needs_an_int_vertex_count_and_an_edge(vertices, edges):
+    """A point of a metric graph lies on an edge, so an edgeless graph has
+    none; a vertex count that is not an int (a bool is not) is refused
+    before any table is built."""
+    with pytest.raises(ValueError):
+        MetricGraph(vertices, edges)
+
+
+def test_one_vertex_with_a_self_loop_is_a_graph():
+    graph = MetricGraph(1, ((0, 0, 1.0),))
+    assert graph.vertex_point(0) == graph.canon((0, 0.0))
+    assert graph.random_points(np.random.default_rng(0), 2).shape == (2, 2)
+
+
 def test_a_metric_graph_is_its_vertex_count_and_edges():
     """The graph's derived tables are cached properties, not fields: the
     constructor takes no third argument, and a graph whose tables are

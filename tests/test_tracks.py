@@ -391,7 +391,7 @@ def test_winding_adds_under_concatenation():
 def test_reverse_is_involution_on_dyadic_grid():
     track = strand_track(C1, lambda t: C1.canon(0.3 * np.sin(np.pi * t)), m=8, kind="path")
     back = reverse(reverse(track))
-    assert back.times == track.times
+    assert np.array_equal(back.times, track.times)
     assert back.configs == track.configs
 
 
@@ -410,7 +410,7 @@ def test_concatenate_rejects_junction_gap():
 
 
 def _same_track(got, want):
-    assert got.times == want.times and got.cap == want.cap
+    assert np.array_equal(got.times, want.times) and got.cap == want.cap
     assert got.configs == want.configs
     assert np.array_equal(got.counts, want.counts)
     assert np.array_equal(got.enc, want.enc, equal_nan=True)
@@ -535,7 +535,7 @@ def test_one_row_tracks_match_the_configuration_reference(track, inner):
     pairs = [(reverse(track), oracle_reverse(track)), (resample(track, new_times), oracle_resample(track, new_times))]
     for got, want in pairs + [(h.row(i), oracle_row(h, i)) for i in range(h.rows)]:
         assert _same_grid(got, want)
-        assert got.times == want.times
+        assert np.array_equal(got.times, want.times)
         assert got.kind == oracle_kind(want)
 
 
@@ -673,6 +673,64 @@ def test_cell_grid_checks_its_own_shape(broken, message):
     Homotopy(**_GRID)
     with pytest.raises(ValueError, match=f"^{message}$"):
         Homotopy(**{**_GRID, **broken})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10_000))
+def test_uniform_times_is_i_over_m_bit_for_bit(m):
+    grid = uniform_times(m)
+    assert grid.dtype == np.float64 and grid.shape == (m + 1,)
+    assert list(map(float.hex, grid.tolist())) == [float.hex(i / m) for i in range(m + 1)]
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_uniform_times_needs_a_step(m):
+    with pytest.raises(ValueError, match=f"^a uniform grid needs at least one step, not {m}$"):
+        uniform_times(m)
+
+
+def test_grids_are_float64_arrays_and_a_track_shares_its_own():
+    times = uniform_times(4)
+    track = make_track(C1, times, [[0.1]] * 5, cap=1)
+    bundle = StrandBundle(C1, tuple(times.tolist()), [[0.1] * 5])
+    for grid in (times, bundle.times, track.times, project(bundle).times):
+        assert isinstance(grid, np.ndarray) and grid.dtype == np.float64 and grid.shape == (5,)
+    assert track.times is track.t_grid
+    # a track or bundle built from an array keeps its own copy of the grid
+    bundle = StrandBundle(C1, times, [[0.1] * 5])
+    times[1] = 0.125
+    assert track.times[1] == bundle.times[1] == 0.25
+
+
+def test_a_generator_gives_a_bundle_its_times():
+    bundle = StrandBundle(C1, (k / 4 for k in range(5)), [[0.1, 0.2, 0.3, 0.2, 0.1]])
+    assert bundle.times.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert bundle.read(np.array([[0.125]]))[0, 0] == pytest.approx(0.15)
+
+
+_BAD_TIMES = {
+    "nan-interior": ([0.0, math.nan, 1.0], "time grid must be strictly increasing"),
+    "infinite-interior": ([0.0, math.inf, 1.0], "time grid must be strictly increasing"),
+    "two-infinite-interior": ([0.0, math.inf, math.inf, 1.0], "time grid must be strictly increasing"),
+    "unsorted": ([0.0, 0.75, 0.25, 1.0], "time grid must be strictly increasing"),
+    "two-dimensional": ([[0.0, 1.0], [0.0, 1.0]], "a time grid is one-dimensional"),
+    "one-time": ([0.0], "need at least two grid times"),
+}
+_GRID_BUILDERS = {
+    "bundle": lambda times: StrandBundle(C1, times, [[0.1] * len(times)]),
+    "make_track": lambda times: make_track(C1, times, [[0.1]] * len(times), cap=1, kind="loop"),
+    "homotopy": lambda times: Homotopy(C1, 1, np.zeros(1), np.array(times), np.zeros((1, len(times), 1)),
+                                       np.ones((1, len(times)), np.intp)),
+}
+
+
+@pytest.mark.parametrize("builder", _GRID_BUILDERS.values(), ids=_GRID_BUILDERS.keys())
+@pytest.mark.parametrize("times, message", _BAD_TIMES.values(), ids=_BAD_TIMES.keys())
+def test_every_builder_checks_its_time_grid(builder, times, message):
+    """StrandBundle, make_track and Homotopy run the one grid rule: a NaN
+    time, which compares false both ways, fails it as unsorted times do."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        builder(times)
 
 
 def test_homotopy_of_no_rows_is_a_ragged_grid():
