@@ -2,23 +2,25 @@
 
 This is the corroborating instrument for the first-homology claims: sample
 configurations, take their pairwise Hausdorff distances, and read H0/H1
-persistence off the Rips 2-skeleton: H0 by union-find, H1 by reducing
-edge coboundaries with clearing (cohomology gives the same pairs as the
-boundary-matrix reduction).  Z/2 coefficients suffice to separate the
-cases checked here, and the Rips filtration only needs the distance
-matrix, not an embedding.
+persistence off the Rips 2-skeleton: H0 by a union-find that stops once
+the graph is connected, H1 by reducing edge coboundaries with clearing
+(cohomology gives the same pairs as the boundary-matrix reduction).  Z/2
+coefficients suffice to separate the cases checked here, and the Rips
+filtration only needs the distance matrix, not an embedding.
 
 Distance-matrix assembly and the filtration are vectorized, their
-temporaries bounded by the blocks of ``ran.blocks``; the reduction itself
-is single-threaded and fully deterministic (simplices ordered by
-filtration value, dimension, then vertex tuple).  Farthest-point landmarks
-of sampled cells (``landmark_cloud``) compute only the distance rows the
-selection reads, so a large sample never needs its full matrix.
+temporaries bounded by the blocks of ``ran.blocks``.  The reduction reads
+the apparent pairs, nearly all of them, off the arrays (the lemma is in
+rips_persistence_h1) and reduces the few other columns one at a time in
+one dense working column; it is single-threaded and fully deterministic
+(simplices ordered by filtration value, dimension, then vertex tuple).
+Farthest-point landmarks of sampled cells (``landmark_cloud``) compute
+only the distance rows the selection reads, so a large sample never
+needs its full matrix.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -255,23 +257,38 @@ def _cofaces(tri_faces: np.ndarray) -> np.ndarray:
     kind="stable") // 3, from one plain sort of the keys face * T +
     triangle, which are unique since a triangle's faces differ."""
     t = len(tri_faces)
-    keys = tri_faces * t + np.arange(t)[:, None]
-    return np.sort(keys.ravel()) % max(t, 1)
+    # the ravelled add: broadcasting a column over rows of three is slow
+    keys = (tri_faces * t).ravel() + np.repeat(np.arange(t), 3)
+    return np.sort(keys) % max(t, 1)
 
 
 def rips_persistence_h1(cloud: MetricCloud, max_scale: float, budget: int = DEFAULT_SIMPLEX_BUDGET) -> PersistenceDiagram:
     """The persistence diagram in dimensions 0 and 1 of the Rips filtration.
 
-    H0 comes from union-find over the edges in filtration order: an edge
-    joining two components kills the younger root (the larger vertex
-    index, all vertices being born at 0.0).  H1 comes from reducing edge
-    coboundaries over Z/2 from the last edge to the first, skipping the
-    edges that killed an H0 class (clearing); a column's pivot is its
-    earliest triangle.  Cohomology pairs the same simplices as the
-    boundary-matrix reduction of the same total order.  Unpaired creators
-    are reported with death +inf.  Raises SizeLimit when the implied
-    simplex count exceeds the budget: the caller is expected to subsample
-    (see landmark_cloud).
+    H0 comes from union-find over the edges in filtration order, stopped
+    once one component is left: an edge joining two components kills the
+    younger root (the larger vertex index, all vertices being born at
+    0.0).  H1 comes from reducing edge coboundaries over Z/2 from the
+    last edge to the first, skipping the edges that killed an H0 class
+    (clearing); a column's pivot is its earliest triangle.  Cohomology
+    pairs the same simplices as the boundary-matrix reduction of the same
+    total order.  Unpaired creators are reported with death +inf.
+
+    Most pairs are apparent (Bauer's Ripser) and read off the arrays:
+    take a positive edge r whose earliest coface t has r as its latest
+    face.  Every column of an edge after r is a sum of coboundaries of
+    edges after r, whose triangles each have a face after r, and t has
+    none.  So t is free when r is reached, (r, t) is an emergent pair,
+    and t enters no column of an edge after r: owning it from the start
+    changes no lookup.  (No negative edge is a latest face, since a
+    triangle's latest edge closes a cycle; the mask stays, as clearing.)
+    Each other column is reduced in one dense boolean working column
+    indexed by triangle, which a partner (the pivot owner's reduced
+    column, else its cofaces, as triangle indices) flips at its own
+    triangles; the next pivot is the first set entry after the last.
+
+    Raises SizeLimit when the implied simplex count exceeds the budget:
+    the caller is expected to subsample (see landmark_cloud).
     """
     if not max_scale > 0:
         raise ValueError("max_scale must be positive")
@@ -279,10 +296,7 @@ def rips_persistence_h1(cloud: MetricCloud, max_scale: float, budget: int = DEFA
     if total > budget:
         raise SizeLimit(f"{total} simplices exceed budget {budget}")
     edge_value, edge_ends, tri_value, tri_faces = _filtration(cloud, max_scale)
-    edge_value, tri_value = edge_value.tolist(), tri_value.tolist()
-    h0_death, h1_birth, h1_death = [], [], []
-
-    root = list(range(len(cloud)))
+    root, components = list(range(len(cloud))), len(cloud)
 
     def find(v):
         while root[v] != v:
@@ -290,54 +304,45 @@ def rips_persistence_h1(cloud: MetricCloud, max_scale: float, budget: int = DEFA
             v = root[v]
         return v
 
-    negative = bytearray(len(edge_value))
+    negative = np.zeros(len(edge_value), dtype=bool)
     for r, (i, j) in enumerate(edge_ends.tolist()):
+        if components == 1:
+            break
         ri, rj = find(i), find(j)
         if ri != rj:
             root[max(ri, rj)] = min(ri, rj)
-            negative[r] = 1
-            h0_death.append(edge_value[r])
-    h0_death.extend(math.inf for v, parent in enumerate(root) if parent == v)
+            negative[r], components = True, components - 1
 
-    # coboundary of edge r: the triangles cof[start[r]:start[r + 1]], ascending;
-    # as a column it is a bitmask with triangle t at bit top - t, so its
-    # pivot, the earliest triangle, is the highest set bit
+    # the cofaces of edge r are the triangles cof[start[r]:start[r + 1]], ascending
     cof = _cofaces(tri_faces)
-    start = np.concatenate(([0], np.cumsum(np.bincount(tri_faces.ravel(), minlength=len(edge_value))))).tolist()
-    top = len(tri_value) - 1
-
-    def coboundary(r):
-        # packed only up to the earliest coface, the column's highest bit
-        tris = top - cof[start[r] : start[r + 1]]
-        bits = np.zeros(tris[0] + 1, dtype=bool)
-        bits[tris] = True
-        return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-    owner = {}  # pivot triangle -> edge whose reduced column has it
-    reduced = {}  # edge -> its column after reduction, for edges that needed one
-    for r in range(len(edge_value) - 1, -1, -1):
-        if negative[r]:
-            continue
-        low = int(cof[start[r]]) if start[r] < start[r + 1] else None
-        if low in owner:  # no emergent pair: reduce the column
-            col = coboundary(r)
-            while col:
-                low = top + 1 - col.bit_length()
-                if low not in owner:
-                    break
-                other = owner[low]
-                col ^= reduced[other] if other in reduced else coboundary(other)
-            else:
-                low = None
-            reduced[r] = col
-        h1_birth.append(edge_value[r])
-        if low is None:
-            h1_death.append(math.inf)
-        else:
-            owner[low] = r
-            h1_death.append(tri_value[low])
-    h0 = len(h0_death)
-    return PersistenceDiagram(np.repeat([0, 1], [h0, len(h1_birth)]), [0.0] * h0 + h1_birth, h0_death + h1_death)
+    start = np.concatenate(([0], np.cumsum(np.bincount(tri_faces.ravel(), minlength=len(edge_value)))))
+    positive = np.flatnonzero(~negative)
+    cand = positive[start[positive + 1] > start[positive]]  # the positive edges with a coface
+    low = np.full(len(edge_value), -1)  # earliest coface, then death triangle; -1 for none
+    low[cand] = cof[start[cand]]
+    apparent = np.zeros(len(edge_value), dtype=bool)
+    apparent[cand] = tri_faces[low[cand]].max(axis=1) == cand
+    owner = np.full(len(tri_value), -1)  # pivot triangle -> edge whose reduced column has it
+    owner[low[apparent]] = np.flatnonzero(apparent)
+    reduced = {}  # edge -> its reduced column's triangles, for edges that needed one
+    work = np.zeros(len(tri_value) + 1, dtype=bool)  # the False past the end ends a pivot search
+    for r in cand[~apparent[cand]][::-1].tolist():
+        t = low[r]
+        if owner[t] >= 0:  # no emergent pair: reduce the column
+            work[cof[start[r] : start[r + 1]]] = True
+            while work[t] and owner[t] >= 0:
+                other = owner[t]
+                work[reduced[other] if other in reduced else cof[start[other] : start[other + 1]]] ^= True
+                t += 1 + int(np.argmax(work[t + 1 :]))
+            reduced[r] = t + np.flatnonzero(work[t:])
+            work[reduced[r]] = False
+            low[r] = t = t if len(reduced[r]) else -1
+        if t >= 0:
+            owner[t] = r
+    h0_death = np.concatenate((edge_value[negative], np.full(components, np.inf)))
+    h1 = positive[::-1]
+    return PersistenceDiagram(np.repeat([0, 1], [len(h0_death), len(h1)]), np.concatenate((np.zeros(len(h0_death)), edge_value[h1])),
+                              np.concatenate((h0_death, np.append(tri_value, np.inf)[low[h1]])))
 
 
 def long_lived_h1_count(diagram: PersistenceDiagram) -> int:

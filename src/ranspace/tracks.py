@@ -322,7 +322,8 @@ class Homotopy:
     declared cap, which the homotopy records but does not enforce, so a
     reader can report a cell above it; capped is the check that the
     document readers and of_cells run where outside input enters.  A time
-    grid not from 0 to 1, an s grid not increasing or a ragged grid:
+    grid not from 0 to 1, an s grid not finite or not increasing (it
+    need not run from 0 to 1: verify reports that) or a ragged grid:
     ValueError.
 
     check_continuity reports cardinality and adjacent-cell gaps, and
@@ -343,7 +344,10 @@ class Homotopy:
         _validate_times(self.t_grid)
         if len(self.s_grid) != len(self.counts):
             raise ValueError("one row of cells per deformation sample")
-        if not (np.diff(self.s_grid) > 0).all():
+        s = np.asarray(self.s_grid, dtype=float)
+        if s.ndim != 1 or not np.isfinite(s).all():
+            raise ValueError("deformation grid must be a 1-D array of finite times")
+        if not (s[1:] > s[:-1]).all():
             raise ValueError("deformation grid must be strictly increasing")
         if self.counts.shape != (len(self.s_grid), len(self.t_grid)) or self.enc.shape[:2] != self.counts.shape:
             raise ValueError("ragged homotopy grid")

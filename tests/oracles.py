@@ -15,7 +15,10 @@ Besides the oracles, this module keeps the array code that only tests
 call, built on the package's kernels: the reference staircase schedule,
 the pushforward of the one-turn contraction through a loop, the branch
 and merge detector, the path algebra (concatenate, reverse, conjugate,
-resample), singleton_strand and random_point.
+resample), singleton_strand and random_point, and oracle_rips_h1, the
+big-int column reduction that rips_persistence_h1 ran before it took
+the apparent pairs up front, on the package's filtration arrays (its
+coface lists from a stable argsort, not the package's key sort).
 """
 
 import functools
@@ -27,6 +30,7 @@ from itertools import combinations
 import numpy as np
 
 from ranspace.errors import AmbiguousBranching, EmptyConfiguration, EndpointMismatch, InvalidPoint, SpaceMismatch
+from ranspace.homology import PersistenceDiagram, _filtration
 from ranspace.moves import _block_cells, _pushed, _schedule, _slots_block
 from ranspace.ran import DEDUP_EPS, Configuration, _dedup_lists, _slot_points, batch_hausdorff
 from ranspace.space import CANON_TOL, Circle, GraphPoint, Interval
@@ -462,6 +466,69 @@ def naive_pairs(dist, max_scale):
         if low(j) == -1 and j not in victims and j not in killed and sims[j][1] <= 1:
             pairs.append((sims[j][0], math.inf, sims[j][1]))
     return sorted(pairs)
+
+
+def oracle_rips_h1(cloud, max_scale):
+    """homology.rips_persistence_h1 without the budget check, reducing every
+    positive edge's column as a big int: union-find over all the edges,
+    then each coboundary, packed as a bitmask with triangle t at bit
+    top - t, XORed with its pivot owner's column until the pivot is free.
+    No apparent pair is taken up front, so the emergent pairs and the
+    columns come from the reduction alone."""
+    edge_value, edge_ends, tri_value, tri_faces = _filtration(cloud, max_scale)
+    edge_value, tri_value = edge_value.tolist(), tri_value.tolist()
+    h0_death, h1_birth, h1_death = [], [], []
+    root = list(range(len(cloud)))
+
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    negative = bytearray(len(edge_value))
+    for r, (i, j) in enumerate(edge_ends.tolist()):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            root[max(ri, rj)] = min(ri, rj)
+            negative[r] = 1
+            h0_death.append(edge_value[r])
+    h0_death.extend(math.inf for v, parent in enumerate(root) if parent == v)
+    cof = np.argsort(tri_faces.ravel(), kind="stable") // 3  # each edge's cofaces, ascending
+    start = np.concatenate(([0], np.cumsum(np.bincount(tri_faces.ravel(), minlength=len(edge_value))))).tolist()
+    top = len(tri_value) - 1
+
+    def coboundary(r):
+        tris = top - cof[start[r] : start[r + 1]]
+        bits = np.zeros(tris[0] + 1, dtype=bool)
+        bits[tris] = True
+        return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+    owner = {}  # pivot triangle -> edge whose reduced column has it
+    reduced = {}  # edge -> its column after reduction, for edges that needed one
+    for r in range(len(edge_value) - 1, -1, -1):
+        if negative[r]:
+            continue
+        low = int(cof[start[r]]) if start[r] < start[r + 1] else None
+        if low in owner:
+            col = coboundary(r)
+            while col:
+                low = top + 1 - col.bit_length()
+                if low not in owner:
+                    break
+                other = owner[low]
+                col ^= reduced[other] if other in reduced else coboundary(other)
+            else:
+                low = None
+            reduced[r] = col
+        h1_birth.append(edge_value[r])
+        if low is None:
+            h1_death.append(math.inf)
+        else:
+            owner[low] = r
+            h1_death.append(tri_value[low])
+    h0 = len(h0_death)
+    return PersistenceDiagram(np.repeat([0, 1], [h0, len(h1_birth)]), [0.0] * h0 + h1_birth, h0_death + h1_death)
 
 
 def random_point(space, rng):

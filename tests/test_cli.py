@@ -25,6 +25,7 @@ from ranspace.io import (
 from ranspace.moves import Inclusion, contract_circle_generator, contract_pipeline
 from ranspace.space import Circle, GraphPoint, Interval, MetricGraph
 from ranspace.tracks import (
+    LOOP_TOL,
     ContractionCertificate,
     Homotopy,
     StrandBundle,
@@ -1005,6 +1006,44 @@ def test_verify_checks_every_recomputable_certificate_field(tmp_path, contracted
     assert res.returncode == 1, res.stderr
     assert res.stderr.startswith(named), res.stderr
     assert res.stdout.splitlines()[-1] == "FAIL"
+
+
+def test_verify_passes_a_one_row_stage(tmp_path, contracted):
+    """A stage may span a single row (first == last) when it chains: the
+    first stage split at its first row, with that row's cardinality,
+    still reads PASS."""
+    doc = json.loads(contracted.read_text())
+    stages = doc["certificate"]["stages"]
+    name, first, last, _ = stages[0]
+    assert first == 0 < last
+    stages.insert(0, [name, 0, 0, max(map(len, doc["cells"][0]))])
+    res = run_cli("verify", _write_doc(tmp_path / "one-row-stage.json", doc))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "PASS"
+
+
+def test_verify_passes_a_last_row_exactly_loop_tol_wide(tmp_path):
+    """On the unit circle the cells [0.0] and [1e-9] are exactly LOOP_TOL
+    apart: a last row of them is one constant point, and a closed loop,
+    within the tolerance."""
+    doc = _constant_doc(C1, 0.0)
+    doc["cells"][-1] = [[0.0]] + [[1e-9]] * (len(doc["cells"][-1]) - 1)
+    assert C1.distance(0.0, 1e-9) == LOOP_TOL
+    res = run_cli("verify", _write_doc(tmp_path / "last-row.json", doc))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "PASS"
+
+
+def test_contract_refuses_a_track_with_a_repeated_time(tmp_path):
+    """A repeated grid time is no step: the track document is refused with
+    exit 2 before any contraction."""
+    times = uniform_times(3)
+    doc = track_to_json(make_track(C1, times, [[C1.canon(0.1 + t)] for t in times], cap=1, kind="loop"))
+    doc["times"] = [0.0, 0.5, 0.5, 1.0]
+    res = run_cli("contract", _write_doc(tmp_path / "repeated.json", doc), "--cap", 1, "--out", tmp_path / "h.json")
+    assert res.returncode == 2, res.stderr
+    assert res.stderr == "schema error: time grid must be strictly increasing\n"
+    assert not (tmp_path / "h.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_pairs, oracle_hausdorff, oracle_homology_table, oracle_metric, oracle_sample_configs
+from oracles import naive_pairs, oracle_hausdorff, oracle_homology_table, oracle_metric, oracle_rips_h1, oracle_sample_configs
 from ranspace import homology, ran
 from ranspace.cli import _pair_rows
 from ranspace.errors import SizeLimit
@@ -391,3 +391,62 @@ def test_count_simplices_counts_what_the_filtration_lists(case, data):
     assert sorted(zip(i.tolist(), j.tolist(), k.tolist())) == tris
     assert np.array_equal(np.lexsort((k, j, i, tri_value)), np.arange(len(tri_value)))
     assert np.array_equal(np.lexsort((edge_ends[:, 1], edge_ends[:, 0], edge_value)), np.arange(len(edge_value)))
+
+
+def _hexes(diagram):
+    """A diagram's three arrays in table order, values by float.hex."""
+    return diagram.dim.tolist(), [x.hex() for x in diagram.birth.tolist()], [x.hex() for x in diagram.death.tolist()]
+
+
+@st.composite
+def _reduction_cases(draw):
+    """(cloud, scale): a symmetric matrix of values quantized to a few
+    levels, so that edges and triangles tie everywhere (zero off the
+    diagonal included), at one of those levels; or a sampled circle
+    cloud at any scale.  Small scales leave the Rips graph disconnected
+    or without a triangle."""
+    if draw(st.booleans()):
+        m, levels = draw(st.integers(1, 16)), draw(st.integers(1, 6))
+        iu = np.triu_indices(m, 1)
+        dist = np.zeros((m, m))
+        dist[iu] = np.array(draw(st.lists(st.integers(0, levels), min_size=len(iu[0]), max_size=len(iu[0]))), dtype=float) / levels
+        dist.T[iu] = dist[iu]
+        return MetricCloud(tuple(range(m)), dist), draw(st.integers(1, levels)) / levels
+    cells = sample_configs(C1, n=draw(st.integers(1, 3)), m=draw(st.integers(1, 40)), seed=draw(st.integers(0, 2**16)))
+    return cloud_from_configs(C1, cells), draw(st.floats(1e-6, 0.6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reduction_cases())
+@example((singleton_cloud([0.0]), 1.0))
+@example((singleton_cloud([0.0, 0.5]), 10.0))
+@example((singleton_cloud([0.0, 0.1, 0.5, 0.6]), 0.15))
+@example((singleton_cloud([i / 8 for i in range(8)]), 0.3))
+def test_reduction_is_the_big_int_oracle_bit_for_bit(case):
+    """rips_persistence_h1, which takes the apparent pairs up front and
+    reduces the other columns in one working column, gives the diagram
+    of the big-int reduction of every column: the same arrays, in the
+    same order, by float.hex.  Examples: one point, two points and no
+    triangle, a disconnected Rips graph, an essential H1 class."""
+    cloud, scale = case
+    assert _hexes(rips_persistence_h1(cloud, scale)) == _hexes(oracle_rips_h1(cloud, scale))
+
+
+def _lattice_cloud(n, k):
+    """Every nonempty subset of at most n of the k points i / k on the unit
+    circle: each configuration of at most n points lies within 1 / (2k)
+    of one of them."""
+    return cloud_from_configs(C1, [tuple(i / k for i in subset) for size in range(1, n + 1) for subset in combinations(range(k), size)])
+
+
+@pytest.mark.parametrize("n, k, scale, simplices, count", [(1, 24, 0.35, 896, 1), (2, 16, 0.2, 25_488, 1), (3, 10, 0.3, 359_848, 0)])
+def test_lattice_probe_reduces_as_the_oracle(n, k, scale, simplices, count):
+    """The lattice probes for n = 1-3 give the oracle's diagram bit for bit,
+    and as many H1 pairs persisting beyond twice the covering radius as
+    H1 of Ran<=n of the circle has rank: 1, 1, 0."""
+    cloud = _lattice_cloud(n, k)
+    assert count_simplices(cloud, scale) == simplices
+    diagram = rips_persistence_h1(cloud, scale)
+    assert _hexes(diagram) == _hexes(oracle_rips_h1(cloud, scale))
+    h1 = diagram.dim == 1
+    assert np.count_nonzero(diagram.death[h1] - diagram.birth[h1] > 1 / k) == count

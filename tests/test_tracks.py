@@ -43,9 +43,11 @@ from ranspace.tracks import (
     make_track,
     nearest_sample,
     project,
+    runs_from_0_to_1,
     stack_homotopies,
     uniform_times,
     winding_number,
+    within_bound,
 )
 
 C1 = Circle(1.0)
@@ -673,6 +675,32 @@ def test_cell_grid_checks_its_own_shape(broken, message):
     Homotopy(**_GRID)
     with pytest.raises(ValueError, match=f"^{message}$"):
         Homotopy(**{**_GRID, **broken})
+
+
+@pytest.mark.parametrize("s_grid", [[math.nan], [0.0, math.inf, math.inf], [0.0, math.nan, 1.0]],
+                         ids=["nan-one-row", "inf-tail", "nan-between"])
+def test_s_grid_must_be_finite(s_grid):
+    """A NaN or infinite deformation time is a ValueError: a one-row [nan]
+    is not let through, and [0, inf, inf] does not stop at numpy's
+    inf - inf RuntimeWarning, which the suite turns into an error."""
+    rows = len(s_grid)
+    with pytest.raises(ValueError, match="^deformation grid must be a 1-D array of finite times$"):
+        Homotopy(**{**_GRID, "s_grid": np.array(s_grid), "enc": np.zeros((rows, 5, 1)), "counts": np.ones((rows, 5), np.intp)})
+
+
+def test_a_repeated_grid_time_is_refused():
+    """A time grid must strictly increase: a repeated time is not a step."""
+    with pytest.raises(ValueError, match="^time grid must be strictly increasing$"):
+        make_track(C1, [0.0, 0.5, 0.5, 1.0], [[0.1], [0.2], [0.2], [0.1]], cap=1)
+
+
+def test_grid_ends_and_the_bound_hold_at_their_tolerance():
+    """The boundary values count as inside: a grid may start exactly 1e-12
+    from 0 (not 2e-12), and a gap may equal bound * max(ds, dt)."""
+    assert runs_from_0_to_1(np.array([1e-12, 0.5, 1.0]))
+    assert not runs_from_0_to_1(np.array([2e-12, 0.5, 1.0]))
+    assert within_bound(0.5, 0.25, 0.125, 2.0)
+    assert not within_bound(np.nextafter(0.5, 1.0), 0.25, 0.125, 2.0)
 
 
 @settings(max_examples=200, deadline=None)
